@@ -6,8 +6,8 @@ wall-clock IS the measurement: real OS processes count words in real
 files.  Three claims are measured:
 
 * **Streaming speedup** — ``n_jobs`` back-to-back wordcount jobs on the
-  streaming engine (persistent pool, mmap reads, batched IPC through the
-  shared-memory slot transport, cached chunk plans, overlapped
+  streaming engine (persistent pool, mmap reads, one pickled result per
+  batch over the result pipe, cached chunk plans, overlapped
   incremental scalar-fold merge) against the frozen pre-PR barrier
   engine (:class:`repro.exec.seed_engine.SeedLocalMapReduce`: fresh pool
   + open/seek/read + per-chunk result pickles + merge-after-barrier, per
@@ -22,11 +22,6 @@ files.  Three claims are measured:
   An absolute **throughput floor** (input MB/s through the streaming
   engine) guards against the ratio staying healthy while both sides
   regress together.
-* **Transport comparison** — the same streaming job sequence on the
-  pickle transport vs the shared-memory ring.  Where shm is available
-  the ring must not lose to the pipe (small tolerance for timer noise:
-  the two differ by one copy regime, not an algorithm), and outputs
-  must be byte-identical across transports.
 * **Out-of-core equivalence** — the same input under a memory budget a
   fraction of its size: multiple spilled fragments, byte-identical
   output.  Reported, not speed-gated: like the paper's Fig 7, the
@@ -103,10 +98,6 @@ STREAMING_GATE = 2.0
 #: for slower CI hardware.
 THROUGHPUT_FLOOR_MB_S = 8.0
 
-#: shm may not lose to pickle by more than timer noise (they differ by a
-#: copy regime, not an algorithm, so the allowed slack is small)
-SHM_VS_PICKLE_TOLERANCE = 1.10
-
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -145,9 +136,9 @@ def _time_jobs(run_one, n_jobs: int, passes: int = 2) -> tuple[float, list]:
     back-to-back jobs, after one untimed warmup job.
 
     Best-of is applied identically to every engine measured (seed,
-    streaming on either transport, out-of-core): a single multi-ms
-    scheduler preemption inside one pass would otherwise decide a gated
-    ratio on a loaded CI box.
+    streaming, out-of-core): a single multi-ms scheduler preemption
+    inside one pass would otherwise decide a gated ratio on a loaded CI
+    box.
     """
     run_one()
     best = float("inf")
@@ -211,23 +202,13 @@ def run_real_suite(
         )
 
         with _wordcount_engine(
-            n_workers=n_workers, start_method=start_method, transport="pickle"
-        ) as pickle_eng:
-            pickle_s, pickle_outs = _time_jobs(
-                lambda: pickle_eng.run(path, chunk_bytes=GATE_CHUNK_BYTES).output,
-                n_jobs,
-            )
-
-        with _wordcount_engine(
-            n_workers=n_workers, start_method=start_method, transport="auto"
+            n_workers=n_workers, start_method=start_method,
         ) as stream_eng:
             resolved_method = stream_eng.start_method
-            stream_s, stream_results = _time_jobs(
-                lambda: stream_eng.run(path, chunk_bytes=GATE_CHUNK_BYTES),
+            stream_s, stream_outs = _time_jobs(
+                lambda: stream_eng.run(path, chunk_bytes=GATE_CHUNK_BYTES).output,
                 n_jobs,
             )
-            stream_outs = [r.output for r in stream_results]
-            resolved_transport = stream_results[0].transport
 
         # -- out-of-core: multi-fragment, identical output -------------------
         with _wordcount_engine(
@@ -243,19 +224,12 @@ def run_real_suite(
         reference = seed_outs[0]
         all_match = all(
             o == reference
-            for outs in (seed_outs, stream_outs, pickle_outs, ooc_outs)
+            for outs in (seed_outs, stream_outs, ooc_outs)
             for o in outs
         )
         speedup = seed_s / stream_s if stream_s else float("inf")
         ooc_speedup = seed_s / ooc_s if ooc_s else float("inf")
         throughput_mb_s = (payload * n_jobs) / stream_s / 1e6 if stream_s else 0.0
-        # shm-vs-pickle is only a comparison where shm actually resolved
-        # (no /dev/shm -> "auto" degrades to pickle and the two runs are
-        # the same transport)
-        transports_compared = resolved_transport == "shm"
-        shm_ok = (not transports_compared) or (
-            stream_s <= pickle_s * SHM_VS_PICKLE_TOLERANCE
-        )
 
         # -- critical path over one traced streaming job ---------------------
         # untimed: tracing costs real time, so this job rides outside the
@@ -314,30 +288,16 @@ def run_real_suite(
             "gates": {
                 "streaming_speedup_min": STREAMING_GATE,
                 "throughput_floor_mb_s": THROUGHPUT_FLOOR_MB_S,
-                "shm_vs_pickle_tolerance": SHM_VS_PICKLE_TOLERANCE,
             },
             "seed_s": round(seed_s, 4),
             "streaming_s": round(stream_s, 4),
             "speedup": round(speedup, 3),
             "throughput_mb_s": round(throughput_mb_s, 2),
             "all_match": all_match,
-            "transports": {
-                "resolved": resolved_transport,
-                "compared": transports_compared,
-                "pickle_s": round(pickle_s, 4),
-                "shm_s": round(stream_s, 4) if transports_compared else None,
-                "shm_speedup_over_pickle": (
-                    round(pickle_s / stream_s, 3)
-                    if transports_compared and stream_s
-                    else None
-                ),
-                "within_tolerance": shm_ok,
-            },
             "gate_ok": (
                 all_match
                 and speedup >= STREAMING_GATE
                 and throughput_mb_s >= THROUGHPUT_FLOOR_MB_S
-                and shm_ok
                 and rss_ok
                 and critpath["covered_ok"]
             ),
@@ -422,20 +382,17 @@ def bench_streaming_vs_seed(benchmark):
     if not (
         payload["speedup"] >= STREAMING_GATE
         and payload["throughput_mb_s"] >= THROUGHPUT_FLOOR_MB_S
-        and payload["transports"]["within_tolerance"]
     ):
         # one retry absorbs transient machine load from the wider
         # benchmark session (the quick shape standalone sits at ~2.7x);
         # a real perf regression fails both runs
         payload = run_real_suite(quick=True)
-    tr = payload["transports"]
     print(banner("REAL MACHINE - streaming engine vs frozen barrier path"))
     print(
         f"seed {payload['seed_s']:.3f}s vs streaming {payload['streaming_s']:.3f}s "
         f"=> {payload['speedup']:.2f}x (gate >= {STREAMING_GATE}x) | "
         f"{payload['throughput_mb_s']:.1f} MB/s "
         f"(floor {THROUGHPUT_FLOOR_MB_S} MB/s) | "
-        f"transport {tr['resolved']} vs pickle {tr['pickle_s']:.3f}s | "
         f"out-of-core {payload['outofcore']['speedup_vs_seed']:.2f}x, "
         f"{payload['outofcore']['n_fragments']} fragments | "
         f"RSS extra {payload['rss']['outofcore_extra_kib']}KiB "
@@ -446,7 +403,6 @@ def bench_streaming_vs_seed(benchmark):
     assert payload["rss"]["bounded"] and payload["rss"]["outputs_match"]
     assert payload["speedup"] >= STREAMING_GATE
     assert payload["throughput_mb_s"] >= THROUGHPUT_FLOOR_MB_S
-    assert tr["within_tolerance"]
     assert payload["gate_ok"]
 
 

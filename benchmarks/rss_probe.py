@@ -24,14 +24,6 @@ is the parent's *current* RSS, though, so the probe first re-execs
 itself: stage 1 (mark poisoned, but small) forks stage 2, which
 therefore starts with a clean low mark and does the measuring.
 
-The engine runs on the *pickle* transport: the shared-memory ring is a
-preallocated, input-independent buffer (``n_workers x SLOTS_PER_WORKER
-x slot_bytes``, ~8 MiB at the defaults) whose pages land in the
-parent's RSS as results are decoded — a fixed overhead that would
-swamp the input-*scaling* bound this probe exists to measure.  The
-ring's constant cost is visible in ``BENCH_real_engine.json``'s
-transport section instead.
-
 Output: one JSON object on stdout — baseline/peak/extra KiB, run mode,
 fragment and spill stats, and a digest of the full output for
 cross-mode equality checks.
@@ -69,7 +61,7 @@ def main(argv: list[str]) -> int:
     with LocalMapReduce(
         map_fn=wc_map, reduce_fn=wc_reduce, combine_fn=None,
         sort_output=True, n_workers=2, start_method="fork",
-        memory_budget=budget, transport="pickle",
+        memory_budget=budget,
     ) as eng:
         res = eng.run(path, chunk_bytes=chunk_bytes)
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

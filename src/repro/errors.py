@@ -45,8 +45,6 @@ __all__ = [
     "FaultInjectedError",
     "WorkerCrashError",
     "SpillCorruptionError",
-    "TransportError",
-    "TransportCorruptionError",
 ]
 
 
@@ -460,28 +458,3 @@ class SpillCorruptionError(McSDError):
         self.path = path
         self.block_index = block_index
         self.run_index = run_index
-
-
-class TransportError(McSDError):
-    """Error in the worker→parent result transport."""
-
-
-class TransportCorruptionError(TransportError):
-    """A shared-memory result slot failed its crc32 frame check.
-
-    Transient: the slot is freed and the task re-dispatched (bounded by
-    the pool's per-task retry budget) — the input chunks are the durable
-    copy, so a torn or corrupted slot costs one map attempt, never
-    answers.
-    """
-
-    retryable = True
-
-    def __init__(self, slot: int, task_index: int | None = None, detail: str = ""):
-        super().__init__(
-            f"transport slot {slot} failed its crc32 frame check"
-            + (f" (task {task_index})" if task_index is not None else "")
-            + (f": {detail}" if detail else "")
-        )
-        self.slot = slot
-        self.task_index = task_index

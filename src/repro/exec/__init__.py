@@ -31,12 +31,6 @@ from repro.exec.localmr import LocalJobResult, LocalMapReduce
 from repro.exec.outofcore import plan_fragments
 from repro.exec.pool import WorkerPool, resolve_start_method
 from repro.exec.seed_engine import SeedLocalMapReduce
-from repro.exec.transport import (
-    PickleTransport,
-    ShmRingTransport,
-    Transport,
-    make_transport,
-)
 
 __all__ = [
     "chunk_file",
@@ -49,8 +43,4 @@ __all__ = [
     "resolve_start_method",
     "plan_fragments",
     "SeedLocalMapReduce",
-    "Transport",
-    "PickleTransport",
-    "ShmRingTransport",
-    "make_transport",
 ]

@@ -13,17 +13,20 @@ every lookup, so a file replaced or rewritten between jobs is remapped
 rather than served stale.  :func:`read_chunk_cached` slices chunk bytes
 off the cached mapping, and :func:`read_chunk_view` exposes chunk
 payloads as zero-copy ``memoryview`` slices over it for consumers that
-can scan a buffer without materializing ``bytes``.
+can scan a buffer without materializing ``bytes``.  The cache lives as
+long as the process; an ``atexit`` hook closes whatever is left in it.
 
 :func:`chunk_file` — the *parent's* path — deliberately probes
-boundaries with ``os.pread`` windows on the cached descriptor rather
-than through the mapping: faulting an mmap page charges the process's
-RSS and triggers kernel readahead/fault-around that drags neighboring
-pages in with it, so probing every draft boundary through the mapping
-makes roughly the whole file resident in the planner.  ``pread`` serves
-the same bytes from the page cache without growing the parent at all,
-which keeps the engine's bounded-parent-memory claim honest (the mmap
-cost lands only in workers, whose job is to scan the chunk anyway).
+boundaries with ``os.pread`` windows on its own short-lived descriptor
+rather than through the cache's mapping: faulting an mmap page charges
+the process's RSS and triggers kernel readahead/fault-around that drags
+neighboring pages in with it, so probing every draft boundary through
+the mapping makes roughly the whole file resident in the planner.
+``pread`` serves the same bytes from the page cache without growing the
+parent at all, which keeps the engine's bounded-parent-memory claim
+honest (the mmap cost lands only in workers, whose job is to scan the
+chunk anyway).  Planning therefore leaves no handle in the parent's
+cache.
 
 Shrink safety: an mmap slice past the mapped size silently clamps, so a
 chunk planned against a larger incarnation of the file would quietly
@@ -34,6 +37,7 @@ instead of truncating.
 
 from __future__ import annotations
 
+import atexit
 import collections
 import dataclasses
 import mmap
@@ -93,6 +97,14 @@ def _drop_handle(path: str) -> None:
     f.close()
 
 
+@atexit.register
+def _close_handles() -> None:
+    """Close every cached handle; runs at interpreter exit so in-process
+    (serial) reads leave no file open behind them."""
+    while _HANDLES:
+        _drop_handle(next(iter(_HANDLES)))
+
+
 def _cached_entry(
     path: str,
 ) -> tuple[int, int, int, int, _t.BinaryIO, mmap.mmap | None]:
@@ -129,7 +141,8 @@ def _cached_entry(
 
 
 def handle_cache_stats() -> dict:
-    """Occupancy of the per-process mmap handle cache (hierarchy hook)."""
+    """Occupancy of this process's mmap handle cache: entries, capacity
+    and mapped bytes."""
     return {
         "entries": len(_HANDLES),
         "capacity": _MAX_CACHED_FILES,
@@ -138,11 +151,12 @@ def handle_cache_stats() -> dict:
 
 
 def drop_cached_handle(path: str) -> int:
-    """Close and forget the cached handle for ``path`` (hierarchy hook).
+    """Close and forget the cached handle for ``path``.
 
     Returns 1 if an entry was dropped, 0 otherwise.  Revalidation would
-    catch a replaced file on the next use anyway; this exists so cascade
-    invalidation can release the descriptor and mapping *now*.
+    catch a replaced file on the next use anyway; this releases the
+    descriptor and mapping *now*, e.g. before the file's directory is
+    removed.
     """
     if path in _HANDLES:
         _drop_handle(path)
@@ -160,39 +174,41 @@ def chunk_file(
     Boundaries advance to the next delimiter at or after each draft
     point (the delimiter stays with the left chunk); a tail with no
     delimiter extends the last chunk to end-of-file.  Probing uses
-    ``pread`` windows on the cached descriptor, *not* the mapping — see
-    the module docstring for why planning must stay off the mmap.
+    ``pread`` windows on a descriptor opened for this call, *not* a
+    mapping — see the module docstring for why planning must stay off
+    the mmap.
     """
     if chunk_bytes < 1:
         raise IntegrityError(f"chunk size must be >= 1, got {chunk_bytes}")
-    entry = _cached_entry(path)
-    size, fd = entry[1], entry[4].fileno()
     # one compiled character class: a single C-speed window search finds
     # the first delimiter at or after (draft - 1); a match *at* draft - 1
     # means the draft already sits right after a delimiter
     pattern = re.compile(b"[" + re.escape(delimiters) + b"]")
     chunks: list[FileChunk] = []
-    start = 0
-    while start < size:
-        draft = start + chunk_bytes
-        if draft >= size:
-            chunks.append(FileChunk(path, start, size - start))
-            break
-        boundary = size
-        pos = draft - 1
-        while pos < size:
-            window = os.pread(fd, _WINDOW, pos)
-            if not window:  # pragma: no cover - file shrank mid-plan
+    with open(path, "rb") as f:
+        fd = f.fileno()
+        size = os.fstat(fd).st_size
+        start = 0
+        while start < size:
+            draft = start + chunk_bytes
+            if draft >= size:
+                chunks.append(FileChunk(path, start, size - start))
                 break
-            m = pattern.search(window)
-            if m is not None:
-                boundary = pos + m.start() + 1
-                break
-            pos += len(window)
-        if boundary <= start:  # pragma: no cover - defensive
-            raise IntegrityError("chunking failed to advance")
-        chunks.append(FileChunk(path, start, boundary - start))
-        start = boundary
+            boundary = size
+            pos = draft - 1
+            while pos < size:
+                window = os.pread(fd, _WINDOW, pos)
+                if not window:  # pragma: no cover - file shrank mid-plan
+                    break
+                m = pattern.search(window)
+                if m is not None:
+                    boundary = pos + m.start() + 1
+                    break
+                pos += len(window)
+            if boundary <= start:  # pragma: no cover - defensive
+                raise IntegrityError("chunking failed to advance")
+            chunks.append(FileChunk(path, start, boundary - start))
+            start = boundary
     if not chunks:
         chunks.append(FileChunk(path, 0, 0))
     return chunks

@@ -8,8 +8,8 @@ The hot path is a **streaming, bounded-memory pipeline**:
   ``mmap`` handles — no fresh pool fork per job, no open/seek/read per
   chunk.
 * Map tasks are batches of consecutive chunks; each worker folds its
-  batch into one combiner map, so IPC carries one map per batch instead
-  of one per chunk.
+  batch into one combiner map, so the pool's result pipe carries one
+  pickled map per batch instead of one per chunk.
 * There is no ``pool.map`` barrier: results stream back via
   ``imap_unordered`` and are dict-merged into a single accumulator *as
   they arrive* (a reorder buffer keeps the merge in batch order, so
@@ -99,8 +99,9 @@ class LocalJobResult:
     n_fragments: int = 1
     #: bytes spilled to disk (0 for in-memory runs)
     spilled_bytes: int = 0
-    #: how worker results traveled: "shm"/"pickle", or "inline" for
-    #: in-process (serial) runs that never crossed a process boundary
+    #: how worker results traveled: "pickle" through the pool's result
+    #: pipe, or "inline" for in-process (serial) runs that never crossed
+    #: a process boundary
     transport: str = "inline"
 
 
@@ -121,7 +122,6 @@ class LocalMapReduce:
         spill_dir: str | None = None,
         batches_per_worker: int = 2,
         faults: FaultPlan | FaultInjector | None = None,
-        transport: str = "auto",
         blackbox_dir: str | None = None,
         tier: "TieredStore | None" = None,
         readahead: int = 0,
@@ -163,12 +163,10 @@ class LocalMapReduce:
         if isinstance(faults, FaultPlan):
             faults = FaultInjector(faults, obs=self.obs)
         self.faults = faults
-        #: persistent worker pool, created on first parallel run;
-        #: ``transport`` selects the worker→parent result path
-        #: ("auto"/"shm"/"pickle", see :mod:`repro.exec.transport`)
+        #: persistent worker pool, created on first parallel run
         self.pool = WorkerPool(
             self.n_workers, start_method, faults=self.faults, obs=self.obs,
-            transport=transport, blackbox_dir=blackbox_dir,
+            blackbox_dir=blackbox_dir,
         )
         #: chunk-plan cache: (path identity, chunk size, delimiters) ->
         #: plan.  Replanning an unchanged file costs a full boundary scan
@@ -283,10 +281,7 @@ class LocalMapReduce:
             mode="outofcore" if out_of_core else "memory",
             n_fragments=n_fragments,
             spilled_bytes=spilled,
-            transport=(
-                self.pool.transport_name
-                if use_pool and len(chunks) > 1 else "inline"
-            ),
+            transport="pickle" if use_pool and len(chunks) > 1 else "inline",
         )
 
     # -- internals -------------------------------------------------------------
@@ -385,7 +380,7 @@ class LocalMapReduce:
         with obs.span(
             "localmr.map_pool", cat="localmr", track="localmr",
             chunks=len(chunks), batches=len(batches),
-            transport=self.pool.transport_name if use_pool else "inline",
+            transport="pickle" if use_pool else "inline",
         ):
             if use_pool:
                 results: _t.Iterable = self.pool.imap_unordered(run_batch, tasks)
@@ -402,8 +397,8 @@ class LocalMapReduce:
                 while next_index in pending:
                     arrived = pending.pop(next_index)
                     if not merged:
-                        # adopt batch 0 outright: it is fresh off the
-                        # transport (or run_batch's own accumulator),
+                        # adopt batch 0 outright: it is freshly
+                        # unpickled (or run_batch's own accumulator),
                         # exclusively ours — no key-by-key fold needed
                         merged = arrived
                     elif combine_fn is not None:

@@ -15,13 +15,10 @@ dataflow in :mod:`repro.exec.localmr`:
   worker folds every chunk of its batch into one combiner map and ships
   that single map back, so result traffic scales with batches (a few per
   worker) rather than chunks.
-* Results travel through a swappable :class:`~repro.exec.transport.Transport`
-  (``transport="auto"|"shm"|"pickle"``): by default a shared-memory ring
-  where workers pickle straight into preallocated slots and the parent
-  unpickles off a ``memoryview`` — no per-batch payload on the result
-  pipe.  Submission is *windowed* by free slots: tasks are submitted
-  while slots are available and as completions free them, with
-  ``transport.slot_wait`` counting the times the window closed.
+* Results take one path, the executor's result pipe: the worker pickles
+  its result itself (:func:`_pickled`) and the parent counts the payload
+  into ``transport.bytes`` and unpickles it as it consumes the future,
+  so an in-flight result waits as one compact ``bytes`` object.
 
 Start methods: ``forkserver`` is the default where available — bare
 ``fork`` of a threaded parent is deadlock-prone (any lock held by another
@@ -33,21 +30,16 @@ Fault tolerance: the pool is built on ``concurrent.futures``'s process
 pool rather than ``multiprocessing.Pool`` because the former *detects*
 worker death (``BrokenProcessPool``) where the latter hangs an
 ``imap_unordered`` forever.  :meth:`WorkerPool.imap_unordered` runs
-dispatch rounds: pending tasks are submitted as the slot window allows,
-results stream back as they complete, and failures are classified through
+dispatch rounds: pending tasks are submitted, results stream back as
+they complete, and failures are classified through
 :func:`repro.errors.is_retryable` — transient ones (a dead worker, an
-injected fault, a corrupt transport frame) are re-dispatched on the next
-round with a bounded per-task retry budget, permanent ones (a bug in the
-map function) surface immediately.  A broken executor is torn down and
-respawned between rounds; its assigned transport slots are released as
-each doomed future is consumed, so the ring recovers from a worker
-killed mid-slot-write.  Injected faults at the ``pool.worker`` and
-``transport.slot`` sites are decided parent-side at submission time
-(deterministic given the plan seed): ``pool.worker``-*kill* replaces the
-task body with an ``os._exit`` so the worker genuinely dies mid-task,
-*fail* replaces it with a raise; ``transport.slot`` actions ride the
-wrapped task into the worker's slot-write (see
-:mod:`repro.exec.transport`).
+injected fault) are re-dispatched on the next round with a bounded
+per-task retry budget, permanent ones (a bug in the map function)
+surface immediately.  A broken executor is torn down and respawned
+between rounds.  Injected faults at the ``pool.worker`` site are
+decided parent-side at submission time (deterministic given the plan
+seed): *kill* replaces the task body with an ``os._exit`` so the worker
+genuinely dies mid-task, *fail* replaces it with a raise.
 """
 
 from __future__ import annotations
@@ -57,6 +49,7 @@ import concurrent.futures as _cf
 import multiprocessing as mp
 import operator
 import os
+import pickle
 import sys
 import time
 import typing as _t
@@ -70,15 +63,12 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import (
     FaultInjectedError,
-    TransportCorruptionError,
-    TransportError,
     WorkerCrashError,
     WorkloadError,
     is_retryable,
     mark_retryable,
 )
 from repro.exec.chunks import read_chunk_cached
-from repro.exec.transport import Transport, make_transport
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
@@ -101,7 +91,7 @@ def _heartbeat(index: int) -> tuple | None:
 
     Shape-compatible with the span segments ``run_batch`` ships —
     ``(name, t0, t1, wall_dur, attrs)`` with a zero-length interval — so
-    it rides the existing transport payload; the parent's stitcher
+    it rides the existing result payload; the parent's stitcher
     diverts it into the ``worker-{pid}`` time series instead of the span
     tree.  ``util`` is CPU seconds burned since this worker's previous
     heartbeat divided by the wall seconds between them (1.0 = a fully
@@ -143,7 +133,7 @@ def run_batch(args: tuple) -> tuple[int, dict, list | None]:
     chunks fold into a single accumulator — with a ``combine_fn`` this is
     worker-side combining across chunks (licensed by the combiner contract:
     an associative/commutative fold), without one it is value-list
-    extension in chunk order — so the transport carries one map per batch.
+    extension in chunk order — so the result pipe carries one map per batch.
     The fold is specialized per combiner shape: the hot (existing-key)
     path is a bare ``try``/``except`` dict probe — zero-cost when the key
     is present under CPython 3.11 — and ``operator.add`` combiners fold
@@ -160,7 +150,7 @@ def run_batch(args: tuple) -> tuple[int, dict, list | None]:
 
     ``segments`` are wall-clock span tuples ``(name, t0, t1, wall_dur,
     attrs)`` per chunk when tracing is on, else ``None`` (tracing-off runs
-    ship nothing extra over the transport).  The final segment of a traced
+    ship nothing extra).  The final segment of a traced
     batch is a ``worker.heartbeat`` pseudo-segment carrying the worker's
     RSS, cumulative CPU seconds, and utilization since its previous
     heartbeat — the parent stitches it into per-worker time series rather
@@ -302,6 +292,17 @@ def _injected_failure(args: tuple) -> _t.NoReturn:
     raise FaultInjectedError("pool.worker", f"injected task failure (task {index})")
 
 
+def _pickled(packed: tuple) -> bytes:
+    """Worker body: run ``fn(args)`` and return its result as one pickle.
+
+    Pickling in the worker lets the parent measure each result's size
+    (``transport.bytes``) and keep it as compact ``bytes`` until it is
+    consumed; the parent unpickles it in :meth:`WorkerPool._run_rounds`.
+    """
+    fn, args = packed
+    return pickle.dumps(fn(args), pickle.HIGHEST_PROTOCOL)
+
+
 class WorkerPool:
     """A lazily created, persistent, crash-tolerant process pool.
 
@@ -312,20 +313,14 @@ class WorkerPool:
     context manager; closing is idempotent and the pool resurrects on the
     next submission after a close.
 
-    ``transport`` selects the result path (``"auto"``: the shared-memory
-    ring where it works, else pickle; see :mod:`repro.exec.transport`);
-    the transport is created lazily with the executor and torn down with
-    :meth:`close` (the shm segment is unlinked).
-
     ``max_task_retries`` bounds how many times one task may be
     re-dispatched after a transient failure (a dead worker, an injected
-    fault, a corrupt transport frame) before
-    :class:`~repro.errors.WorkerCrashError` is raised with the permanent
-    stamp.  ``faults``/``obs`` are optional: a
+    fault) before :class:`~repro.errors.WorkerCrashError` is raised with
+    the permanent stamp.  ``faults``/``obs`` are optional: a
     :class:`~repro.faults.injector.FaultInjector` evaluated at the
-    ``pool.worker`` and ``transport.slot`` sites on every submission, and
-    the observability registry that receives the ``retry.*``,
-    ``pool.respawn`` and ``transport.*`` counters.
+    ``pool.worker`` site on every submission, and the observability
+    registry that receives the ``retry.*``, ``pool.respawn`` and
+    ``transport.bytes`` counters.
 
     ``blackbox_dir`` (default: the ``REPRO_BLACKBOX_DIR`` environment
     variable) names a directory for post-mortem dumps: when a task
@@ -341,7 +336,6 @@ class WorkerPool:
         max_task_retries: int = 2,
         faults: "FaultInjector | None" = None,
         obs: "Observability | None" = None,
-        transport: str = "auto",
         blackbox_dir: str | None = None,
     ):
         if n_workers < 1:
@@ -353,7 +347,6 @@ class WorkerPool:
         self.max_task_retries = max_task_retries
         self.faults = faults
         self.obs = obs
-        self.transport_kind = transport
         self.blackbox_dir = (
             blackbox_dir
             if blackbox_dir is not None
@@ -364,7 +357,6 @@ class WorkerPool:
         #: task re-dispatches after transient failures
         self.redispatches = 0
         self._executor: _cf.ProcessPoolExecutor | None = None
-        self._transport: Transport | None = None
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -385,37 +377,16 @@ class WorkerPool:
             )
         return self._executor
 
-    def ensure_transport(self) -> Transport:
-        """The live transport, creating it on first use (shm creation
-        failing degrades to pickle inside :func:`make_transport`)."""
-        if self._transport is None:
-            self._transport = make_transport(
-                self.transport_kind, self.n_workers, obs=self.obs
-            )
-        return self._transport
-
-    @property
-    def transport_name(self) -> str:
-        """The resolved transport's name (``"shm"``/``"pickle"``)."""
-        return self.ensure_transport().name
-
     @property
     def alive(self) -> bool:
         """Whether worker processes currently exist."""
         return self._executor is not None
 
-    def _close_executor(self) -> None:
+    def close(self) -> None:
+        """Tear down the workers; the next submission recreates them."""
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
-
-    def close(self) -> None:
-        """Tear down the workers and the transport (the shm segment is
-        unlinked); the next submission recreates both."""
-        self._close_executor()
-        transport, self._transport = self._transport, None
-        if transport is not None:
-            transport.close()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -459,29 +430,25 @@ class WorkerPool:
 
         Completion order is arbitrary; callers that need determinism
         reorder on the task index (see the engine's reorder-buffer merge).
-        Tasks whose worker dies (or whose injected fault fires, or whose
-        transport frame arrives corrupt) are re-dispatched in later
-        rounds, up to ``max_task_retries`` per task; a permanent
-        (non-retryable) task exception propagates immediately.
+        Tasks whose worker dies (or whose injected fault fires) are
+        re-dispatched in later rounds, up to ``max_task_retries`` per
+        task; a permanent (non-retryable) task exception propagates
+        immediately.
         """
         return self._run_rounds(fn, list(tasks))
 
     def _plan_round(
-        self, fn: _t.Callable, pending: _t.Iterable[int], attempts: list[int],
-        check_slots: bool,
-    ) -> tuple[dict[int, _t.Callable], dict[int, str]]:
+        self, fn: _t.Callable, pending: _t.Iterable[int], attempts: list[int]
+    ) -> dict[int, _t.Callable]:
         """Fault decisions for one dispatch round, taken before anything
         is submitted.
 
         Deciding up front — rather than interleaved with submission —
         keeps the injection sequence a function of (pending set, attempt
         counts) alone: a pool break detected *during* submission cannot
-        shift which tasks get faulted.  ``transport.slot`` decisions are
-        only drawn when the transport has slots (the site is dormant on
-        the pickle path), and ride the wrapped task into the worker.
+        shift which tasks get faulted.
         """
         calls = {i: fn for i in pending}
-        slot_faults: dict[int, str] = {}
         inj = self.faults
         if inj is not None:
             for i in sorted(calls):
@@ -491,56 +458,25 @@ class WorkerPool:
                         calls[i] = _injected_kill
                     else:  # fail / drop / corrupt all degrade to a raised task
                         calls[i] = _injected_failure
-                if check_slots:
-                    slot_decision = inj.check(
-                        "transport.slot", index=i, attempt=attempts[i]
-                    )
-                    if slot_decision is not None:
-                        slot_faults[i] = slot_decision.action
-        return calls, slot_faults
+        return calls
 
     def _run_rounds(self, fn: _t.Callable, tasks: list) -> _t.Iterator:
         attempts = [0] * len(tasks)
         pending = set(range(len(tasks)))
         while pending:
             executor = self.ensure()
-            transport = self.ensure_transport()
-            calls, slot_faults = self._plan_round(
-                fn, pending, attempts, check_slots=transport.name == "shm"
-            )
-            queue = collections.deque(sorted(pending))
-            futures: dict[_cf.Future, tuple[int, int]] = {}
+            calls = self._plan_round(fn, pending, attempts)
+            futures: dict[_cf.Future, int] = {}
             broken = False
             failed: list[tuple[int, BaseException]] = []
-
-            def submit_ready() -> None:
-                """Submit queued tasks while the slot window is open."""
-                nonlocal broken
-                while queue and not broken:
-                    slot = transport.acquire()
-                    if slot is None:
-                        # ring full: wait for a completion to free a slot
-                        if self.obs is not None:
-                            self.obs.count("transport.slot_wait")
-                        return
-                    i = queue.popleft()
-                    wfn, wargs = transport.wrap(
-                        calls[i], tasks[i], slot, slot_faults.get(i)
-                    )
-                    try:
-                        futures[executor.submit(wfn, wargs)] = (i, slot)
-                    except (BrokenProcessPool, RuntimeError):
-                        # the break surfaced at submit time; unsubmitted
-                        # tasks simply stay pending for the next round
-                        transport.release(slot)
-                        broken = True
-
-            submit_ready()
-            if queue and not futures and not broken:  # pragma: no cover
-                raise TransportError(
-                    "no free transport slot with no task in flight "
-                    "(slot accounting leak)"
-                )
+            for i in sorted(pending):
+                try:
+                    futures[executor.submit(_pickled, (calls[i], tasks[i]))] = i
+                except (BrokenProcessPool, RuntimeError):
+                    # the break surfaced at submit time; unsubmitted
+                    # tasks simply stay pending for the next round
+                    broken = True
+                    break
             while futures:
                 done, _ = _cf.wait(futures, return_when=_cf.FIRST_COMPLETED)
                 for fut in done:
@@ -549,14 +485,10 @@ class WorkerPool:
                     # round's futures would make parent memory O(all
                     # results) — the barrier the streaming merge exists
                     # to avoid
-                    i, slot = futures.pop(fut)
+                    i = futures.pop(fut)
                     try:
                         raw = fut.result()
                     except (BrokenProcessPool, _cf.CancelledError) as exc:
-                        # the worker died holding this slot; whatever
-                        # half-frame it left there is released for reuse
-                        # — the next assignment overwrites it
-                        transport.release(slot)
                         broken = True
                         failed.append(
                             (i, WorkerCrashError(
@@ -566,36 +498,20 @@ class WorkerPool:
                         )
                         continue
                     except BaseException as exc:
-                        transport.release(slot)
                         if is_retryable(exc):
                             failed.append((i, exc))
                             continue
                         raise  # permanent: retrying a deterministic bug is futile
-                    try:
-                        result = transport.decode(raw, task_index=i)
-                    except TransportCorruptionError as exc:
-                        transport.release(slot)
-                        if self.obs is not None:
-                            self.obs.count("transport.corrupt")
-                        failed.append((i, exc))
-                        continue
-                    transport.release(slot)
+                    if self.obs is not None:
+                        self.obs.count("transport.bytes", len(raw))
                     pending.discard(i)
-                    yield result
-                submit_ready()
-                if queue and not futures and not broken:  # pragma: no cover
-                    raise TransportError(
-                        "no free transport slot with no task in flight "
-                        "(slot accounting leak)"
-                    )
+                    yield pickle.loads(raw)
             if broken:
                 self.respawns += 1
                 if self.obs is not None:
                     self.obs.count("pool.respawn")
-                # discard the dead executor; next round respawns.  The
-                # transport survives: every slot was released as its
-                # future was consumed, so the ring is whole.
-                self._close_executor()
+                # discard the dead executor; the next round respawns it
+                self.close()
             for i, exc in failed:
                 attempts[i] += 1
                 if attempts[i] > self.max_task_retries:

@@ -24,7 +24,6 @@ from repro.faults.plan import (
     tier_chaos_plan,
     standard_engine_plan,
     standard_plan,
-    transport_chaos_plan,
 )
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "Injection",
     "standard_plan",
     "standard_engine_plan",
-    "transport_chaos_plan",
     "distributed_chaos_plan",
     "recovery_chaos_plan",
     "tier_chaos_plan",

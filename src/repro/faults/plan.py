@@ -44,9 +44,8 @@ site                      hook
 ``fam.dispatch``          SD daemon event loop (ctx: module)
 ``fam.module``            SD daemon module run (ctx: module)
 ``fam.result``            SD daemon result write (ctx: module)
-``pool.worker``           :class:`repro.exec.pool.WorkerPool` (index)
-``transport.slot``        shm slot write, :mod:`repro.exec.transport`
-                          (index; decided parent-side at submission)
+``pool.worker``           :class:`repro.exec.pool.WorkerPool` (index,
+                          attempt; decided parent-side at submission)
 ``spill.write``           :func:`repro.exec.outofcore.write_run` (run)
 ``spill.read``            :func:`repro.exec.outofcore.iter_run` (run)
 ``shuffle.exchange``      :class:`repro.core.distributed.DistributedEngine`
@@ -96,7 +95,6 @@ __all__ = [
     "FaultPlan",
     "standard_plan",
     "standard_engine_plan",
-    "transport_chaos_plan",
     "distributed_chaos_plan",
     "recovery_chaos_plan",
     "tier_chaos_plan",
@@ -276,26 +274,6 @@ def tier_chaos_plan(seed: int = 0) -> FaultPlan:
             FaultRule("tier.read", action="fail", count=1, after=1),
             FaultRule("tier.read", action="corrupt", count=1, after=3),
             FaultRule("tier.evict", action="drop", count=1),
-        ),
-        seed=seed,
-    )
-
-
-def transport_chaos_plan(seed: int = 0) -> FaultPlan:
-    """The chaos plan for the shared-memory transport ring.
-
-    Kept separate from :func:`standard_engine_plan` (whose coverage gate
-    asserts every rule fires on the pickle path too): a worker killed
-    *mid-slot-write* — half a frame in shared memory, header never
-    committed — which the pool must answer by respawning, releasing the
-    slot, and re-dispatching; plus a frame corrupted after its crc, which
-    the parent's verify must catch as a retryable
-    :class:`~repro.errors.TransportCorruptionError`.
-    """
-    return FaultPlan(
-        rules=(
-            FaultRule("transport.slot", action="kill", count=1, where={"index": 0}),
-            FaultRule("transport.slot", action="corrupt", count=1, where={"index": 1}),
         ),
         seed=seed,
     )

@@ -156,7 +156,8 @@ class ResultCache:
             self.watch(sd.fs.vfs)
 
     def stats(self) -> dict:
-        """Counter snapshot (hierarchy hook)."""
+        """Counter snapshot: occupancy, hits/misses, invalidations and
+        evictions by cause."""
         return {
             "entries": len(self._entries),
             "capacity": self.capacity,

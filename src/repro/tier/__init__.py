@@ -11,24 +11,19 @@ The package has two symmetrical halves:
   write-back thread and crc-checked degradation (a lying tier causes a
   recompute, never corruption).
 
-Shared pieces: :mod:`repro.tier.hierarchy` (the result-cache → block-cache
-→ burst-tier → disk registry with cascade invalidation) and
-:mod:`repro.tier.prefetch` (the background readahead thread for the real
-engine).  All halves emit the same ``tier.*`` counter vocabulary through
-:mod:`repro.obs`.
+:mod:`repro.tier.prefetch` adds the background readahead thread for
+the real engine.  All halves emit the same ``tier.*`` counter
+vocabulary through :mod:`repro.obs`.
 """
 
 from repro.config import TierSpec
 from repro.tier.burst import BurstBuffer
-from repro.tier.hierarchy import CacheHierarchy, standard_hierarchy
 from repro.tier.prefetch import ReadaheadPrefetcher
 from repro.tier.store import TieredStore, live_tier_dirs
 
 __all__ = [
     "TierSpec",
     "BurstBuffer",
-    "CacheHierarchy",
-    "standard_hierarchy",
     "ReadaheadPrefetcher",
     "TieredStore",
     "live_tier_dirs",

@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.errors import IntegrityError
 from repro.exec import chunk_file, read_chunk, read_chunk_cached, read_chunk_view
-from repro.exec.chunks import _HANDLES, _MAX_CACHED_FILES, FileChunk
+from repro.exec.chunks import (
+    _HANDLES,
+    _MAX_CACHED_FILES,
+    FileChunk,
+    drop_cached_handle,
+)
 from repro.workloads import zipf_corpus
 
 
@@ -155,6 +163,38 @@ def test_handle_cache_hit_moves_to_mru(tmp_path):
     read_chunk_cached(FileChunk(str(overflow), 0, 2))
     assert str(a) in _HANDLES  # survived the eviction...
     assert fill[0] not in _HANDLES  # ...which took the true LRU instead
+
+
+def test_only_reads_populate_the_handle_cache(tmp_path):
+    # planning reads through its own descriptor; only map-side reads
+    # populate the handle cache, and dropping an entry closes it
+    p = tmp_path / "plan-only"
+    p.write_bytes(b"alpha beta gamma " * 100)
+    chunks = chunk_file(str(p), 64)
+    assert len(chunks) > 1
+    assert str(p) not in _HANDLES
+    read_chunk_cached(chunks[0])
+    f = _HANDLES[str(p)][4]
+    assert drop_cached_handle(str(p)) == 1
+    assert f.closed and str(p) not in _HANDLES
+    assert drop_cached_handle(str(p)) == 0
+
+
+def test_cached_handles_are_closed_at_exit(tmp_path):
+    p = tmp_path / "serial"
+    p.write_bytes(b"alpha beta gamma")
+    code = (
+        "from repro.exec.chunks import FileChunk, read_chunk_cached\n"
+        f"assert read_chunk_cached(FileChunk({str(p)!r}, 0, 5)) == b'alpha'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
 
 
 def test_shrunk_file_raises_instead_of_truncating(tmp_path):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import operator
+import pickle
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps.stringmatch import sm_map
 from repro.apps.wordcount import wc_map, wc_reduce
@@ -51,6 +53,28 @@ def test_parallel_equals_serial(corpus):
     ser = eng.run(path, parallel=False)
     assert par.output == ser.output
     assert ser.n_workers == 1
+
+
+@given(
+    words=st.lists(
+        st.text(alphabet="abcde", min_size=1, max_size=6),
+        min_size=1, max_size=120,
+    )
+)
+@settings(
+    max_examples=8, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_property_pooled_output_byte_identical_to_serial(tmp_path, words):
+    p = tmp_path / "corpus"
+    p.write_bytes(" ".join(words).encode())
+    with LocalMapReduce(
+        map_fn=wc_map, combine_fn=operator.add, sort_output=True,
+        n_workers=2, start_method="fork",
+    ) as eng:
+        pooled = eng.run(str(p), chunk_bytes=64)
+        serial = eng.run(str(p), chunk_bytes=64, parallel=False)
+    assert pickle.dumps(pooled.output) == pickle.dumps(serial.output)
 
 
 def test_chunk_size_invariance(corpus):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import operator
 import os
+import pickle
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.errors import WorkloadError
 from repro.exec import WorkerPool, resolve_start_method
 from repro.exec.chunks import FileChunk
 from repro.exec.pool import read_chunk_cached, run_batch
+from repro.obs import Observability
 
 
 # -- start-method resolution -------------------------------------------------
@@ -82,6 +84,19 @@ def test_pool_runs_batches(tmp_path):
         got = sorted(pool.imap_unordered(run_batch, tasks))
     assert [i for i, _, _ in got] == [0, 1]
     assert got[0][1] == {b"a": [1], b"b": [1], b"c": [1], b"d": [1]}
+
+
+def test_transport_bytes_counts_pickled_results(tmp_path):
+    p = tmp_path / "data"
+    p.write_bytes(b"a b c d e f g h " * 50)
+    chunks = [FileChunk(str(p), 0, 400), FileChunk(str(p), 400, 400)]
+    tasks = [(i, [c], _count_map, operator.add, {}, False)
+             for i, c in enumerate(chunks)]
+    obs = Observability(enabled=False)
+    with WorkerPool(2, start_method="fork", obs=obs) as pool:
+        got = list(pool.imap_unordered(run_batch, tasks))
+    expected = sum(len(pickle.dumps(r, pickle.HIGHEST_PROTOCOL)) for r in got)
+    assert obs.metrics.snapshot()["counters"]["transport.bytes"] == expected
 
 
 # -- cached mmap reads -------------------------------------------------------

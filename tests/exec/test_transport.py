@@ -1,280 +1,29 @@
-"""Transport seam tests: selection, framing, degradation, recovery.
+"""Result-transport reporting: which path a job's results rode.
 
-The engine-level contract under test is simple: whatever transport the
-results ride — shm ring, pickle pipe, or inline fallback — the job's
-output is byte-identical.  The unit-level contract is the slot frame:
-``<length:u32><crc32:u32>`` ahead of a payload pickled straight into
-shared memory, verified by the parent before unpickling.
+Pooled chunk results are pickled by the worker and cross the pool's
+result pipe; a serial run computes them in-process and never crosses a
+process boundary.  ``MRResult.transport`` names the path taken, and the
+output is byte-identical either way.
 """
 
 from __future__ import annotations
 
+import operator
 import pickle
 
-import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
-
-from repro.errors import TransportCorruptionError, TransportError
-from repro.exec import LocalMapReduce, PickleTransport, ShmRingTransport, make_transport
-from repro.exec import transport as transport_mod
-from repro.faults import FaultPlan, FaultRule
-from repro.obs import Observability
-
-
-def _shm_works() -> bool:
-    try:
-        t = ShmRingTransport(n_slots=1, slot_bytes=256)
-    except OSError:
-        return False
-    _close_ring(t)
-    return True
-
-
-def _close_ring(t: ShmRingTransport) -> None:
-    """Close a ring whose worker side ran in this process too."""
-    name = t.shm_name
-    t.close()
-    attached = transport_mod._ATTACHED.pop(name, None)
-    if attached is not None:
-        attached.close()
-
-
-needs_shm = pytest.mark.skipif(
-    not _shm_works(), reason="POSIX shared memory unavailable here"
-)
-
-
-# -- unit: the slot frame ----------------------------------------------------
-
-
-@needs_shm
-def test_slot_frame_roundtrip():
-    t = ShmRingTransport(n_slots=2, slot_bytes=4096)
-    try:
-        payload = {b"word%03d" % i: i for i in range(50)}
-        slot = t.acquire()
-        wfn, wargs = t.wrap(lambda x: x, payload, slot)
-        raw = wfn(wargs)
-        assert raw[0] == "slot" and raw[1] == slot
-        assert t.decode(raw) == payload
-        t.release(slot)
-    finally:
-        _close_ring(t)
-
-
-@needs_shm
-def test_slot_acquire_release_cycle():
-    t = ShmRingTransport(n_slots=2, slot_bytes=256)
-    try:
-        a, b = t.acquire(), t.acquire()
-        assert {a, b} == {0, 1}
-        assert t.acquire() is None  # ring full: the submission window closes
-        t.release(a)
-        assert t.acquire() == a
-    finally:
-        t.release(a)
-        t.release(b)
-        _close_ring(t)
-
-
-@needs_shm
-def test_oversize_result_falls_back_inline():
-    obs = Observability(enabled=False)
-    t = ShmRingTransport(n_slots=1, slot_bytes=64, obs=obs)
-    try:
-        big = b"x" * 1024  # pickles larger than the 64-byte slot
-        slot = t.acquire()
-        wfn, wargs = t.wrap(lambda x: x, big, slot)
-        raw = wfn(wargs)
-        assert raw[0] == "inline"
-        assert t.decode(raw) == big
-        assert obs.metrics.snapshot()["counters"]["transport.fallback"] == 1
-        t.release(slot)
-    finally:
-        _close_ring(t)
-
-
-@needs_shm
-def test_corrupt_frame_raises_retryable_error():
-    t = ShmRingTransport(n_slots=1, slot_bytes=4096)
-    try:
-        slot = t.acquire()
-        wfn, wargs = t.wrap(lambda x: x, {"k": 1}, slot)
-        kind, s, nbytes = wfn(wargs)
-        t._shm.buf[transport_mod._FRAME.size + nbytes // 2] ^= 0xFF
-        with pytest.raises(TransportCorruptionError):
-            t.decode((kind, s, nbytes))
-        # a length/descriptor mismatch is corruption too
-        with pytest.raises(TransportCorruptionError):
-            t.decode((kind, s, nbytes + 1))
-        t.release(slot)
-    finally:
-        _close_ring(t)
-
-
-@needs_shm
-def test_transport_bytes_counter():
-    obs = Observability(enabled=False)
-    t = ShmRingTransport(n_slots=1, slot_bytes=4096, obs=obs)
-    try:
-        slot = t.acquire()
-        wfn, wargs = t.wrap(lambda x: x, list(range(100)), slot)
-        kind, _, nbytes = raw = wfn(wargs)
-        t.decode(raw)
-        assert obs.metrics.snapshot()["counters"]["transport.bytes"] == nbytes
-        t.release(slot)
-    finally:
-        _close_ring(t)
-
-
-# -- selection and degradation -----------------------------------------------
-
-
-def test_make_transport_pickle():
-    assert isinstance(make_transport("pickle", 2), PickleTransport)
-
-
-def test_make_transport_rejects_unknown_kind():
-    with pytest.raises(TransportError):
-        make_transport("carrier-pigeon", 2)
-
-
-@needs_shm
-def test_make_transport_auto_prefers_shm():
-    t = make_transport("auto", 2)
-    try:
-        assert isinstance(t, ShmRingTransport)
-        assert t.n_slots == 2 * transport_mod.SLOTS_PER_WORKER
-    finally:
-        t.close()
-
-
-def test_auto_degrades_to_pickle_when_shm_fails(monkeypatch):
-    def refuse(*a, **kw):
-        raise OSError("no /dev/shm here")
-
-    monkeypatch.setattr(transport_mod.shared_memory, "SharedMemory", refuse)
-    obs = Observability(enabled=False)
-    t = make_transport("auto", 2, obs=obs)
-    assert isinstance(t, PickleTransport)
-    assert obs.metrics.snapshot()["counters"]["transport.fallback"] == 1
-
-
-def test_engine_rejects_unknown_transport(tmp_path):
-    p = tmp_path / "f"
-    p.write_bytes(b"a b c")
-    eng = LocalMapReduce(map_fn=_wc_map, n_workers=2, transport="smoke-signals")
-    with pytest.raises(TransportError), eng:
-        eng.run(str(p), chunk_bytes=2)
-
-
-# -- engine-level: identical answers on every path ---------------------------
-
-
-def _wc_map(data, emit, params):
-    for token in data.split():
-        emit(token, 1)
-
-
-def _add(a, b):
-    return a + b
-
-
-def _run(path: str, transport: str, **kw) -> tuple[bytes, str]:
-    with LocalMapReduce(
-        map_fn=_wc_map, combine_fn=_add, sort_output=True,
-        n_workers=2, start_method="fork", transport=transport, **kw,
-    ) as eng:
-        res = eng.run(path, chunk_bytes=64)
-    return pickle.dumps(res.output), res.transport
+from repro.apps.wordcount import wc_map
+from repro.exec import LocalMapReduce
 
 
 def test_transport_selection_reported(tmp_path):
     p = tmp_path / "f"
     p.write_bytes(b"the quick brown fox " * 40)
-    out_pickle, name_pickle = _run(str(p), "pickle")
-    assert name_pickle == "pickle"
-    out_auto, name_auto = _run(str(p), "auto")
-    assert name_auto in ("shm", "pickle")
-    assert out_auto == out_pickle
-    # a serial in-process run never crosses a process boundary
     with LocalMapReduce(
-        map_fn=_wc_map, combine_fn=_add, sort_output=True, n_workers=2,
+        map_fn=wc_map, combine_fn=operator.add, sort_output=True,
+        n_workers=2, start_method="fork",
     ) as eng:
-        res = eng.run(str(p), chunk_bytes=64, parallel=False)
-    assert res.transport == "inline"
-    assert pickle.dumps(res.output) == out_pickle
-
-
-@given(
-    words=st.lists(
-        st.text(alphabet="abcde", min_size=1, max_size=6),
-        min_size=1, max_size=120,
-    )
-)
-@settings(
-    max_examples=8, deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-def test_property_outputs_byte_identical_across_transports(tmp_path, words):
-    data = " ".join(words).encode()
-    p = tmp_path / "corpus"
-    p.write_bytes(data)
-    out_pickle, _ = _run(str(p), "pickle")
-    out_shm, resolved = _run(str(p), "shm")
-    assert out_shm == out_pickle
-    # ground truth: the serial in-process path
-    with LocalMapReduce(
-        map_fn=_wc_map, combine_fn=_add, sort_output=True, n_workers=2,
-    ) as eng:
+        pooled = eng.run(str(p), chunk_bytes=64)
         serial = eng.run(str(p), chunk_bytes=64, parallel=False)
-    assert pickle.dumps(serial.output) == out_pickle
-
-
-# -- recovery under injected slot faults -------------------------------------
-
-
-@needs_shm
-def test_corrupt_slot_injection_retries_to_correct_output(tmp_path):
-    p = tmp_path / "f"
-    p.write_bytes(b"alpha beta gamma delta " * 60)
-    plan = FaultPlan(
-        rules=(FaultRule("transport.slot", action="corrupt", count=1,
-                         where={"index": 0}),),
-        seed=11,
-    )
-    clean, _ = _run(str(p), "shm")
-    obs = Observability(enabled=False)
-    with LocalMapReduce(
-        map_fn=_wc_map, combine_fn=_add, sort_output=True,
-        n_workers=2, start_method="fork", transport="shm",
-        faults=plan, obs=obs,
-    ) as eng:
-        res = eng.run(str(p), chunk_bytes=64)
-        if res.transport != "shm":  # pragma: no cover - no shm on this box
-            pytest.skip("shm degraded to pickle; slot site dormant")
-        assert pickle.dumps(res.output) == clean
-        counters = obs.metrics.snapshot()["counters"]
-        assert counters["transport.corrupt"] >= 1
-        assert eng.pool.redispatches >= 1
-
-
-@needs_shm
-def test_kill_midslot_injection_recovers(tmp_path):
-    p = tmp_path / "f"
-    p.write_bytes(b"alpha beta gamma delta " * 60)
-    plan = FaultPlan(
-        rules=(FaultRule("transport.slot", action="kill", count=1,
-                         where={"index": 0}),),
-        seed=11,
-    )
-    clean, _ = _run(str(p), "shm")
-    with LocalMapReduce(
-        map_fn=_wc_map, combine_fn=_add, sort_output=True,
-        n_workers=2, start_method="fork", transport="shm", faults=plan,
-    ) as eng:
-        res = eng.run(str(p), chunk_bytes=64)
-        if res.transport != "shm":  # pragma: no cover - no shm on this box
-            pytest.skip("shm degraded to pickle; slot site dormant")
-        assert pickle.dumps(res.output) == clean
-        assert eng.pool.respawns >= 1
+    assert pooled.transport == "pickle"
+    assert serial.transport == "inline"
+    assert pickle.dumps(serial.output) == pickle.dumps(pooled.output)

@@ -61,7 +61,8 @@ def test_chrome_trace_shape():
 def test_chrome_round_trip(tmp_path):
     obs = build_trace()
     path = write_chrome(obs, str(tmp_path / "trace.json"))
-    json.load(open(path))  # valid JSON for Perfetto
+    with open(path) as f:
+        json.load(f)  # valid JSON for Perfetto
     spans = load_spans(path)
     assert {s["name"] for s in spans} == {"job", "read", "map", "write"}
     job = next(s for s in spans if s["name"] == "job")
@@ -74,7 +75,8 @@ def test_chrome_round_trip(tmp_path):
 def test_jsonl_round_trip(tmp_path):
     obs = build_trace()
     path = write_jsonl(obs, str(tmp_path / "trace.jsonl"))
-    lines = [json.loads(line) for line in open(path)]
+    with open(path) as f:
+        lines = [json.loads(line) for line in f]
     assert lines[0]["type"] == "meta"
     assert any(line.get("type") == "record" for line in lines)
     spans = load_spans(path)
@@ -147,7 +149,8 @@ def test_unstamped_file_warns(tmp_path):
     obs = build_trace()
     path = write_jsonl(obs, str(tmp_path / "old.jsonl"))
     # simulate a pre-provenance export: strip the stamp from the meta line
-    lines = open(path).read().splitlines()
+    with open(path) as f:
+        lines = f.read().splitlines()
     meta = json.loads(lines[0])
     del meta["run_id"]
     with open(path, "w") as f:

@@ -126,7 +126,7 @@ def test_worker_crash_writes_readable_blackbox(tmp_path):
     obs = Observability(enabled=False, flight=True)
     with LocalMapReduce(
         map_fn=wc_map, combine_fn=operator.add,
-        n_workers=2, start_method="fork", transport="pickle",
+        n_workers=2, start_method="fork",
         faults=plan, obs=obs, blackbox_dir=str(tmp_path),
     ) as eng:
         with pytest.raises(WorkerCrashError) as exc_info:

@@ -39,7 +39,7 @@ __all__ = ["flatten", "diff_payloads", "format_diff", "main"]
 _SMALLER_IS_BETTER = (
     "latency", "elapsed", "seconds", "wall", "p50", "p95", "p99",
     "overhead", "dropped", "failed", "rejected", "spilled", "rss",
-    "burn_rate", "queue_depth", "slot_wait", "respawn",
+    "burn_rate", "queue_depth", "respawn",
 )
 
 #: volatile leaves that only ever differ (timestamps, host facts)

@@ -72,7 +72,6 @@ from repro.faults import (  # noqa: E402
     standard_engine_plan,
     standard_plan,
     tier_chaos_plan,
-    transport_chaos_plan,
 )
 from repro.obs import Observability  # noqa: E402
 from repro.tier import TieredStore, live_tier_dirs  # noqa: E402
@@ -714,99 +713,6 @@ def engine_case(seed: int, quick: bool, trace_dir: str | None) -> list:
         ]
 
 
-# -- transport case ----------------------------------------------------------
-
-
-def _run_transport_once(path: str, seed: int, plan=None):
-    """One shm-transport run; returns output bytes, engine, result, and the
-    shm segment name the run used (None when shm was unavailable)."""
-    obs = Observability(enabled=False)
-    engine = LocalMapReduce(
-        _wc_map,
-        combine_fn=_wc_combine,
-        n_workers=2,
-        obs=obs,
-        faults=plan,
-        transport="shm",
-    )
-    try:
-        result = engine.run(path, chunk_bytes=32 * 1024)
-        transport = engine.pool.ensure_transport()
-        shm_name = transport.shm_name if transport.name == "shm" else None
-    finally:
-        engine.close()
-    return pickle.dumps(result.output), engine, result, shm_name
-
-
-def transport_case(seed: int, quick: bool, trace_dir: str | None) -> list:
-    """Kill a worker mid-slot-write, corrupt a frame after its crc.
-
-    The ring's recovery contract: a worker dead with half a frame in its
-    slot costs a respawn and a re-dispatch (the slot is released when the
-    doomed future is consumed, then simply overwritten); a corrupt frame
-    is caught by the parent's crc verify as a retryable
-    ``TransportCorruptionError``.  Either way the answer is byte-identical
-    to the fault-free run and the shm segment is unlinked at close.
-
-    Skip-ok: where POSIX shared memory is unavailable the transport
-    degrades to pickle and the ``transport.slot`` site is dormant — the
-    case reports the skip instead of asserting coverage it cannot get.
-    """
-    with tempfile.TemporaryDirectory(prefix="chaos-soak-") as tmpdir:
-        path = _make_engine_input(tmpdir, quick)
-        baseline, _, base_res, base_shm = _run_transport_once(path, seed)
-        if base_shm is None or base_res.transport != "shm":
-            return [("shm transport available", True,
-                     "skipped: shm unavailable here, ring degraded to pickle")]
-        plan = transport_chaos_plan(seed)
-        output, engine, res, shm_name = _run_transport_once(path, seed, plan)
-        output2, engine2, _, _ = _run_transport_once(path, seed, plan)
-        # the crc check needs a corrupt-only run: in the combined plan the
-        # kill can break the pool before the corrupted frame is consumed,
-        # discarding it as a doomed future without ever reaching the
-        # parent's verify.  A single corrupt rule has no such race.
-        corrupt_plan = FaultPlan(
-            rules=(FaultRule("transport.slot", action="corrupt", count=1,
-                             where={"index": 0}),),
-            seed=seed,
-        )
-        coutput, cengine, _, _ = _run_transport_once(path, seed, corrupt_plan)
-        crc_rejections = int(
-            cengine.obs.metrics.snapshot()["counters"].get("transport.corrupt", 0)
-        )
-
-        fired = engine.faults.fired_by_site()
-        actions = sorted(sig[2] for sig in engine.faults.signatures())
-        children = mp.active_children()
-        segment_gone = not os.path.exists(os.path.join("/dev/shm", shm_name))
-        return [
-            ("output identical", output == baseline,
-             f"{len(baseline)} bytes over transport={res.transport}"),
-            ("all rules fired",
-             fired.get("transport.slot", 0) >= len(plan.rules)
-             and actions == ["corrupt", "kill"],
-             f"fired {fired}, actions {actions}"),
-            ("worker respawned", engine.pool.respawns >= 1,
-             f"{engine.pool.respawns} respawns"),
-            ("corrupt frame caught",
-             crc_rejections >= 1 and coutput == baseline,
-             f"{crc_rejections} crc rejections, output "
-             f"{'identical' if coutput == baseline else 'DIVERGED'}"),
-            ("injection reproducible",
-             engine.faults.signatures() == engine2.faults.signatures()
-             and output2 == baseline,
-             f"{engine.faults.injections} injections"),
-            ("retries bounded",
-             engine.pool.redispatches
-             <= engine.pool.max_task_retries * (res.n_chunks + 1),
-             f"{engine.pool.redispatches} redispatches"),
-            ("shm segment unlinked", segment_gone,
-             f"/dev/shm/{shm_name} {'gone' if segment_gone else 'LEAKED'}"),
-            ("no worker processes leaked", not children,
-             f"{[c.pid for c in children] or 'clean'}"),
-        ]
-
-
 # -- tier case ---------------------------------------------------------------
 
 #: chaos tier sized against the ~16 KB runs the wordcount input spills:
@@ -993,8 +899,6 @@ def main(argv: list[str] | None = None) -> int:
                       args.seed, args.quick, args.trace)))
     cases.append(("engine:wordcount",
                   lambda: engine_case(args.seed, args.quick, args.trace)))
-    cases.append(("transport:kill-midslot",
-                  lambda: transport_case(args.seed, args.quick, args.trace)))
     cases.append(("tier:kill-writeback",
                   lambda: tier_kill_writeback_case(
                       args.seed, args.quick, args.trace)))

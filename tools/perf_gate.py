@@ -16,16 +16,11 @@ seed shuffle, prints a table, and writes the results to
 ``--real`` instead runs the real-machine engine suite from
 ``benchmarks/bench_real_engine.py`` — streaming engine vs the frozen
 pre-streaming barrier engine (gated >= 2.0x with byte-identical outputs
-and an absolute MB/s throughput floor), the shm-vs-pickle transport
-comparison (shm must not lose beyond timer tolerance where available),
-the out-of-core fragment mode (byte-identical, multi-fragment), and the
-peak-RSS bound probe — and writes ``BENCH_real_engine.json``.  The real
+and an absolute MB/s throughput floor), the out-of-core fragment mode
+(byte-identical, multi-fragment), and the peak-RSS bound probe — and
+writes ``BENCH_real_engine.json``.  The real
 gates hold in quick mode too (they gate architecture, not microbenchmark
 noise).
-
-Default (shuffle) mode also runs the transport round-trip microbench
-from ``benchmarks/bench_transport.py`` (quick mode included) — reported
-in the payload, correctness-asserted, not speed-gated.
 
 ``--serving`` runs the cluster-scheduler serving suite from
 ``benchmarks/bench_serving.py`` (open-loop Poisson stream through
@@ -141,7 +136,6 @@ def run_real_gate(args) -> int:
         f.write("\n")
 
     rss = payload["rss"]
-    tr = payload["transports"]
     print(
         f"real engine: seed {payload['seed_s']:.3f}s vs streaming "
         f"{payload['streaming_s']:.3f}s => {payload['speedup']:.2f}x "
@@ -151,18 +145,6 @@ def run_real_gate(args) -> int:
         f"throughput: {payload['throughput_mb_s']:.1f} MB/s "
         f"(floor {THROUGHPUT_FLOOR_MB_S} MB/s)"
     )
-    if tr["compared"]:
-        print(
-            f"transport: shm {tr['shm_s']:.3f}s vs pickle {tr['pickle_s']:.3f}s "
-            f"=> {tr['shm_speedup_over_pickle']:.2f}x "
-            f"(gated: shm within {payload['gates']['shm_vs_pickle_tolerance']}x "
-            "of pickle)"
-        )
-    else:
-        print(
-            f"transport: resolved to {tr['resolved']} (no shm here); "
-            "shm-vs-pickle comparison skipped"
-        )
     print(
         f"out-of-core: {payload['outofcore']['n_fragments']} fragments, "
         f"{payload['outofcore']['spilled_bytes']} spilled bytes, "
@@ -199,12 +181,6 @@ def run_real_gate(args) -> int:
             f"< floor {THROUGHPUT_FLOOR_MB_S} MB/s", file=sys.stderr,
         )
         return 2
-    if not tr["within_tolerance"]:
-        print(
-            f"GATE: shm transport {tr['shm_s']:.3f}s lost to pickle "
-            f"{tr['pickle_s']:.3f}s beyond tolerance", file=sys.stderr,
-        )
-        return 2
     if not rss["bounded"]:
         print(
             f"GATE: out-of-core peak RSS +{rss['outofcore_extra_kib']}KiB "
@@ -219,8 +195,8 @@ def run_real_gate(args) -> int:
         )
         return 2
     print(
-        "real-engine outputs match; streaming, throughput, transport, "
-        "RSS and critpath gates hold"
+        "real-engine outputs match; streaming, throughput, RSS and "
+        "critpath gates hold"
     )
     return 0
 
@@ -567,25 +543,9 @@ def main(argv: list[str] | None = None) -> int:
     obs = Observability(enabled=True)
     t0 = time.perf_counter()
     results = run_suite(sizes=sizes, repeats=repeats, obs=obs)
-    from benchmarks.bench_transport import run_transport_suite
-
-    transport_results = run_transport_suite()
     elapsed = time.perf_counter() - t0
 
     print_table(results)
-    for tr in transport_results:
-        if tr["shm_available"]:
-            print(
-                f"transport {tr['payload_bytes']:>7}B: pickle "
-                f"{tr['pickle_us_per_round']:>7.1f}us vs shm "
-                f"{tr['shm_us_per_round']:>7.1f}us per round trip "
-                f"({tr['shm_speedup_over_pickle']:.2f}x, not gated)"
-            )
-        else:
-            print(
-                f"transport {tr['payload_bytes']:>7}B: shm unavailable; "
-                f"pickle {tr['pickle_us_per_round']:.1f}us per round trip"
-            )
 
     mismatches = [r for r in results if not r["match"]]
     gate_failures = []
@@ -609,7 +569,6 @@ def main(argv: list[str] | None = None) -> int:
         "gate_ok": not gate_failures,
         "breakdown": breakdown,
         "results": results,
-        "transport": transport_results,
     }
     with open(args.out, "w") as f:
         json.dump(payload, f, indent=2)

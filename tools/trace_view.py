@@ -38,8 +38,8 @@ Reads either export format (Chrome-trace/Perfetto JSON or JSONL, see
   ``shuffle.exchange`` leg itself lands on the job's ``dist:*`` track,
   so ``critpath --containment --root dist.job`` shows the exchange on
   the critical path when it dominates;
-* a tier section (burst-buffer hit-rate table across the cache
-  hierarchy's levels, promotion/demotion and eviction-by-cause counters,
+* a tier section (burst-buffer hit-rate table across the mem and SSD
+  levels, promotion/demotion and eviction-by-cause counters,
   write-back volume/losses, and the prefetch-win breakdown — how many
   prefetched blocks a later read actually consumed) whenever the run
   touched a tier (``tier.*`` counters present);
