@@ -23,21 +23,22 @@ Two cases, both in simulated time (deterministic, seconds of wall clock):
   daemon under a heartbeat-enabled ``ClusterScheduler`` and proves the
   node rejoins through probation and serves a canary job again.
 
-``run_distributed_suite`` returns the JSON payload for
-``tools/perf_gate.py --distributed`` (gates architectural, so they hold
-in ``--quick`` too).
+``run_suite`` returns the JSON payload for ``tools/perf_gate.py
+--distributed`` and ``checks`` judges it (gates architectural, so they
+hold in ``--quick`` too).
 """
 
 from __future__ import annotations
 
 import math
-import pickle
 
-from repro.apps.matmul import assemble_product, matmul_input
+from benchmarks.checks import GATE, OUTPUT, canonical_output
+from repro.apps.matmul import matmul_input
 from repro.cluster.testbed import Testbed
 from repro.config import table1_cluster
 from repro.core import DataJob, DistributedEngine, DistributedJob, OffloadEngine
 from repro.core.loadbalance import Placement
+from repro.sched.health import HEALTHY
 from repro.units import MB
 from repro.workloads import text_input
 
@@ -45,7 +46,8 @@ __all__ = [
     "SCALE_GATES",
     "WIDTH1_OVERHEAD_GATE",
     "RECOVERY_GATE",
-    "run_distributed_suite",
+    "run_suite",
+    "checks",
 ]
 
 #: n_shards -> minimum speedup over the 1-shard distributed run
@@ -61,27 +63,6 @@ RECOVERY_GATE = 0.5
 _TIMEOUT = 3600.0
 
 
-def _flat_pairs(out: object) -> list:
-    """Flatten matmul's (possibly nested identity-merged) output pairs."""
-    pairs: list = []
-
-    def walk(x: object) -> None:
-        if isinstance(x, tuple) and len(x) == 2:
-            pairs.append(x)
-        elif isinstance(x, list):
-            for y in x:
-                walk(y)
-
-    walk(out)
-    return pairs
-
-
-def _canonical(app: str, output: object) -> bytes:
-    if app == "matmul":
-        return pickle.dumps(assemble_product(_flat_pairs(output)).tolist())
-    return pickle.dumps(output)
-
-
 def _inputs(app: str, quick: bool):
     """(factory, size, fragment_bytes, mode, params) for one app."""
     if app == "matmul":
@@ -94,12 +75,19 @@ def _inputs(app: str, quick: bool):
     return factory, size, math.ceil(size / 4), "partitioned", {}
 
 
-def _run_single(app: str, quick: bool):
-    """The single-node partitioned baseline on a 1-SD cluster."""
-    factory, size, frag, mode, params = _inputs(app, quick)
-    bed = Testbed(config=table1_cluster(n_sd=1, seed=0), seed=0)
+def _staged(app: str, quick: bool, n_sd: int):
+    """A fresh ``n_sd``-SD cluster with the app's input on every node:
+    ``(bed, input, sd_path, fragment_bytes, mode, params)``."""
+    factory, _, frag, mode, params = _inputs(app, quick)
+    bed = Testbed(config=table1_cluster(n_sd=n_sd, seed=0), seed=0)
     inp = factory()
     _, sd_path = bed.stage_replicated("dist", inp)
+    return bed, inp, sd_path, frag, mode, params
+
+
+def _run_single(app: str, quick: bool):
+    """The single-node partitioned baseline on a 1-SD cluster."""
+    bed, inp, sd_path, frag, mode, params = _staged(app, quick, 1)
     job = DataJob(
         app=app, input_path=sd_path, input_size=inp.size, mode=mode,
         fragment_bytes=frag, params=params,
@@ -109,18 +97,29 @@ def _run_single(app: str, quick: bool):
     return bed.run(eng.run(job, placement))
 
 
-def _run_dist(app: str, quick: bool, n_shards: int):
-    """One distributed run at the given width on a fresh 4-SD cluster."""
-    factory, size, frag, mode, params = _inputs(app, quick)
-    bed = Testbed(config=table1_cluster(n_sd=4, seed=0), seed=0)
-    inp = factory()
-    _, sd_path = bed.stage_replicated("dist", inp)
+def _run_dist(app: str, quick: bool, n_shards: int, kill=None, **engine_kw):
+    """One distributed run at the given width on a fresh 4-SD cluster.
+
+    ``kill`` is ``(node, at)``: that node's daemon dies at simulated time
+    ``at``, and the invoke deadline drops to 5 s so the death is
+    detected.  Returns ``(result, engine)``.
+    """
+    bed, inp, sd_path, frag, _, params = _staged(app, quick, 4)
     job = DistributedJob(
         app=app, input_path=sd_path, input_size=inp.size,
         n_shards=n_shards, fragment_bytes=frag, params=params,
     )
-    eng = DistributedEngine(bed.cluster)
-    return bed.run(eng.run(job, timeout=_TIMEOUT))
+    eng = DistributedEngine(bed.cluster, **engine_kw)
+    if kill is not None:
+        node, at = kill
+
+        def killer():
+            yield bed.sim.timeout(at)
+            bed.cluster.sd_daemons[node].kill()
+
+        bed.sim.spawn(killer(), name=f"bench.kill-{node}")
+    timeout = _TIMEOUT if kill is None else 5.0
+    return bed.run(eng.run(job, timeout=timeout)), eng
 
 
 # -- scaling ------------------------------------------------------------------
@@ -130,28 +129,25 @@ def scaling_case(quick: bool = False) -> dict:
     """One wordcount job, distributed over 1/2/4 SD replicas."""
     _, size, frag, _, _ = _inputs("wordcount", quick)
     single = _run_single("wordcount", quick)
-    canon = _canonical("wordcount", single.output)
+    canon = canonical_output("wordcount", single.output)
 
     runs = []
     base_s = None
     for n in (1, 2, 4):
-        res = _run_dist("wordcount", quick, n)
+        res, _ = _run_dist("wordcount", quick, n)
         if base_s is None:
             base_s = res.elapsed
         speedup = base_s / res.elapsed if res.elapsed > 0 else 0.0
-        need = SCALE_GATES.get(n)
         runs.append({
             "n_shards": n,
             "shard_nodes": list(res.shard_nodes),
             "elapsed_s": round(res.elapsed, 4),
             "speedup_vs_x1": round(speedup, 3),
-            "gate": need,
-            "gate_ok": need is None or speedup >= need,
             "shuffle_bytes": res.shuffle_bytes,
             "shuffle_transfers": res.shuffle_transfers,
             "n_partitions": res.n_partitions,
             "merge_node": res.merge_node,
-            "identical": _canonical("wordcount", res.output) == canon,
+            "identical": canonical_output("wordcount", res.output) == canon,
         })
     overhead = (base_s - single.elapsed) / single.elapsed if single.elapsed else 0.0
     return {
@@ -162,11 +158,6 @@ def scaling_case(quick: bool = False) -> dict:
         "width1_overhead_gate": WIDTH1_OVERHEAD_GATE,
         "runs": runs,
         "gates": {str(k): v for k, v in SCALE_GATES.items()},
-        "all_identical": all(r["identical"] for r in runs),
-        "gate_ok": (
-            all(r["gate_ok"] for r in runs)
-            and overhead <= WIDTH1_OVERHEAD_GATE
-        ),
     }
 
 
@@ -178,20 +169,17 @@ def identity_case(quick: bool = False) -> dict:
     rows = []
     for app in ("wordcount", "stringmatch", "matmul"):
         single = _run_single(app, quick)
-        canon = _canonical(app, single.output)
+        canon = canonical_output(app, single.output)
         for n in (1, 2, 4):
-            res = _run_dist(app, quick, n)
+            res, _ = _run_dist(app, quick, n)
             rows.append({
                 "app": app,
                 "n_shards": n,
                 "elapsed_s": round(res.elapsed, 4),
                 "shuffle_bytes": res.shuffle_bytes,
-                "identical": _canonical(app, res.output) == canon,
+                "identical": canonical_output(app, res.output) == canon,
             })
-    return {
-        "rows": rows,
-        "gate_ok": all(r["identical"] for r in rows),
-    }
+    return {"rows": rows}
 
 
 # -- recovery -----------------------------------------------------------------
@@ -202,7 +190,7 @@ def _rejoin_demo() -> dict:
     rejoins through probation and serves a canary job again."""
     from repro.core.loadbalance import AlwaysOffloadPolicy
     from repro.sched import ClusterScheduler
-    from repro.sched.health import HEALTHY, PROBATION, QUARANTINED
+    from repro.sched.health import PROBATION, QUARANTINED
 
     bed = Testbed(config=table1_cluster(n_sd=2, seed=0), seed=0)
     inp = text_input("/data/rejoin", MB(20), payload_bytes=6_000, seed=5)
@@ -242,23 +230,15 @@ def _rejoin_demo() -> dict:
 
     res = bed.run(driver())
     counters = bed.sim.obs.metrics.snapshot()["counters"]
-    final = sched.health.state["sd0"]
-    ok = (
-        res is not None
-        and res.where == "sd0"
-        and final == HEALTHY
-        and counters.get("node.quarantined", 0) >= 1
-        and counters.get("node.rejoined", 0) >= 1
-    )
     return {
         "node": "sd0",
         "quarantined_at_s": round(timeline.get("quarantined_at", -1.0), 3),
         "probation_at_s": round(timeline.get("probation_at", -1.0), 3),
         "canary_done_at_s": round(timeline.get("canary_done_at", -1.0), 3),
-        "final_state": final,
+        "canary_node": res.where if res is not None else None,
+        "final_state": sched.health.state["sd0"],
         "quarantines": int(counters.get("node.quarantined", 0)),
         "rejoins": int(counters.get("node.rejoined", 0)),
-        "gate_ok": ok,
     }
 
 
@@ -267,42 +247,16 @@ def recovery_case(quick: bool = False) -> dict:
     added recovery time must be <= ``RECOVERY_GATE`` of what the legacy
     whole-job restart adds, with byte-identical output either way; plus
     the heartbeat quarantine -> probation -> rejoin demonstration."""
-    factory, _, frag, _, params = _inputs("wordcount", quick)
-
-    def fresh():
-        bed = Testbed(config=table1_cluster(n_sd=4, seed=0), seed=0)
-        inp = factory()
-        _, sd_path = bed.stage_replicated("dist", inp)
-        job = DistributedJob(
-            app="wordcount", input_path=sd_path, input_size=inp.size,
-            n_shards=4, fragment_bytes=frag, params=params,
-        )
-        return bed, job
-
-    bed, job = fresh()
-    eng = DistributedEngine(bed.cluster)
-    clean = bed.run(eng.run(job, timeout=_TIMEOUT))
-    canon = _canonical("wordcount", clean.output)
+    clean, _ = _run_dist("wordcount", quick, 4)
+    canon = canonical_output("wordcount", clean.output)
     # a reduce owner that is not the merge node: its partition must be
     # re-reduced on a survivor, so both engines do real recovery work
     owners = [n for n in clean.reduce_nodes.values() if n != clean.merge_node]
     victim = owners[0] if owners else clean.merge_node
     kill_at = (clean.timeline["map_done"] + clean.timeline["exchange_done"]) / 2
-
-    def chaos(partial: bool):
-        bed2, job2 = fresh()
-        eng2 = DistributedEngine(bed2.cluster, partial_restart=partial)
-
-        def killer():
-            yield bed2.sim.timeout(kill_at)
-            bed2.cluster.sd_daemons[victim].kill()
-
-        bed2.sim.spawn(killer(), name=f"bench.kill-{victim}")
-        res = bed2.run(eng2.run(job2, timeout=5.0))
-        return eng2, res
-
-    eng_p, res_p = chaos(partial=True)
-    eng_f, res_f = chaos(partial=False)
+    kill = (victim, kill_at)
+    res_p, eng_p = _run_dist("wordcount", quick, 4, kill, partial_restart=True)
+    res_f, eng_f = _run_dist("wordcount", quick, 4, kill, partial_restart=False)
 
     def added(res):
         """Recovery time: failure detection -> job done.
@@ -317,11 +271,6 @@ def recovery_case(quick: bool = False) -> dict:
     partial_added = added(res_p)
     full_added = max(added(res_f), 1e-9)
     ratio = partial_added / full_added
-    identical = (
-        _canonical("wordcount", res_p.output) == canon
-        and _canonical("wordcount", res_f.output) == canon
-    )
-    rejoin = _rejoin_demo()
     return {
         "killed": victim,
         "kill_at_s": round(kill_at, 4),
@@ -335,55 +284,84 @@ def recovery_case(quick: bool = False) -> dict:
             "attempts": res_p.attempts,
             "partial_restarts": eng_p.partial_restarts,
             "full_restarts": eng_p.full_restarts,
+            "identical": canonical_output("wordcount", res_p.output) == canon,
         },
         "whole_job": {
             "elapsed_s": round(res_f.elapsed, 4),
             "recovery_s": round(full_added, 4),
             "attempts": res_f.attempts,
             "full_restarts": eng_f.full_restarts,
+            "identical": canonical_output("wordcount", res_f.output) == canon,
         },
         "recovery_ratio": round(ratio, 4),
         "recovery_gate": RECOVERY_GATE,
-        "all_identical": identical,
-        "rejoin": rejoin,
-        "gate_ok": (
-            identical
-            and ratio <= RECOVERY_GATE
-            and res_p.attempts == 1
-            and eng_p.full_restarts == 0
-            and eng_f.full_restarts >= 1
-            and rejoin["gate_ok"]
-        ),
+        "rejoin": _rejoin_demo(),
     }
 
 
 # -- suite --------------------------------------------------------------------
 
 
-def run_distributed_suite(quick: bool = False) -> dict:
+def run_suite(quick: bool = False) -> dict:
     """All three cases; the ``BENCH_distributed.json`` payload."""
-    scaling = scaling_case(quick)
-    identity = identity_case(quick)
-    recovery = recovery_case(quick)
     return {
         "benchmark": "distributed: one job sharded across N SD replicas",
         "mode": "quick" if quick else "full",
-        "scaling": scaling,
-        "identity": identity,
-        "recovery": recovery,
-        "all_identical": (
-            scaling["all_identical"]
-            and identity["gate_ok"]
-            and recovery["all_identical"]
-        ),
-        "gate_ok": (
-            scaling["gate_ok"] and identity["gate_ok"] and recovery["gate_ok"]
-        ),
+        "scaling": scaling_case(quick),
+        "identity": identity_case(quick),
+        "recovery": recovery_case(quick),
     }
 
 
-if __name__ == "__main__":
-    import json
-
-    payload = run_distributed_suite(quick=True)
-    print(json.dumps(payload, indent=2))
+def checks(payload: dict) -> list[tuple]:
+    """Every output identical to single-node; scaling, overhead, recovery."""
+    scaling, rec = payload["scaling"], payload["recovery"]
+    part, whole, rj = rec["partial"], rec["whole_job"], rec["rejoin"]
+    rows = [
+        (f"wordcount x{r['n_shards']} scaling identical", OUTPUT,
+         r["identical"], "vs single-node")
+        for r in scaling["runs"]
+    ] + [
+        (f"{r['app']} x{r['n_shards']} identical", OUTPUT, r["identical"],
+         f"vs single-node, {r['shuffle_bytes']} B shuffled")
+        for r in payload["identity"]["rows"]
+    ]
+    rows += [
+        ("partial restart identical", OUTPUT, part["identical"],
+         f"killed {rec['killed']} at t={rec['kill_at_s']}s"),
+        ("whole-job restart identical", OUTPUT, whole["identical"],
+         f"killed {rec['killed']} at t={rec['kill_at_s']}s"),
+    ]
+    for r in scaling["runs"]:
+        need = SCALE_GATES.get(r["n_shards"])
+        if need is not None:
+            rows.append((
+                f"x{r['n_shards']} speedup", GATE, r["speedup_vs_x1"] >= need,
+                f"{r['elapsed_s']:.3f}s sim => {r['speedup_vs_x1']:.2f}x "
+                f"(gate >= {need}x); shuffle {r['shuffle_bytes']} B / "
+                f"{r['shuffle_transfers']} transfers, merge@{r['merge_node']}",
+            ))
+    rows += [
+        ("width-1 overhead", GATE,
+         scaling["width1_overhead"] <= WIDTH1_OVERHEAD_GATE,
+         f"{scaling['width1_overhead']:.1%} over single-node "
+         f"{scaling['single_node_s']:.3f}s (gate <= "
+         f"{WIDTH1_OVERHEAD_GATE:.0%})"),
+        ("recovery ratio", GATE, rec["recovery_ratio"] <= RECOVERY_GATE,
+         f"partial restart {part['recovery_s']}s vs whole-job "
+         f"{whole['recovery_s']}s => {rec['recovery_ratio']:.2f}x "
+         f"(gate <= {RECOVERY_GATE}x)"),
+        ("recovery contract", GATE,
+         part["attempts"] == 1 and part["full_restarts"] == 0
+         and whole["full_restarts"] >= 1,
+         f"partial: {part['attempts']} attempt(s), {part['full_restarts']} "
+         f"full restarts; whole-job: {whole['full_restarts']} full restarts"),
+        ("node rejoins", GATE,
+         rj["canary_node"] == rj["node"] and rj["final_state"] == HEALTHY
+         and rj["quarantines"] >= 1 and rj["rejoins"] >= 1,
+         f"{rj['node']} quarantined at t={rj['quarantined_at_s']}s, "
+         f"probation at t={rj['probation_at_s']}s, canary on "
+         f"{rj['canary_node']} done at t={rj['canary_done_at_s']}s, ends "
+         f"{rj['final_state']}"),
+    ]
+    return rows

@@ -17,16 +17,17 @@ Three cases, all in simulated time (deterministic, seconds of wall clock):
   attribution, recovered mechanically) must cover >= 90% of the job's
   wall time, and the scheduler's SLO health snapshot rides along.
 
-``run_serving_suite`` returns the JSON payload for
-``tools/perf_gate.py --serving`` (gates: throughput ratio, fairness band,
-cache behaviour, critical-path coverage — all architectural, so they
-hold in ``--quick`` too).
+``run_suite`` returns the JSON payload for ``tools/perf_gate.py
+--serving`` and ``checks`` judges it (gates: throughput ratio, fairness
+band, cache behaviour, critical-path coverage and SLO health — all
+architectural, so they hold in ``--quick`` too).
 """
 
 from __future__ import annotations
 
 import typing as _t
 
+from benchmarks.checks import CRITPATH_COVERAGE_GATE, GATE, OUTPUT
 from repro.cluster.testbed import Testbed
 from repro.core.job import DataJob
 from repro.core.loadbalance import AlwaysOffloadPolicy
@@ -39,16 +40,14 @@ from repro.workloads import ArrivalProcess, text_input
 __all__ = [
     "THROUGHPUT_GATE",
     "FAIRNESS_TOLERANCE",
-    "CRITPATH_COVERAGE_GATE",
-    "run_serving_suite",
+    "run_suite",
+    "checks",
 ]
 
 #: 2-SD must sustain at least this multiple of the 1-SD jobs/sec
 THROUGHPUT_GATE = 1.5
 #: completed-work ratio may deviate from the weight ratio by this fraction
 FAIRNESS_TOLERANCE = 0.20
-#: the critical path's exclusive segments must cover this much wall time
-CRITPATH_COVERAGE_GATE = 0.90
 
 #: generous per-attempt deadline — nothing dies in this benchmark
 _TIMEOUT = 3600.0
@@ -129,7 +128,6 @@ def throughput_case(quick: bool = False) -> dict:
         "dual": dual,
         "ratio": round(ratio, 3),
         "gate": THROUGHPUT_GATE,
-        "gate_ok": ratio >= THROUGHPUT_GATE,
     }
 
 
@@ -212,7 +210,6 @@ def fairness_case(quick: bool = False) -> dict:
         "got_ratio": round(got, 3),
         "deviation": round(deviation, 3),
         "tolerance": FAIRNESS_TOLERANCE,
-        "gate_ok": saturated and deviation <= FAIRNESS_TOLERANCE,
     }
 
 
@@ -241,20 +238,14 @@ def cache_case(quick: bool = False) -> dict:
     ev = sched.submit(job)
     tb.sim.run(until=ev)
     outputs.append(ev.value.output)
-    consistent = all(o == outputs[0] for o in outputs)
     return {
         "repeats": repeats,
+        "hits_before_rewrite": hits_before,
         "hits": sched.cache.hits,
         "misses": sched.cache.misses,
         "invalidations": sched.cache.invalidations,
         "hit_rate": round(hits_before / max(1, repeats), 3),
-        "outputs_consistent": consistent,
-        "gate_ok": (
-            consistent
-            and hits_before == repeats - 1
-            and sched.cache.hits == hits_before  # post-rewrite was a miss
-            and sched.cache.invalidations >= 1
-        ),
+        "outputs_consistent": all(o == outputs[0] for o in outputs),
     }
 
 
@@ -267,8 +258,8 @@ def critpath_case(quick: bool = False) -> dict:
     A single job keeps the containment tree unambiguous (concurrent jobs
     would interleave their node-track spans under one synthetic root).
     The gate is coverage: the path's exclusive segments must account for
-    >= 90% of the job's recorded wall time — spans escaping the tree,
-    not the walk, are what would break it.
+    ``CRITPATH_COVERAGE_GATE`` of the job's recorded wall time — spans
+    escaping the tree, not the walk, are what would break it.
     """
     size = MB(20) if quick else MB(50)
     tb = Testbed(n_sd=1, trace=True)
@@ -316,37 +307,52 @@ def critpath_case(quick: bool = False) -> dict:
         "by_name": by_name,
         "health": health.to_dict(),
         "coverage_gate": CRITPATH_COVERAGE_GATE,
-        "gate_ok": (
-            cp["covered"] >= CRITPATH_COVERAGE_GATE and health.healthy
-        ),
     }
 
 
 # -- suite ------------------------------------------------------------------
 
 
-def run_serving_suite(quick: bool = False) -> dict:
+def run_suite(quick: bool = False) -> dict:
     """All four cases; the ``BENCH_serving.json`` payload."""
-    throughput = throughput_case(quick)
-    fairness = fairness_case(quick)
-    cache = cache_case(quick)
-    critpath = critpath_case(quick)
     return {
         "benchmark": "serving: open-loop job stream through ClusterScheduler",
         "mode": "quick" if quick else "full",
-        "throughput": throughput,
-        "fairness": fairness,
-        "cache": cache,
-        "critpath": critpath,
-        "gate_ok": (
-            throughput["gate_ok"] and fairness["gate_ok"]
-            and cache["gate_ok"] and critpath["gate_ok"]
-        ),
+        "throughput": throughput_case(quick),
+        "fairness": fairness_case(quick),
+        "cache": cache_case(quick),
+        "critpath": critpath_case(quick),
     }
 
 
-if __name__ == "__main__":
-    import json
-
-    payload = run_serving_suite(quick=True)
-    print(json.dumps(payload, indent=2))
+def checks(payload: dict) -> list[tuple]:
+    """Cached answers consistent; scaling, fairness, cache, critpath, SLO."""
+    tput, fair = payload["throughput"], payload["fairness"]
+    cache, cp = payload["cache"], payload["critpath"]
+    top = cp["by_name"][0] if cp["by_name"] else {"name": "?", "pct": 0}
+    return [
+        ("cached outputs identical", OUTPUT, cache["outputs_consistent"],
+         f"{cache['repeats'] + 1} submissions vs the first"),
+        ("throughput scaling", GATE, tput["ratio"] >= THROUGHPUT_GATE,
+         f"1-SD {tput['single']['jobs_per_sec']:.3f} vs 2-SD "
+         f"{tput['dual']['jobs_per_sec']:.3f} jobs/s => {tput['ratio']:.2f}x "
+         f"(gate >= {THROUGHPUT_GATE}x); 2-SD p95 "
+         f"{tput['dual']['latency']['p95_s']:.2f}s"),
+        ("fair share", GATE,
+         fair["saturated_at_horizon"] and fair["deviation"] <= FAIRNESS_TOLERANCE,
+         f"completed-work ratio {fair['got_ratio']:.2f} vs weights "
+         f"{fair['want_ratio']:.1f} (deviation {fair['deviation']:.1%} <= "
+         f"{FAIRNESS_TOLERANCE:.0%}, saturated={fair['saturated_at_horizon']})"),
+        ("cache hit and invalidate", GATE,
+         cache["hits_before_rewrite"] == cache["repeats"] - 1
+         and cache["hits"] == cache["hits_before_rewrite"]
+         and cache["invalidations"] >= 1,
+         f"{cache['hits']} hits / {cache['misses']} misses, "
+         f"{cache['invalidations']} invalidations over {cache['repeats']} "
+         "repeats and one rewrite"),
+        ("critpath coverage", GATE, cp["covered"] >= CRITPATH_COVERAGE_GATE,
+         f"{cp['covered']:.1%} of {cp['wall_s']:.2f}s wall (gate >= "
+         f"{CRITPATH_COVERAGE_GATE:.0%}); top: {top['name']} {top['pct']:.0f}%"),
+        ("slo health", GATE, cp["health"]["healthy"],
+         f"worst burn {cp['health']['worst_burn_rate']:.2f}"),
+    ]

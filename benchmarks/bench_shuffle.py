@@ -13,7 +13,10 @@ fails instead of reporting a number.
 
 Run standalone via ``python tools/perf_gate.py`` (writes
 ``BENCH_shuffle.json``) or under pytest-benchmark with
-``pytest benchmarks/bench_shuffle.py --benchmark-only``.
+``pytest benchmarks/bench_shuffle.py --benchmark-only``.  Every output
+must match; in full mode the gated cases in :data:`GATES` must also reach
+their speedup (quick mode times once at the smallest size, where
+timings are noise-dominated, so speedups are reported, not gated).
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import operator
 import time
 import typing as _t
 
+from benchmarks.checks import GATE, OUTPUT, failed, print_rows
 from repro.obs import Observability
+from repro.obs.export import phase_breakdown, span_dicts, write_chrome
 from repro.phoenix.seed_shuffle import (
     seed_local_merge_runs,
     seed_local_worker_run,
@@ -42,6 +47,12 @@ SIZES = (10_000, 100_000, 500_000)
 QUICK_SIZES = (10_000,)
 ENGINES = ("phoenix", "localmr")
 WORKLOADS = ("wordcount", "matmul")
+
+#: full-mode gate: (engine, workload, n_pairs) -> minimum speedup
+GATES = {
+    ("phoenix", "wordcount", 100_000): 2.0,
+    ("localmr", "wordcount", 100_000): 2.0,
+}
 
 
 def _sum_reduce(key: object, values: list, params: dict) -> object:
@@ -180,7 +191,7 @@ def run_case(
     }
 
 
-def run_suite(
+def run_grid(
     sizes: _t.Sequence[int] = SIZES,
     repeats: int = 3,
     obs: Observability | None = None,
@@ -196,6 +207,49 @@ def run_suite(
         ]
 
 
+def run_suite(quick: bool = False, trace: str | None = None) -> dict:
+    """The grid with spans on; the ``BENCH_shuffle.json`` payload.
+
+    ``quick`` times the smallest size once; ``trace`` also writes the
+    grid's span tree there as a Chrome trace.
+    """
+    repeats = 1 if quick else 3
+    # a handful of spans per case: they give the payload its breakdown
+    obs = Observability(enabled=True)
+    results = run_grid(QUICK_SIZES if quick else SIZES, repeats=repeats, obs=obs)
+    payload = {
+        "benchmark": "shuffle pipeline: seed vs sort-once/merge-after",
+        "mode": "quick" if quick else "full",
+        "repeats": repeats,
+        "gates": {f"{e}/{w}/{n}": need for (e, w, n), need in GATES.items()},
+        "breakdown": phase_breakdown(span_dicts(obs), root_name="bench.suite"),
+        "results": results,
+    }
+    if trace:
+        write_chrome(obs, trace, extra={"benchmark": payload["benchmark"]})
+        print(f"wrote trace {trace} ({len(obs.spans)} spans)")
+    return payload
+
+
+def checks(payload: dict) -> list[tuple]:
+    """Every case's output matches the seed; full mode: gated speedups."""
+    rows = []
+    for r in payload["results"]:
+        case = f"{r['engine']}/{r['workload']}/{r['n_pairs']}"
+        rows.append((
+            f"{case} output", OUTPUT, r["match"],
+            f"{r['distinct_keys']} keys, seed {r['seed_s']:.6f}s vs new "
+            f"{r['new_s']:.6f}s => {r['speedup']:.2f}x",
+        ))
+        need = GATES.get((r["engine"], r["workload"], r["n_pairs"]))
+        if need is not None and payload["mode"] == "full":
+            rows.append((
+                f"{case} speedup", GATE, r["speedup"] >= need,
+                f"{r['speedup']:.2f}x (gate >= {need}x)",
+            ))
+    return rows
+
+
 # -- pytest-benchmark entry ---------------------------------------------------
 
 
@@ -204,14 +258,9 @@ def bench_shuffle_pipeline(benchmark):
     from benchmarks.conftest import once
     from repro.analysis.report import banner
 
-    results = once(
-        benchmark, lambda: run_suite(sizes=(100_000,), repeats=1)
-    )
+    results = once(benchmark, lambda: run_grid(sizes=(100_000,), repeats=1))
+    # one timing repeat: speedups are reported, not gated (as in quick mode)
+    rows = checks({"mode": "quick", "results": results})
     print(banner("SHUFFLE - seed pipeline vs sort-once/merge-after"))
-    for r in results:
-        print(
-            f"{r['engine']:>8} {r['workload']:>10} {r['n_pairs']:>8} pairs | "
-            f"seed {r['seed_s']:.3f}s -> new {r['new_s']:.3f}s "
-            f"({r['speedup']:.2f}x) match={r['match']}"
-        )
-    assert all(r["match"] for r in results)
+    print_rows(rows)
+    assert not failed(rows)

@@ -20,29 +20,28 @@ Two halves, mirroring the two halves of :mod:`repro.tier`:
   so the gate is a deterministic elapsed ratio plus byte-equal outputs
   and a nonzero prefetch-hit byte count.
 
-``tools/perf_gate.py --tier`` runs :func:`run_tier_suite` and writes the
-payload to ``BENCH_tier.json`` (picked up by ``tools/bench_diff.py``).
+``tools/perf_gate.py --tier`` runs :func:`run_suite`, judges it with
+:func:`checks` and writes the payload to ``BENCH_tier.json`` (picked up
+by ``tools/bench_diff.py``).
 """
 
 from __future__ import annotations
 
-import operator
 import os
-import tempfile
 import time
 from collections import Counter
 
+from benchmarks.bench_real_engine import corpus_file, wordcount_engine
+from benchmarks.checks import GATE, OUTPUT, failed, leak_scan, print_rows
 from repro.apps import make_wordcount_spec
-from repro.apps.wordcount import wc_map, wc_reduce
 from repro.cluster import Testbed
 from repro.config import TierSpec, table1_cluster
-from repro.exec import LocalMapReduce
 from repro.obs import Observability
 from repro.partition import ExtendedPhoenixRuntime
 from repro.phoenix.api import InputSpec
-from repro.tier import TieredStore, live_tier_dirs
+from repro.tier import TieredStore
 from repro.units import MB, MiB, GiB
-from repro.workloads import text_input, zipf_corpus
+from repro.workloads import text_input
 
 #: real half: warm-tier merge-only rerun over cold map+spill+merge.
 #: Measured ~8-10x (the warm run skips the map phase entirely); gated
@@ -71,35 +70,20 @@ SIM_FRAGMENT = MB(150)
 SIM_TIER = dict(mem_bytes=MiB(512), ssd_bytes=GiB(4))
 
 
-def _corpus_file(payload: int, vocab: int, seed: int) -> str:
-    data = zipf_corpus(payload, vocabulary=vocab, seed=seed)
-    f = tempfile.NamedTemporaryFile(suffix=".txt", delete=False)
-    with f:
-        f.write(data)
-    return f.name
-
-
-def _wordcount_engine(**kw) -> LocalMapReduce:
-    return LocalMapReduce(
-        map_fn=wc_map, reduce_fn=wc_reduce, combine_fn=operator.add,
-        sort_output=True, **kw,
-    )
-
-
 def _run_real_half(quick: bool) -> dict:
     payload = REAL_PAYLOAD // 2 if quick else REAL_PAYLOAD
     budget = REAL_BUDGET // 2 if quick else REAL_BUDGET
-    path = _corpus_file(payload, REAL_VOCAB, seed=1)
+    path = corpus_file(payload, REAL_VOCAB, seed=1)
     obs = Observability(enabled=False)
     try:
         # ground truth + tier-less reference
         with open(path, "rb") as f:
             truth = Counter(f.read().split())
-        with _wordcount_engine(memory_budget=budget) as plain_eng:
+        with wordcount_engine(memory_budget=budget) as plain_eng:
             plain_out = plain_eng.run(path, chunk_bytes=REAL_CHUNK_BYTES).output
 
         with TieredStore(REAL_TIER_MEM, REAL_TIER_SSD, obs=obs) as store:
-            with _wordcount_engine(
+            with wordcount_engine(
                 memory_budget=budget, tier=store, readahead=1, obs=obs,
             ) as eng:
                 t0 = time.perf_counter()
@@ -115,36 +99,23 @@ def _run_real_half(quick: bool) -> dict:
             tier_dir = store.ssd_dir
         ctr = obs.metrics.counters
 
-        outputs_match = (
-            cold_res.output == plain_out
-            and dict(cold_res.output) == dict(truth)
-            and all(o == cold_res.output for o in warm_outs)
-        )
-        n_runs = cold_res.n_fragments
-        speedup = cold_s / warm_s if warm_s else float("inf")
-        # two warm reruns, every run reused from the tier in each
-        reuse_ok = ctr.get("tier.spill.reuse", 0) >= 2 * n_runs
-        leaked = tier_dir in live_tier_dirs() or os.path.isdir(tier_dir)
-        ok = (
-            outputs_match
-            and n_runs >= 2
-            and speedup >= WARM_GATE
-            and reuse_ok
-            and not leaked
-        )
+        leaks = leak_scan(tier_dir)
         return {
             "payload_bytes": payload,
             "memory_budget": budget,
-            "n_runs": n_runs,
+            "n_runs": cold_res.n_fragments,
             "cold_s": round(cold_s, 4),
             "warm_s": round(warm_s, 4),
-            "warm_speedup": round(speedup, 3),
-            "outputs_match": outputs_match,
+            "warm_speedup": round(cold_s / warm_s if warm_s else float("inf"), 3),
+            "outputs_match": (
+                cold_res.output == plain_out
+                and dict(cold_res.output) == dict(truth)
+                and all(o == cold_res.output for o in warm_outs)
+            ),
             "runs_reused_warm": int(ctr.get("tier.spill.reuse", 0)),
             "prefetch_issued": int(ctr.get("tier.prefetch.issued", 0)),
             "writeback_bytes": int(ctr.get("tier.writeback.bytes", 0)),
-            "tier_dir_leaked": leaked,
-            "gate_ok": ok,
+            "leaked_dirs": leaks["spill"] + leaks["tier"],
         }
     finally:
         os.unlink(path)
@@ -176,15 +147,7 @@ def _run_sim_half(quick: bool) -> dict:
     res_cold, _ = _sim_run(TierSpec(readahead_fragments=0, **SIM_TIER), size)
     res_ra, ctr = _sim_run(TierSpec(readahead_fragments=1, **SIM_TIER), size)
 
-    outputs_match = res_none.output == res_cold.output == res_ra.output
     speedup = res_cold.elapsed / res_ra.elapsed if res_ra.elapsed else float("inf")
-    pf_hit_bytes = int(ctr.get("tier.prefetch.hit.bytes", 0))
-    ok = (
-        outputs_match
-        and res_ra.n_fragments >= 2
-        and speedup >= PREFETCH_GATE
-        and pf_hit_bytes > 0
-    )
     return {
         "input_bytes": size,
         "fragment_bytes": SIM_FRAGMENT,
@@ -193,17 +156,14 @@ def _run_sim_half(quick: bool) -> dict:
         "no_readahead_s": round(res_cold.elapsed, 4),
         "readahead_s": round(res_ra.elapsed, 4),
         "prefetch_speedup": round(speedup, 3),
-        "prefetch_hit_bytes": pf_hit_bytes,
+        "prefetch_hit_bytes": int(ctr.get("tier.prefetch.hit.bytes", 0)),
         "prefetch_issued": int(ctr.get("tier.prefetch.issued", 0)),
-        "outputs_match": outputs_match,
-        "gate_ok": ok,
+        "outputs_match": res_none.output == res_cold.output == res_ra.output,
     }
 
 
-def run_tier_suite(quick: bool = False) -> dict:
+def run_suite(quick: bool = False) -> dict:
     """The whole tier suite; returns the BENCH_tier payload."""
-    real = _run_real_half(quick)
-    sim = _run_sim_half(quick)
     return {
         "benchmark": "burst-buffer tier: warm spill reuse + readahead overlap",
         "mode": "quick" if quick else "full",
@@ -211,10 +171,38 @@ def run_tier_suite(quick: bool = False) -> dict:
             "warm_speedup_min": WARM_GATE,
             "prefetch_speedup_min": PREFETCH_GATE,
         },
-        "real": real,
-        "sim": sim,
-        "gate_ok": real["gate_ok"] and sim["gate_ok"],
+        "real": _run_real_half(quick),
+        "sim": _run_sim_half(quick),
     }
+
+
+def checks(payload: dict) -> list[tuple]:
+    """Tiered outputs identical to tier-less; warm reuse and readahead win."""
+    r, s = payload["real"], payload["sim"]
+    return [
+        ("real outputs identical", OUTPUT, r["outputs_match"],
+         "cold and warm vs tier-less and the Counter truth"),
+        ("sim outputs identical", OUTPUT, s["outputs_match"],
+         "readahead, no-readahead and no tier"),
+        ("warm speedup", GATE, r["warm_speedup"] >= WARM_GATE,
+         f"cold {r['cold_s']:.3f}s vs warm {r['warm_s']:.3f}s => "
+         f"{r['warm_speedup']:.2f}x (gate >= {WARM_GATE}x)"),
+        ("real runs spilled", GATE, r["n_runs"] >= 2,
+         f"{r['n_runs']} runs (need >= 2)"),
+        ("warm runs reused", GATE, r["runs_reused_warm"] >= 2 * r["n_runs"],
+         f"{r['runs_reused_warm']} reused over 2 warm passes "
+         f"(need {2 * r['n_runs']})"),
+        ("no dirs leaked", GATE, not r["leaked_dirs"],
+         f"{r['leaked_dirs'] or 'clean'}"),
+        ("readahead speedup", GATE, s["prefetch_speedup"] >= PREFETCH_GATE,
+         f"no-readahead {s['no_readahead_s']:.2f}s vs readahead "
+         f"{s['readahead_s']:.2f}s => {s['prefetch_speedup']:.2f}x "
+         f"(gate >= {PREFETCH_GATE}x)"),
+        ("sim fragments", GATE, s["n_fragments"] >= 2,
+         f"{s['n_fragments']} fragments (need >= 2)"),
+        ("prefetch hits", GATE, s["prefetch_hit_bytes"] > 0,
+         f"{s['prefetch_hit_bytes'] / 1e6:.0f}MB served from prefetched blocks"),
+    ]
 
 
 # -- pytest-benchmark entry point -------------------------------------------
@@ -225,37 +213,7 @@ def bench_tier_suite(benchmark):
 
     from repro.analysis.report import banner
 
-    payload = once(benchmark, lambda: run_tier_suite(quick=True))
+    rows = checks(once(benchmark, lambda: run_suite(quick=True)))
     print(banner("TIER - burst buffer: warm reuse + readahead overlap"))
-    r, s = payload["real"], payload["sim"]
-    print(
-        f"real: cold {r['cold_s']:.3f}s vs warm {r['warm_s']:.3f}s "
-        f"=> {r['warm_speedup']:.2f}x ({r['n_runs']} runs reused)"
-    )
-    print(
-        f"sim:  no-readahead {s['no_readahead_s']:.2f}s vs readahead "
-        f"{s['readahead_s']:.2f}s => {s['prefetch_speedup']:.2f}x "
-        f"({s['prefetch_hit_bytes'] / 1e6:.0f}MB prefetch-hit)"
-    )
-    assert payload["gate_ok"], payload
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-    import json
-
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true", help="smaller CI workload")
-    ap.add_argument("--out", help="write the JSON payload here")
-    args = ap.parse_args(argv)
-    payload = run_tier_suite(quick=args.quick)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    return 0 if payload["gate_ok"] else 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    print_rows(rows)
+    assert not failed(rows)

@@ -8,8 +8,7 @@ The ``repro.obs`` package is the repo's single instrumentation layer:
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
   histograms with p50/p95/p99,
 * :class:`~repro.obs.records.RecordLog` — the flat (kind, time, detail)
-  record stream the old :class:`~repro.sim.trace.Tracer` exposed, now
-  kind-indexed and with a ``dropped`` overflow counter,
+  record stream, kind-indexed and with a ``dropped`` overflow counter,
 * :class:`~repro.obs.registry.Observability` — one object tying them
   together, owned by the :class:`~repro.sim.kernel.Simulator` (as
   ``sim.obs``) or standing alone for the real engine and benchmarks,

@@ -3,8 +3,7 @@
 Counters and gauges are always-on (a dict update per touch); histograms
 sort lazily so ``observe`` stays O(1) and percentile queries pay one sort
 per batch of inserts.  :class:`TimeSeries` keeps the step-function
-semantics the simulator's samplers rely on (it moved here from
-``repro.sim.trace``, which re-exports it for compatibility).
+semantics the simulator's samplers rely on.
 """
 
 from __future__ import annotations

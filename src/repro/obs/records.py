@@ -1,8 +1,8 @@
 """The flat trace-record stream: a kind-indexed ring buffer.
 
-This is the storage behind :class:`~repro.sim.trace.Tracer`'s ``records``:
-a bounded deque of ``(kind, time, detail)`` tuples.  Two things the seed
-deque did not provide:
+This is the storage behind ``Observability.records`` (``sim.obs.records``
+on the simulator): a bounded deque of ``(kind, time, detail)`` tuples.
+Two things the seed deque did not provide:
 
 * ``of_kind`` is O(matching records) instead of a full linear scan — a
   per-kind index is maintained on append (the smartFAM protocol tests

@@ -15,7 +15,8 @@ spirit of SimPy, providing exactly what the McSD models need:
   :class:`~repro.sim.sync.Semaphore`, :class:`~repro.sim.sync.Barrier`,
   :class:`~repro.sim.sync.Latch`),
 * deterministic named RNG streams (:class:`~repro.sim.rng.RngRegistry`),
-* tracing (:class:`~repro.sim.trace.Tracer`).
+* tracing, counters and records (``sim.obs``, an
+  :class:`~repro.obs.registry.Observability`).
 
 Determinism: given the same seed and the same program, event ordering and
 therefore every simulated timestamp are bit-reproducible.  Ties in time are
@@ -28,7 +29,6 @@ from repro.sim.process import Process
 from repro.sim.resources import Container, Request, Resource, Store
 from repro.sim.rng import RngRegistry
 from repro.sim.sync import Barrier, Latch, Semaphore, Signal
-from repro.sim.trace import Tracer
 
 __all__ = [
     "AllOf",
@@ -46,5 +46,4 @@ __all__ = [
     "Barrier",
     "Latch",
     "RngRegistry",
-    "Tracer",
 ]

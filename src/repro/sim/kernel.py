@@ -11,9 +11,9 @@ import heapq
 import typing as _t
 
 from repro.errors import DeadlockError, SimulationError
+from repro.obs.registry import Observability
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import Tracer
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.process import Process
@@ -35,7 +35,8 @@ class Simulator:
         Master seed for the named RNG streams (see
         :class:`~repro.sim.rng.RngRegistry`).
     trace:
-        When true, record kernel-level events in :attr:`tracer`.
+        When true, record spans and kernel-level events in :attr:`obs`
+        (counters are always on).
 
     Examples
     --------
@@ -55,10 +56,8 @@ class Simulator:
         self._seq = 0
         self._running = False
         self.rng = RngRegistry(seed)
-        self.tracer = Tracer(enabled=trace)
-        #: the observability registry (spans/metrics/records); the tracer
-        #: is a compatibility facade over this same object
-        self.obs = self.tracer.obs
+        #: the observability registry (spans/metrics/records)
+        self.obs = Observability(enabled=trace)
         self.obs.bind_clock(lambda: self.now)
         #: the installed fault injector, or None (the common case — hooks
         #: guard on `is not None`, so an uninstalled layer costs one branch)

@@ -205,7 +205,7 @@ class SDSmartFAM:
                     # A torn/garbage write or a transient disk error must
                     # not kill the daemon: skip the event; a well-formed
                     # record (or the host's retry) will fire inotify again.
-                    self.sim.tracer.count("smartfam.corrupt_log")
+                    self.sim.obs.count("smartfam.corrupt_log")
                     continue
                 if (
                     record is None

@@ -187,7 +187,7 @@ def test_traced_step_records_one_repr_per_event():
     _CountingTimeout(sim, 1.0)
     sim.run()
     assert _CountingTimeout.reprs == 1
-    events = sim.tracer.of_kind("event")
+    events = sim.obs.records.of_kind("event")
     assert len(events) == 1
     assert events[0].detail == "<_CountingTimeout>"
 

@@ -1,53 +1,54 @@
-"""Unit tests for tracing and time-series stats."""
+"""Unit tests for the simulator's records/counters and time-series stats."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.obs import Observability
+from repro.obs.metrics import TimeSeries
 from repro.sim import Simulator
-from repro.sim.trace import TimeSeries, Tracer
 
 
 def test_counters_always_on():
-    t = Tracer(enabled=False)
-    t.count("nfs.bytes", 100)
-    t.count("nfs.bytes", 50)
-    assert t.counters["nfs.bytes"] == 150
+    obs = Observability(enabled=False)
+    obs.count("nfs.bytes", 100)
+    obs.count("nfs.bytes", 50)
+    assert obs.metrics.counters["nfs.bytes"] == 150
 
 
 def test_records_only_when_enabled():
-    t = Tracer(enabled=False)
-    t.record("ev", 1.0, "ignored")
-    assert len(t.records) == 0
-    t.enabled = True
-    t.record("ev", 2.0, "kept")
-    assert len(t.records) == 1
-    assert t.records[0].kind == "ev"
+    obs = Observability(enabled=False)
+    obs.record("ev", 1.0, "ignored")
+    assert len(obs.records) == 0
+    obs.enabled = True
+    obs.record("ev", 2.0, "kept")
+    assert len(obs.records) == 1
+    assert obs.records[0].kind == "ev"
 
 
 def test_of_kind_filter():
-    t = Tracer(enabled=True)
-    t.record("a", 1.0)
-    t.record("b", 2.0)
-    t.record("a", 3.0)
-    assert [r.time for r in t.of_kind("a")] == [1.0, 3.0]
+    obs = Observability(enabled=True)
+    obs.record("a", 1.0)
+    obs.record("b", 2.0)
+    obs.record("a", 3.0)
+    assert [r.time for r in obs.records.of_kind("a")] == [1.0, 3.0]
 
 
 def test_record_ring_buffer():
-    t = Tracer(enabled=True, keep=3)
+    obs = Observability(enabled=True, keep_records=3)
     for i in range(5):
-        t.record("x", float(i))
-    assert len(t.records) == 3
-    assert t.records[0].time == 2.0
+        obs.record("x", float(i))
+    assert len(obs.records) == 3
+    assert obs.records[0].time == 2.0
 
 
 def test_clear():
-    t = Tracer(enabled=True)
-    t.record("x", 1.0)
-    t.count("c")
-    t.sample("s", 0.0, 1.0)
-    t.clear()
-    assert not t.records and not t.counters and not t.series
+    obs = Observability(enabled=True)
+    obs.record("x", 1.0)
+    obs.count("c")
+    obs.sample("s", 0.0, 1.0)
+    obs.clear()
+    assert not obs.records and not obs.metrics.counters and not obs.series
 
 
 def test_timeseries_stats():
@@ -76,10 +77,10 @@ def test_time_weighted_mean_single_sample():
 
 
 def test_tracer_sample_creates_series():
-    t = Tracer()
-    t.sample("cpu", 0.0, 0.5)
-    t.sample("cpu", 1.0, 0.7)
-    assert t.series["cpu"].maximum() == 0.7
+    obs = Observability()
+    obs.sample("cpu", 0.0, 0.5)
+    obs.sample("cpu", 1.0, 0.7)
+    assert obs.series["cpu"].maximum() == 0.7
 
 
 def test_simulator_tracer_records_events():
@@ -90,37 +91,37 @@ def test_simulator_tracer_records_events():
 
     sim.spawn(proc(sim))
     sim.run()
-    assert len(sim.tracer.records) >= 2
+    assert len(sim.obs.records) >= 2
 
 
 def test_dropped_counter_surfaces_ring_overflow():
-    t = Tracer(enabled=True, keep=3)
-    assert t.dropped == 0
+    obs = Observability(enabled=True, keep_records=3)
+    assert obs.records.dropped == 0
     for i in range(5):
-        t.record("x", float(i))
-    assert t.dropped == 2
-    t.clear()
-    assert t.dropped == 0
+        obs.record("x", float(i))
+    assert obs.records.dropped == 2
+    obs.clear()
+    assert obs.records.dropped == 0
 
 
 def test_of_kind_consistent_after_eviction():
-    t = Tracer(enabled=True, keep=4)
+    obs = Observability(enabled=True, keep_records=4)
     for i in range(4):
-        t.record("a" if i % 2 == 0 else "b", float(i))
+        obs.record("a" if i % 2 == 0 else "b", float(i))
     for i in range(4, 7):  # evicts times 0.0 ("a"), 1.0 ("b"), 2.0 ("a")
-        t.record("c", float(i))
-    assert [r.time for r in t.of_kind("a")] == []
-    assert [r.time for r in t.of_kind("b")] == [3.0]
-    assert [r.time for r in t.of_kind("c")] == [4.0, 5.0, 6.0]
-    assert t.dropped == 3
+        obs.record("c", float(i))
+    assert [r.time for r in obs.records.of_kind("a")] == []
+    assert [r.time for r in obs.records.of_kind("b")] == [3.0]
+    assert [r.time for r in obs.records.of_kind("c")] == [4.0, 5.0, 6.0]
+    assert obs.records.dropped == 3
     # the index agrees with the surviving entries
-    assert sorted(r.time for r in t.records) == [3.0, 4.0, 5.0, 6.0]
+    assert sorted(r.time for r in obs.records) == [3.0, 4.0, 5.0, 6.0]
 
 
 def test_of_kind_unknown_kind_empty():
-    t = Tracer(enabled=True)
-    t.record("a", 1.0)
-    assert t.of_kind("nope") == []
+    obs = Observability(enabled=True)
+    obs.record("a", 1.0)
+    assert obs.records.of_kind("nope") == []
 
 
 def test_time_weighted_mean_until_earlier_than_last_sample():
@@ -145,12 +146,3 @@ def test_time_weighted_mean_all_zero_weight_returns_last():
     ts.sample(3.0, 7.0)
     assert ts.time_weighted_mean(until=3.0) == 7.0
 
-
-def test_tracer_is_a_facade_over_sim_obs():
-    sim = Simulator(trace=True)
-    sim.obs.record("direct", 1.0, "via obs")
-    assert sim.tracer.of_kind("direct")[0].detail == "via obs"
-    sim.tracer.count("c", 2)
-    assert sim.obs.metrics.counters["c"] == 2
-    sim.tracer.enabled = False
-    assert sim.obs.enabled is False

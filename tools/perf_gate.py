@@ -1,76 +1,42 @@
 #!/usr/bin/env python3
-"""Perf gates: shuffle pipeline, the real engine, or the serving scheduler.
+"""Perf gates: run one benchmark suite, judge it, write its BENCH file.
 
-Usage:  python tools/perf_gate.py [--quick] [--repeats N] [--out PATH]
-        python tools/perf_gate.py [--quick] --real [--start-method M]
-        python tools/perf_gate.py [--quick] --serving
-        python tools/perf_gate.py [--quick] --distributed
-        python tools/perf_gate.py [--quick] --tier
+Usage:  python tools/perf_gate.py [--quick] [--out PATH] [--trace OUT.json]
+        python tools/perf_gate.py [--quick] --real | --serving
+                                  | --distributed | --tier
 
-Default mode runs the microbenchmark grid from
-``benchmarks/bench_shuffle.py`` (engines x workloads x sizes), verifies on
-every case that the new pipeline's output is byte-identical to the frozen
-seed shuffle, prints a table, and writes the results to
-``BENCH_shuffle.json`` at the repo root.
+Each suite in :data:`SUITES` lives in ``benchmarks/`` and exports
+``run_suite(quick)``, which returns a JSON payload of measured numbers,
+and ``checks(payload)``, which turns those numbers into
+``(name, kind, ok, note)`` rows (see ``benchmarks/checks.py``).  The gate
+runs the suite, stamps ``elapsed_s`` and ``environment``, stores the rows
+in the payload as ``checks`` (name -> ok), writes it to the suite's BENCH
+file at the repo root and prints the rows.  The default suite is the
+shuffle grid; ``--real``, ``--serving``, ``--distributed`` and ``--tier``
+pick another (each suite's module docstring lists its cases and gates).
 
-``--real`` instead runs the real-machine engine suite from
-``benchmarks/bench_real_engine.py`` — streaming engine vs the frozen
-pre-streaming barrier engine (gated >= 2.0x with byte-identical outputs
-and an absolute MB/s throughput floor), the out-of-core fragment mode
-(byte-identical, multi-fragment), and the peak-RSS bound probe — and
-writes ``BENCH_real_engine.json``.  The real
-gates hold in quick mode too (they gate architecture, not microbenchmark
-noise).
-
-``--serving`` runs the cluster-scheduler serving suite from
-``benchmarks/bench_serving.py`` (open-loop Poisson stream through
-``ClusterScheduler``) and writes ``BENCH_serving.json``.  Three gates,
-all held in quick mode too because they run in deterministic simulated
-time: 2-SD throughput >= 1.5x 1-SD at equal offered load, weighted
-fair-share completed-work ratio within 20% of the configured weights,
-and result-cache hit/invalidate behaviour.
-
-``--tier`` runs the burst-buffer tier suite from
-``benchmarks/bench_tier.py`` and writes ``BENCH_tier.json``.  Two gates,
-both held in quick mode: a warm out-of-core rerun through a populated
-:class:`~repro.tier.store.TieredStore` must beat the cold run >= 1.3x
-with byte-identical output (real wall-clock, ample margin), and the
-simulated duo SD with one fragment of readahead must beat the identical
-no-readahead tier in deterministic simulated seconds with a nonzero
-prefetch-hit byte count.
-
-``--distributed`` runs the distributed single-job suite from
-``benchmarks/bench_distributed.py`` (one job sharded across N SD
-replicas through ``DistributedEngine``) and writes
-``BENCH_distributed.json``.  Gates, all held in quick mode too because
-they run in deterministic simulated time: wordcount scaling >= 1.6x at
-2 shards and >= 2.5x at 4 over the 1-shard distributed run, width-1
-overhead within 5% of the plain single-node engine, every distributed
-output (wordcount/stringmatch/matmul x 1/2/4 shards) byte-identical to
-the single-node run, partial-restart recovery after a mid-exchange node
-kill <= 0.5x the whole-job restart's recovery time at 4 shards, and a
-quarantined node rejoining through probation under a heartbeat-enabled
-scheduler.
+Every gate holds in ``--quick`` too (the shuffle speedups excepted:
+quick times the smallest size once, where timings are noise-dominated).
+The real and tier suites measure wall-clock, so a gate-only miss there
+is retried once to absorb a transient load spike; a real regression
+fails both runs.
 
 Exit status:
-    0  all outputs match (and every applicable perf gate holds)
-    1  any case produced output differing from the reference pipeline
-    2  outputs match but a gated case fell below its required speedup
-       (shuffle: full mode only; real: both modes, including the RSS bound)
+    0  every check holds
+    1  an output check failed (a wrong answer)
+    2  outputs match but a gate check failed
 
-``--quick`` runs the smallest sizes with one timing repeat — a
-seconds-long smoke for CI; shuffle speedups are then reported but not
-gated, since microbenchmark timings at that size are noise-dominated.
-
-``--dump-dir DIR`` (default: the ``REPRO_BLACKBOX_DIR`` environment
-variable) arms the flight recorder on every registry the benchmarks
-create; a failing gate dumps each live recorder's ring into DIR as a
-JSONL black box and prints the paths with the failure message.
+``--trace OUT.json`` also writes the shuffle grid's span tree as a
+Chrome trace (shuffle only).  ``--dump-dir DIR`` (default: the
+``REPRO_BLACKBOX_DIR`` environment variable) arms the flight recorder on
+every registry the benchmarks create; a failing gate dumps each live
+recorder's ring into DIR as a JSONL black box and prints the paths.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -81,392 +47,56 @@ for p in (_REPO_ROOT, os.path.join(_REPO_ROOT, "src")):
     if p not in sys.path:
         sys.path.insert(0, p)
 
-from benchmarks.bench_shuffle import QUICK_SIZES, SIZES, run_suite  # noqa: E402
-from repro.obs import Observability  # noqa: E402
+from benchmarks.checks import failed, print_rows, verdict  # noqa: E402
 from repro.obs import flight as _flight  # noqa: E402
-from repro.obs.export import (  # noqa: E402
-    environment_provenance,
-    phase_breakdown,
-    write_chrome,
-)
+from repro.obs.export import environment_provenance  # noqa: E402
 
-#: full-mode gate: (engine, workload, n_pairs) -> minimum speedup
-GATES = {
-    ("phoenix", "wordcount", 100_000): 2.0,
-    ("localmr", "wordcount", 100_000): 2.0,
+#: suite -> (module in benchmarks/, BENCH file, retry once on a gate-only miss)
+SUITES = {
+    "shuffle": ("bench_shuffle", "BENCH_shuffle.json", False),
+    "real": ("bench_real_engine", "BENCH_real_engine.json", True),
+    "serving": ("bench_serving", "BENCH_serving.json", False),
+    "distributed": ("bench_distributed", "BENCH_distributed.json", False),
+    "tier": ("bench_tier", "BENCH_tier.json", True),
 }
 
 
-def print_table(results: list[dict]) -> None:
-    header = f"{'engine':>8} {'workload':>10} {'pairs':>8} {'keys':>7} " \
-             f"{'seed (s)':>10} {'new (s)':>10} {'speedup':>8}  match"
-    print(header)
-    print("-" * len(header))
-    for r in results:
-        print(
-            f"{r['engine']:>8} {r['workload']:>10} {r['n_pairs']:>8} "
-            f"{r['distinct_keys']:>7} {r['seed_s']:>10.6f} {r['new_s']:>10.6f} "
-            f"{r['speedup']:>7.2f}x  {'ok' if r['match'] else 'MISMATCH'}"
-        )
-
-
-def run_real_gate(args) -> int:
-    """The ``--real`` path: real-engine suite -> BENCH_real_engine.json."""
-    from benchmarks.bench_real_engine import (
-        STREAMING_GATE,
-        THROUGHPUT_FLOOR_MB_S,
-        run_real_suite,
-    )
-
+def run_gate(name: str, args: argparse.Namespace) -> int:
+    """Run, judge and record one suite; the gate's exit status."""
+    module, bench_file, retry = SUITES[name]
+    suite = importlib.import_module(f"benchmarks.{module}")
+    kwargs = {"trace": args.trace} if args.trace else {}
     t0 = time.perf_counter()
-    payload = run_real_suite(quick=args.quick, start_method=args.start_method)
-    if payload["all_match"] and not payload["gate_ok"]:
-        # correctness held but a perf gate missed: one retry absorbs a
-        # transient load spike (the margins sit well clear of the gates
-        # on an idle machine); a real regression fails both runs
-        payload = run_real_suite(quick=args.quick, start_method=args.start_method)
+    payload = suite.run_suite(args.quick, **kwargs)
+    rows = suite.checks(payload)
+    if retry and verdict(rows) == 2:
+        payload = suite.run_suite(args.quick, **kwargs)
         payload["retried"] = True
+        rows = suite.checks(payload)
     elapsed = time.perf_counter() - t0
     payload["elapsed_s"] = round(elapsed, 3)
     payload["environment"] = environment_provenance()
+    payload["checks"] = {row[0]: row[2] for row in rows}
 
-    out = args.out or os.path.join(_REPO_ROOT, "BENCH_real_engine.json")
+    out = args.out or os.path.join(_REPO_ROOT, bench_file)
     with open(out, "w") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
-
-    rss = payload["rss"]
-    print(
-        f"real engine: seed {payload['seed_s']:.3f}s vs streaming "
-        f"{payload['streaming_s']:.3f}s => {payload['speedup']:.2f}x "
-        f"(gate >= {STREAMING_GATE}x) over {payload['workload']['n_jobs']} jobs"
-    )
-    print(
-        f"throughput: {payload['throughput_mb_s']:.1f} MB/s "
-        f"(floor {THROUGHPUT_FLOOR_MB_S} MB/s)"
-    )
-    print(
-        f"out-of-core: {payload['outofcore']['n_fragments']} fragments, "
-        f"{payload['outofcore']['spilled_bytes']} spilled bytes, "
-        f"{payload['outofcore']['speedup_vs_seed']:.2f}x vs seed (not gated)"
-    )
-    print(
-        f"peak RSS: out-of-core +{rss['outofcore_extra_kib']}KiB <= bound "
-        f"{rss['bound_kib']}KiB; in-memory +{rss['memory_mode_extra_kib']}KiB"
-    )
-    cp = payload["critpath"]
-    cp_top = cp["by_name"][0] if cp["by_name"] else {"name": "?", "pct": 0}
-    print(
-        f"critpath: {cp['covered']:.1%} of one traced job's "
-        f"{cp['wall_s']:.3f}s covered; top: {cp_top['name']} "
-        f"{cp_top['pct']:.0f}%"
-    )
+    print(f"== {name} ({payload['mode']})")
+    print_rows(rows)
     print(f"wrote {out} ({elapsed:.1f}s)")
 
-    if not payload["all_match"] or not rss["outputs_match"]:
-        print(
-            "FAIL: real-engine outputs differ across "
-            "seed/streaming/out-of-core", file=sys.stderr,
-        )
-        return 1
-    if payload["speedup"] < STREAMING_GATE:
-        print(
-            f"GATE: streaming speedup {payload['speedup']:.2f}x < "
-            f"required {STREAMING_GATE}x", file=sys.stderr,
-        )
-        return 2
-    if payload["throughput_mb_s"] < THROUGHPUT_FLOOR_MB_S:
-        print(
-            f"GATE: streaming throughput {payload['throughput_mb_s']:.1f} MB/s "
-            f"< floor {THROUGHPUT_FLOOR_MB_S} MB/s", file=sys.stderr,
-        )
-        return 2
-    if not rss["bounded"]:
-        print(
-            f"GATE: out-of-core peak RSS +{rss['outofcore_extra_kib']}KiB "
-            f"not bounded (bound {rss['bound_kib']}KiB, in-memory "
-            f"+{rss['memory_mode_extra_kib']}KiB)", file=sys.stderr,
-        )
-        return 2
-    if not cp["covered_ok"]:
-        print(
-            f"GATE: critical path covers {cp['covered']:.1%} < 90% of the "
-            f"traced job (spans escaped the tree)", file=sys.stderr,
-        )
-        return 2
-    print(
-        "real-engine outputs match; streaming, throughput, RSS and "
-        "critpath gates hold"
-    )
-    return 0
-
-
-def run_serving_gate(args) -> int:
-    """The ``--serving`` path: scheduler suite -> BENCH_serving.json."""
-    from benchmarks.bench_serving import (
-        FAIRNESS_TOLERANCE,
-        THROUGHPUT_GATE,
-        run_serving_suite,
-    )
-
-    t0 = time.perf_counter()
-    payload = run_serving_suite(quick=args.quick)
-    elapsed = time.perf_counter() - t0
-    payload["elapsed_s"] = round(elapsed, 3)
-    payload["environment"] = environment_provenance()
-
-    out = args.out or os.path.join(_REPO_ROOT, "BENCH_serving.json")
-    with open(out, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-
-    tput = payload["throughput"]
-    fair = payload["fairness"]
-    cache = payload["cache"]
-    print(
-        f"serving: 1-SD {tput['single']['jobs_per_sec']:.3f} vs 2-SD "
-        f"{tput['dual']['jobs_per_sec']:.3f} jobs/s => {tput['ratio']:.2f}x "
-        f"(gate >= {THROUGHPUT_GATE}x); 2-SD p95 "
-        f"{tput['dual']['latency']['p95_s']:.2f}s"
-    )
-    print(
-        f"fairness: completed-work ratio {fair['got_ratio']:.2f} vs weights "
-        f"{fair['want_ratio']:.1f} (deviation {fair['deviation']:.1%} <= "
-        f"{FAIRNESS_TOLERANCE:.0%}, saturated={fair['saturated_at_horizon']})"
-    )
-    print(
-        f"cache: {cache['hits']} hits / {cache['misses']} misses, "
-        f"{cache['invalidations']} invalidations"
-    )
-    critpath = payload["critpath"]
-    top = critpath["by_name"][0] if critpath["by_name"] else {"name": "?", "pct": 0}
-    print(
-        f"critpath: {critpath['covered']:.1%} of {critpath['wall_s']:.2f}s "
-        f"wall covered (gate >= {critpath['coverage_gate']:.0%}); "
-        f"top: {top['name']} {top['pct']:.0f}%; "
-        f"health {'ok' if critpath['health']['healthy'] else 'DEGRADED'}, "
-        f"worst burn {critpath['health']['worst_burn_rate']:.2f}"
-    )
-    print(f"wrote {out} ({elapsed:.1f}s)")
-
-    if not cache["outputs_consistent"]:
-        print("FAIL: cached results differ from recomputed ones", file=sys.stderr)
-        return 1
-    failures = []
-    if not tput["gate_ok"]:
-        failures.append(
-            f"throughput ratio {tput['ratio']:.2f}x < {THROUGHPUT_GATE}x"
-        )
-    if not fair["gate_ok"]:
-        failures.append(
-            f"fairness deviation {fair['deviation']:.1%} > "
-            f"{FAIRNESS_TOLERANCE:.0%} (or horizon drained the queue)"
-        )
-    if not cache["gate_ok"]:
-        failures.append("cache hit/invalidate behaviour off")
-    if not critpath["gate_ok"]:
-        failures.append(
-            f"critical path covers {critpath['covered']:.1%} < "
-            f"{critpath['coverage_gate']:.0%} of wall time (or SLO health "
-            f"degraded)"
-        )
-    if failures:
-        for msg in failures:
-            print(f"GATE: {msg}", file=sys.stderr)
-        return 2
-    print("serving gates hold: scaling, fairness, cache, critpath")
-    return 0
-
-
-def run_distributed_gate(args) -> int:
-    """The ``--distributed`` path: sharded-job suite -> BENCH_distributed.json."""
-    from benchmarks.bench_distributed import (
-        RECOVERY_GATE,
-        SCALE_GATES,
-        WIDTH1_OVERHEAD_GATE,
-        run_distributed_suite,
-    )
-
-    t0 = time.perf_counter()
-    payload = run_distributed_suite(quick=args.quick)
-    elapsed = time.perf_counter() - t0
-    payload["elapsed_s"] = round(elapsed, 3)
-    payload["environment"] = environment_provenance()
-
-    out = args.out or os.path.join(_REPO_ROOT, "BENCH_distributed.json")
-    with open(out, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-
-    scaling = payload["scaling"]
-    for r in scaling["runs"]:
-        gate = f"(gate >= {r['gate']}x)" if r["gate"] else "(baseline)"
-        print(
-            f"distributed x{r['n_shards']}: {r['elapsed_s']:.3f}s sim => "
-            f"{r['speedup_vs_x1']:.2f}x {gate}; shuffle "
-            f"{r['shuffle_bytes']} B / {r['shuffle_transfers']} transfers, "
-            f"merge@{r['merge_node']}"
-        )
-    print(
-        f"width-1 overhead: {scaling['width1_overhead']:.1%} over single-node "
-        f"{scaling['single_node_s']:.3f}s (gate <= "
-        f"{WIDTH1_OVERHEAD_GATE:.0%})"
-    )
-    ident = payload["identity"]
-    bad = [r for r in ident["rows"] if not r["identical"]]
-    print(
-        f"identity: {len(ident['rows']) - len(bad)}/{len(ident['rows'])} "
-        "app x width outputs byte-identical to single-node"
-    )
-    rec = payload["recovery"]
-    print(
-        f"recovery: killed {rec['killed']} at t={rec['kill_at_s']}s; partial "
-        f"restart {rec['partial']['recovery_s']}s vs whole-job "
-        f"{rec['whole_job']['recovery_s']}s => {rec['recovery_ratio']:.2f}x "
-        f"(gate <= {RECOVERY_GATE}x), outputs "
-        f"{'identical' if rec['all_identical'] else 'DIFFER'}"
-    )
-    rj = rec["rejoin"]
-    print(
-        f"rejoin: {rj['node']} quarantined at t={rj['quarantined_at_s']}s, "
-        f"probation at t={rj['probation_at_s']}s, canary served at "
-        f"t={rj['canary_done_at_s']}s, ends {rj['final_state']}"
-    )
-    print(f"wrote {out} ({elapsed:.1f}s)")
-
-    if not payload["all_identical"]:
-        for r in bad:
-            print(
-                f"FAIL: {r['app']} x{r['n_shards']}: distributed output "
-                "differs from single-node", file=sys.stderr,
-            )
-        for r in scaling["runs"]:
-            if not r["identical"]:
-                print(
-                    f"FAIL: wordcount x{r['n_shards']} (scaling case): "
-                    "distributed output differs from single-node",
-                    file=sys.stderr,
-                )
-        return 1
-    failures = []
-    for r in scaling["runs"]:
-        if r["gate"] and r["speedup_vs_x1"] < r["gate"]:
-            failures.append(
-                f"x{r['n_shards']} speedup {r['speedup_vs_x1']:.2f}x < "
-                f"{r['gate']}x"
-            )
-    if scaling["width1_overhead"] > WIDTH1_OVERHEAD_GATE:
-        failures.append(
-            f"width-1 overhead {scaling['width1_overhead']:.1%} > "
-            f"{WIDTH1_OVERHEAD_GATE:.0%}"
-        )
-    if rec["recovery_ratio"] > RECOVERY_GATE:
-        failures.append(
-            f"partial-restart recovery {rec['recovery_ratio']:.2f}x of "
-            f"whole-job restart > {RECOVERY_GATE}x"
-        )
-    if not (
-        rec["partial"]["attempts"] == 1
-        and rec["partial"]["full_restarts"] == 0
-        and rec["whole_job"]["full_restarts"] >= 1
-    ):
-        failures.append(
-            "recovery case off-contract: partial mode must finish in one "
-            "attempt with zero full restarts; legacy mode must burn one"
-        )
-    if not rj["gate_ok"]:
-        failures.append(
-            f"quarantined node failed to rejoin (ends {rj['final_state']!r})"
-        )
-    if failures:
-        for msg in failures:
-            print(f"GATE: {msg}", file=sys.stderr)
-        return 2
-    print(
-        f"distributed gates hold: >= {SCALE_GATES[2]}x at 2 shards, "
-        f">= {SCALE_GATES[4]}x at 4, recovery <= {RECOVERY_GATE}x whole-job "
-        "restart with node rejoin, outputs byte-identical"
-    )
-    return 0
-
-
-def run_tier_gate(args) -> int:
-    """The ``--tier`` path: burst-buffer suite -> BENCH_tier.json."""
-    from benchmarks.bench_tier import PREFETCH_GATE, WARM_GATE, run_tier_suite
-
-    t0 = time.perf_counter()
-    payload = run_tier_suite(quick=args.quick)
-    if payload["real"]["outputs_match"] and not payload["real"]["gate_ok"]:
-        # correctness held but the wall-clock gate missed: one retry
-        # absorbs a transient load spike (the warm margin is ~8-10x
-        # against a 1.3x gate); a real regression fails both runs
-        payload = run_tier_suite(quick=args.quick)
-        payload["retried"] = True
-    elapsed = time.perf_counter() - t0
-    payload["elapsed_s"] = round(elapsed, 3)
-    payload["environment"] = environment_provenance()
-
-    out = args.out or os.path.join(_REPO_ROOT, "BENCH_tier.json")
-    with open(out, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-
-    r, s = payload["real"], payload["sim"]
-    print(
-        f"tier (real): cold {r['cold_s']:.3f}s vs warm {r['warm_s']:.3f}s "
-        f"=> {r['warm_speedup']:.2f}x (gate >= {WARM_GATE}x); "
-        f"{r['runs_reused_warm']} runs reused over 2 warm passes"
-    )
-    print(
-        f"tier (sim): no-readahead {s['no_readahead_s']:.2f}s vs readahead "
-        f"{s['readahead_s']:.2f}s => {s['prefetch_speedup']:.2f}x "
-        f"(gate >= {PREFETCH_GATE}x); "
-        f"{s['prefetch_hit_bytes'] / 1e6:.0f}MB served from prefetched blocks"
-    )
-    print(f"wrote {out} ({elapsed:.1f}s)")
-
-    if not (r["outputs_match"] and s["outputs_match"]):
-        print(
-            "FAIL: tiered outputs differ from the tier-less reference",
-            file=sys.stderr,
-        )
-        return 1
-    failures = []
-    if r["warm_speedup"] < WARM_GATE:
-        failures.append(
-            f"warm-tier speedup {r['warm_speedup']:.2f}x < {WARM_GATE}x"
-        )
-    if not r["gate_ok"]:
-        if r["tier_dir_leaked"]:
-            failures.append("tier directory leaked after close")
-        if r["runs_reused_warm"] < 2 * r["n_runs"]:
-            failures.append(
-                f"warm passes reused {r['runs_reused_warm']} runs, "
-                f"expected {2 * r['n_runs']}"
-            )
-    if s["prefetch_speedup"] < PREFETCH_GATE:
-        failures.append(
-            f"readahead speedup {s['prefetch_speedup']:.2f}x < "
-            f"{PREFETCH_GATE}x"
-        )
-    if s["prefetch_hit_bytes"] <= 0:
-        failures.append("no bytes served from prefetched blocks")
-    if failures:
-        for msg in failures:
-            print(f"GATE: {msg}", file=sys.stderr)
-        return 2
-    print("tier gates hold: warm reuse, readahead overlap, byte identity")
-    return 0
-
-
-def _maybe_dump(rc: int, args) -> int:
-    """On gate failure with ``--dump-dir``, write black boxes; passthrough rc."""
-    if rc != 0 and args.dump_dir:
-        paths = _flight.dump_live(
-            args.dump_dir, reason=f"perf gate failed (exit {rc})"
-        )
-        for p in paths:
-            print(f"black box: {p}", file=sys.stderr)
+    rc = verdict(rows)
+    if rc:
+        print(f"{name} gate FAILED (exit {rc}): {', '.join(failed(rows))}",
+              file=sys.stderr)
+        if args.dump_dir:
+            for path in _flight.dump_live(
+                args.dump_dir, reason=f"perf gate failed (exit {rc})"
+            ):
+                print(f"black box: {path}", file=sys.stderr)
+    else:
+        print(f"{name}: all {len(rows)} checks hold")
     return rc
 
 
@@ -476,38 +106,20 @@ def main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true",
         help="smallest size only, one repeat: fast correctness smoke",
     )
-    ap.add_argument(
-        "--real", action="store_true",
-        help="gate the real execution engine instead of the shuffle grid",
-    )
-    ap.add_argument(
-        "--serving", action="store_true",
-        help="gate the cluster scheduler's serving suite instead",
-    )
-    ap.add_argument(
-        "--distributed", action="store_true",
-        help="gate the distributed single-job (sharded) suite instead",
-    )
-    ap.add_argument(
-        "--tier", action="store_true",
-        help="gate the burst-buffer tier suite instead",
-    )
-    ap.add_argument(
-        "--start-method", default=None,
-        choices=("fork", "forkserver", "spawn"),
-        help="(--real only) multiprocessing start method for the engine",
-    )
-    ap.add_argument(
-        "--repeats", type=int, default=None,
-        help="timing repeats per case (best-of; default 1 quick / 3 full)",
-    )
+    only = ap.add_mutually_exclusive_group()
+    for name, (module, _, _) in SUITES.items():
+        if name != "shuffle":
+            only.add_argument(
+                f"--{name}", action="store_true",
+                help=f"gate benchmarks/{module}.py instead of the shuffle grid",
+            )
     ap.add_argument(
         "--out", default=None,
         help="where to write the JSON results (default: repo root)",
     )
     ap.add_argument(
         "--trace", metavar="OUT.json", default=None,
-        help="also write a Chrome-trace (Perfetto-loadable) of the bench run",
+        help="also write a Chrome-trace (Perfetto-loadable) of the shuffle grid",
     )
     ap.add_argument(
         "--dump-dir", default=os.environ.get("REPRO_BLACKBOX_DIR"),
@@ -516,86 +128,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = ap.parse_args(argv)
 
-    if sum((args.real, args.serving, args.distributed, args.tier)) > 1:
-        ap.error(
-            "--real, --serving, --distributed and --tier are mutually exclusive"
-        )
+    name = next((n for n in SUITES if getattr(args, n, False)), "shuffle")
+    if args.trace and name != "shuffle":
+        ap.error("--trace records the shuffle grid only")
     if args.dump_dir:
         _flight.install_default()
-    if args.real:
-        return _maybe_dump(run_real_gate(args), args)
-    if args.serving:
-        return _maybe_dump(run_serving_gate(args), args)
-    if args.distributed:
-        return _maybe_dump(run_distributed_gate(args), args)
-    if args.tier:
-        return _maybe_dump(run_tier_gate(args), args)
-    if args.out is None:
-        args.out = os.path.join(_REPO_ROOT, "BENCH_shuffle.json")
-
-    sizes = QUICK_SIZES if args.quick else SIZES
-    repeats = args.repeats if args.repeats is not None else (1 if args.quick else 3)
-    if repeats < 1:
-        ap.error(f"--repeats must be >= 1 (got {repeats})")
-
-    # Spans are always on here: a handful per case, and they give the
-    # JSON payload its per-phase breakdown.
-    obs = Observability(enabled=True)
-    t0 = time.perf_counter()
-    results = run_suite(sizes=sizes, repeats=repeats, obs=obs)
-    elapsed = time.perf_counter() - t0
-
-    print_table(results)
-
-    mismatches = [r for r in results if not r["match"]]
-    gate_failures = []
-    if not args.quick:
-        for r in results:
-            need = GATES.get((r["engine"], r["workload"], r["n_pairs"]))
-            if need is not None and r["speedup"] < need:
-                gate_failures.append((r, need))
-
-    from repro.obs.export import span_dicts
-
-    breakdown = phase_breakdown(span_dicts(obs), root_name="bench.suite")
-    payload = {
-        "benchmark": "shuffle pipeline: seed vs sort-once/merge-after",
-        "mode": "quick" if args.quick else "full",
-        "repeats": repeats,
-        "elapsed_s": round(elapsed, 3),
-        "environment": environment_provenance(),
-        "gates": {f"{e}/{w}/{n}": need for (e, w, n), need in GATES.items()},
-        "all_match": not mismatches,
-        "gate_ok": not gate_failures,
-        "breakdown": breakdown,
-        "results": results,
-    }
-    with open(args.out, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-    print(f"\nwrote {args.out} ({len(results)} cases in {elapsed:.1f}s)")
-    if args.trace:
-        write_chrome(obs, args.trace, extra={"benchmark": payload["benchmark"]})
-        print(f"wrote trace {args.trace} ({len(obs.spans)} spans)")
-
-    if mismatches:
-        for r in mismatches:
-            print(
-                f"FAIL: {r['engine']}/{r['workload']}/{r['n_pairs']}: "
-                "new shuffle output differs from seed pipeline",
-                file=sys.stderr,
-            )
-        return _maybe_dump(1, args)
-    if gate_failures:
-        for r, need in gate_failures:
-            print(
-                f"GATE: {r['engine']}/{r['workload']}/{r['n_pairs']}: "
-                f"speedup {r['speedup']:.2f}x < required {need:.1f}x",
-                file=sys.stderr,
-            )
-        return _maybe_dump(2, args)
-    print("all outputs match" + ("" if args.quick else "; all perf gates hold"))
-    return 0
+    return run_gate(name, args)
 
 
 if __name__ == "__main__":

@@ -24,29 +24,27 @@ Reads either export format (Chrome-trace/Perfetto JSON or JSONL, see
   containment across tracks instead of parent ids — the right mode for
   scheduler traces whose ``sched:jN`` and node tracks carry no cross-track
   links;
-* a reliability section (injected faults, retries, failovers from the
-  ``fault.*`` / ``retry.*`` / ``failover.*`` / ``pool.*`` counters)
-  whenever the trace recorded any — chaos-soak traces always do;
+* counter sections from :data:`COUNTER_SECTIONS`, each printed when the
+  trace recorded any of its counters: reliability (``fault.*`` /
+  ``retry.*`` / ``failover.*`` / ``pool.*`` — chaos-soak traces always
+  have them), distributed shuffle (``shuffle.*`` and the ``dist.*``
+  invoke/job counters of a ``DistributedEngine`` run — the
+  ``shuffle.exchange`` leg itself lands on the job's ``dist:*`` track, so
+  ``critpath --containment --root dist.job`` shows the exchange on the
+  critical path when it dominates) and recovery (partial vs full
+  restarts, deduped transfers, speculation launches with the win rate,
+  node quarantine/probation/rejoin transitions, and per-node suspicion
+  sparklines from the ``node.suspicion.<name>`` series);
 * a scheduler section (queue depth over time from the
   ``sched.queue_depth`` series, admissions/rejections, per-tenant
   completions, cache hit rate, and latency percentiles from the
   ``sched.*`` counters and histograms) whenever the trace came from a
   run served through ``ClusterScheduler``;
-* a distributed section (``shuffle.bytes`` / ``shuffle.partitions`` /
-  ``shuffle.transfers`` and the ``dist.*`` invoke/restart counters)
-  whenever the trace came from a ``DistributedEngine`` run — the
-  ``shuffle.exchange`` leg itself lands on the job's ``dist:*`` track,
-  so ``critpath --containment --root dist.job`` shows the exchange on
-  the critical path when it dominates;
 * a tier section (burst-buffer hit-rate table across the mem and SSD
   levels, promotion/demotion and eviction-by-cause counters,
   write-back volume/losses, and the prefetch-win breakdown — how many
   prefetched blocks a later read actually consumed) whenever the run
-  touched a tier (``tier.*`` counters present);
-* a recovery section (partial vs full restart counters, speculation
-  launches and win rate, node quarantine/probation/rejoin transitions,
-  and per-node suspicion sparklines from the ``node.suspicion.<name>``
-  series) whenever the run exercised the failure-recovery machinery.
+  touched a tier (``tier.*`` counters present).
 
 Times are primary-clock seconds: simulated seconds for simulator traces,
 wall seconds for real-engine and benchmark traces.
@@ -57,6 +55,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import typing as _t
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for p in (_REPO_ROOT, os.path.join(_REPO_ROOT, "src")):
@@ -77,8 +76,13 @@ from repro.obs.export import (  # noqa: E402
     phase_breakdown,
 )
 
-#: counter prefixes that make up the reliability section
-_RELIABILITY_PREFIXES = ("fault.", "retry.", "failover.", "pool.")
+#: counter sections in print order: (title, counter-name prefixes).  A
+#: counter prints once, in the section holding its longest matching prefix.
+COUNTER_SECTIONS = (
+    ("reliability counters", ("fault.", "retry.", "failover.", "pool.")),
+    ("distributed shuffle", ("shuffle.", "dist.")),
+    ("recovery", ("dist.restart", "dist.transfer.", "spec.", "node.")),
+)
 
 
 def group_by_cat(spans: list[dict], unit: str) -> str:
@@ -133,38 +137,30 @@ def tree_view(spans: list[dict], unit: str, max_depth: int) -> str:
     return "\n".join(lines)
 
 
-def reliability_view(metrics: dict) -> str:
-    """The fault/retry/failover counter table ("" when the run was calm)."""
-    counters = metrics.get("counters") or {}
-    rows = sorted(
-        (name, value)
-        for name, value in counters.items()
-        if name.startswith(_RELIABILITY_PREFIXES)
-    )
-    if not rows:
-        return ""
-    width = max(len(name) for name, _ in rows)
-    lines = ["reliability counters", "-" * max(20, width + 8)]
-    lines += [f"{name:<{width}} {value:>7}" for name, value in rows]
-    return "\n".join(lines)
+def counter_sections(counters: dict) -> dict[str, list[tuple[str, float]]]:
+    """Counters bucketed into :data:`COUNTER_SECTIONS` (sorted by name)."""
+    rows: dict[str, list[tuple[str, float]]] = {t: [] for t, _ in COUNTER_SECTIONS}
+    for name, value in sorted(counters.items()):
+        matches = [
+            (len(prefix), title)
+            for title, prefixes in COUNTER_SECTIONS
+            for prefix in prefixes
+            if name.startswith(prefix)
+        ]
+        if matches:
+            rows[max(matches)[1]].append((name, value))
+    return rows
 
 
-def distributed_view(metrics: dict) -> str:
-    """The shuffle/dist counter table ("" when no distributed run)."""
-    counters = metrics.get("counters") or {}
-    rows = sorted(
-        (name, value)
-        for name, value in counters.items()
-        if name.startswith(("shuffle.", "dist."))
-    )
-    if not rows:
+def counter_view(title: str, rows: list, extra: _t.Sequence[str] = ()) -> str:
+    """One counter section plus extra lines ("" when there is neither)."""
+    if not rows and not extra:
         return ""
-    width = max(len(name) for name, _ in rows)
-    lines = ["distributed shuffle", "-" * max(20, width + 10)]
-    for name, value in rows:
-        unit = " B" if name == "shuffle.bytes" else ""
-        lines.append(f"{name:<{width}} {int(value):>9}{unit}")
-    return "\n".join(lines)
+    lines = [title, "-" * 24]
+    if rows:
+        width = max(len(name) for name, _ in rows)
+        lines += [f"{name:<{width}} {value:>9.12g}" for name, value in rows]
+    return "\n".join([*lines, *extra])
 
 
 def tier_view(metrics: dict) -> str:
@@ -312,59 +308,24 @@ def scheduler_view(metrics: dict, series: dict) -> str:
     return "\n".join(lines)
 
 
-#: counters that make up the recovery section, in display order
-_RECOVERY_COUNTERS = (
-    "dist.restart.partial",
-    "dist.restart.full",
-    "dist.transfer.dedup",
-    "spec.launched",
-    "spec.won",
-    "spec.cancelled",
-    "node.suspected",
-    "node.quarantined",
-    "node.probation",
-    "node.rejoined",
-)
-
-
-def recovery_view(metrics: dict, series: dict) -> str:
-    """The failure-recovery section ("" when the run never recovered).
-
-    Partial/full restart and speculation counters from the distributed
-    engine, node state-machine transitions from the heartbeat tracker,
-    and a per-node suspicion sparkline from the ``node.suspicion.<name>``
-    sample series.
-    """
-    counters = metrics.get("counters") or {}
-    rows = [
-        (name, int(counters[name]))
-        for name in _RECOVERY_COUNTERS
-        if counters.get(name)
-    ]
-    suspicion = sorted(
-        (name.split(".", 2)[2], s)
-        for name, s in (series or {}).items()
-        if name.startswith("node.suspicion.")
-    )
-    if not rows and not suspicion:
-        return ""
-    lines = ["recovery", "-" * 24]
-    if rows:
-        width = max(len(name) for name, _ in rows)
-        lines += [f"{name:<{width}} {value:>7}" for name, value in rows]
+def recovery_lines(counters: dict, series: dict) -> list[str]:
+    """The speculation win rate and per-node phi suspicion sparklines."""
+    lines = []
     launched, won = counters.get("spec.launched", 0), counters.get("spec.won", 0)
     if launched:
         lines.append(f"speculation win rate: {won / launched:.0%} ({int(won)}/{int(launched)})")
-    for node, s in suspicion:
+    for name, s in sorted((series or {}).items()):
+        if not name.startswith("node.suspicion."):
+            continue
         spark = _sparkline(
-            f"phi {node:<6}",
+            f"phi {name.split('.', 2)[2]:<6}",
             list(s.get("times") or []),
             list(s.get("values") or []),
             peak_fmt=lambda p: f"{p:.2g}",
         )
         if spark:
             lines.append(spark)
-    return "\n".join(lines)
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -399,11 +360,13 @@ def main(argv: list[str] | None = None) -> int:
 
     metrics = load_metrics(args.trace)
     series = load_series(args.trace)
-    reliability = reliability_view(metrics)
-    scheduler = scheduler_view(metrics, series)
-    distributed = distributed_view(metrics)
-    tier = tier_view(metrics)
-    recovery = recovery_view(metrics, series)
+    counters = metrics.get("counters") or {}
+    extra = {"recovery": recovery_lines(counters, series)}
+    sections = [
+        counter_view(title, rows, extra.get(title, ()))
+        for title, rows in counter_sections(counters).items()
+    ]
+    sections += [scheduler_view(metrics, series), tier_view(metrics)]
     if view == "critpath":
         if args.containment:
             cp = job_critical_path(
@@ -419,16 +382,9 @@ def main(argv: list[str] | None = None) -> int:
     else:
         breakdown = phase_breakdown(spans, root_name=args.root)
         print(format_breakdown(breakdown, time_unit=args.unit))
-    if reliability:
-        print("\n" + reliability)
-    if scheduler:
-        print("\n" + scheduler)
-    if distributed:
-        print("\n" + distributed)
-    if tier:
-        print("\n" + tier)
-    if recovery:
-        print("\n" + recovery)
+    for section in sections:
+        if section:
+            print("\n" + section)
     return 0
 
 
