@@ -16,12 +16,12 @@ Two cases, both in simulated time (deterministic, seconds of wall clock):
   assembled product matrix, whose blocking is the same global task grid
   by construction).
 * **recovery** — a reduce-owning node is killed mid-exchange at 4
-  shards, once under the partial-restart engine and once in legacy
-  whole-job-restart mode.  Both must produce the byte-identical output;
-  the partial restart's added recovery time must be <= 0.5x what the
-  whole-job restart adds.  A second scenario kills and revives an SD
-  daemon under a heartbeat-enabled ``ClusterScheduler`` and proves the
-  node rejoins through probation and serves a canary job again.
+  shards.  The output must be byte-identical, the job must recover by
+  partial restart, and the time from the kill to the job's end, less
+  the one invoke deadline that detects the death, must be <= 0.5x the
+  clean run.  A second scenario kills and revives an SD daemon under a
+  heartbeat-enabled ``ClusterScheduler`` and proves the node rejoins
+  through probation and serves a canary job again.
 
 ``run_suite`` returns the JSON payload for ``tools/perf_gate.py
 --distributed`` and ``checks`` judges it (gates architectural, so they
@@ -55,12 +55,14 @@ SCALE_GATES = {2: 1.6, 4: 2.5}
 #: the 1-shard distributed run may cost at most this fraction over the
 #: plain single-node partitioned engine (the plane's fixed overhead)
 WIDTH1_OVERHEAD_GATE = 0.05
-#: a partial restart after one mid-exchange node kill may add at most
-#: this fraction of the time a whole-job restart adds (4 shards)
+#: after one mid-exchange node kill at 4 shards, kill -> done minus the
+#: detecting deadline may be at most this fraction of the clean run
 RECOVERY_GATE = 0.5
 
-#: generous per-job deadline — nothing dies in this benchmark
+#: generous per-job deadline for runs where nothing dies
 _TIMEOUT = 3600.0
+#: invoke deadline when a daemon is killed: the death's only signal
+_KILL_DEADLINE = 5.0
 
 
 def _inputs(app: str, quick: bool):
@@ -101,8 +103,8 @@ def _run_dist(app: str, quick: bool, n_shards: int, kill=None, **engine_kw):
     """One distributed run at the given width on a fresh 4-SD cluster.
 
     ``kill`` is ``(node, at)``: that node's daemon dies at simulated time
-    ``at``, and the invoke deadline drops to 5 s so the death is
-    detected.  Returns ``(result, engine)``.
+    ``at``, and the invoke deadline drops to ``_KILL_DEADLINE`` so the
+    death is detected.  Returns ``(result, engine)``.
     """
     bed, inp, sd_path, frag, _, params = _staged(app, quick, 4)
     job = DistributedJob(
@@ -118,7 +120,7 @@ def _run_dist(app: str, quick: bool, n_shards: int, kill=None, **engine_kw):
             bed.cluster.sd_daemons[node].kill()
 
         bed.sim.spawn(killer(), name=f"bench.kill-{node}")
-    timeout = _TIMEOUT if kill is None else 5.0
+    timeout = _TIMEOUT if kill is None else _KILL_DEADLINE
     return bed.run(eng.run(job, timeout=timeout)), eng
 
 
@@ -243,55 +245,35 @@ def _rejoin_demo() -> dict:
 
 
 def recovery_case(quick: bool = False) -> dict:
-    """One node dies mid-exchange at 4 shards: the partial-restart engine's
-    added recovery time must be <= ``RECOVERY_GATE`` of what the legacy
-    whole-job restart adds, with byte-identical output either way; plus
-    the heartbeat quarantine -> probation -> rejoin demonstration."""
+    """One node dies mid-exchange at 4 shards: byte-identical output by
+    partial restart, with kill -> done less the detecting deadline <=
+    ``RECOVERY_GATE`` of the clean run; plus the heartbeat quarantine ->
+    probation -> rejoin demonstration."""
     clean, _ = _run_dist("wordcount", quick, 4)
     canon = canonical_output("wordcount", clean.output)
     # a reduce owner that is not the merge node: its partition must be
-    # re-reduced on a survivor, so both engines do real recovery work
+    # re-reduced on a survivor, so the engine does real recovery work
     owners = [n for n in clean.reduce_nodes.values() if n != clean.merge_node]
     victim = owners[0] if owners else clean.merge_node
     kill_at = (clean.timeline["map_done"] + clean.timeline["exchange_done"]) / 2
-    kill = (victim, kill_at)
-    res_p, eng_p = _run_dist("wordcount", quick, 4, kill, partial_restart=True)
-    res_f, eng_f = _run_dist("wordcount", quick, 4, kill, partial_restart=False)
-
-    def added(res):
-        """Recovery time: failure detection -> job done.
-
-        Detection (the invoke deadline on the dead daemon) costs the
-        same in both modes; what the gate compares is the re-derivation
-        work after it.
-        """
-        detect = min(f["at"] for f in res.recovery["failures"])
-        return max(res.elapsed - detect, 0.0)
-
-    partial_added = added(res_p)
-    full_added = max(added(res_f), 1e-9)
-    ratio = partial_added / full_added
+    res, eng = _run_dist("wordcount", quick, 4, (victim, kill_at))
+    detect = min(f["at"] for f in res.recovery["failures"])
+    done = res.timeline["merge_done"]
+    kill_to_done = done - kill_at
+    ratio = (kill_to_done - _KILL_DEADLINE) / clean.elapsed
     return {
         "killed": victim,
         "kill_at_s": round(kill_at, 4),
         "clean_s": round(clean.elapsed, 4),
-        "detected_at_s": round(
-            min(f["at"] for f in res_p.recovery["failures"]), 4
-        ),
+        "deadline_s": _KILL_DEADLINE,
+        "detected_at_s": round(detect, 4),
         "partial": {
-            "elapsed_s": round(res_p.elapsed, 4),
-            "recovery_s": round(partial_added, 4),
-            "attempts": res_p.attempts,
-            "partial_restarts": eng_p.partial_restarts,
-            "full_restarts": eng_p.full_restarts,
-            "identical": canonical_output("wordcount", res_p.output) == canon,
-        },
-        "whole_job": {
-            "elapsed_s": round(res_f.elapsed, 4),
-            "recovery_s": round(full_added, 4),
-            "attempts": res_f.attempts,
-            "full_restarts": eng_f.full_restarts,
-            "identical": canonical_output("wordcount", res_f.output) == canon,
+            "elapsed_s": round(res.elapsed, 4),
+            "kill_to_done_s": round(kill_to_done, 4),
+            # detection -> job done: the re-derivation work alone
+            "recovery_s": round(max(done - detect, 0.0), 4),
+            "partial_restarts": eng.partial_restarts,
+            "identical": canonical_output("wordcount", res.output) == canon,
         },
         "recovery_ratio": round(ratio, 4),
         "recovery_gate": RECOVERY_GATE,
@@ -316,7 +298,7 @@ def run_suite(quick: bool = False) -> dict:
 def checks(payload: dict) -> list[tuple]:
     """Every output identical to single-node; scaling, overhead, recovery."""
     scaling, rec = payload["scaling"], payload["recovery"]
-    part, whole, rj = rec["partial"], rec["whole_job"], rec["rejoin"]
+    part, rj = rec["partial"], rec["rejoin"]
     rows = [
         (f"wordcount x{r['n_shards']} scaling identical", OUTPUT,
          r["identical"], "vs single-node")
@@ -326,12 +308,10 @@ def checks(payload: dict) -> list[tuple]:
          f"vs single-node, {r['shuffle_bytes']} B shuffled")
         for r in payload["identity"]["rows"]
     ]
-    rows += [
+    rows.append(
         ("partial restart identical", OUTPUT, part["identical"],
          f"killed {rec['killed']} at t={rec['kill_at_s']}s"),
-        ("whole-job restart identical", OUTPUT, whole["identical"],
-         f"killed {rec['killed']} at t={rec['kill_at_s']}s"),
-    ]
+    )
     for r in scaling["runs"]:
         need = SCALE_GATES.get(r["n_shards"])
         if need is not None:
@@ -348,14 +328,12 @@ def checks(payload: dict) -> list[tuple]:
          f"{scaling['single_node_s']:.3f}s (gate <= "
          f"{WIDTH1_OVERHEAD_GATE:.0%})"),
         ("recovery ratio", GATE, rec["recovery_ratio"] <= RECOVERY_GATE,
-         f"partial restart {part['recovery_s']}s vs whole-job "
-         f"{whole['recovery_s']}s => {rec['recovery_ratio']:.2f}x "
-         f"(gate <= {RECOVERY_GATE}x)"),
-        ("recovery contract", GATE,
-         part["attempts"] == 1 and part["full_restarts"] == 0
-         and whole["full_restarts"] >= 1,
-         f"partial: {part['attempts']} attempt(s), {part['full_restarts']} "
-         f"full restarts; whole-job: {whole['full_restarts']} full restarts"),
+         f"kill->done {part['kill_to_done_s']}s - {rec['deadline_s']}s "
+         f"deadline over clean {rec['clean_s']}s => "
+         f"{rec['recovery_ratio']:.2f}x (gate <= {RECOVERY_GATE}x); "
+         f"{part['recovery_s']}s after detection"),
+        ("recovery contract", GATE, part["partial_restarts"] >= 1,
+         f"{part['partial_restarts']} partial restart(s)"),
         ("node rejoins", GATE,
          rj["canary_node"] == rj["node"] and rj["final_state"] == HEALTHY
          and rj["quarantines"] >= 1 and rj["rejoins"] >= 1,

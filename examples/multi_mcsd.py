@@ -61,7 +61,8 @@ def main() -> None:
 
     res = bed.run(reliable())
     trail = " -> ".join(f"{a.target}:{a.outcome}" for a in ft.history[0])
-    print(f"  attempts: {trail}")
+    retries = sum(ch.retries for ch in bed.cluster.host_channels.values())
+    print(f"  targets: {trail} ({retries} same-node retries)")
     print(f"  completed on {res.where} in {fmt_time(res.elapsed)}; results exact:",
           sum(v for _, v in res.output) == len(inp.payload_bytes.split()))
 

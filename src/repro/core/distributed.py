@@ -34,21 +34,24 @@ per-fragment outputs gather directly at the minimum-transfer node and
 concatenate in global fragment order — byte-identical to the single-node
 extended runtime by construction, because the fragment plan is the same.
 
-Fault tolerance is **partial restart first** (ISSUE 9): every durable
-intermediate is registered in a per-attempt
-:class:`~repro.core.artifacts.AttemptManifest`, so when a shard dies the
+Fault tolerance is one recovery loop of passes over an artifact
+manifest: every durable intermediate is registered in a
+per-job :class:`~repro.core.artifacts.AttemptManifest`, and each failure
+is decided once.  A missed invoke deadline evicts the shard node — the
 engine invalidates only what that node held, reassigns its shards to
-survivors, and re-runs exactly the missing work — exchange transfers
+survivors, and re-runs exactly the missing work; exchange transfers
 already received at their owners are deduplicated by
-``(owner, shard, partition)`` id.  A straggling map shard gets a
-*speculative duplicate* on a spare replica (:class:`SpeculationPolicy`);
-first result wins, the loser is cancelled, and duplicates are safe
-because reduce inputs are keyed by partition id, not arrival.  Whole-job
-restart (fresh plan, fresh shuffle dir) remains the escalation path when
-no artifacts survive or the partial-recovery budget is exhausted; when no
-replicas remain at all the engine raises
+``(owner, shard, partition)`` id.  Any other transient failure (a
+corrupt artifact, a module crash, a transfer that used up its in-place
+retries) re-runs the missing work where it was.  A straggling map shard
+gets a *speculative duplicate* on a spare replica
+(:class:`SpeculationPolicy`); first result wins, the loser is cancelled,
+and duplicates are safe because reduce inputs are keyed by partition id,
+not arrival.  When the pass budget runs out or no replicas remain, the
+engine removes the job's shuffle dir and raises
 :class:`~repro.errors.DistributedJobError` — retryable, so the cluster
-scheduler can fall back to a single-node host run.
+scheduler's requeue (and finally its single-node host run) is the
+whole-job retry.
 """
 
 from __future__ import annotations
@@ -89,6 +92,14 @@ __all__ = [
     "DistributedEngine",
 ]
 
+#: in-place retries per exchange transfer before the pass fails
+_TRANSFER_RETRIES = 2
+#: base delay between a transfer's in-place retries (doubles per retry)
+_TRANSFER_BACKOFF = 0.1
+#: recovery passes allowed beyond one per candidate node (corrupt-artifact
+#: rebuilds and in-place reruns draw on the same budget)
+_MAX_REBUILDS = 3
+
 
 @dataclasses.dataclass(frozen=True)
 class ShardFragment:
@@ -118,7 +129,7 @@ class ShardAssignment:
 
 @dataclasses.dataclass
 class DistPlan:
-    """The outcome of distribution planning for one attempt."""
+    """The outcome of distribution planning for one job."""
 
     app: str
     #: "bytes" (fragment plan over a byte payload) or "split" (the app's
@@ -201,13 +212,12 @@ class DistributedResult:
     n_partitions: int
     shuffle_bytes: int
     shuffle_transfers: int
-    attempts: int
     #: absolute sim times of phase completions (chaos windows key off this)
     timeline: dict
     plan: DistPlan | None = dataclasses.field(default=None, repr=False)
-    #: the committed attempt's shuffle-dir id (``<app>-<seq>a<attempt>``)
+    #: the job's shuffle-dir id (``<app>-<seq>``)
     job_id: str = ""
-    #: recovery accounting: partial/full restarts, dedup, speculation, failures
+    #: recovery accounting: partial restarts, dedup, speculation, failures
     recovery: dict = dataclasses.field(default_factory=dict)
 
     @property
@@ -235,9 +245,9 @@ def plan_distribution(
 ) -> DistPlan:
     """Cut one job into per-node shards of integrity-checked fragments.
 
-    Deterministic in (job, payload, nodes): restarting on a smaller
+    Deterministic in (job, payload, nodes): planning on a smaller
     replica set re-plans the *same global fragments* over fewer shards,
-    which is what keeps restarted outputs byte-identical.
+    which is what keeps outputs byte-identical at every width.
     """
     if not nodes:
         raise OffloadError(f"distributed job {job.app!r} needs at least one SD node")
@@ -325,8 +335,6 @@ class _ShardFailure(Exception):
         self.node = node
         self.cause = cause
         self.phase = phase
-        #: whether this failure was already recorded in the recovery log
-        self.noted = False
 
 
 class DistributedEngine:
@@ -339,49 +347,24 @@ class DistributedEngine:
     inflight:
         Optional shared per-node load dict (the scheduler passes the
         offload engine's, so shard load shows up in placement decisions).
-    max_attempts:
-        Whole-job restarts before giving up (each restart excludes the
-        nodes that failed and re-plans on the survivors).
-    transfer_retries:
-        In-place retries per exchange transfer before the attempt is
-        abandoned and the job restarts.
-    partial_restart:
-        When True (default), a failed shard invalidates only its own
-        artifacts in the attempt manifest and the attempt resumes from
-        what survives; False restores the PR-8 whole-job restart.
     speculation:
         :class:`SpeculationPolicy` for straggling map shards (None uses
         the defaults; ``SpeculationPolicy(enabled=False)`` turns it off).
-    max_rebuilds:
-        Corrupt-artifact rebuilds tolerated per attempt before escalating
-        to a whole-job restart.
     """
 
     def __init__(
         self,
         cluster: "BuiltCluster",
         inflight: dict | None = None,
-        max_attempts: int = 3,
-        transfer_retries: int = 2,
-        backoff: float = 0.1,
-        partial_restart: bool = True,
         speculation: SpeculationPolicy | None = None,
-        max_rebuilds: int = 3,
     ):
         self.cluster = cluster
         self.sim = cluster.sim
         self.inflight: dict[str, int] = inflight if inflight is not None else {}
-        self.max_attempts = max(1, max_attempts)
-        self.transfer_retries = max(0, transfer_retries)
-        self.backoff = backoff
-        self.partial_restart = partial_restart
         self.speculation = speculation if speculation is not None else SpeculationPolicy()
-        self.max_rebuilds = max(0, max_rebuilds)
         #: distributed jobs started (stats)
         self.jobs = 0
-        #: whole-job restarts (fresh plan + shuffle dir)
-        self.full_restarts = 0
-        #: in-attempt partial restarts (manifest-driven recovery passes)
+        #: partial restarts (manifest-driven recovery passes)
         self.partial_restarts = 0
         #: exchange transfers skipped because their copy already landed
         self.dedup_transfers = 0
@@ -390,11 +373,6 @@ class DistributedEngine:
         self.spec_won = 0
         self.spec_cancelled = 0
         self._seq = itertools.count(1)
-
-    @property
-    def restarts(self) -> int:
-        """Total restarts of either kind (legacy stat)."""
-        return self.full_restarts + self.partial_restarts
 
     # -- public entry point -------------------------------------------------
 
@@ -409,22 +387,20 @@ class DistributedEngine:
         ``nodes`` restricts the candidate replica set (default: every SD
         node holding the input).  ``timeout`` bounds each smartFAM
         invocation — the liveness signal that turns a dead shard daemon
-        into an excluded node and a recovery pass on the survivors.
+        into an evicted node and a recovery pass on the survivors.
         """
         return self.sim.spawn(self._run(job, nodes, timeout), name=f"dist:{job.app}")
 
-    # -- restart loop -------------------------------------------------------
+    # -- one job ------------------------------------------------------------
 
     def _candidates(
-        self, job: DistributedJob, nodes: _t.Sequence[str] | None, excluded: set
+        self, job: DistributedJob, nodes: _t.Sequence[str] | None
     ) -> list[str]:
         pool = list(nodes) if nodes is not None else [
             n.name for n in self.cluster.sd_nodes
         ]
         out = []
         for name in pool:
-            if name in excluded:
-                continue
             try:
                 self.cluster.node(name).fs.vfs.stat(job.input_path)
             except Exception:
@@ -440,22 +416,10 @@ class DistributedEngine:
                 "node": node,
                 "phase": phase,
                 "cause": type(cause).__name__,
-                "attempt": recovery.get("attempt", 0),
                 "at": round(self.sim.now, 6),
             }
         )
         self.sim.obs.count(f"dist.fail.{phase}")
-
-    def _note_failure(self, recovery: dict, fail: _ShardFailure) -> None:
-        """Record a shard failure once: the breakdown log + exclusion sets."""
-        if fail.noted:
-            return
-        fail.noted = True
-        self._record_failure(recovery, fail.node, fail.phase, fail.cause)
-        if not isinstance(fail.cause, ShuffleArtifactError):
-            recovery["excluded"].add(fail.node)
-            if isinstance(fail.cause, OffloadTimeoutError):
-                recovery["timed_out"].add(fail.node)
 
     def _run(
         self,
@@ -468,13 +432,11 @@ class DistributedEngine:
         self.jobs += 1
         obs.count("dist.jobs")
         track = f"dist:{job.app}#{seq}"
-        last: BaseException | None = None
+        job_id = f"{job.app}-{seq}"
         t0 = self.sim.now
         recovery: dict = {
-            "excluded": set(),
-            "timed_out": set(),
+            "evicted": set(),
             "failures": [],
-            "attempt": 0,
             "partial_restarts": 0,
             "dedup_transfers": 0,
             "spec_launched": 0,
@@ -485,95 +447,60 @@ class DistributedEngine:
             "dist.job", cat="dist", track=track, force=True,
             app=job.app, input_bytes=job.input_size,
         ) as root:
-            for attempt in range(self.max_attempts):
-                cand = self._candidates(job, nodes, recovery["excluded"])
-                if not cand:
-                    break
-                job_id = f"{job.app}-{seq}a{attempt}"
-                recovery["attempt"] = attempt
-                try:
-                    result = yield from self._attempt(
-                        job, cand, job_id, timeout, track, recovery
-                    )
-                except _ShardFailure as fail:
-                    if not is_retryable(fail.cause):
-                        raise fail.cause
-                    self._note_failure(recovery, fail)
-                    last = fail.cause
-                    self.full_restarts += 1
-                    obs.count("dist.restart.full")
-                    obs.count("dist.restarts")
-                    continue
-                except Exception as exc:
-                    if not is_retryable(exc):
-                        raise
-                    last = exc
-                    self.full_restarts += 1
-                    obs.count("dist.restart.full")
-                    obs.count("dist.restarts")
-                    continue
-                result.attempts = attempt + 1
-                result.elapsed = self.sim.now - t0
-                result.job_id = job_id
-                result.recovery = {
-                    "partial_restarts": recovery["partial_restarts"],
-                    "full_restarts": attempt,
-                    "dedup_transfers": recovery["dedup_transfers"],
-                    "speculation": {
-                        "launched": recovery["spec_launched"],
-                        "won": recovery["spec_won"],
-                        "cancelled": recovery["spec_cancelled"],
-                    },
-                    "failures": list(recovery["failures"]),
-                }
-                root.set(
-                    shards=result.n_shards,
-                    attempts=result.attempts,
-                    merge_node=result.merge_node,
-                    shuffle_bytes=result.shuffle_bytes,
-                    partial_restarts=recovery["partial_restarts"],
+            cand = self._candidates(job, nodes)
+            if not cand:
+                raise DistributedJobError(job.app)
+            try:
+                result = yield from self._attempt(
+                    job, cand, job_id, timeout, track, recovery
                 )
-                if attempt > 0:
-                    self._cleanup_prior_attempts(job, seq, attempt, nodes)
-                return result
-        err = DistributedJobError(
-            job.app,
-            self.max_attempts,
-            excluded=recovery["excluded"],
-            timed_out=recovery["timed_out"],
-            failures=recovery["failures"],
-        )
-        if last is not None:
-            err.__cause__ = last
-        raise err
+            except Exception as exc:
+                self._remove_shuffle_dir(job_id)
+                if not is_retryable(exc):
+                    raise
+                # every evicted node missed a deadline: the quarantine signal
+                raise DistributedJobError(
+                    job.app,
+                    excluded=recovery["evicted"],
+                    timed_out=recovery["evicted"],
+                    failures=recovery["failures"],
+                ) from exc
+            result.elapsed = self.sim.now - t0
+            result.job_id = job_id
+            result.recovery = {
+                "partial_restarts": recovery["partial_restarts"],
+                "dedup_transfers": recovery["dedup_transfers"],
+                "speculation": {
+                    "launched": recovery["spec_launched"],
+                    "won": recovery["spec_won"],
+                    "cancelled": recovery["spec_cancelled"],
+                },
+                "failures": list(recovery["failures"]),
+            }
+            root.set(
+                shards=result.n_shards,
+                merge_node=result.merge_node,
+                shuffle_bytes=result.shuffle_bytes,
+                partial_restarts=recovery["partial_restarts"],
+            )
+            return result
 
-    def _cleanup_prior_attempts(
-        self, job: DistributedJob, seq: int, final_attempt: int,
-        nodes: _t.Sequence[str] | None,
-    ) -> None:
-        """Remove abandoned attempts' shuffle dirs once a later one commits.
+    def _remove_shuffle_dir(self, job_id: str) -> None:
+        """Remove a failed job's shuffle dir from every SD node.
 
         Host-driven VFS teardown, so it works even on nodes whose daemons
-        are dead or excluded — exactly the nodes that leak directories.
+        are dead — exactly the nodes that would leak the directory.
         """
-        pool = list(nodes) if nodes is not None else [
-            n.name for n in self.cluster.sd_nodes
-        ]
+        path = f"/export/shuffle/{job_id}"
         cleaned = 0
-        for attempt in range(final_attempt):
-            stale = f"/export/shuffle/{job.app}-{seq}a{attempt}"
-            for name in pool:
-                try:
-                    vfs = self.cluster.node(name).fs.vfs
-                except Exception:
-                    continue
-                if vfs.exists(stale):
-                    vfs.rmtree(stale)
-                    cleaned += 1
+        for node in self.cluster.sd_nodes:
+            if node.fs.vfs.exists(path):
+                node.fs.vfs.rmtree(path)
+                cleaned += 1
         if cleaned:
             self.sim.obs.count("dist.shuffle.cleaned", cleaned)
 
-    # -- one attempt --------------------------------------------------------
+    # -- the recovery loop --------------------------------------------------
 
     def _attempt(
         self,
@@ -584,13 +511,15 @@ class DistributedEngine:
         track: str,
         recovery: dict,
     ) -> _t.Generator:
-        """One attempt = a fixpoint loop of recovery passes over a manifest.
+        """The job's one attempt: a fixpoint loop of recovery passes.
 
-        Each pass runs exactly the work whose artifacts are missing; a
-        failed shard invalidates what it held, reassigns to survivors,
-        and loops.  The pass budget bounds pathological schedules — when
-        it is exhausted (or no survivors remain) the attempt escalates to
-        the whole-job restart loop in :meth:`_run`.
+        Each pass runs exactly the work whose artifacts are missing from
+        the manifest, and each failure is decided once.  A missed deadline
+        evicts the node: what it held is invalidated and its shards move
+        to survivors.  A corrupt artifact is invalidated and rebuilt; any
+        other transient failure reruns the missing work where it was.
+        Every pass draws on one budget; when it runs out, or no survivors
+        remain, the failure propagates to :meth:`_run`.
         """
         sim, cluster = self.sim, self.cluster
         obs = sim.obs
@@ -634,16 +563,8 @@ class DistributedEngine:
             for s in plan.shards
         }
 
-        rebuilds = 0
-        max_passes = len(cand) + self.max_rebuilds + 2
-        for pass_no in itertools.count():
-            if pass_no >= max_passes:
-                raise mark_retryable(
-                    OffloadError(
-                        f"distributed job {job.app!r}: partial recovery "
-                        f"exceeded {max_passes} passes in attempt {job_id!r}"
-                    )
-                )
+        max_passes = len(cand) + _MAX_REBUILDS + 2
+        for _ in range(max_passes):
             try:
                 return (
                     yield from self._attempt_pass(
@@ -653,23 +574,29 @@ class DistributedEngine:
                     )
                 )
             except _ShardFailure as fail:
-                if not self.partial_restart or not is_retryable(fail.cause):
-                    raise
-                self._note_failure(recovery, fail)
-                if isinstance(fail.cause, ShuffleArtifactError):
-                    rebuilds += 1
-                    if rebuilds > self.max_rebuilds:
-                        raise  # escalate: this attempt cannot converge
-                    manifest.invalidate_artifact(fail.cause)
-                else:
+                cause = fail.cause
+                if not is_retryable(cause):
+                    raise cause
+                self._record_failure(recovery, fail.node, fail.phase, cause)
+                if isinstance(cause, OffloadTimeoutError):
+                    # a dead daemon's only signal: evict it, move its work
+                    recovery["evicted"].add(fail.node)
                     alive.discard(fail.node)
                     if not alive:
-                        raise  # no survivors: whole-job restart decides
+                        raise cause
                     manifest.invalidate_node(fail.node)
                     self._reassign(assignment, alive, rank)
+                elif isinstance(cause, ShuffleArtifactError):
+                    manifest.invalidate_artifact(cause)
                 recovery["partial_restarts"] += 1
                 self.partial_restarts += 1
                 obs.count("dist.restart.partial")
+        raise mark_retryable(
+            OffloadError(
+                f"distributed job {job.app!r}: recovery exceeded "
+                f"{max_passes} passes in {job_id!r}"
+            )
+        )
 
     def _reassign(self, assignment: dict, alive: set, rank: dict) -> None:
         """Move dead nodes' shards to the least-loaded survivors."""
@@ -775,15 +702,13 @@ class DistributedEngine:
                                 key,
                             )
                         )
-                moved = yield from self._run_transfers([t[:6] for t in transfers])
-                for t in transfers:
-                    manifest.received[t[6]] = t[3]
+                moved = yield from self._run_transfers(
+                    transfers, manifest.received, acc, "exchange"
+                )
                 if deduped:
                     self.dedup_transfers += deduped
                     recovery["dedup_transfers"] += deduped
                     obs.count("dist.transfer.dedup", deduped)
-                acc["bytes"] += moved
-                acc["transfers"] += len(transfers)
                 obs.count("shuffle.partitions", len(reduce_nodes))
                 sp.set(
                     bytes=moved, transfers=len(transfers),
@@ -885,11 +810,9 @@ class DistributedEngine:
                 with obs.span(
                     "shuffle.gather", cat="dist", track=track, force=True
                 ) as sp:
-                    moved = yield from self._run_transfers([t[:6] for t in gather])
-                    for t in gather:
-                        manifest.gathered[t[6]] = t[3]
-                    acc["bytes"] += moved
-                    acc["transfers"] += len(gather)
+                    moved = yield from self._run_transfers(
+                        gather, manifest.gathered, acc, "gather"
+                    )
                     sp.set(bytes=moved, transfers=len(gather))
         else:
             # ---- map-only: gather fragment outputs in global order at the
@@ -929,15 +852,13 @@ class DistributedEngine:
             with obs.span(
                 "shuffle.exchange", cat="dist", track=track, force=True
             ) as sp:
-                moved = yield from self._run_transfers([t[:6] for t in transfers])
-                for t in transfers:
-                    manifest.gathered[t[6]] = t[3]
+                moved = yield from self._run_transfers(
+                    transfers, manifest.gathered, acc, "exchange"
+                )
                 if deduped:
                     self.dedup_transfers += deduped
                     recovery["dedup_transfers"] += deduped
                     obs.count("dist.transfer.dedup", deduped)
-                acc["bytes"] += moved
-                acc["transfers"] += len(transfers)
                 sp.set(bytes=moved, transfers=len(transfers), partitions=0)
             timeline["exchange_done"] = sim.now
             timeline["reduce_done"] = sim.now
@@ -973,7 +894,6 @@ class DistributedEngine:
             n_partitions=plan.n_partitions,
             shuffle_bytes=acc["bytes"],
             shuffle_transfers=acc["transfers"],
-            attempts=1,
             timeline=timeline,
             plan=plan,
         )
@@ -1167,9 +1087,7 @@ class DistributedEngine:
                 phase=phase, module=module,
             ) as sp:
                 try:
-                    value = yield channel.invoke_reliable(
-                        module, params, timeout=timeout, max_retries=1
-                    )
+                    value = yield channel.invoke(module, params, timeout=timeout)
                 except Exception as exc:
                     sp.set(error=type(exc).__name__)
                     return (node_name, False, exc)
@@ -1177,28 +1095,36 @@ class DistributedEngine:
         finally:
             self.inflight[node_name] -= 1
 
-    def _run_transfers(self, transfers: list[tuple]) -> _t.Generator:
+    def _run_transfers(
+        self, transfers: list[tuple], landed: dict, acc: dict, phase: str
+    ) -> _t.Generator:
         """Run exchange transfers concurrently; returns delivered bytes.
 
-        A transfer that exhausted its in-place retries raises its cause —
-        retryable causes restart the whole job at the attempt loop.
+        ``transfers`` are ``(src, dst, src_path, dst_path, nbytes,
+        partition, key)``.  Every transfer that lands is registered as
+        ``landed[key] = dst_path`` and counted in ``acc`` — also when
+        another one fails, so the rerun ships only the lost ones.  A
+        transfer that used up its in-place retries fails the pass.
         """
         if not transfers:
             return 0
         sim = self.sim
         procs = [
-            sim.spawn(self._transfer(*t), name=f"shuffle:{t[0]}->{t[1]}")
+            sim.spawn(self._transfer(*t[:6]), name=f"shuffle:{t[0]}->{t[1]}")
             for t in transfers
         ]
         gathered = yield sim.all_of(procs)
         moved = 0
-        failure: BaseException | None = None
-        for proc in procs:
+        failure: _ShardFailure | None = None
+        for t, proc in zip(transfers, procs):
             ok, value = gathered[proc]
             if ok:
                 moved += value
+                landed[t[6]] = t[3]
+                acc["transfers"] += 1
             elif failure is None:
-                failure = value
+                failure = _ShardFailure(t[1], value, phase=phase)
+        acc["bytes"] += moved
         if failure is not None:
             raise failure
         return moved
@@ -1215,7 +1141,7 @@ class DistributedEngine:
         """One partition-exchange leg: SD disk read -> fabric -> SD disk write.
 
         Fault site ``shuffle.exchange`` (ctx: src, dst, partition, nbytes):
-        *fail*/*drop*/*corrupt* cost the attempt (bounded in-place retries),
+        *fail*/*drop*/*corrupt* cost a bounded in-place retry (then the pass),
         *delay* adds latency before the payload lands.  Returns
         ``(True, bytes)`` or ``(False, exc)`` — never raises, so a batch
         of concurrent transfers can be inspected as a whole.
@@ -1225,7 +1151,7 @@ class DistributedEngine:
         src_node = self.cluster.node(src)
         dst_node = self.cluster.node(dst)
         last: BaseException | None = None
-        for att in range(self.transfer_retries + 1):
+        for att in range(_TRANSFER_RETRIES + 1):
             inj = sim.faults
             decision = None
             if inj is not None:
@@ -1266,10 +1192,9 @@ class DistributedEngine:
                 return (True, nbytes)
             except Exception as exc:
                 last = exc
-                if not is_retryable(exc) or att == self.transfer_retries:
+                if not is_retryable(exc) or att == _TRANSFER_RETRIES:
                     return (False, exc)
                 obs.count("retry.count")
                 obs.count("retry.shuffle")
-                if self.backoff > 0:
-                    yield sim.timeout(self.backoff * (2.0 ** att))
+                yield sim.timeout(_TRANSFER_BACKOFF * (2.0 ** att))
         return (False, last)

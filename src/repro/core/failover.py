@@ -5,13 +5,16 @@ reliability."  The smartFAM channel gives no failure notifications — a
 dead daemon simply never answers — so reliability is built host-side:
 
 * every call carries a deadline (:class:`~repro.errors.OffloadTimeoutError`),
-* failed/timed-out calls retry on the same SD node (transient faults),
+* failed/timed-out calls retry on the same SD node (transient faults) —
+  the channel's own :meth:`~repro.smartfam.daemon.HostSmartFAM.invoke_reliable`
+  loop, which also keeps a timed-out call's sequence number so a slow but
+  alive daemon never runs the module twice,
 * after ``max_retries`` the job *fails over*: to another SD node holding a
   replica if one is configured, else to the host itself over NFS — degraded
   but correct.
 
 :class:`FaultTolerantInvoker` wraps a cluster's channels with this policy
-and keeps the audit trail (attempts, timeouts, failovers).
+and keeps the audit trail (one entry per target, failovers).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import typing as _t
 from repro.core.job import DataJob, JobResult
 from repro.core.loadbalance import Placement
 from repro.core.offload import OffloadEngine
-from repro.errors import OffloadError, OffloadTimeoutError, is_retryable
+from repro.errors import OffloadError, OffloadTimeoutError
 from repro.sim.events import Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -33,7 +36,11 @@ __all__ = ["Attempt", "FaultTolerantInvoker"]
 
 @dataclasses.dataclass
 class Attempt:
-    """One try at running a job (the audit trail entry)."""
+    """One target's try at running a job (the audit trail entry).
+
+    Same-target retries happen inside the channel and are counted there
+    (``HostSmartFAM.retries``, ``retry.smartfam.<module>``).
+    """
 
     target: str
     started_at: float
@@ -51,19 +58,14 @@ class FaultTolerantInvoker:
         timeout: float | None = 120.0,
         max_retries: int = 1,
         fallback_to_host: bool = True,
-        backoff: float = 0.1,
     ):
         if max_retries < 0:
             raise OffloadError("max_retries must be >= 0")
-        if backoff < 0:
-            raise OffloadError("backoff must be >= 0")
         self.cluster = cluster
         self.sim = cluster.sim
         self.timeout = timeout
         self.max_retries = max_retries
         self.fallback_to_host = fallback_to_host
-        #: base delay between same-target retries (doubles per attempt)
-        self.backoff = backoff
         self.engine = OffloadEngine(cluster)
         #: per-run audit trails (job app -> list of attempts), most recent last
         self.history: list[list[Attempt]] = []
@@ -91,41 +93,25 @@ class FaultTolerantInvoker:
                 continue
             if trail:
                 obs.count("failover.count")  # moving past an exhausted target
-            for attempt in range(self.max_retries + 1):
-                if attempt > 0:
-                    obs.count("retry.count")
-                    obs.count(f"retry.offload.{job.app}")
-                    if self.backoff > 0:
-                        yield self.sim.timeout(self.backoff * (2.0 ** (attempt - 1)))
-                t0 = self.sim.now
-                try:
-                    result = yield channel.invoke(
-                        job.app, job.invoke_params(), timeout=self.timeout
-                    )
-                    trail.append(
-                        Attempt(target, t0, self.sim.now, "ok")
-                    )
-                    return JobResult(
-                        name=job.app,
-                        where=target,
-                        elapsed=self.sim.now - trail[0].started_at,
-                        output=getattr(result, "output", result),
-                        offloaded=True,
-                    )
-                except OffloadTimeoutError as exc:
-                    last_exc = exc
-                    trail.append(
-                        Attempt(target, t0, self.sim.now, "timeout", str(exc))
-                    )
-                except Exception as exc:
-                    last_exc = exc
-                    trail.append(
-                        Attempt(target, t0, self.sim.now, "error", str(exc))
-                    )
-                    if not is_retryable(exc):
-                        # permanent (module missing, bad params, OOM): more
-                        # tries on this target cannot change the outcome
-                        break
+            t0 = self.sim.now
+            try:
+                result = yield channel.invoke_reliable(
+                    job.app, job.invoke_params(), timeout=self.timeout,
+                    max_retries=self.max_retries,
+                )
+            except Exception as exc:
+                last_exc = exc
+                outcome = "timeout" if isinstance(exc, OffloadTimeoutError) else "error"
+                trail.append(Attempt(target, t0, self.sim.now, outcome, str(exc)))
+                continue
+            trail.append(Attempt(target, t0, self.sim.now, "ok"))
+            return JobResult(
+                name=job.app,
+                where=target,
+                elapsed=self.sim.now - trail[0].started_at,
+                output=getattr(result, "output", result),
+                offloaded=True,
+            )
 
         if self.fallback_to_host:
             t0 = self.sim.now
@@ -143,14 +129,14 @@ class FaultTolerantInvoker:
             )
 
         raise OffloadError(
-            f"{job.app}: all targets failed ({len(trail)} attempts)"
+            f"{job.app}: all targets failed ({len(trail)} tried)"
         ) from last_exc
 
     # -- stats ------------------------------------------------------------
 
     @property
     def total_attempts(self) -> int:
-        """Attempts across all runs."""
+        """Targets tried across all runs, host fallback included."""
         return sum(len(t) for t in self.history)
 
     @property

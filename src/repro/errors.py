@@ -285,9 +285,9 @@ class ShuffleArtifactError(OffloadError):
     """A crc32-framed shuffle artifact failed its integrity check.
 
     Transient: map shards are deterministic, so the distributed engine
-    invalidates the corrupt artifact in the attempt manifest and rebuilds
-    exactly the lost pieces (a partial restart), escalating to a whole-job
-    restart only when the rebuild budget is exhausted.  ``shard`` and
+    invalidates the corrupt artifact in the job's manifest and rebuilds
+    exactly the lost pieces (a partial restart), giving the job up only
+    when its recovery-pass budget is exhausted.  ``shard`` and
     ``partition`` attribute the frame back to its producer when known.
     """
 
@@ -317,28 +317,25 @@ class ShuffleArtifactError(OffloadError):
 
 
 class DistributedJobError(OffloadError):
-    """A distributed (sharded) job ran out of healthy shard nodes.
+    """A distributed (sharded) job could not finish on its shard nodes.
 
     Transient from the control plane's point of view: the scheduler may
     retry the job on the surviving replicas or fall back to a single-node
-    run on the host.  ``excluded`` names the shard nodes the engine gave
-    up on; ``timed_out`` the subset whose daemons missed a deadline (the
+    run on the host.  ``excluded`` names the shard nodes the engine
+    evicted; ``timed_out`` the subset whose daemons missed a deadline (the
     quarantine signal); ``failures`` is the structured per-shard history —
-    one ``{"node", "phase", "cause", "attempt", "at"}`` dict per observed
-    failure — that :meth:`breakdown` renders for log lines.
+    one ``{"node", "phase", "cause", "at"}`` dict per observed failure —
+    that :meth:`breakdown` renders for log lines.
     """
 
     retryable = True
 
-    def __init__(
-        self, app: str, attempts: int, excluded=(), timed_out=(), failures=()
-    ):
+    def __init__(self, app: str, excluded=(), timed_out=(), failures=()):
         super().__init__(
-            f"distributed job {app!r} failed after {attempts} attempt(s); "
+            f"distributed job {app!r} failed; "
             f"excluded nodes: {sorted(excluded) or 'none'}"
         )
         self.app = app
-        self.attempts = attempts
         self.excluded = set(excluded)
         self.timed_out = set(timed_out)
         self.failures = list(failures)

@@ -242,8 +242,8 @@ def recovery_chaos_plan(seed: int = 0) -> FaultPlan:
     no longer matches, so the damage is persistent on disk and escapes
     the channel-level retry.  A hardened engine detects it at read time
     (:class:`~repro.errors.ShuffleArtifactError`), invalidates exactly
-    that artifact in the attempt manifest, and re-derives it via a
-    partial restart: byte-identical output, zero full restarts.
+    that artifact in the job's manifest, and re-derives it via a
+    partial restart: byte-identical output, and the job never fails.
     """
     return FaultPlan(
         rules=(

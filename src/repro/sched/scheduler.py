@@ -293,11 +293,12 @@ class ClusterScheduler:
         the live replica set) and dispatch as ONE logical job whose shards
         fan out over every healthy candidate SD node at dispatch time.
         Individual shard-node failures are handled inside the
-        :class:`~repro.core.distributed.DistributedEngine` (whole-job
-        restart on the survivors); only when the entire replica set is
-        burned does the failure surface here, where the normal retry path
-        applies — ultimately falling back to a single-node partitioned run
-        on the host, which cannot silently die.
+        :class:`~repro.core.distributed.DistributedEngine` (partial
+        restart on the survivors); only a job its recovery passes cannot
+        finish surfaces here, where the normal retry path is the
+        whole-job retry — requeue on the remaining replicas, ultimately a
+        single-node partitioned run on the host, which cannot silently
+        die.
         """
         obs = self.sim.obs
         done = Event(self.sim, name=f"sched.done:{job.app}")

@@ -389,15 +389,14 @@ class HostSmartFAM:
         params: dict,
         timeout: float | None = None,
         max_retries: int | None = None,
-        backoff: float | None = None,
     ) -> Event:
         """Offload one call with deadline + bounded retry + backoff.
 
         Each attempt gets its own ``timeout`` (default: no per-attempt
         deadline — pass one whenever the SD daemon can die silently).
         Transient failures (:func:`~repro.errors.is_retryable`) retry up
-        to ``max_retries`` times with exponential backoff; permanent
-        failures raise immediately.
+        to ``max_retries`` times with exponential backoff from
+        ``retry_backoff``; permanent failures raise immediately.
 
         Idempotency: a *timed-out* attempt re-invokes with the **same**
         sequence number — the daemon skips the seq while the original run
@@ -408,7 +407,7 @@ class HostSmartFAM:
         failure forever).
         """
         retries = self.cfg.invoke_retries if max_retries is None else max_retries
-        base = self.cfg.retry_backoff if backoff is None else backoff
+        base = self.cfg.retry_backoff
         if retries < 0:
             raise SmartFAMError("max_retries must be >= 0")
 

@@ -1,4 +1,4 @@
-"""Distributed single-job engine: planning, exchange, faults, restart."""
+"""Distributed single-job engine: planning, exchange, faults, recovery."""
 
 from __future__ import annotations
 
@@ -172,7 +172,7 @@ def test_shuffle_chaos_plan_absorbed_in_place():
     assert pickle.dumps(res.output) == pickle.dumps(clean.output)
     # every rule fired, yet the bounded in-place retry absorbed them all
     assert injector.fired_by_site().get("shuffle.exchange", 0) == 3
-    assert eng2.restarts == 0 and res.attempts == 1
+    assert eng2.partial_restarts == 0
     counters = bed2.sim.obs.metrics.snapshot()["counters"]
     assert counters.get("retry.shuffle", 0) >= 1
 
@@ -200,46 +200,71 @@ def test_killed_shard_restarts_on_survivors():
     bed2.sim.spawn(killer(), name="killer")
     res = bed2.run(eng2.run(_job(path2), timeout=5.0))
     assert pickle.dumps(res.output) == pickle.dumps(clean.output)
-    # surviving map artifacts are reused: same attempt, partial restart only
-    assert res.attempts == 1
-    assert eng2.partial_restarts >= 1 and eng2.full_restarts == 0
+    # surviving map artifacts are reused: a partial restart only
+    assert eng2.partial_restarts >= 1
     assert victim not in res.shard_nodes
     assert res.recovery["partial_restarts"] >= 1
     assert res.recovery["failures"]
 
 
-def test_killed_shard_legacy_whole_job_restart():
-    """partial_restart=False keeps the PR-7 contract: restart from scratch."""
-    bed, sd_path, inp = _bed()
-    eng = DistributedEngine(bed.cluster)
-    clean = bed.run(eng.run(_job(sd_path), timeout=_TIMEOUT))
-    victim = clean.merge_node
-    kill_at = clean.timeline["map_done"] + 1e-3
+def _kill_after_map(victims, size=MB(20)):
+    """Kill ``victims``' daemons just after the clean run's map phase,
+    with a 5 s invoke deadline.
 
-    bed2, path2, _ = _bed()
-    eng2 = DistributedEngine(bed2.cluster, partial_restart=False)
+    Returns ``(bed, kill_at, clean_result, outcome)``; the outcome is
+    the result, or the exception the job raised.
+    """
+    bed, sd_path, _ = _bed(size=size)
+    clean = bed.run(DistributedEngine(bed.cluster).run(
+        _job(sd_path, size=size), timeout=_TIMEOUT,
+    ))
+    kill_at = clean.timeline["map_done"] + 1e-3
+    victims = victims(clean)
+
+    bed2, path2, _ = _bed(size=size)
 
     def killer():
         yield bed2.sim.timeout(kill_at)
-        bed2.cluster.sd_daemons[victim].kill()
+        for name in victims:
+            bed2.cluster.sd_daemons[name].kill()
+
+    def go():
+        try:
+            return (yield DistributedEngine(bed2.cluster).run(
+                _job(path2, size=size), timeout=5.0,
+            ))
+        except Exception as exc:
+            return exc
 
     bed2.sim.spawn(killer(), name="killer")
-    res = bed2.run(eng2.run(_job(path2), timeout=5.0))
+    return bed2, kill_at, clean, bed2.run(go())
+
+
+def test_dead_shard_detected_within_one_deadline():
+    # the missed deadline is the eviction signal: no hidden same-node
+    # retry doubles it before the recovery pass starts
+    _, kill_at, clean, res = _kill_after_map(lambda c: [c.merge_node])
     assert pickle.dumps(res.output) == pickle.dumps(clean.output)
-    assert res.attempts == 2 and eng2.full_restarts == 1
-    assert victim not in res.shard_nodes
-    # the committed attempt cleaned up the failed attempt's shuffle dirs
-    base, _, _ = res.job_id.rpartition("a")
-    stale = f"/export/shuffle/{base}a0"
-    for node in bed2.cluster.sd_nodes:
-        assert not node.fs.vfs.exists(stale)
+    first = min(f["at"] for f in res.recovery["failures"])
+    assert first <= kill_at + 5.0 + 0.5
+
+
+def test_failed_job_leaves_no_shuffle_dir():
+    bed, _, _, exc = _kill_after_map(
+        lambda c: list(c.shard_nodes), size=MB(40),
+    )
+    assert isinstance(exc, DistributedJobError)
+    for node in bed.cluster.sd_nodes:
+        vfs = node.fs.vfs
+        leaked = vfs.listdir("/export/shuffle") if vfs.exists("/export/shuffle") else []
+        assert not leaked, (node.name, leaked)
 
 
 def test_whole_fleet_dead_raises_distributed_job_error():
     bed, sd_path, inp = _bed()
     for name in list(bed.cluster.sd_daemons):
         bed.cluster.sd_daemons[name].kill()
-    eng = DistributedEngine(bed.cluster, max_attempts=2)
+    eng = DistributedEngine(bed.cluster)
 
     def go():
         try:

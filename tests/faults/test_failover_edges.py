@@ -48,8 +48,9 @@ def test_zero_replicas_falls_back_to_host(env):
     assert sum(v for _, v in res.output) == _expected(inp)
     assert ft.failovers == 1
     trail = ft.history[0]
-    assert [a.outcome for a in trail] == ["error", "error", "ok"]
+    assert [a.outcome for a in trail] == ["error", "ok"]
     assert trail[-1].detail == "failover"
+    assert bed.cluster.channel("sd0").retries == 1
 
 
 def test_all_replicas_down_without_fallback_raises(env):
@@ -67,8 +68,9 @@ def test_all_replicas_down_without_fallback_raises(env):
 
     exc = bed.run(go())
     assert isinstance(exc, OffloadError)
-    # budget fully spent, nothing beyond it: (retries+1) per target
-    assert ft.total_attempts == 2 * 2
+    # budget fully spent, nothing beyond it: one try + one retry per target
+    assert ft.total_attempts == 2
+    assert [bed.cluster.channel(n).retries for n in ("sd0", "sd1")] == [1, 1]
     assert ft.failovers == 0
 
 
@@ -116,6 +118,7 @@ def test_permanent_error_fails_fast_per_target(env):
     assert isinstance(exc, OffloadError)
     # one attempt per target despite max_retries=3: the error is permanent
     assert ft.total_attempts == 2
+    assert [bed.cluster.channel(n).retries for n in ("sd0", "sd1")] == [0, 0]
 
 
 def test_unknown_replica_names_are_skipped(env):
@@ -142,7 +145,7 @@ def test_counters_track_retries_and_failovers(env):
     bed.run(go())
     counters = bed.sim.obs.metrics.snapshot()["counters"]
     # 1 retry on each SD target, then sd0 -> sd1 and sd1 -> host failovers
-    assert counters["retry.offload.wordcount"] == 2
+    assert counters["retry.smartfam.wordcount"] == 2
     assert counters["failover.count"] == 2
     assert counters["failover.host"] == 1
 
@@ -151,5 +154,3 @@ def test_invoker_validates_budgets(env):
     bed, _inp, _job = env
     with pytest.raises(OffloadError):
         FaultTolerantInvoker(bed.cluster, max_retries=-1)
-    with pytest.raises(OffloadError):
-        FaultTolerantInvoker(bed.cluster, backoff=-0.1)

@@ -92,7 +92,7 @@ def test_standard_plans_are_finite(factory):
 def test_distributed_plan_fits_in_the_transfer_retry_budget():
     # fail + drop + delay on consecutive exchange events: exactly what
     # one transfer's bounded in-place retry (2 retries = 3 attempts,
-    # the engine default) absorbs without a whole-job restart
+    # the engine's) absorbs without a recovery pass
     plan = distributed_chaos_plan()
     assert [r.site for r in plan] == ["shuffle.exchange"] * 3
     assert [r.action for r in plan] == ["fail", "drop", "delay"]

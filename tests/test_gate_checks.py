@@ -67,8 +67,6 @@ MUTATIONS = [
      ("identity", "rows", 8, "identical"), False),
     ("BENCH_distributed.json", "partial restart identical",
      ("recovery", "partial", "identical"), False),
-    ("BENCH_distributed.json", "whole-job restart identical",
-     ("recovery", "whole_job", "identical"), False),
     ("BENCH_distributed.json", "x2 speedup",
      ("scaling", "runs", 1, "speedup_vs_x1"), 1.59),
     ("BENCH_distributed.json", "x4 speedup",
@@ -78,9 +76,7 @@ MUTATIONS = [
     ("BENCH_distributed.json", "recovery ratio",
      ("recovery", "recovery_ratio"), 0.51),
     ("BENCH_distributed.json", "recovery contract",
-     ("recovery", "partial", "full_restarts"), 1),
-    ("BENCH_distributed.json", "recovery contract",
-     ("recovery", "whole_job", "full_restarts"), 0),
+     ("recovery", "partial", "partial_restarts"), 0),
     ("BENCH_distributed.json", "node rejoins",
      ("recovery", "rejoin", "final_state"), "quarantined"),
     ("BENCH_distributed.json", "node rejoins",

@@ -100,7 +100,10 @@ def world():
                 "app": {"threshold": 100.0, "agg": "sum"},
             },
         )
-        # a scatter-gather across both SD nodes
+        # a scatter-gather across both SD nodes, issued once the WC offload
+        # holds sd0's wordcount channel (calls to one module serialize), so
+        # the injected crash lands on the fault-tolerant job
+        yield bed.sim.timeout(0.001)
         p_scatter = scatter.run(ScatterJob(app="wordcount", shards=shards))
         gathered = yield bed.sim.all_of([p_wc, p_prog, p_db, p_scatter])
         results["wc"] = gathered[p_wc]

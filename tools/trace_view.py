@@ -31,8 +31,8 @@ Reads either export format (Chrome-trace/Perfetto JSON or JSONL, see
   invoke/job counters of a ``DistributedEngine`` run — the
   ``shuffle.exchange`` leg itself lands on the job's ``dist:*`` track, so
   ``critpath --containment --root dist.job`` shows the exchange on the
-  critical path when it dominates) and recovery (partial vs full
-  restarts, deduped transfers, speculation launches with the win rate,
+  critical path when it dominates) and recovery (partial restarts,
+  deduped transfers, speculation launches with the win rate,
   node quarantine/probation/rejoin transitions, and per-node suspicion
   sparklines from the ``node.suspicion.<name>`` series);
 * a scheduler section (queue depth over time from the
