@@ -22,11 +22,13 @@ files.  Three claims are measured:
   An absolute **throughput floor** (input MB/s through the streaming
   engine) guards against the ratio staying healthy while both sides
   regress together.
-* **Out-of-core equivalence** — the same input under a memory budget a
+* **Out-of-core overhead** — the same input under a memory budget a
   fraction of its size: multiple spilled fragments, byte-identical
-  output.  Reported, not speed-gated: like the paper's Fig 7, the
-  partitioning machinery costs overhead at sizes that still fit in
-  memory; its value is the memory bound.
+  output.  Like the paper's Fig 7, the partitioning machinery costs
+  overhead at sizes that still fit in memory (its value is the memory
+  bound), so the gate bounds that overhead against the live streaming
+  engine on the same input and worker count: out-of-core time <=
+  ``OUTOFCORE_OVERHEAD_MAX`` x streaming time.
 * **Peak-RSS bound** — a value-list-heavy job (no combiner: every
   emitted value survives to the parent accumulator) measured by
   :mod:`benchmarks.rss_probe` in fresh subprocesses, in-memory vs
@@ -99,6 +101,12 @@ RSS_BOUND_KIB = RSS_ALLOWANCE_FACTOR * RSS_BUDGET / 1024
 #: raised from 1.3x when the zero-copy data plane landed (typ. ~2.1-2.2x
 #: measured on the CI shape; 2.5x is the aspirational target)
 STREAMING_GATE = 2.0
+
+#: out-of-core time allowed per second of streaming time over the same
+#: jobs (the partition overhead of the paper's Fig 7, measured against
+#: the live engine rather than the frozen seed).  Twenty runs per mode on
+#: a 2-vCPU VM measured 1.3-2.4x quick and 1.3-2.0x full
+OUTOFCORE_OVERHEAD_MAX = 2.5
 
 #: absolute input-throughput floor for the streaming engine (MB/s of
 #: corpus bytes per wall second across the timed jobs) — catches the
@@ -277,6 +285,7 @@ def run_suite(quick: bool = False, n_workers: int = GATE_WORKERS) -> dict:
             "gates": {
                 "streaming_speedup_min": STREAMING_GATE,
                 "throughput_floor_mb_s": THROUGHPUT_FLOOR_MB_S,
+                "outofcore_overhead_max": OUTOFCORE_OVERHEAD_MAX,
             },
             "seed_s": round(seed_s, 4),
             "streaming_s": round(stream_s, 4),
@@ -287,13 +296,9 @@ def run_suite(quick: bool = False, n_workers: int = GATE_WORKERS) -> dict:
             "outofcore": {
                 "elapsed_s": round(ooc_s, 4),
                 "speedup_vs_seed": round(ooc_speedup, 3),
+                "overhead_vs_streaming": round(ooc_s / stream_s, 3),
                 "n_fragments": ooc_results[0].n_fragments,
                 "spilled_bytes": ooc_results[0].spilled_bytes,
-                "note": (
-                    "not speed-gated: partitioning overhead at sizes that "
-                    "fit in memory matches the paper's Fig 7; the win is "
-                    "the memory bound"
-                ),
             },
             "rss": {
                 "payload_bytes": rss_payload,
@@ -320,9 +325,8 @@ def checks(payload: dict) -> list[tuple]:
     top = cp["by_name"][0] if cp["by_name"] else {"name": "?", "pct": 0}
     return [
         ("outputs identical", OUTPUT, payload["all_match"],
-         f"seed, streaming and out-of-core ({ooc['n_fragments']} fragments, "
-         f"{ooc['speedup_vs_seed']:.2f}x vs seed, not gated) over "
-         f"{payload['workload']['n_jobs']} jobs each"),
+         f"seed, streaming and out-of-core ({ooc['n_fragments']} fragments) "
+         f"over {payload['workload']['n_jobs']} jobs each"),
         ("rss outputs identical", OUTPUT, rss["outputs_match"],
          "in-memory vs out-of-core value-list job"),
         ("streaming speedup", GATE, payload["speedup"] >= STREAMING_GATE,
@@ -333,6 +337,11 @@ def checks(payload: dict) -> list[tuple]:
          payload["throughput_mb_s"] >= THROUGHPUT_FLOOR_MB_S,
          f"{payload['throughput_mb_s']:.1f} MB/s "
          f"(floor {THROUGHPUT_FLOOR_MB_S} MB/s)"),
+        ("out-of-core overhead", GATE,
+         ooc["overhead_vs_streaming"] <= OUTOFCORE_OVERHEAD_MAX,
+         f"out-of-core {ooc['elapsed_s']:.3f}s vs streaming "
+         f"{payload['streaming_s']:.3f}s => {ooc['overhead_vs_streaming']:.2f}x "
+         f"(gate <= {OUTOFCORE_OVERHEAD_MAX}x)"),
         ("rss run modes", GATE,
          rss["memory_run_mode"] == "memory"
          and rss["outofcore_run_mode"] == "outofcore"

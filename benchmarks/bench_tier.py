@@ -4,7 +4,7 @@ Two halves, mirroring the two halves of :mod:`repro.tier`:
 
 * **Real engine, warm vs cold tier** — the same out-of-core wordcount run
   twice through one :class:`~repro.tier.store.TieredStore`.  The cold run
-  maps every fragment and spills its sorted runs into the tier; the warm
+  maps every fragment and spills its runs into the tier; the warm
   run finds every run already resident (``tier.spill.reuse``) and goes
   straight to the merge — no map phase, no spill writes.  Wall-clock is
   the measurement; the gate is ``cold / warm >= WARM_GATE`` plus byte

@@ -12,9 +12,9 @@ input data size" (Section V-C).
 
 Calibration: ~120 ops per declared byte total on the reference core
 (=> ~16.7 MB/s per 2 GHz core, Phoenix-era WC throughput), split across
-map/sort/reduce/merge.  WC is compute-bound: the 80 MB/s disk keeps up
-with even four cores, which is what makes the parallel speedup track the
-core count (Fig 8(a)).
+map/sort/reduce/merge.  WC is compute-bound: the 120 MB/s disk keeps up
+with even four 2.66 GHz cores (~89 MB/s), which is what makes the
+parallel speedup track the core count (Fig 8(a)).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ implementable outside the simulator.
 The engine is a bounded-memory streaming pipeline: a persistent worker
 pool (:mod:`repro.exec.pool`) with mmap-backed chunk reads, overlapped
 map/merge via ``imap_unordered``, and an out-of-core fragment mode
-(:mod:`repro.exec.outofcore`) that spills sorted runs to disk when the
+(:mod:`repro.exec.outofcore`) that spills fragment runs to disk when the
 input exceeds the configured memory budget — the paper's Fig 6
 partitioning loop on real hardware.  The pre-streaming barrier engine is
 frozen in :mod:`repro.exec.seed_engine` for the perf gate.

@@ -17,10 +17,10 @@ The hot path is a **streaming, bounded-memory pipeline**:
   peak parent memory is O(accumulator + in-flight results), not
   O(all chunks).
 * With a ``memory_budget`` set and an input larger than it, the job runs
-  **out of core** (:mod:`repro.exec.outofcore`): fragment-at-a-time
-  map/combine/sort, spill each fragment's sorted run to disk, lazily
-  ``heapq.merge`` the runs before reduce/merge.  Output is identical to
-  the in-memory mode; only peak memory changes.
+  **out of core** (:mod:`repro.exec.outofcore`): map a fragment at a
+  time, spill each result to disk, then fold the runs (combiner jobs) or
+  ``heapq.merge`` sorted runs (combinerless jobs) before reduce.  Output
+  is identical to the in-memory mode; only peak memory changes.
 
 API notes: ``map``/``reduce``/``merge`` callbacks mirror
 :class:`~repro.phoenix.api.MapReduceSpec` and must be module-level
@@ -251,7 +251,6 @@ class LocalMapReduce:
                         self.sort_output, params, budget, obs, self.spill_dir,
                         faults=self.faults,
                         max_retries=self.spill_retries,
-                        prefolded=self.combine_fn is not None,
                         tier=self.tier, tier_key=tier_key,
                         prefetcher=prefetcher,
                     )
@@ -404,7 +403,7 @@ class LocalMapReduce:
                     elif combine_fn is not None:
                         fold_map_into(merged, arrived, combine_fn)
                     else:
-                        merge_map_into(merged, arrived, combine_fn)
+                        merge_map_into(merged, arrived)
                     next_index += 1
         return merged
 

@@ -3,23 +3,25 @@
 When a job's input exceeds the engine's memory budget, the streaming
 engine runs the paper's partitioning extension for real: the chunk plan is
 grouped into consecutive *fragments* no larger than the budget, each
-fragment is mapped/combined/decorate-sorted on its own, and the fragment's
-sorted run is spilled to disk as pickled blocks.  At any instant the
-parent holds one fragment's accumulator — not the whole input's — which is
-what bounds peak RSS.  After the last fragment, the spilled runs are
-merged *lazily* (``heapq.merge`` via
-:func:`repro.phoenix.sort.merge_decorated_runs`), equal keys are folded
-across runs, and reduction happens per key as the stream drains, so the
-merge phase holds O(runs) read-ahead blocks plus the final output.
+fragment is mapped on its own, and its result is spilled as a *run* of
+pickled blocks.  At any instant the parent holds one fragment's
+accumulator — not the whole input's — which is what bounds peak RSS.
+A combiner job spills its folded map as it stands, then folds the runs,
+one block at a time in fragment order, into one accumulator with the
+in-memory path's ``fold_map_into`` and ``finalize_folded_map``.  A
+combinerless job's value lists must stream: its runs are decorate-sorted
+and merged *lazily* (:func:`repro.phoenix.sort.merge_decorated_runs`),
+reducing per key as the stream drains, so that merge holds one block per
+run.
 
 Spill format: each run file is a sequence of *independent* pickled
-blocks (lists of decorated ``(sort_key, key, values)`` entries, bounded
-by :data:`SPILL_BLOCK_ENTRIES` and :data:`SPILL_BLOCK_VALUES`).
+blocks (dict slices of a folded map, or lists of decorated entries,
+bounded by :data:`SPILL_BLOCK_ENTRIES` and a per-job value cap).
 Independence matters: a pickler/unpickler pair shared across blocks
 memoizes every object it has ever seen, so a shared reader would keep the
 *entire* run resident while the merge drains it — silently un-bounding
 the memory the spill exists to bound.  With per-block pickles the reader
-holds one block's objects per run at a time.
+holds one block's objects per open run at a time.
 
 Integrity: every block is framed ``<length:u32><crc32:u32><payload>``
 (little-endian) and verified on read.  A crc mismatch is first answered
@@ -32,11 +34,11 @@ file is the durable copy, so spill corruption costs time, never answers.
 
 Burst-buffer spill: with a :class:`~repro.tier.store.TieredStore` the
 runs live in the tier (memory level first, background write-back to the
-tier's SSD directory) instead of plain files — same crc framing, built
-by :func:`dump_run` and drained by :func:`iter_run_bytes`.  Runs are
+tier's SSD directory) instead of plain files — same crc framing
+(:func:`dump_run` builds the bytes :func:`write_run` writes).  Runs are
 keyed by job content identity, so a repeat job over an unchanged input
-reuses every still-resident run and skips its map/combine/sort/spill
-entirely — the warm-tier speedup the burst buffer exists for.  The tier
+reuses every still-resident run and skips its map and spill entirely —
+the warm-tier speedup the burst buffer exists for.  The tier
 may *lose* entries (dropped write-back, eviction, fault injection);
 every loss is detected (presence sweep before each merge attempt, crc on
 read) and answered by recomputing the fragment from the input file.
@@ -60,7 +62,7 @@ deterministically.
 
 Observability: each fragment gets a ``localmr.fragment`` span with a
 nested ``localmr.spill``; spilled volume feeds the always-on
-``localmr.spill_bytes`` / ``localmr.spill_runs`` counters; the final lazy
+``localmr.spill_bytes`` / ``localmr.spill_runs`` counters; the final
 merge runs under ``localmr.merge``; recovery feeds ``retry.count`` and
 ``localmr.recompute``.
 """
@@ -68,7 +70,6 @@ merge runs under ``localmr.merge``; recovery feeds ``retry.count`` and
 from __future__ import annotations
 
 import atexit
-import functools
 import io
 import itertools
 import operator
@@ -91,6 +92,8 @@ from repro.exec.chunks import FileChunk
 from repro.obs import Observability
 from repro.phoenix.sort import (
     decorate_sorted,
+    finalize_folded_map,
+    fold_map_into,
     merge_decorated_runs,
     sort_decorated_by_value_desc,
     undecorate,
@@ -112,21 +115,21 @@ __all__ = [
     "live_spill_dirs",
 ]
 
-#: max decorated entries per pickled spill block
+#: max entries (decorated entries or folded keys) per pickled spill block
 SPILL_BLOCK_ENTRIES = 2048
 
-#: default max values per pickled spill block — value-list entries (no
-#: combiner) can each carry many values, so blocks must be value-weighted
-#: for any memory bound to hold on list-heavy workloads
+#: default max values per pickled sorted-run block — value-list entries
+#: (no combiner) can each carry many values, so their blocks must be
+#: value-weighted for any memory bound to hold on list-heavy workloads
 SPILL_BLOCK_VALUES = 8192
 
-#: total merge read-ahead budget, in values, across ALL runs.  The merge
-#: holds one block per run; with a fixed per-block cap that read-ahead is
-#: ``n_runs x cap`` — and ``n_runs`` grows linearly with input size
-#: (input/budget), which would silently make merge memory O(input).  The
-#: run count is known before anything spills, so the per-block cap is
-#: derived as ``MERGE_READAHEAD_VALUES / n_runs``: total read-ahead stays
-#: constant however large the input gets.
+#: total heap-merge read-ahead budget, in values, across ALL sorted runs.
+#: The heap merge holds one block per run; with a fixed per-block cap that
+#: read-ahead is ``n_runs x cap`` — and ``n_runs`` grows linearly with
+#: input size (input/budget), which would silently make merge memory
+#: O(input).  The run count is known before anything spills, so the
+#: per-block cap is derived as ``MERGE_READAHEAD_VALUES / n_runs``: total
+#: read-ahead stays constant however large the input gets.
 MERGE_READAHEAD_VALUES = 8_192
 
 #: floor on the derived per-block value cap (keeps pickle-call overhead
@@ -242,13 +245,34 @@ def plan_fragments(
 # --------------------------------------------------------------------------
 
 
+def _blocks(entries: _t.Iterable, block_values: int) -> _t.Iterator:
+    """Cut a run into blocks: a folded map (``dict``) into dict slices,
+    decorated entries into lists bounded by count and carried values."""
+    if isinstance(entries, dict):
+        items = iter(entries.items())
+        while block := dict(itertools.islice(items, SPILL_BLOCK_ENTRIES)):
+            yield block
+        return
+    block: list = []
+    weight = 0
+    for entry in entries:
+        block.append(entry)
+        values = entry[2]
+        weight += len(values) if isinstance(values, list) else 1
+        if len(block) >= SPILL_BLOCK_ENTRIES or weight >= block_values:
+            yield block
+            block, weight = [], 0
+    if block:
+        yield block
+
+
 def _framed_blocks(
     entries: _t.Iterable,
     block_values: int,
     faults: "FaultInjector | None",
     run_index: int | None,
 ) -> _t.Iterator[bytes]:
-    """Frame ``entries`` into crc-headed pickled blocks.
+    """Frame ``entries`` into crc-headed pickled blocks (see :func:`_blocks`).
 
     The ``spill.write`` fault decision is made *eagerly* (a fail raises
     before the caller has written anything); a corrupt decision flips one
@@ -265,27 +289,13 @@ def _framed_blocks(
 
     def frames() -> _t.Iterator[bytes]:
         nonlocal decision
-        block: list = []
-        weight = 0
-
-        def frame() -> bytes:
-            nonlocal decision
+        for block in _blocks(entries, block_values):
             payload = pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
             header = _BLOCK_HEADER.pack(len(payload), zlib.crc32(payload))
             if decision is not None and decision.action == "corrupt":
                 payload = faults.corrupt_bytes(payload, decision)
                 decision = None
-            return header + payload
-
-        for entry in entries:
-            block.append(entry)
-            values = entry[2]
-            weight += len(values) if isinstance(values, list) else 1
-            if len(block) >= SPILL_BLOCK_ENTRIES or weight >= block_values:
-                yield frame()
-                block, weight = [], 0
-        if block:
-            yield frame()
+            yield header + payload
 
     return frames()
 
@@ -297,15 +307,15 @@ def write_run(
     faults: "FaultInjector | None" = None,
     run_index: int | None = None,
 ) -> int:
-    """Spill one sorted decorated run as crc-framed pickled blocks.
+    """Spill one run as crc-framed pickled blocks; returns bytes written.
 
-    Returns bytes written.  Blocks are bounded both by entry count and by
-    total carried values (``block_values``), so a reader never holds more
-    than ~one block's worth of data per run regardless of how lopsided
-    the value lists are.  Each block is an independent pickle (fresh
-    memo) behind a ``<length, crc32>`` header, so readers can free a
-    block's objects as soon as the merge moves past them and verify each
-    block independently.
+    ``entries`` is a folded map (spilled as dict slices) or sorted
+    decorated entries, whose blocks are bounded both by entry count and
+    by carried values (``block_values``), so a reader never holds more
+    than ~one block's worth of data per run however lopsided the value
+    lists are.  Each block is an independent pickle (fresh memo) behind a
+    ``<length, crc32>`` header, so readers can free a block's objects as
+    soon as the merge moves past them and verify each block independently.
 
     Injected faults at ``spill.write``: *fail* raises before anything is
     written (retryable — the caller re-spills), *corrupt* flips one byte
@@ -358,7 +368,9 @@ def iter_run(
     faults: "FaultInjector | None" = None,
     run_index: int | None = None,
 ) -> _t.Iterator:
-    """Stream a spilled run back, one verified block resident at a time.
+    """Stream a spilled run's entries back, one verified block resident
+    at a time: decorated entries for a sorted run, ``(key, value)`` pairs
+    for a folded one.
 
     Every block's crc32 is checked.  A mismatch gets exactly one re-read
     from disk (transient corruption between the page cache and this
@@ -373,7 +385,7 @@ def iter_run(
     check — exercising the re-read path without touching the file.
     """
     with open(path, "rb") as f:
-        yield from _iter_blocks(f, path, faults, run_index)
+        yield from _entries(_iter_blocks(f, path, faults, run_index))
 
 
 def iter_run_bytes(
@@ -390,7 +402,12 @@ def iter_run_bytes(
     twice and raises), then :class:`~repro.errors.SpillCorruptionError`
     carrying the run index for the engine's recompute path.
     """
-    yield from _iter_blocks(io.BytesIO(data), name, faults, run_index)
+    return _entries(_iter_blocks(io.BytesIO(data), name, faults, run_index))
+
+
+def _entries(blocks: _t.Iterable) -> _t.Iterator:
+    for block in blocks:
+        yield from block.items() if isinstance(block, dict) else block
 
 
 def _iter_blocks(
@@ -428,7 +445,7 @@ def _iter_blocks(
             payload, crc, _ = got
             if zlib.crc32(payload) != crc:
                 raise SpillCorruptionError(path, block_index, run_index)
-        yield from pickle.loads(payload)
+        yield pickle.loads(payload)
         block_index += 1
 
 
@@ -461,12 +478,11 @@ def _fold_equal_keys(stream: _t.Iterator) -> _t.Iterator:
 
 def _finalize_stream(
     stream: _t.Iterator,
-    combine_fn: _t.Callable | None,
     reduce_fn: _t.Callable | None,
     sort_output: bool,
     params: dict,
 ) -> list[tuple[object, object]]:
-    """Reduce/fold the merged stream per key; mirror of
+    """Reduce the merged value-list stream per key; mirror of
     :func:`repro.phoenix.sort.finalize_merged_map` over a lazy stream.
 
     Value lists exist one key at a time; only the final (key, value)
@@ -476,11 +492,6 @@ def _finalize_stream(
     if reduce_fn is not None:
         entries = [
             (skey, key, reduce_fn(key, values, params))
-            for skey, key, values in folded
-        ]
-    elif combine_fn is not None:
-        entries = [
-            (skey, key, functools.reduce(combine_fn, values))
             for skey, key, values in folded
         ]
     else:
@@ -507,19 +518,16 @@ def run_out_of_core(
     spill_dir: str | None = None,
     faults: "FaultInjector | None" = None,
     max_retries: int = 2,
-    prefolded: bool = False,
     tier: "TieredStore | None" = None,
     tier_key: str | None = None,
     prefetcher: "ReadaheadPrefetcher | None" = None,
 ) -> tuple[list[tuple[object, object]], int, int]:
-    """Fragment-at-a-time map/combine/sort/spill, then lazy merge-reduce.
+    """Fragment-at-a-time map and spill, then merge and finalize.
 
     ``map_fragment`` is the engine's chunk-mapping closure (pool or
-    in-process) returning one merged ``key -> values`` map per fragment —
-    or, with ``prefolded=True`` (requires ``combine_fn``), a
-    *scalar-folded* ``key -> value`` map whose per-key combine is already
-    complete (the streaming engine's :func:`~repro.phoenix.sort.fold_map_into`
-    accumulator), which spills without the per-key reduce pass.
+    in-process) returning one map per fragment: with a ``combine_fn`` a
+    folded ``key -> value`` map (so ``reduce_fn`` gets one folded partial
+    per key, as in memory), else a ``key -> values`` map.
     Returns ``(output, n_fragments, spilled_bytes)``.  Spill files live
     under a fresh directory inside ``spill_dir`` (default: the system
     temp dir) and are removed whether the run succeeds or raises — with
@@ -528,17 +536,17 @@ def run_out_of_core(
     With a ``tier`` (:class:`~repro.tier.store.TieredStore`), runs go
     into the burst buffer instead of plain spill files: each fragment's
     framed run is ``put()`` under ``{tier_key}/bv{block_values}/run-i``
-    and the merge streams it back with :func:`iter_run_bytes`.  Because
-    ``tier_key`` encodes the *content identity* of the job (file stat,
-    chunk plan, callables, params — the caller's responsibility), a warm
-    tier lets a repeat job skip map+combine+sort+spill for every run it
-    still holds (``tier.spill.reuse``).  The tier is allowed to lie about
+    and the merge reads it back block by block.  Because ``tier_key``
+    encodes the *content identity* of the job (file stat, chunk plan,
+    callables, params — the caller's responsibility), a warm tier lets a
+    repeat job skip map and spill for every run it still holds
+    (``tier.spill.reuse``).  The tier is allowed to lie about
     durability: an entry lost to a dropped write-back is detected before
     each merge attempt (``contains``) and recomputed from the input file;
     a corrupted payload fails the crc check, is invalidated and
     recomputed.  Loss costs time, never answers.  ``prefetcher`` is
-    advised as each fragment starts so the next fragment's chunks warm
-    the page cache while this one maps.
+    advised as each fragment starts mapping (never for a warm run) so the
+    next fragment's chunks warm the page cache while this one maps.
 
     Recovery: a transient spill-write failure re-spills the fragment; a
     durably corrupt block found during the merge recomputes *that*
@@ -549,9 +557,9 @@ def run_out_of_core(
     once.
     """
     fragments = plan_fragments(chunks, budget)
-    # per-block value cap derived from the run count so the merge's total
-    # read-ahead (one block per run) stays ~MERGE_READAHEAD_VALUES however
-    # many runs the input needs
+    # per-block value cap derived from the run count so the heap merge's
+    # total read-ahead (one block per run) stays ~MERGE_READAHEAD_VALUES
+    # however many runs the input needs
     block_values = max(
         MIN_BLOCK_VALUES,
         min(SPILL_BLOCK_VALUES, MERGE_READAHEAD_VALUES // len(fragments)),
@@ -580,9 +588,9 @@ def run_out_of_core(
         return os.path.join(ensure_tmpdir(), f"run-{i:05d}.spill")
 
     def spill_fragment(i: int, to_disk: bool = False) -> str:
-        """Map/combine/sort fragment ``i`` and spill its run (with bounded
-        retry on transient write faults).  With a warm tier the whole
-        pipeline is skipped when the run is already resident.
+        """Map fragment ``i`` and spill its run (with bounded retry on
+        transient write faults).  With a warm tier the whole pipeline is
+        skipped when the run is already resident.
 
         ``to_disk`` forces the run into a plain spill file even when a
         tier is attached: the durable fallback for merge recovery, so a
@@ -591,8 +599,6 @@ def run_out_of_core(
         instead of burning every retry on capacity churn.
         """
         nonlocal spilled
-        if prefetcher is not None:
-            prefetcher.advise(i)
         if to_disk:
             on_disk.add(i)
         source = run_source(i)
@@ -602,32 +608,18 @@ def run_out_of_core(
             # previous identical job — nothing to map, nothing to write
             obs.count("tier.spill.reuse")
             return source
+        if prefetcher is not None:
+            prefetcher.advise(i)
         fragment = fragments[i]
         with obs.span(
             "localmr.fragment", cat="localmr", track="localmr",
             index=i, chunks=len(fragment),
             bytes=sum(c.length for c in fragment),
         ):
-            merged = map_fragment(fragment)
-            if combine_fn is not None:
-                # fragment-side combine: one folded partial per key
-                # before spilling (licensed by the combiner contract;
-                # halves spill volume).  The cross-run fold then hands
-                # reduce per-fragment partial lists.  A prefolded
-                # accumulator already holds the scalar; a value-list
-                # accumulator folds here.
-                if prefolded:
-                    entries = decorate_sorted(
-                        (k, [v]) for k, v in merged.items()
-                    )
-                else:
-                    entries = decorate_sorted(
-                        (k, [functools.reduce(combine_fn, vs)])
-                        for k, vs in merged.items()
-                    )
-            else:
-                entries = decorate_sorted(merged)
-            del merged
+            run = map_fragment(fragment)
+            if combine_fn is None:
+                # value lists stream through the heap merge: sort the run
+                run = decorate_sorted(run)
             with obs.span(
                 "localmr.spill", cat="localmr", track="localmr", index=i,
             ) as spill_sp:
@@ -635,14 +627,14 @@ def run_out_of_core(
                     try:
                         if use_tier:
                             data = dump_run(
-                                entries, block_values,
+                                run, block_values,
                                 faults=faults, run_index=i,
                             )
                             tier.put(source, data)
                             nbytes = len(data)
                         else:
                             nbytes = write_run(
-                                source, entries, block_values,
+                                source, run, block_values,
                                 faults=faults, run_index=i,
                             )
                         break
@@ -651,26 +643,37 @@ def run_out_of_core(
                             raise
                         obs.count("retry.count")
                         obs.count("retry.spill_write")
-                spill_sp.set(bytes=nbytes, entries=len(entries))
-            del entries
+                spill_sp.set(bytes=nbytes, entries=len(run))
+            del run
             obs.count("localmr.spill_bytes", nbytes)
             obs.count("localmr.spill_runs")
             spilled += nbytes
         return source
 
-    def open_run(source: str, j: int) -> _t.Iterator:
+    def open_blocks(j: int) -> _t.Iterator:
+        """Run ``j``'s verified blocks, from its file or the tier."""
+        source = run_sources[j]
         if tier is None or j in on_disk:
-            return iter_run(source, faults=faults, run_index=j)
+            with open(source, "rb") as f:
+                yield from _iter_blocks(f, source, faults, j)
+            return
+        data = tier.get(source)
+        if data is None:
+            # the tier lost the run between the pre-merge sweep and this
+            # pull (fault-degraded read); recompute it
+            raise SpillCorruptionError(source, 0, j)
+        yield from _iter_blocks(io.BytesIO(data), source, faults, j)
 
-        def from_tier() -> _t.Iterator:
-            data = _t.cast("TieredStore", tier).get(source)
-            if data is None:
-                # the tier lost the run between the pre-merge sweep and
-                # this pull (fault-degraded read); recompute it
-                raise SpillCorruptionError(source, 0, j)
-            yield from iter_run_bytes(data, faults=faults, run_index=j, name=source)
-
-        return from_tier()
+    def fold_runs() -> list[tuple[object, object]]:
+        acc: dict = {}
+        for j in range(len(run_sources)):
+            for block in open_blocks(j):
+                if j == 0:
+                    # run 0's blocks are disjoint slices of one map
+                    acc.update(block)
+                else:
+                    fold_map_into(acc, block, combine_fn)
+        return finalize_folded_map(acc, reduce_fn, sort_output, params)
 
     try:
         run_sources = [spill_fragment(i) for i in range(len(fragments))]
@@ -694,15 +697,16 @@ def run_out_of_core(
                     "localmr.merge", cat="localmr", track="localmr",
                     runs=len(run_sources),
                 ):
-                    stream = merge_decorated_runs(
-                        [
-                            open_run(src, j)
-                            for j, src in enumerate(run_sources)
-                        ]
-                    )
-                    output = _finalize_stream(
-                        stream, combine_fn, reduce_fn, sort_output, params
-                    )
+                    if combine_fn is not None:
+                        output = fold_runs()
+                    else:
+                        stream = merge_decorated_runs([
+                            itertools.chain.from_iterable(open_blocks(j))
+                            for j in range(len(run_sources))
+                        ])
+                        output = _finalize_stream(
+                            stream, reduce_fn, sort_output, params
+                        )
                 break
             except SpillCorruptionError as exc:
                 if attempt == max_retries:

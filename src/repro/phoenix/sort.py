@@ -145,36 +145,23 @@ def merge_combiner_maps(
     return merged
 
 
-def merge_map_into(
-    merged: dict[object, list],
-    m: dict,
-    combine_fn: _t.Callable[[object, object], object] | None,
-) -> None:
-    """Fold one combiner map into ``merged`` (incremental counterpart of
-    :func:`merge_combiner_maps`).
+def merge_map_into(merged: dict[object, list], m: dict) -> None:
+    """Extend ``merged``'s value lists with one combinerless map's
+    (incremental counterpart of :func:`merge_combiner_maps`).
 
     The streaming engine merges each worker result the moment it arrives —
     merge CPU overlaps the remaining map work and the parent never holds
     more than the accumulator plus in-flight results — so the merge has to
-    be expressible one map at a time.  Semantics match the batch function:
-    value lists are extended (no ``combine_fn``), folded partials are
-    appended (with one).
+    be expressible one map at a time.  Jobs with a combiner fold instead
+    (:func:`fold_map_into`).
     """
     merged_get = merged.get
-    if combine_fn is None:
-        for key, values in m.items():
-            bucket = merged_get(key)
-            if bucket is None:
-                merged[key] = list(values)
-            else:
-                bucket.extend(values)
-    else:
-        for key, value in m.items():
-            bucket = merged_get(key)
-            if bucket is None:
-                merged[key] = [value]
-            else:
-                bucket.append(value)
+    for key, values in m.items():
+        bucket = merged_get(key)
+        if bucket is None:
+            merged[key] = list(values)
+        else:
+            bucket.extend(values)
 
 
 def fold_map_into(

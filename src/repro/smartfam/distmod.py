@@ -9,7 +9,7 @@ counts) through the log-file channel:
   job's shuffle directory (or, for map-only applications, persist whole
   per-fragment outputs); return per-partition metadata.
 * ``dist_reduce`` — merge the sorted per-shard runs of a partition (a
-  streaming heap merge, the same code path single-node spills use),
+  streaming heap merge, the one combinerless single-node spills use),
   group equal keys across shards, apply the user reduce function.
 * ``dist_merge`` — read the reduced partitions (or gathered fragment
   outputs) in deterministic order and apply the user merge function;

@@ -14,7 +14,8 @@ from repro.apps.wordcount import wc_map, wc_reduce
 from repro.errors import WorkloadError
 from repro.exec import LocalMapReduce, plan_fragments
 from repro.exec.chunks import FileChunk
-from repro.exec.outofcore import iter_run, write_run
+import repro.exec.outofcore as outofcore
+from repro.exec.outofcore import dump_run, iter_run, iter_run_bytes, write_run
 from repro.obs import Observability
 from repro.phoenix.sort import decorate_sorted
 from repro.workloads import zipf_corpus
@@ -60,6 +61,16 @@ def test_run_roundtrip_across_blocks(tmp_path):
     nbytes = write_run(path, entries, block_values=16)  # force many blocks
     assert nbytes == os.path.getsize(path) > 0
     assert list(iter_run(path)) == entries
+
+
+def test_folded_run_roundtrip_across_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(outofcore, "SPILL_BLOCK_ENTRIES", 64)  # many blocks
+    folded = {b"k%04d" % (i * 7 % 500): i for i in range(500)}
+    path = str(tmp_path / "run")
+    assert write_run(path, folded) == os.path.getsize(path) > 0
+    # insertion order survives: the merge's first-seen order depends on it
+    assert list(iter_run(path)) == list(folded.items())
+    assert list(iter_run_bytes(dump_run(folded))) == list(folded.items())
 
 
 def test_run_roundtrip_empty(tmp_path):
@@ -206,3 +217,40 @@ def test_property_out_of_core_equals_in_memory(
     assert dict(mem.output) == dict(Counter(data.split()))
     if len(data) > budget:
         assert ooc.mode == "outofcore"
+
+
+def _grouping_reduce(key, values, params):
+    # sees how the partials were grouped, not just their total
+    return (len(values), sum(values))
+
+
+@given(
+    words=st.lists(
+        st.sampled_from([b"alpha", b"beta", b"gamma", b"delta", b"x"]),
+        min_size=1,
+        max_size=200,
+    ),
+    chunk=st.integers(min_value=4, max_value=64),
+    budget=st.integers(min_value=8, max_value=256),
+)
+@settings(max_examples=30, deadline=None)
+def test_property_out_of_core_reduce_sees_in_memory_partials(
+    tmp_path_factory, words, chunk, budget
+):
+    """reduce_fn gets one folded partial per key out of core, as in memory
+    (the combiner contract in ``finalize_folded_map``), not one per run."""
+    data = b" ".join(words)
+    p = tmp_path_factory.mktemp("ooc") / "corpus"
+    p.write_bytes(data)
+    eng = LocalMapReduce(
+        map_fn=wc_map,
+        reduce_fn=_grouping_reduce,
+        combine_fn=operator.add,
+        n_workers=1,
+    )
+    mem = eng.run(str(p), chunk_bytes=chunk, parallel=False)
+    ooc = eng.run(str(p), chunk_bytes=chunk, parallel=False, memory_budget=budget)
+    assert ooc.output == mem.output
+    assert dict(ooc.output) == {
+        k: (1, n) for k, n in Counter(data.split()).items()
+    }

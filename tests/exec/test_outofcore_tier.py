@@ -21,7 +21,7 @@ def wc_fragment(fragment):
     for c in fragment:
         for w in read_chunk_cached(c).split():
             counts[w] = counts.get(w, 0) + 1
-    return {k: [v] for k, v in counts.items()}
+    return counts
 
 
 @pytest.fixture()
@@ -169,6 +169,31 @@ def test_engine_warm_rerun_through_tier(corpus):
     assert obs.metrics.counters["tier.spill.reuse"] == cold.n_fragments
     tier_dir = store.ssd_dir
     assert not os.path.isdir(tier_dir)
+
+
+def test_readahead_advises_only_mapped_fragments(corpus, monkeypatch):
+    """A warm rerun maps no fragment, so it must not pre-read any."""
+    from repro.tier import ReadaheadPrefetcher
+
+    advised: list = []
+    advise = ReadaheadPrefetcher.advise
+
+    def spy(self, index):
+        advised.append(index)
+        return advise(self, index)
+
+    monkeypatch.setattr(ReadaheadPrefetcher, "advise", spy)
+    with TieredStore(64 * 1024, 256 * 1024) as store:
+        with LocalMapReduce(
+            _map, combine_fn=operator.add, n_workers=1,
+            memory_budget=4096, tier=store, readahead=1,
+        ) as eng:
+            cold = eng.run(corpus, chunk_bytes=1024)
+            cold_advised = list(advised)
+            warm = eng.run(corpus, chunk_bytes=1024)
+    assert cold_advised == list(range(cold.n_fragments))
+    assert advised == cold_advised  # the warm rerun advised nothing
+    assert warm.output == cold.output
 
 
 def test_engine_rejects_bad_knobs():

@@ -41,6 +41,8 @@ MUTATIONS = [
      ("rss", "outputs_match"), False),
     ("BENCH_real_engine.json", "streaming speedup", ("speedup",), 1.99),
     ("BENCH_real_engine.json", "throughput floor", ("throughput_mb_s",), 7.9),
+    ("BENCH_real_engine.json", "out-of-core overhead",
+     ("outofcore", "overhead_vs_streaming"), 2.51),
     ("BENCH_real_engine.json", "rss run modes",
      ("rss", "outofcore_fragments"), 1),
     ("BENCH_real_engine.json", "rss run modes",

@@ -53,7 +53,7 @@ def _wc(fragment):
     for c in fragment:
         for w in read_chunk_cached(c).split():
             counts[w] = counts.get(w, 0) + 1
-    return {k: [v] for k, v in counts.items()}
+    return counts
 
 
 def _run(path, budget, tier=None, faults=None):

@@ -513,13 +513,15 @@ def dist_straggler_case(args: argparse.Namespace):
 
 # -- real-engine cases -------------------------------------------------------
 
-#: chaos tier sized against the ~16 KB runs the wordcount input spills:
-#: one run of mem (every admit demotes its predecessor) and seven runs
-#: of SSD for the 8-run workload (capacity eviction fires, but enough
-#: runs stay resident that every tier.read rule reaches its firing
-#: index during the merge's warm reads)
-_TIER_CHAOS_MEM = 20 * 1024
-_TIER_CHAOS_SSD = 112 * 1024
+#: chaos tier levels in units of one run, measured on the fault-free,
+#: tier-less baseline (so a spill-format change cannot silently remove
+#: the pressure): the memory level holds less than one run (every admit
+#: demotes, so a run whose write-back was dropped is lost at once and
+#: the pre-merge sweep finds it) and the SSD level a few of the 8+ runs
+#: (capacity eviction fires, but enough runs stay resident that every
+#: tier.read rule reaches its firing index during the merge's warm reads)
+_TIER_CHAOS_MEM_RUNS = 0.6
+_TIER_CHAOS_SSD_RUNS = 5
 #: smaller fragments than the engine case -> ~6 runs even in --quick,
 #: enough warm reads for every tier.read rule to reach its firing index
 _TIER_CHAOS_BUDGET = 48 * 1024
@@ -551,13 +553,13 @@ def _make_engine_input(tmpdir: str, quick: bool) -> str:
 
 
 def _run_local(path: str, plan: FaultPlan | None, budget: int, chunk: int,
-               trace: bool = False, tiered: bool = False,
+               trace: bool = False, tier_levels: tuple[int, int] | None = None,
                background: bool = False, **engine_kw):
     """One out-of-core wordcount through ``LocalMapReduce``.
 
-    ``tiered`` puts a deliberately tiny burst buffer under the spills;
-    the store and the engine then share one injector, so ``tier.*`` and
-    engine-side sites draw from the same plan.  ``background`` enables
+    ``tier_levels`` (memory, SSD bytes) puts a deliberately tiny burst
+    buffer under the spills; the store and the engine then share one
+    injector, so ``tier.*`` and engine-side sites draw from the same plan.  ``background`` enables
     the store's real write-back drain thread — its fault decisions
     interleave with the engine thread's, so only the deterministic
     (synchronous) runs are fit for the coverage and reproducibility
@@ -566,9 +568,9 @@ def _run_local(path: str, plan: FaultPlan | None, budget: int, chunk: int,
     obs = Observability(enabled=trace)
     inj = FaultInjector(plan, obs=obs) if plan is not None else None
     store = TieredStore(
-        _TIER_CHAOS_MEM, _TIER_CHAOS_SSD,
-        obs=obs, faults=inj, writeback=background, name="chaos-tier",
-    ) if tiered else None
+        *tier_levels, obs=obs, faults=inj, writeback=background,
+        name="chaos-tier",
+    ) if tier_levels is not None else None
     engine = LocalMapReduce(
         _wc_map, combine_fn=_wc_combine, n_workers=2, memory_budget=budget,
         obs=obs, faults=inj, tier=store, **engine_kw,
@@ -631,12 +633,16 @@ def tier_kill_writeback_case(args: argparse.Namespace):
     """
     plan = tier_chaos_plan(args.seed)
     with tempfile.TemporaryDirectory(prefix="chaos-soak-") as tmpdir:
+        path = _make_engine_input(tmpdir, args.quick)
+        geometry = dict(budget=_TIER_CHAOS_BUDGET, chunk=_TIER_CHAOS_CHUNK)
+        baseline, _, base_res, _ = _run_local(path, None, **geometry)
+        run_bytes = base_res.spilled_bytes / base_res.n_fragments
+        levels = (int(_TIER_CHAOS_MEM_RUNS * run_bytes),
+                  int(_TIER_CHAOS_SSD_RUNS * run_bytes))
         run = functools.partial(
-            _run_local, _make_engine_input(tmpdir, args.quick),
-            budget=_TIER_CHAOS_BUDGET, chunk=_TIER_CHAOS_CHUNK, tiered=True,
+            _run_local, path, **geometry, tier_levels=levels,
             readahead=1, spill_retries=_TIER_CHAOS_RETRIES,
         )
-        baseline, _, _, _ = run(None)
         output, engine, res, store = run(plan, trace=bool(args.trace))
         output2, engine2, _, _ = run(plan)
         # the real background drain thread, gated on the answer and the
@@ -645,7 +651,8 @@ def tier_kill_writeback_case(args: argparse.Namespace):
         leaks = leak_scan(store.ssd_dir, store_bg.ssd_dir)
     same, fired, repro = _replay_rows(
         plan, baseline, (output, engine.faults), (output2, engine2.faults),
-        f"{len(baseline)} bytes, {res.n_fragments} runs through the tier",
+        f"{len(baseline)} bytes, {res.n_fragments} runs through a "
+        f"{levels[0]} B / {levels[1]} B tier",
     )
     c = engine.obs.metrics.counters
     rows = [
