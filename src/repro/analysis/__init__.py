@@ -1,7 +1,7 @@
 """Result assembly and rendering for the evaluation harness."""
 
-from repro.analysis.metrics import Series, speedup, speedup_series
-from repro.analysis.csvout import write_rows_csv, write_series_csv
+from repro.analysis.metrics import Series, speedup
+from repro.analysis.csvout import write_series_csv
 from repro.analysis.report import (
     banner,
     render_ascii_chart,
@@ -11,12 +11,10 @@ from repro.analysis.report import (
 
 __all__ = [
     "speedup",
-    "speedup_series",
     "Series",
     "render_table",
     "render_series_table",
     "render_ascii_chart",
     "banner",
     "write_series_csv",
-    "write_rows_csv",
 ]

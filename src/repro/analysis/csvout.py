@@ -13,7 +13,7 @@ import typing as _t
 
 from repro.analysis.metrics import Series
 
-__all__ = ["write_series_csv", "write_rows_csv"]
+__all__ = ["write_series_csv"]
 
 
 def write_series_csv(
@@ -35,13 +35,3 @@ def write_series_csv(
             writer.writerow(row)
     return path
 
-
-def write_rows_csv(path: str, headers: _t.Sequence[str], rows: _t.Sequence[_t.Sequence[object]]) -> str:
-    """Write a plain table; None cells become empty strings."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(list(headers))
-        for row in rows:
-            writer.writerow(["" if c is None else c for c in row])
-    return path

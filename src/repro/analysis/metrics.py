@@ -9,10 +9,8 @@ better and 1.0 means parity.
 from __future__ import annotations
 
 import dataclasses
-import math
-import typing as _t
 
-__all__ = ["speedup", "Series", "speedup_series", "geometric_mean"]
+__all__ = ["speedup", "Series"]
 
 
 def speedup(t_baseline: float | None, t_optimized: float | None) -> float | None:
@@ -69,21 +67,3 @@ class Series:
         slope = y0 / x0
         return max(y / (slope * x) for x, y in pts)
 
-
-def speedup_series(
-    label: str,
-    xs: _t.Sequence[float],
-    baseline: _t.Sequence[float | None],
-    optimized: _t.Sequence[float | None],
-) -> Series:
-    """Pointwise speedup series with None propagation."""
-    ys = [speedup(b, o) for b, o in zip(baseline, optimized)]
-    return Series(label=label, xs=list(xs), ys=ys)
-
-
-def geometric_mean(values: _t.Iterable[float]) -> float:
-    """Geometric mean (for aggregating speedups)."""
-    vals = [v for v in values if v is not None]
-    if not vals:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))

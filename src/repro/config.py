@@ -21,7 +21,7 @@ import dataclasses
 import typing as _t
 
 from repro.errors import ConfigError
-from repro.units import GiB, Gbit, MB, MiB, msec, usec
+from repro.units import GiB, Gbit, MiB, msec, usec
 
 __all__ = [
     "CPUSpec",
@@ -128,8 +128,6 @@ class TierSpec:
     block_bytes: int = MiB(4)
     #: buffer writes in the RAM tier and drain to disk asynchronously
     writeback: bool = True
-    #: bounded re-queues for a write-back the fault layer dropped
-    writeback_retries: int = 2
     #: fragments of readahead the partitioned runtimes issue (0 = off)
     readahead_fragments: int = 1
 
@@ -142,8 +140,6 @@ class TierSpec:
             raise ConfigError("tier latencies must be >= 0")
         if self.block_bytes < 1:
             raise ConfigError("tier block_bytes must be >= 1")
-        if self.writeback_retries < 0:
-            raise ConfigError("writeback_retries must be >= 0")
         if self.readahead_fragments < 0:
             raise ConfigError("readahead_fragments must be >= 0")
 
@@ -216,9 +212,6 @@ class PhoenixConfig:
     max_input_fraction: float = 0.75
     #: map task granularity: tasks per core per job (dynamic scheduling pool)
     tasks_per_core: int = 4
-    #: default fragment size for the partition-enabled runtime (Section V-C
-    #: uses 600 MB partitions for the multi-application experiments)
-    default_fragment_bytes: int = MB(600)
     #: fraction of node memory the auto-partitioner targets per fragment
     auto_fragment_fraction: float = 0.5
 
@@ -227,8 +220,6 @@ class PhoenixConfig:
             raise ConfigError("max_input_fraction must be in (0, 1]")
         if self.tasks_per_core < 1:
             raise ConfigError("tasks_per_core must be >= 1")
-        if self.default_fragment_bytes < 1:
-            raise ConfigError("default_fragment_bytes must be >= 1")
         if not 0 < self.auto_fragment_fraction <= 1:
             raise ConfigError("auto_fragment_fraction must be in (0, 1]")
 
@@ -239,19 +230,16 @@ class SmartFAMConfig:
 
     The SD-side inotify is a kernel subsystem: near-instant.  The host-side
     monitor watches a file that lives on the NFS share, which in practice
-    means attribute polling; ``host_poll_interval`` models that.
+    means attribute polling; ``host_poll_interval`` models that.  Retries
+    of a transient failure (the SD's result write, the host's
+    :meth:`~repro.smartfam.daemon.HostSmartFAM.invoke_reliable`) follow
+    :data:`repro.errors.RETRIES` and :data:`repro.errors.RETRY_BACKOFF`.
     """
 
     inotify_latency: float = usec(200)
     host_poll_interval: float = msec(50)
     daemon_dispatch_overhead: float = msec(1)
     logfile_bytes: int = 4096
-    #: SD-side retries when persisting a RESULT record hits transient I/O
-    result_write_retries: int = 2
-    #: host-side invoke retries in :meth:`HostSmartFAM.invoke_reliable`
-    invoke_retries: int = 2
-    #: base delay for exponential backoff between retries (doubles per try)
-    retry_backoff: float = msec(100)
 
     def __post_init__(self) -> None:
         if min(self.inotify_latency, self.host_poll_interval) < 0:
@@ -260,10 +248,6 @@ class SmartFAMConfig:
             raise ConfigError("dispatch overhead must be >= 0")
         if self.logfile_bytes < 1:
             raise ConfigError("logfile_bytes must be >= 1")
-        if min(self.result_write_retries, self.invoke_retries) < 0:
-            raise ConfigError("retry counts must be >= 0")
-        if self.retry_backoff < 0:
-            raise ConfigError("retry_backoff must be >= 0")
 
 
 class NodeRole:

@@ -64,6 +64,8 @@ import typing as _t
 from repro.apps import spec_for_app
 from repro.core.artifacts import AttemptManifest
 from repro.errors import (
+    RETRIES,
+    RETRY_BACKOFF,
     DistributedJobError,
     InterruptError,
     NetworkError,
@@ -75,7 +77,7 @@ from repro.errors import (
 )
 from repro.fs import path as _p
 from repro.phoenix.api import InputSpec
-from repro.partition.partitioner import plan_fragments
+from repro.partition.partitioner import auto_fragment_bytes, plan_fragments
 from repro.sim.events import Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -92,10 +94,6 @@ __all__ = [
     "DistributedEngine",
 ]
 
-#: in-place retries per exchange transfer before the pass fails
-_TRANSFER_RETRIES = 2
-#: base delay between a transfer's in-place retries (doubles per retry)
-_TRANSFER_BACKOFF = 0.1
 #: recovery passes allowed beyond one per candidate node (corrupt-artifact
 #: rebuilds and in-place reruns draw on the same budget)
 _MAX_REBUILDS = 3
@@ -180,7 +178,8 @@ class DistributedJob:
 
     ``n_shards=None`` uses every available replica; ``fragment_bytes``
     fixes the global fragment plan (pass the same value to a single-node
-    partitioned run to compare outputs byte for byte);
+    partitioned run to compare outputs byte for byte) and ``None`` picks
+    the runtime's memory-safe size, cut smaller so every shard gets work;
     ``n_partitions=None`` defaults to one shuffle partition per shard.
     """
 
@@ -282,7 +281,12 @@ def plan_distribution(
 
     frag = job.fragment_bytes
     if frag is None:
-        frag = max(1, math.ceil(job.input_size / n))
+        # the runtime-chosen fragment (Section IV-C), capped so every
+        # shard still gets work
+        frag = min(
+            max(1, math.ceil(job.input_size / n)),
+            auto_fragment_bytes(mem_capacity, spec.profile, cfg),
+        )
     inp = InputSpec(
         path=job.input_path,
         size=job.input_size,
@@ -1151,7 +1155,7 @@ class DistributedEngine:
         src_node = self.cluster.node(src)
         dst_node = self.cluster.node(dst)
         last: BaseException | None = None
-        for att in range(_TRANSFER_RETRIES + 1):
+        for att in range(RETRIES + 1):
             inj = sim.faults
             decision = None
             if inj is not None:
@@ -1192,9 +1196,9 @@ class DistributedEngine:
                 return (True, nbytes)
             except Exception as exc:
                 last = exc
-                if not is_retryable(exc) or att == _TRANSFER_RETRIES:
+                if not is_retryable(exc) or att == RETRIES:
                     return (False, exc)
                 obs.count("retry.count")
                 obs.count("retry.shuffle")
-                yield sim.timeout(_TRANSFER_BACKOFF * (2.0 ** att))
+                yield sim.timeout(RETRY_BACKOFF * (2.0 ** att))
         return (False, last)

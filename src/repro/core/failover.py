@@ -50,7 +50,12 @@ class Attempt:
 
 
 class FaultTolerantInvoker:
-    """Deadline + retry + failover around the smartFAM channel."""
+    """Deadline + retry + failover around the smartFAM channel.
+
+    Each target gets ``max_retries`` same-target retries through the
+    channel's :meth:`~repro.smartfam.daemon.HostSmartFAM.invoke_reliable`,
+    which backs off from :data:`repro.errors.RETRY_BACKOFF`.
+    """
 
     def __init__(
         self,

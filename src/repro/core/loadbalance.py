@@ -174,24 +174,14 @@ class AdaptivePolicy(PlacementPolicy):
         """Point the policy at a live per-node queue-depth source."""
         self.depth_source = source
 
-    @staticmethod
-    def load_of(node, engine=None, depths=None) -> float:
-        """Runnable tasks per core + pending placed/queued jobs on a node."""
-        load = node.cpu.n_active / node.cpu.cores
-        if engine is not None:
-            load += engine.inflight.get(node.name, 0)
-        if depths:
-            load += depths.get(node.name, 0)
-        return load
-
     def place(self, job: "DataJob", cluster: "BuiltCluster", engine=None) -> Placement:
         """Offload unless the SD is busier than the host by > tolerance."""
         sd_name = self._sd_name(job, cluster)
         sd = cluster.node(sd_name)
         host = cluster.host
         depths = self.depth_source() if self.depth_source is not None else None
-        sd_load = self.load_of(sd, engine, depths)
-        host_load = self.load_of(host, engine, depths)
+        sd_load = node_load(cluster, engine, sd, depths)
+        host_load = node_load(cluster, engine, host, depths)
         if sd_load <= host_load + self.tolerance:
             return Placement(
                 node=sd_name,

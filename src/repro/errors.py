@@ -7,8 +7,12 @@ Phoenix runtime OOM-ing past ~60 % of node memory, Section IV-B).
 
 from __future__ import annotations
 
+import copyreg
+
 __all__ = [
     "McSDError",
+    "RETRIES",
+    "RETRY_BACKOFF",
     "is_retryable",
     "mark_retryable",
     "SimulationError",
@@ -64,6 +68,22 @@ class McSDError(Exception):
 
     #: default transient/permanent classification for this error type
     retryable: bool = False
+
+    def __reduce__(self):
+        # Module errors cross the smartFAM log file as pickles.  The
+        # default reduce calls ``type(self)(*self.args)``, but subclasses
+        # take structured arguments and hand one formatted message up, so
+        # rebuild from the stored state without re-running ``__init__``.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__ or None
+
+
+#: in-place retries of a transient failure where nothing sets a budget:
+#: the smartFAM result write, a shuffle transfer and both tier
+#: write-backs; the retry settings that remain default to it
+RETRIES = 2
+#: base delay in seconds of the retry sites that back off (the result
+#: write, ``invoke_reliable``, a shuffle transfer), doubling per attempt
+RETRY_BACKOFF = 0.1
 
 
 def mark_retryable(exc: BaseException, retryable: bool = True) -> BaseException:
@@ -324,8 +344,7 @@ class DistributedJobError(OffloadError):
     run on the host.  ``excluded`` names the shard nodes the engine
     evicted; ``timed_out`` the subset whose daemons missed a deadline (the
     quarantine signal); ``failures`` is the structured per-shard history —
-    one ``{"node", "phase", "cause", "at"}`` dict per observed failure —
-    that :meth:`breakdown` renders for log lines.
+    one ``{"node", "phase", "cause", "at"}`` dict per observed failure.
     """
 
     retryable = True
@@ -339,19 +358,6 @@ class DistributedJobError(OffloadError):
         self.excluded = set(excluded)
         self.timed_out = set(timed_out)
         self.failures = list(failures)
-
-    def breakdown(self, limit: int = 4) -> str:
-        """Compact ``phase@node:Cause`` rendering of the failure history."""
-        if not self.failures:
-            return "no recorded failures"
-        parts = [
-            f"{f.get('phase', '?')}@{f.get('node', '?')}:{f.get('cause', '?')}"
-            for f in self.failures[:limit]
-        ]
-        extra = len(self.failures) - limit
-        if extra > 0:
-            parts.append(f"+{extra} more")
-        return ", ".join(parts)
 
 
 class PlacementError(McSDError):

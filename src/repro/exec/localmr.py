@@ -48,7 +48,7 @@ import os
 import time
 import typing as _t
 
-from repro.errors import WorkloadError
+from repro.errors import RETRIES, WorkloadError
 from repro.exec.chunks import FileChunk, chunk_file
 from repro.exec.outofcore import plan_fragments, run_out_of_core
 from repro.exec.pool import WorkerPool, run_batch
@@ -81,6 +81,10 @@ _UNSET = object()
 
 #: cached chunk plans per engine (repeat jobs over an unchanged file)
 _MAX_CACHED_PLANS = 4
+
+#: pool batches per worker for a parallel map (a slow batch leaves the
+#: other workers one more to take)
+_BATCHES_PER_WORKER = 2
 
 
 @dataclasses.dataclass
@@ -120,12 +124,11 @@ class LocalMapReduce:
         start_method: str | None = None,
         memory_budget: int | None = None,
         spill_dir: str | None = None,
-        batches_per_worker: int = 2,
         faults: FaultPlan | FaultInjector | None = None,
         blackbox_dir: str | None = None,
         tier: "TieredStore | None" = None,
         readahead: int = 0,
-        spill_retries: int = 2,
+        spill_retries: int = RETRIES,
     ):
         self.map_fn = map_fn
         self.reduce_fn = reduce_fn
@@ -138,15 +141,12 @@ class LocalMapReduce:
         self.memory_budget = memory_budget
         #: where spill run directories are created (None: system temp)
         self.spill_dir = spill_dir
-        if batches_per_worker < 1:
-            raise WorkloadError("batches_per_worker must be >= 1")
-        self.batches_per_worker = batches_per_worker
         #: burst buffer for spill runs (None: plain spill files).  Runs
         #: are keyed by job content identity, so a warm tier lets a
         #: repeat job over an unchanged input skip map+spill per run.
         self.tier = tier
-        #: fragments of page-cache readahead during out-of-core runs
-        #: (0: no prefetch thread)
+        #: fragments ahead that out-of-core runs hint to the kernel's
+        #: page-cache readahead (0: no hints)
         if readahead < 0:
             raise WorkloadError("readahead must be >= 0")
         self.readahead = readahead
@@ -245,18 +245,14 @@ class LocalMapReduce:
                         plan_fragments(chunks, budget),
                         depth=self.readahead, obs=obs,
                     )
-                try:
-                    out, n_fragments, spilled = run_out_of_core(
-                        chunks, map_fragment, self.combine_fn, self.reduce_fn,
-                        self.sort_output, params, budget, obs, self.spill_dir,
-                        faults=self.faults,
-                        max_retries=self.spill_retries,
-                        tier=self.tier, tier_key=tier_key,
-                        prefetcher=prefetcher,
-                    )
-                finally:
-                    if prefetcher is not None:
-                        prefetcher.close()
+                out, n_fragments, spilled = run_out_of_core(
+                    chunks, map_fragment, self.combine_fn, self.reduce_fn,
+                    self.sort_output, params, budget, obs, self.spill_dir,
+                    faults=self.faults,
+                    max_retries=self.spill_retries,
+                    tier=self.tier, tier_key=tier_key,
+                    prefetcher=prefetcher,
+                )
             else:
                 merged = self._map_chunks(chunks, params, parallel, job_sp)
                 with obs.span("localmr.merge", cat="localmr", track="localmr"):
@@ -364,7 +360,7 @@ class LocalMapReduce:
         use_pool = parallel and self.n_workers > 1 and len(chunks) > 1
         if use_pool:
             n_batches = min(
-                len(chunks), self.n_workers * self.batches_per_worker
+                len(chunks), self.n_workers * _BATCHES_PER_WORKER
             )
             per = -(-len(chunks) // n_batches)  # ceil division
             batches = [chunks[i : i + per] for i in range(0, len(chunks), per)]

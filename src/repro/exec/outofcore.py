@@ -83,6 +83,7 @@ import typing as _t
 import zlib
 
 from repro.errors import (
+    RETRIES,
     FaultInjectedError,
     SpillCorruptionError,
     WorkloadError,
@@ -517,7 +518,7 @@ def run_out_of_core(
     obs: Observability,
     spill_dir: str | None = None,
     faults: "FaultInjector | None" = None,
-    max_retries: int = 2,
+    max_retries: int = RETRIES,
     tier: "TieredStore | None" = None,
     tier_key: str | None = None,
     prefetcher: "ReadaheadPrefetcher | None" = None,

@@ -62,6 +62,7 @@ except ImportError:  # pragma: no cover - Windows
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import (
+    RETRIES,
     FaultInjectedError,
     WorkerCrashError,
     WorkloadError,
@@ -333,7 +334,7 @@ class WorkerPool:
         self,
         n_workers: int,
         start_method: str | None = None,
-        max_task_retries: int = 2,
+        max_task_retries: int = RETRIES,
         faults: "FaultInjector | None" = None,
         obs: "Observability | None" = None,
         blackbox_dir: str | None = None,

@@ -233,24 +233,6 @@ class NFSMount:
 
         return self.sim.spawn(_proc(), name=f"{self.name}.read")
 
-    def read_with_size(self, path: str, nbytes: int | None = None) -> Event:
-        """Like :meth:`read` but returns ``{'data': ..., 'size': ...}``."""
-
-        def _proc() -> _t.Generator:
-            with self.sim.obs.span(
-                "nfs.read", cat="nfs", track=self.name, path=path
-            ) as sp:
-                value = yield self.client.call(
-                    self.server, {"op": "read", "path": path, "nbytes": nbytes}
-                )
-                charged = value["size"] if nbytes is None else int(nbytes)
-                self.bytes_read += charged
-                self.sim.obs.count("nfs.bytes_read", charged)
-                sp.set(bytes=charged)
-            return value
-
-        return self.sim.spawn(_proc(), name=f"{self.name}.read")
-
     def write(
         self,
         path: str,

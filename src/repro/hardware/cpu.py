@@ -105,11 +105,6 @@ class ProcessorSharingCPU:
         share = min(1.0, self.spec.cores / n)
         return self.spec.ops_per_sec_per_core * share / self._slowdown
 
-    def utilization(self) -> float:
-        """Fraction of total core capacity in use right now."""
-        n = len(self._tasks)
-        return min(1.0, n / self.spec.cores) if n else 0.0
-
     # -- public operations ----------------------------------------------------
 
     def submit(self, ops: float, name: str = "task") -> Event:

@@ -39,8 +39,6 @@ class Link:
         self._server = Resource(sim, capacity=1, name=f"{name}.tx")
         #: total bytes pushed through (stats)
         self.bytes_sent = 0
-        #: accumulated serialization time (utilization numerator)
-        self.busy_time = 0.0
 
     def tx_time(self, nbytes: int) -> float:
         """Serialization time for ``nbytes``."""
@@ -62,7 +60,6 @@ class Link:
                 yield req
                 ser = self.tx_time(nbytes)
                 yield self.sim.timeout(ser)
-                self.busy_time += ser
                 self.bytes_sent += nbytes
             obs = self.sim.obs
             obs.count("net.bytes", nbytes)
@@ -74,11 +71,6 @@ class Link:
             return nbytes
 
         return self.sim.spawn(_proc(), name=f"{self.name}.{label}")
-
-    def utilization(self, now: float | None = None) -> float:
-        """busy_time / elapsed simulated time."""
-        t = self.sim.now if now is None else now
-        return self.busy_time / t if t > 0 else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Link {self.name} {self.bandwidth / 1e6:.0f}MB/s q={self.queue_len}>"

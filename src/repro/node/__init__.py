@@ -1,6 +1,5 @@
 """Cluster node model: hardware + file system + network services."""
 
 from repro.node.node import Node
-from repro.node.os_sched import TaskHandle, spawn_daemon
 
-__all__ = ["Node", "TaskHandle", "spawn_daemon"]
+__all__ = ["Node"]

@@ -59,10 +59,6 @@ class RecordLog:
         """All stored records with the given kind (oldest first)."""
         return list(self._by_kind.get(kind, ()))
 
-    def kinds(self) -> list[str]:
-        """Kinds with at least one stored record."""
-        return [k for k, dq in self._by_kind.items() if dq]
-
     def clear(self) -> None:
         """Drop all records, the index, and the drop counter."""
         self.entries.clear()

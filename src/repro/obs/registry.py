@@ -106,11 +106,6 @@ class Observability:
         self.spans.on_close = rec.note_span
         return rec
 
-    def disable_flight(self) -> None:
-        """Detach the flight recorder (the ring is discarded)."""
-        self.flight = None
-        self.spans.on_close = None
-
     # -- spans -----------------------------------------------------------------
 
     def span(

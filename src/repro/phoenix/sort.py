@@ -43,9 +43,6 @@ __all__ = [
     "undecorate",
     "shuffle_parallel",
     "local_merge_maps",
-    "hash_partition",
-    "group_by_key",
-    "merge_grouped",
     "sort_by_value_desc",
 ]
 
@@ -448,56 +445,6 @@ def finalize_folded_map(
         else:
             out.sort(key=lambda kv: (-_as_num(kv[1]), repr(kv[0])))
     return out
-
-
-# -- seed-compatible helpers (kept for callers outside the hot path) --------
-
-
-def hash_partition(
-    pairs: _t.Iterable[tuple[object, object]], n_buckets: int
-) -> list[list[tuple[object, object]]]:
-    """Deterministically spread pairs over ``n_buckets`` reduce buckets.
-
-    Python's str hash is salted per process, so bucket choice uses
-    ``zlib.crc32`` over ``repr(key)`` — salt-free and C-speed; the hash is
-    memoized per distinct key so repeated keys cost one dict probe.
-    """
-    buckets: list[list[tuple[object, object]]] = [[] for _ in range(max(1, n_buckets))]
-    n = len(buckets)
-    cache: dict[object, int] = {}
-    for key, value in pairs:
-        try:
-            h = cache.get(key)
-            if h is None:
-                h = cache[key] = zlib.crc32(
-                    repr(key).encode("utf-8", "backslashreplace")
-                )
-        except TypeError:  # unhashable key: no memo, hash directly
-            h = zlib.crc32(repr(key).encode("utf-8", "backslashreplace"))
-        buckets[h % n].append((key, value))
-    return buckets
-
-
-def group_by_key(
-    pairs: _t.Iterable[tuple[object, object]], values_are_lists: bool = False
-) -> list[tuple[object, list]]:
-    """Sort by key and group values (the 'Sort' box of Fig 1)."""
-    grouped: dict[object, list] = {}
-    for key, value in pairs:
-        bucket = grouped.setdefault(key, [])
-        if values_are_lists and isinstance(value, list):
-            bucket.extend(value)
-        else:
-            bucket.append(value)
-    return sorted(grouped.items(), key=lambda kv: repr(kv[0]))
-
-
-def merge_grouped(results: _t.Iterable[list[tuple[object, object]]]) -> list[tuple[object, object]]:
-    """Merge sorted per-worker (key, value) lists into one sorted list."""
-    out: list[tuple[object, object]] = []
-    for part in results:
-        out.extend(part)
-    return sorted(out, key=lambda kv: repr(kv[0]))
 
 
 def sort_by_value_desc(pairs: _t.Iterable[tuple[object, object]]) -> list[tuple[object, object]]:

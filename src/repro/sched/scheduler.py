@@ -50,6 +50,7 @@ from repro.core.loadbalance import (
 )
 from repro.core.offload import OffloadEngine
 from repro.errors import (
+    RETRIES,
     AdmissionError,
     DistributedJobError,
     OffloadTimeoutError,
@@ -173,7 +174,7 @@ class ClusterScheduler:
         max_queue: int = 64,
         per_node_limit: int = 2,
         attempt_timeout: float | None = None,
-        max_retries: int = 2,
+        max_retries: int = RETRIES,
         cache: ResultCache | bool | None = True,
         slo: SLOTracker | SLOPolicy | _t.Mapping[str, SLOPolicy]
         | _t.Iterable[SLOPolicy] | None = None,

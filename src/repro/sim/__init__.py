@@ -9,11 +9,9 @@ spirit of SimPy, providing exactly what the McSD models need:
 * :class:`~repro.sim.process.Process` — a running coroutine that can be
   waited on and interrupted,
 * resources (:class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.Store`,
-  :class:`~repro.sim.resources.Container`),
+  :class:`~repro.sim.resources.Store`),
 * synchronisation (:class:`~repro.sim.sync.Signal`,
-  :class:`~repro.sim.sync.Semaphore`, :class:`~repro.sim.sync.Barrier`,
-  :class:`~repro.sim.sync.Latch`),
+  :class:`~repro.sim.sync.Semaphore`),
 * deterministic named RNG streams (:class:`~repro.sim.rng.RngRegistry`),
 * tracing, counters and records (``sim.obs``, an
   :class:`~repro.obs.registry.Observability`).
@@ -26,9 +24,9 @@ broken by (priority, insertion sequence).
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
-from repro.sim.resources import Container, Request, Resource, Store
+from repro.sim.resources import Request, Resource, Store
 from repro.sim.rng import RngRegistry
-from repro.sim.sync import Barrier, Latch, Semaphore, Signal
+from repro.sim.sync import Semaphore, Signal
 
 __all__ = [
     "AllOf",
@@ -40,10 +38,7 @@ __all__ = [
     "Resource",
     "Request",
     "Store",
-    "Container",
     "Signal",
     "Semaphore",
-    "Barrier",
-    "Latch",
     "RngRegistry",
 ]

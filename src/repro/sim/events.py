@@ -102,13 +102,6 @@ class Event:
         self.sim._push(self)
         return self
 
-    def trigger(self, other: "Event") -> None:
-        """Copy another event's outcome into this one (chaining helper)."""
-        if other._ok:
-            self.succeed(other._value)
-        else:
-            self.fail(_t.cast(BaseException, other._value))
-
     # -- callbacks ----------------------------------------------------------
 
     def add_callback(self, fn: _t.Callable[["Event"], None]) -> None:

@@ -4,8 +4,6 @@
   (models disk queues, NIC ports, daemon worker pools).
 * :class:`Store` — an unbounded-or-bounded FIFO of Python objects
   (models message queues and mailboxes).
-* :class:`Container` — a divisible quantity with ``put``/``get`` of amounts
-  (models byte pools).
 
 All wait queues are FIFO, making contention resolution deterministic.
 """
@@ -21,7 +19,7 @@ from repro.sim.events import Event
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
-__all__ = ["Request", "Resource", "Store", "Container"]
+__all__ = ["Request", "Resource", "Store"]
 
 
 class Request(Event):
@@ -169,67 +167,3 @@ class Store:
             return None
         ev = self.get()
         return ev.value
-
-
-class Container:
-    """A divisible quantity (e.g. bytes of buffer) with amount put/get."""
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-        name: str = "container",
-    ):
-        if capacity <= 0:
-            raise SimulationError("container capacity must be > 0")
-        if not 0 <= init <= capacity:
-            raise SimulationError("init must lie within [0, capacity]")
-        self.sim = sim
-        self.capacity = capacity
-        self.level = float(init)
-        self.name = name
-        self._getters: collections.deque[tuple[Event, float]] = collections.deque()
-        self._putters: collections.deque[tuple[Event, float]] = collections.deque()
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; pending while it would overflow capacity."""
-        if amount <= 0:
-            raise SimulationError("put amount must be > 0")
-        if amount > self.capacity:
-            raise SimulationError("put amount exceeds total capacity")
-        ev = Event(self.sim, name=f"cput:{self.name}")
-        self._putters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; pending while the level is insufficient."""
-        if amount <= 0:
-            raise SimulationError("get amount must be > 0")
-        if amount > self.capacity:
-            raise SimulationError("get amount exceeds total capacity")
-        ev = Event(self.sim, name=f"cget:{self.name}")
-        self._getters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        """Grant queued puts/gets in FIFO order while feasible."""
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                ev, amount = self._putters[0]
-                if self.level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self.level += amount
-                    ev.succeed()
-                    progress = True
-            if self._getters:
-                ev, amount = self._getters[0]
-                if self.level >= amount:
-                    self._getters.popleft()
-                    self.level -= amount
-                    ev.succeed()
-                    progress = True

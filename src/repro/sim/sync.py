@@ -1,8 +1,8 @@
 """Synchronisation primitives built on events.
 
 These are thin, deterministic analogues of the threading primitives the
-real McSD daemons would use: condition-style signals, counting semaphores,
-cyclic barriers, and countdown latches.
+real McSD daemons would use: condition-style signals and counting
+semaphores.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.sim.events import Event
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
-__all__ = ["Signal", "Semaphore", "Barrier", "Latch"]
+__all__ = ["Signal", "Semaphore"]
 
 
 class Signal:
@@ -95,76 +95,3 @@ class Semaphore:
             self._waiters.popleft().succeed()
         else:
             self._value += 1
-
-
-class Barrier:
-    """Cyclic barrier for ``parties`` processes.
-
-    The Nth arrival releases everyone and resets the barrier.  Arrivals get
-    their 0-based arrival index as the event value.
-    """
-
-    def __init__(self, sim: "Simulator", parties: int, name: str = "barrier"):
-        if parties < 1:
-            raise SimulationError("barrier needs >= 1 parties")
-        self.sim = sim
-        self.parties = parties
-        self.name = name
-        self._waiting: list[Event] = []
-        #: completed generations
-        self.generations = 0
-
-    def arrive(self) -> Event:
-        """Arrive at the barrier; fires when all parties have arrived."""
-        ev = Event(self.sim, name=f"arrive:{self.name}")
-        index = len(self._waiting)
-        self._waiting.append(ev)
-        del index  # the arrival index is delivered as each event's value
-        if len(self._waiting) == self.parties:
-            waiting, self._waiting = self._waiting, []
-            self.generations += 1
-            for i, w in enumerate(waiting):
-                w.succeed(i)
-        return ev
-
-
-class Latch:
-    """Countdown latch: opens permanently once ``count`` reaches zero."""
-
-    def __init__(self, sim: "Simulator", count: int, name: str = "latch"):
-        if count < 0:
-            raise SimulationError("latch count must be >= 0")
-        self.sim = sim
-        self.count = count
-        self.name = name
-        self._open = Event(sim, name=f"open:{name}")
-        if count == 0:
-            self._open.succeed()
-
-    @property
-    def opened(self) -> bool:
-        """True once the count has hit zero."""
-        return self._open.triggered
-
-    def count_down(self, n: int = 1) -> None:
-        """Decrement the count, opening the latch at zero."""
-        if n < 1:
-            raise SimulationError("count_down amount must be >= 1")
-        if self.count == 0:
-            return
-        self.count = max(0, self.count - n)
-        if self.count == 0 and not self._open.triggered:
-            self._open.succeed()
-
-    def wait(self) -> Event:
-        """An event fired when (or if already) the latch is open."""
-        if self._open.triggered:
-            ev = Event(self.sim, name=f"wait:{self.name}")
-            ev.succeed()
-            return ev
-        return self._proxy()
-
-    def _proxy(self) -> Event:
-        ev = Event(self.sim, name=f"wait:{self.name}")
-        self._open.add_callback(lambda _e: ev.succeed())
-        return ev

@@ -19,6 +19,8 @@ import typing as _t
 
 from repro.config import SmartFAMConfig
 from repro.errors import (
+    RETRIES,
+    RETRY_BACKOFF,
     InterruptError,
     OffloadTimeoutError,
     ProtocolError,
@@ -299,7 +301,7 @@ class SDSmartFAM:
         point the host's deadline machinery takes over).
         """
         obs = self.sim.obs
-        for attempt in range(self.cfg.result_write_retries + 1):
+        for attempt in range(RETRIES + 1):
             try:
                 with obs.span(
                     "fam.result.write", cat="smartfam", track=track,
@@ -313,13 +315,11 @@ class SDSmartFAM:
                     )
                 return
             except Exception as exc:
-                if not is_retryable(exc) or attempt == self.cfg.result_write_retries:
+                if not is_retryable(exc) or attempt == RETRIES:
                     raise
                 obs.count("retry.count")
                 obs.count("retry.fam.result_write")
-                yield self.sim.timeout(
-                    self.cfg.retry_backoff * (2.0 ** attempt)
-                )
+                yield self.sim.timeout(RETRY_BACKOFF * (2.0 ** attempt))
 
 
 class HostSmartFAM:
@@ -388,15 +388,16 @@ class HostSmartFAM:
         module: str,
         params: dict,
         timeout: float | None = None,
-        max_retries: int | None = None,
+        max_retries: int = RETRIES,
     ) -> Event:
         """Offload one call with deadline + bounded retry + backoff.
 
         Each attempt gets its own ``timeout`` (default: no per-attempt
         deadline — pass one whenever the SD daemon can die silently).
         Transient failures (:func:`~repro.errors.is_retryable`) retry up
-        to ``max_retries`` times with exponential backoff from
-        ``retry_backoff``; permanent failures raise immediately.
+        to ``max_retries`` times (default :data:`~repro.errors.RETRIES`)
+        with exponential backoff from :data:`~repro.errors.RETRY_BACKOFF`;
+        permanent failures raise immediately.
 
         Idempotency: a *timed-out* attempt re-invokes with the **same**
         sequence number — the daemon skips the seq while the original run
@@ -406,16 +407,14 @@ class HostSmartFAM:
         fresh seq (the old seq is answered; reusing it would re-read the
         failure forever).
         """
-        retries = self.cfg.invoke_retries if max_retries is None else max_retries
-        base = self.cfg.retry_backoff
-        if retries < 0:
+        if max_retries < 0:
             raise SmartFAMError("max_retries must be >= 0")
 
         def _proc() -> _t.Generator:
             obs = self.sim.obs
             seq = next(_seqs)
             last_exc: BaseException | None = None
-            for attempt in range(retries + 1):
+            for attempt in range(max_retries + 1):
                 try:
                     if timeout is None:
                         return (
@@ -432,15 +431,14 @@ class HostSmartFAM:
                     )
                 except Exception as exc:
                     last_exc = exc
-                    if not is_retryable(exc) or attempt == retries:
+                    if not is_retryable(exc) or attempt == max_retries:
                         raise
                     self.retries += 1
                     obs.count("retry.count")
                     obs.count(f"retry.smartfam.{module}")
                     if not isinstance(exc, OffloadTimeoutError):
                         seq = next(_seqs)  # the old seq carries a failure RESULT
-                    if base > 0:
-                        yield self.sim.timeout(base * (2.0 ** attempt))
+                    yield self.sim.timeout(RETRY_BACKOFF * (2.0 ** attempt))
             raise SmartFAMError(f"unreachable retry state for {module!r}") from last_exc
 
         return self.sim.spawn(_proc(), name=f"smartfam-reliable:{module}")

@@ -11,9 +11,10 @@ The package has two symmetrical halves:
   write-back thread and crc-checked degradation (a lying tier causes a
   recompute, never corruption).
 
-:mod:`repro.tier.prefetch` adds the background readahead thread for
-the real engine.  All halves emit the same ``tier.*`` counter
-vocabulary through :mod:`repro.obs`.
+:mod:`repro.tier.prefetch` adds readahead for the real engine: kernel
+hints (``posix_fadvise``) for the next fragments, with no thread.  All
+halves emit the same ``tier.*`` counter vocabulary through
+:mod:`repro.obs`.
 """
 
 from repro.config import TierSpec

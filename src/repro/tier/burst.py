@@ -30,6 +30,7 @@ import collections
 import typing as _t
 
 from repro.config import TierSpec
+from repro.errors import RETRIES
 from repro.fs.vfs import EV_DELETE, EV_MODIFY, Inode, VFS
 from repro.hardware.disk import DiskModel
 from repro.sim.events import Event
@@ -406,7 +407,7 @@ class BurstBuffer:
                     # the drain was dropped; data is still safe in the VFS
                     # (and dirty in mem), so retry, then fall back to a
                     # synchronous write-through
-                    if attempt < self.spec.writeback_retries:
+                    if attempt < RETRIES:
                         self._count("tier.writeback.retry")
                         self._spawn_writeback(path, keys, nbytes, attempt + 1)
                         return
@@ -415,7 +416,7 @@ class BurstBuffer:
                 yield self.disk.write(nbytes, label="tier.writeback")
             except Exception:
                 # an injected disk fault under the drain: same retry ladder
-                if attempt < self.spec.writeback_retries:
+                if attempt < RETRIES:
                     self._count("tier.writeback.retry")
                     self._spawn_writeback(path, keys, nbytes, attempt + 1)
                     return

@@ -1,26 +1,24 @@
-"""Background readahead for the real out-of-core engine.
+"""Readahead hints for the real out-of-core engine.
 
-While fragment N is being mapped, a :class:`ReadaheadPrefetcher` thread
-pre-reads the chunks of fragment N+1 (and deeper, per ``depth``) with
-``os.pread`` so their pages are warm in the OS page cache — and in the
-process's own cached mmap, via :func:`repro.exec.chunks.read_chunk_cached`'s
-handle cache — by the time the engine asks for them.  The thread reads
-into a small scratch buffer and discards it: the point is the page-cache
-side effect, not the bytes, so the prefetcher adds no RSS beyond one
-window buffer.
+When fragment N starts mapping, :class:`ReadaheadPrefetcher` asks the
+kernel to start reading fragment N+1's chunks (and deeper, per ``depth``)
+with ``posix_fadvise(POSIX_FADV_WILLNEED)``, so their pages are warm in
+the OS page cache by the time the engine maps them.  The kernel does the
+reading in the background; the hint itself costs one ``open`` per file
+and one syscall per chunk, and reads no bytes into this process.
 
 ``advise(i)`` is the engine's only integration point: call it when
-fragment ``i`` *starts*; the prefetcher schedules the fragments after it
-and skips anything already issued.  The thread is a daemon and never
-raises into the engine — a prefetch that fails (file shrank, descriptor
-died) is counted and dropped.
+fragment ``i`` *starts*; the prefetcher hints the fragments after it and
+skips anything already hinted.  It never raises into the engine — a hint
+that fails (file gone, descriptor error) is counted and dropped — and it
+is a no-op where the platform has no ``posix_fadvise``.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import os
-import queue
-import threading
 import typing as _t
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -29,12 +27,11 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ReadaheadPrefetcher"]
 
-#: bytes per pread window (big enough to amortize, small enough for RSS)
-_WINDOW = 1 << 20
+_FADVISE = getattr(os, "posix_fadvise", None)
 
 
 class ReadaheadPrefetcher:
-    """Prefetches fragment N+1's chunks while fragment N runs."""
+    """Hints fragment N+1's chunks to the kernel while fragment N runs."""
 
     def __init__(
         self,
@@ -47,93 +44,38 @@ class ReadaheadPrefetcher:
         self.fragments = fragments
         self.depth = depth
         self.obs = obs
-        self.issued = 0
-        self.bytes_prefetched = 0
         self._scheduled: set[int] = set()
-        self._queue: "queue.Queue[int | None]" = queue.Queue()
-        self._idle = threading.Event()
-        self._idle.set()
-        self._closed = False
-        self._fds: dict[str, int] = {}
-        self._thread = threading.Thread(
-            target=self._loop, name="tier-readahead", daemon=True
-        )
-        self._thread.start()
-
-    # -- engine-facing ------------------------------------------------------
 
     def advise(self, index: int) -> None:
-        """Fragment ``index`` is starting: schedule the ones after it."""
-        if self._closed or self.depth == 0:
+        """Fragment ``index`` is starting: hint the ones after it."""
+        if _FADVISE is None:
             return
         for nxt in range(index + 1, min(index + 1 + self.depth, len(self.fragments))):
             if nxt in self._scheduled:
                 continue
             self._scheduled.add(nxt)
-            self._idle.clear()
-            self._queue.put(nxt)
-
-    def wait_idle(self, timeout: float | None = 10.0) -> bool:
-        """Block until every scheduled prefetch has been attempted."""
-        return self._idle.wait(timeout)
-
-    def close(self) -> None:
-        """Stop the thread and close the prefetch descriptors."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(None)
-        self._thread.join(timeout=10.0)
-        for fd in self._fds.values():
             try:
-                os.close(fd)
+                nbytes = _willneed(self.fragments[nxt])
             except OSError:
-                pass
-        self._fds.clear()
+                self._count("tier.prefetch.failed")
+                continue
+            self._count("tier.prefetch.issued")
+            self._count("tier.prefetch.bytes", nbytes)
 
-    def __enter__(self) -> "ReadaheadPrefetcher":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -- the thread ---------------------------------------------------------
-
-    def _loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                self._queue.task_done()
-                return
-            try:
-                self._prefetch_fragment(item)
-            except Exception:
-                if self.obs is not None:
-                    self.obs.count("tier.prefetch.failed")
-            finally:
-                self._queue.task_done()
-                if self._queue.unfinished_tasks == 0:
-                    self._idle.set()
-
-    def _prefetch_fragment(self, index: int) -> None:
-        total = 0
-        for chunk in self.fragments[index]:
-            if self._closed:
-                return
-            fd = self._fds.get(chunk.path)
-            if fd is None:
-                fd = os.open(chunk.path, os.O_RDONLY)
-                self._fds[chunk.path] = fd
-            pos = chunk.offset
-            end = chunk.offset + chunk.length
-            while pos < end and not self._closed:
-                window = os.pread(fd, min(_WINDOW, end - pos), pos)
-                if not window:
-                    break
-                pos += len(window)
-                total += len(window)
-        self.issued += 1
-        self.bytes_prefetched += total
+    def _count(self, name: str, n: int = 1) -> None:
         if self.obs is not None:
-            self.obs.count("tier.prefetch.issued")
-            self.obs.count("tier.prefetch.bytes", total)
+            self.obs.count(name, n)
+
+
+def _willneed(chunks: _t.Sequence["FileChunk"]) -> int:
+    """One WILLNEED hint per chunk range; returns the bytes hinted."""
+    total = 0
+    for path, group in itertools.groupby(chunks, key=operator.attrgetter("path")):
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            for chunk in group:
+                _FADVISE(fd, chunk.offset, chunk.length, os.POSIX_FADV_WILLNEED)
+                total += chunk.length
+        finally:
+            os.close(fd)
+    return total

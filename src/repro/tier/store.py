@@ -33,6 +33,8 @@ import typing as _t
 
 from collections import OrderedDict
 
+from repro.errors import RETRIES
+
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.obs import Observability
@@ -93,7 +95,6 @@ class TieredStore:
         obs: "Observability | None" = None,
         faults: "FaultInjector | None" = None,
         writeback: bool = True,
-        writeback_retries: int = 2,
         name: str = "tier",
     ):
         if mem_bytes < 1 or ssd_bytes < 0:
@@ -103,7 +104,6 @@ class TieredStore:
         self.obs = obs
         self.faults = faults
         self.writeback = writeback
-        self.writeback_retries = int(writeback_retries)
         self.name = name
         self._owns_dir = ssd_dir is None
         self.ssd_dir = ssd_dir or tempfile.mkdtemp(prefix="repro-tier-")
@@ -372,7 +372,7 @@ class TieredStore:
                 "tier.writeback", tier=self.name, key=key, bytes=nbytes
             )
             if decision is not None and decision.action in ("fail", "drop", "corrupt"):
-                if attempt < self.writeback_retries:
+                if attempt < RETRIES:
                     self._count("tier.writeback.retry")
                     return self._persist(key, attempt + 1)
                 # retries exhausted: the mem copy survives until evicted,
@@ -394,7 +394,7 @@ class TieredStore:
             os.replace(tmp, path)
         except OSError:
             _unlink_quiet(tmp)
-            if attempt < self.writeback_retries:
+            if attempt < RETRIES:
                 self._count("tier.writeback.retry")
                 return self._persist(key, attempt + 1)
             self._count("tier.writeback.lost")

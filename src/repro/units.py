@@ -16,7 +16,6 @@ __all__ = [
     "KiB",
     "MiB",
     "GiB",
-    "Kbit",
     "Mbit",
     "Gbit",
     "usec",
@@ -26,7 +25,6 @@ __all__ = [
     "parse_bytes",
     "fmt_bytes",
     "fmt_time",
-    "fmt_rate",
 ]
 
 
@@ -58,11 +56,6 @@ def MiB(n: float) -> int:
 def GiB(n: float) -> int:
     """Binary gibibytes -> bytes (RAM sizes)."""
     return int(n * 1024**3)
-
-
-def Kbit(n: float) -> float:
-    """Kilobits/s -> bytes/s."""
-    return n * 1_000 / 8.0
 
 
 def Mbit(n: float) -> float:
@@ -138,7 +131,3 @@ def fmt_time(t: float) -> str:
         return f"{t * 1e3:.3f}ms"
     return f"{t * 1e6:.1f}us"
 
-
-def fmt_rate(bytes_per_sec: float) -> str:
-    """Human-readable throughput."""
-    return fmt_bytes(bytes_per_sec) + "/s"

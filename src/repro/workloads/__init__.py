@@ -9,7 +9,6 @@ process.  All generators are seeded and deterministic.
 
 from repro.workloads.arrivals import Arrival, ArrivalProcess, DriveReport
 from repro.workloads.keys import encrypted_input, keys_for
-from repro.workloads.matrices import matrix_pair
 from repro.workloads.sizes import FIG8A_SIZES, FIG8BC_SIZES, FIG9_SIZES, size_label
 from repro.workloads.text import text_input, zipf_corpus
 
@@ -21,7 +20,6 @@ __all__ = [
     "text_input",
     "encrypted_input",
     "keys_for",
-    "matrix_pair",
     "FIG8A_SIZES",
     "FIG8BC_SIZES",
     "FIG9_SIZES",

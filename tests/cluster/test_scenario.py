@@ -95,3 +95,13 @@ def test_host_part_beats_host_only_at_large_size():
     host_only = run_pair_scenario("host-only", "wordcount", size)
     host_part = run_pair_scenario("host-part", "wordcount", size)
     assert host_part.makespan < host_only.makespan
+
+
+
+def test_pair_phoenix_past_memory_limit_is_unsupported():
+    # Section V-B: original Phoenix on the SD fails past the memory limit,
+    # and that typed failure must cross the smartFAM log file intact
+    r = run_pair_scenario("mcsd-nopart", "wordcount", MB(1750))
+    assert not r.supported
+    assert "Phoenix cannot support wordcount" in r.failure
+    assert "supportable fraction" in r.failure

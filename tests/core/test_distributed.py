@@ -8,8 +8,15 @@ import pytest
 
 from repro.cluster.testbed import Testbed
 from repro.config import table1_cluster
-from repro.core import DistributedEngine, DistributedJob, plan_distribution
+from repro.core import (
+    DataJob,
+    DistributedEngine,
+    DistributedJob,
+    OffloadEngine,
+    plan_distribution,
+)
 from repro.core.distributed import ShardFragment, SpeculationPolicy
+from repro.core.loadbalance import Placement
 from repro.errors import DistributedJobError, OffloadError
 from repro.faults import distributed_chaos_plan
 from repro.phoenix import InputSpec
@@ -155,6 +162,25 @@ def test_engine_only_uses_nodes_holding_a_replica():
     eng = DistributedEngine(bed.cluster)
     res = bed.run(eng.run(_job(sd_path), timeout=_TIMEOUT))
     assert set(res.shard_nodes) <= {"sd0", "sd1"}
+
+
+def test_default_fragments_fit_node_memory():
+    # one shard over 2 GB: a size/width fragment would be the whole input,
+    # past original Phoenix's memory limit, so every map would fail
+    size = MB(2000)
+    bed, sd_path, _ = _bed(n_sd=1, size=size)
+    job = DistributedJob(
+        app="wordcount", input_path=sd_path, input_size=size, n_shards=1,
+    )
+    res = bed.run(DistributedEngine(bed.cluster).run(job, timeout=_TIMEOUT))
+    assert res.plan.n_fragments > 1
+
+    ref_bed, ref_path, _ = _bed(n_sd=1, size=size)
+    ref = ref_bed.run(OffloadEngine(ref_bed.cluster).run(
+        DataJob(app="wordcount", input_path=ref_path, input_size=size),
+        Placement(node="sd0", offload=True, reason="reference"),
+    ))
+    assert pickle.dumps(res.output) == pickle.dumps(ref.output)
 
 
 # -- faults ------------------------------------------------------------------

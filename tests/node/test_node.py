@@ -1,14 +1,13 @@
-"""Unit tests for the Node abstraction and os_sched helpers."""
+"""Unit tests for the Node abstraction."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.config import NetworkConfig, table1_cluster
-from repro.errors import NetworkError, SimulationError
+from repro.errors import NetworkError
 from repro.net import Fabric
-from repro.node import Node, TaskHandle, spawn_daemon
-from repro.node.os_sched import spawn_daemon as spawn_daemon2
+from repro.node import Node
 from repro.sim import Simulator
 from repro.units import GiB, MB
 
@@ -121,90 +120,3 @@ def test_run_ops_is_cpu_submit(pair):
     p = sim.spawn(t())
     sim.run(until=p)
     assert p.value == pytest.approx(1.0)
-
-
-# ------------------------------------------------------------------ os_sched
-
-
-def test_task_handle_join_and_cancel():
-    sim = Simulator()
-
-    def body():
-        yield sim.timeout(5)
-        return "done"
-
-    h = TaskHandle(sim.spawn(body()))
-    assert not h.done
-
-    def waiter():
-        res = yield h.join()
-        return res
-
-    p = sim.spawn(waiter())
-    sim.run(until=p)
-    assert p.value == "done"
-    assert h.done
-
-
-def test_task_handle_cancel_interrupts():
-    sim = Simulator()
-    state = {}
-
-    def body():
-        try:
-            yield sim.timeout(100)
-        except Exception as exc:
-            state["cancelled"] = str(exc)
-
-    h = TaskHandle(sim.spawn(body()))
-
-    def canceller():
-        yield sim.timeout(1)
-        h.cancel("stop")
-
-    sim.spawn(canceller())
-    sim.run()
-    assert "stop" in state["cancelled"]
-
-
-def test_daemon_restarts_on_crash():
-    sim = Simulator()
-    attempts = []
-
-    def flaky():
-        attempts.append(sim.now)
-        yield sim.timeout(1)
-        if len(attempts) < 3:
-            raise RuntimeError("crash")
-        return "stable"
-
-    sup = spawn_daemon(sim, flaky, name="flaky")
-    sim.run(until=sup)
-    assert sup.value == "stable"
-    assert len(attempts) == 3
-
-
-def test_daemon_gives_up_after_max_restarts():
-    sim = Simulator()
-
-    def always_crashes():
-        yield sim.timeout(0.1)
-        raise RuntimeError("hopeless")
-
-    sup = spawn_daemon(sim, always_crashes, name="bad", max_restarts=3)
-    sim.run()
-    assert not sup.ok
-    assert isinstance(sup.value, SimulationError)
-
-
-def test_daemon_no_restart_propagates():
-    sim = Simulator()
-
-    def crashes():
-        yield sim.timeout(0.1)
-        raise ValueError("once")
-
-    sup = spawn_daemon(sim, crashes, name="once", restart=False)
-    sim.run()
-    assert not sup.ok
-    assert isinstance(sup.value, ValueError)

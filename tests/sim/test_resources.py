@@ -1,11 +1,11 @@
-"""Unit tests for Resource, Store and Container semantics."""
+"""Unit tests for Resource and Store semantics."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Container, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 
 
 # ---------------------------------------------------------------- Resource
@@ -167,64 +167,3 @@ def test_store_handoff_to_waiting_getter():
     sim.run()
     assert p.value == "direct"
     assert len(s) == 0
-
-
-# ---------------------------------------------------------------- Container
-
-
-def test_container_levels():
-    sim = Simulator()
-    c = Container(sim, capacity=100, init=50)
-    c.get(30)
-    assert c.level == 20
-    c.put(80)
-    assert c.level == 100
-
-
-def test_container_get_blocks_until_level():
-    sim = Simulator()
-    c = Container(sim, capacity=100, init=0)
-
-    def consumer(sim, c):
-        yield c.get(60)
-        return sim.now
-
-    def producer(sim, c):
-        yield sim.timeout(1)
-        yield c.put(30)
-        yield sim.timeout(1)
-        yield c.put(30)
-
-    p = sim.spawn(consumer(sim, c))
-    sim.spawn(producer(sim, c))
-    sim.run()
-    assert p.value == 2.0
-
-
-def test_container_put_blocks_at_capacity():
-    sim = Simulator()
-    c = Container(sim, capacity=10, init=10)
-
-    def producer(sim, c):
-        yield c.put(5)
-        return sim.now
-
-    def consumer(sim, c):
-        yield sim.timeout(3)
-        yield c.get(5)
-
-    p = sim.spawn(producer(sim, c))
-    sim.spawn(consumer(sim, c))
-    sim.run()
-    assert p.value == 3.0
-
-
-def test_container_validates_amounts():
-    sim = Simulator()
-    c = Container(sim, capacity=10)
-    with pytest.raises(SimulationError):
-        c.put(0)
-    with pytest.raises(SimulationError):
-        c.get(-1)
-    with pytest.raises(SimulationError):
-        c.put(11)

@@ -1,11 +1,11 @@
-"""Unit tests for Signal, Semaphore, Barrier, Latch."""
+"""Unit tests for Signal and Semaphore."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Barrier, Latch, Semaphore, Signal, Simulator
+from repro.sim import Semaphore, Signal, Simulator
 
 
 def test_signal_wakes_all_current_waiters():
@@ -97,80 +97,3 @@ def test_semaphore_fifo_handoff():
 def test_semaphore_negative_init_rejected():
     with pytest.raises(SimulationError):
         Semaphore(Simulator(), value=-1)
-
-
-def test_barrier_releases_all_parties_together():
-    sim = Simulator()
-    bar = Barrier(sim, parties=3)
-    released = []
-
-    def party(sim, bar, i):
-        yield sim.timeout(i)
-        yield bar.arrive()
-        released.append((i, sim.now))
-
-    for i in range(3):
-        sim.spawn(party(sim, bar, i))
-    sim.run()
-    assert [t for _, t in released] == [2.0, 2.0, 2.0]
-    assert bar.generations == 1
-
-
-def test_barrier_is_cyclic():
-    sim = Simulator()
-    bar = Barrier(sim, parties=2)
-    times = []
-
-    def party(sim, bar):
-        for _ in range(2):
-            yield bar.arrive()
-            times.append(sim.now)
-            yield sim.timeout(1)
-
-    sim.spawn(party(sim, bar))
-    sim.spawn(party(sim, bar))
-    sim.run()
-    assert bar.generations == 2
-
-
-def test_latch_opens_once_and_stays_open():
-    sim = Simulator()
-    latch = Latch(sim, count=2)
-    assert not latch.opened
-    latch.count_down()
-    assert not latch.opened
-    latch.count_down()
-    assert latch.opened
-    latch.count_down()  # extra decrement is a no-op
-    assert latch.opened
-
-    def waiter(sim, latch):
-        yield latch.wait()
-        return sim.now
-
-    p = sim.spawn(waiter(sim, latch))
-    sim.run()
-    assert p.value == 0.0  # already open: immediate
-
-
-def test_latch_zero_count_starts_open():
-    sim = Simulator()
-    assert Latch(sim, count=0).opened
-
-
-def test_latch_wait_before_open():
-    sim = Simulator()
-    latch = Latch(sim, count=1)
-
-    def waiter(sim, latch):
-        yield latch.wait()
-        return sim.now
-
-    def opener(sim, latch):
-        yield sim.timeout(7)
-        latch.count_down()
-
-    p = sim.spawn(waiter(sim, latch))
-    sim.spawn(opener(sim, latch))
-    sim.run()
-    assert p.value == 7.0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.metrics import Series, geometric_mean, speedup, speedup_series
+from repro.analysis.metrics import Series, speedup
 from repro.analysis.report import banner, fmt_cell, render_series_table, render_table
 
 
@@ -44,17 +44,6 @@ def test_linearity_ratio_superlinear():
 def test_linearity_ratio_undefined_cases():
     assert Series("e", [1], [5.0]).linearity_ratio() is None
     assert Series("n", [1, 2], [None, None]).linearity_ratio() is None
-
-
-def test_speedup_series_none_propagation():
-    s = speedup_series("sp", [1, 2], [10.0, None], [5.0, 5.0])
-    assert s.ys == [2.0, None]
-
-
-def test_geometric_mean():
-    assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-    assert geometric_mean([]) == 0.0
-    assert geometric_mean([3.0]) == pytest.approx(3.0)
 
 
 def test_fmt_cell():

@@ -7,7 +7,6 @@ import csv
 from repro.analysis import (
     Series,
     render_ascii_chart,
-    write_rows_csv,
     write_series_csv,
 )
 
@@ -23,20 +22,12 @@ def test_write_series_csv_roundtrip(tmp_path):
     assert rows[2] == ["1G", "86", ""]  # unsupported cell -> empty
 
 
-def test_write_rows_csv(tmp_path):
-    path = write_rows_csv(
-        str(tmp_path / "t.csv"), ["a", "b"], [[1, None], ["x", 2.5]]
-    )
-    with open(path) as f:
-        rows = list(csv.reader(f))
-    assert rows == [["a", "b"], ["1", ""], ["x", "2.5"]]
-
-
 def test_write_creates_directories(tmp_path):
-    path = write_rows_csv(str(tmp_path / "deep" / "dir" / "t.csv"), ["h"], [[1]])
+    s = Series("y", [1], [2.0])
+    path = write_series_csv(str(tmp_path / "deep" / "dir" / "t.csv"), [s], ["1"])
     assert path.endswith("t.csv")
     with open(path) as f:
-        assert f.readline().strip() == "h"
+        assert f.readline().strip() == "size,y"
 
 
 def test_ascii_chart_contains_all_series_glyphs():

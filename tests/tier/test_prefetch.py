@@ -1,12 +1,18 @@
-"""Tests for the real engine's background readahead thread."""
+"""Tests for the real engine's readahead hints."""
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
 from repro.exec.chunks import FileChunk, chunk_file
 from repro.obs import Observability
 from repro.tier import ReadaheadPrefetcher
+
+pytestmark = pytest.mark.skipif(
+    not hasattr(os, "posix_fadvise"), reason="readahead hints need posix_fadvise"
+)
 
 
 @pytest.fixture()
@@ -18,41 +24,35 @@ def fragments(tmp_path):
     return [[c] for c in chunks]
 
 
+def advise(fragments, depth, *indices):
+    obs = Observability(enabled=False)
+    pf = ReadaheadPrefetcher(fragments, depth=depth, obs=obs)
+    for i in indices:
+        pf.advise(i)
+    return obs.metrics.counters
+
+
 def test_advise_prefetches_the_next_fragment(fragments):
-    with ReadaheadPrefetcher(fragments, depth=1) as pf:
-        pf.advise(0)
-        assert pf.wait_idle()
-        assert pf.issued == 1
-        assert pf.bytes_prefetched == sum(c.length for c in fragments[1])
+    ctr = advise(fragments, 1, 0)
+    assert ctr["tier.prefetch.issued"] == 1
+    assert ctr["tier.prefetch.bytes"] == sum(c.length for c in fragments[1])
 
 
 def test_depth_covers_multiple_fragments(fragments):
-    with ReadaheadPrefetcher(fragments, depth=2) as pf:
-        pf.advise(0)
-        assert pf.wait_idle()
-        assert pf.issued == 2
+    assert advise(fragments, 2, 0)["tier.prefetch.issued"] == 2
 
 
 def test_fragments_are_prefetched_once(fragments):
-    with ReadaheadPrefetcher(fragments, depth=1) as pf:
-        pf.advise(0)
-        pf.advise(0)  # duplicate advise must not re-read
-        assert pf.wait_idle()
-        assert pf.issued == 1
+    # a duplicate advise must not hint the same fragment again
+    assert advise(fragments, 1, 0, 0)["tier.prefetch.issued"] == 1
 
 
 def test_last_fragment_has_nothing_to_prefetch(fragments):
-    with ReadaheadPrefetcher(fragments, depth=1) as pf:
-        pf.advise(len(fragments) - 1)
-        assert pf.wait_idle()
-        assert pf.issued == 0
+    assert "tier.prefetch.issued" not in advise(fragments, 1, len(fragments) - 1)
 
 
 def test_depth_zero_is_a_noop(fragments):
-    with ReadaheadPrefetcher(fragments, depth=0) as pf:
-        pf.advise(0)
-        assert pf.wait_idle()
-        assert pf.issued == 0
+    assert "tier.prefetch.issued" not in advise(fragments, 0, 0)
 
 
 def test_negative_depth_rejected(fragments):
@@ -61,27 +61,15 @@ def test_negative_depth_rejected(fragments):
 
 
 def test_counters_reach_observability(fragments):
-    obs = Observability(enabled=False)
-    with ReadaheadPrefetcher(fragments, depth=1, obs=obs) as pf:
-        pf.advise(0)
-        assert pf.wait_idle()
-    ctr = obs.metrics.counters
-    assert ctr["tier.prefetch.issued"] == 1
-    assert ctr["tier.prefetch.bytes"] == pf.bytes_prefetched
+    ctr = advise(fragments, 1, 0, 1)
+    assert ctr["tier.prefetch.issued"] == 2
+    assert ctr["tier.prefetch.bytes"] == sum(
+        c.length for frag in fragments[1:3] for c in frag
+    )
 
 
 def test_missing_file_is_counted_not_raised(tmp_path):
-    obs = Observability(enabled=False)
     ghost = [[FileChunk(str(tmp_path / "nope"), 0, 100)]] * 2
-    with ReadaheadPrefetcher(ghost, depth=1, obs=obs) as pf:
-        pf.advise(0)
-        assert pf.wait_idle()
-    assert obs.metrics.counters["tier.prefetch.failed"] == 1
-
-
-def test_close_is_idempotent_and_stops_work(fragments):
-    pf = ReadaheadPrefetcher(fragments, depth=1)
-    pf.close()
-    pf.close()
-    pf.advise(0)  # after close: ignored
-    assert pf.issued == 0
+    ctr = advise(ghost, 1, 0)
+    assert ctr["tier.prefetch.failed"] == 1
+    assert "tier.prefetch.issued" not in ctr

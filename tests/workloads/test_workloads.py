@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
@@ -12,7 +11,6 @@ from repro.workloads import (
     FIG8BC_SIZES,
     encrypted_input,
     keys_for,
-    matrix_pair,
     size_label,
     text_input,
     zipf_corpus,
@@ -92,15 +90,6 @@ def test_encrypted_input_validation():
         encrypted_input("/f", 0)
     with pytest.raises(WorkloadError):
         encrypted_input("/f", MB(1), hit_rate=1.5)
-
-
-def test_matrix_pair_seeded():
-    a1, b1 = matrix_pair(16, seed=3)
-    a2, b2 = matrix_pair(16, seed=3)
-    np.testing.assert_array_equal(a1, a2)
-    np.testing.assert_array_equal(b1, b2)
-    with pytest.raises(WorkloadError):
-        matrix_pair(0)
 
 
 def test_sweep_points_match_paper():
