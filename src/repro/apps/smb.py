@@ -50,10 +50,11 @@ class SMBTraffic:
         self.jitter = min(max(jitter, 0.0), 1.0)
         self.rng = self.sim.rng.stream(rng_name)
         self.active = False
-        #: messages exchanged (stats)
+        #: messages sent and delivered, and messages received (stats)
         self.messages_sent = 0
+        self.messages_received = 0
         for node in self.nodes:
-            node.open_port(SMB_PORT)
+            node.bind(SMB_PORT, self._received)
 
     def start(self) -> None:
         """Begin generating traffic (idempotent)."""
@@ -69,6 +70,9 @@ class SMBTraffic:
     def stop(self) -> None:
         """Stop after the in-flight round."""
         self.active = False
+
+    def _received(self, _msg: object) -> None:
+        self.messages_received += 1
 
     def _sender(self, src: "Node", dst: "Node") -> _t.Generator:
         while self.active:

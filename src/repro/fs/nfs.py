@@ -6,13 +6,16 @@ This module implements a compact NFSv3-flavoured protocol on the simulated
 fabric:
 
 * :class:`NFSServer` — exports a subtree of a node's local FS; each request
-  is served concurrently (disk queueing provides the serialization).
-* :class:`NFSClient` — per-node RPC endpoint matching replies to calls.
+  is served concurrently from the moment it arrives (disk queueing
+  provides the serialization).
+* :class:`NFSClient` — per-node RPC endpoint resolving each call's event
+  when its reply arrives.
 * :class:`NFSMount` — the client-side file API, mirroring
   :class:`~repro.fs.localfs.LocalFS` so higher layers are mount-agnostic.
-  It also offers :meth:`NFSMount.watch` — mtime polling, which is how a
-  file-alteration monitor has to watch an NFS file from the client side
-  (kernel inotify does not propagate over NFS).
+
+Kernel inotify does not propagate over NFS, so a client watching a remote
+file polls its attributes with getattr RPCs (the smartFAM host does this
+inline while it waits for a result).
 
 Every RPC charges a small request message; data-bearing replies (READ) or
 requests (WRITE) charge the payload size, so bulk file movement costs real
@@ -27,10 +30,9 @@ import typing as _t
 from repro.errors import NFSError
 from repro.fs import path as _p
 from repro.sim.events import Event
-from repro.sim.kernel import Simulator
-from repro.sim.resources import Store
 
 if __import__("typing").TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.net.message import Message
     from repro.node.node import Node
 
 __all__ = ["NFSServer", "NFSClient", "NFSMount", "NFS_PORT", "RPC_HEADER_BYTES"]
@@ -50,10 +52,10 @@ class NFSServer:
         self.node = node
         self.sim = node.sim
         self.export_root = _p.normalize(export_root)
-        self._queue = node.open_port(NFS_PORT)
         #: operation counters (stats)
         self.ops: dict[str, int] = {}
-        self.sim.spawn(self._serve_loop(), name=f"nfsd:{node.name}")
+        self._req_name = f"nfsd:{node.name}.req"
+        node.bind(NFS_PORT, self._on_request)
 
     def _translate(self, rel_path: str) -> str:
         rel = _p.normalize(rel_path)
@@ -61,13 +63,9 @@ class NFSServer:
             return rel
         return _p.join(self.export_root, rel.lstrip("/"))
 
-    def _serve_loop(self) -> _t.Generator:
-        while True:
-            msg = yield self._queue.get()
-            body = msg.payload["body"]  # type: ignore[index]
-            self.sim.spawn(
-                self._handle(msg.src, body), name=f"nfsd:{self.node.name}.req"
-            )
+    def _on_request(self, msg: Message) -> None:
+        body = msg.payload["body"]
+        self.sim.spawn(self._handle(msg.src, body), name=self._req_name)
 
     def _handle(self, client: str, req: dict) -> _t.Generator:
         op: str = req["op"]
@@ -128,7 +126,7 @@ class NFSServer:
         except Exception as exc:  # deliver errors to the caller, not the server
             reply["ok"] = False
             reply["error"] = exc
-        yield self.node.send(client, NFS_REPLY_PORT, reply, nbytes=reply_bytes)
+        self.node.send(client, NFS_REPLY_PORT, reply, nbytes=reply_bytes)
 
 
 class NFSClient:
@@ -138,23 +136,20 @@ class NFSClient:
         self.node = node
         self.sim = node.sim
         self._pending: dict[int, Event] = {}
-        self._queue = node.open_port(NFS_REPLY_PORT)
         #: RPC round trips completed (stats)
         self.rpcs = 0
-        self.sim.spawn(self._reply_loop(), name=f"nfscli:{node.name}")
+        node.bind(NFS_REPLY_PORT, self._on_reply)
 
-    def _reply_loop(self) -> _t.Generator:
-        while True:
-            msg = yield self._queue.get()
-            reply = msg.payload["body"]  # type: ignore[index]
-            ev = self._pending.pop(reply["xid"], None)
-            if ev is None:
-                continue  # late reply for an abandoned call
-            self.rpcs += 1
-            if reply["ok"]:
-                ev.succeed(reply["value"])
-            else:
-                ev.fail(reply["error"])
+    def _on_reply(self, msg: Message) -> None:
+        reply = msg.payload["body"]
+        ev = self._pending.pop(reply["xid"], None)
+        if ev is None:
+            return  # late reply for an abandoned call
+        self.rpcs += 1
+        if reply["ok"]:
+            ev.succeed(reply["value"])
+        else:
+            ev.fail(reply["error"])
 
     def call(self, server: str, req: dict, request_bytes: int = RPC_HEADER_BYTES) -> Event:
         """Issue one RPC; the returned event carries the reply value.
@@ -173,23 +168,23 @@ class NFSClient:
         decision = None
         if inj is not None:
             decision = inj.check("nfs.call", op=req["op"], server=server)
+        if decision is None:
+            self.node.send(server, NFS_PORT, req, nbytes=request_bytes)
+            return done
 
-        def _send() -> _t.Generator:
-            if decision is not None:
-                if decision.action == "fail":
-                    yield self.sim.timeout(0.0)
-                    self._pending.pop(xid, None)
-                    done.fail(
-                        NFSError(f"injected RPC failure ({req['op']} -> {server})")
-                    )
-                    return
-                if decision.action == "drop":
-                    return  # the request is lost; the event never resolves
-                if decision.action == "delay":
-                    yield self.sim.timeout(decision.delay)
-            yield self.node.send(server, NFS_PORT, req, nbytes=request_bytes)
+        def _faulted() -> _t.Generator:
+            if decision.action == "fail":
+                yield self.sim.timeout(0.0)
+                self._pending.pop(xid, None)
+                done.fail(NFSError(f"injected RPC failure ({req['op']} -> {server})"))
+                return
+            if decision.action == "drop":
+                return  # the request is lost; the event never resolves
+            if decision.action == "delay":
+                yield self.sim.timeout(decision.delay)
+            self.node.send(server, NFS_PORT, req, nbytes=request_bytes)
 
-        self.sim.spawn(_send(), name=f"nfscli:{self.node.name}.send")
+        self.sim.spawn(_faulted(), name=f"nfscli:{self.node.name}.send")
         return done
 
 
@@ -208,7 +203,7 @@ class NFSMount:
         #: burst buffer (set by the cluster builder; drives readahead)
         self.remote_tier_spec = None
 
-    # -- timed operations (all return processes/events) -----------------------
+    # -- timed operations (all return events) ---------------------------------
 
     def read(self, path: str, nbytes: int | None = None, offset: int = 0) -> Event:
         """Read a remote file; returns the materialized payload.
@@ -265,27 +260,27 @@ class NFSMount:
 
     def create(self, path: str, exist_ok: bool = False) -> Event:
         """Create a remote file."""
-        return self._simple({"op": "create", "path": path, "exist_ok": exist_ok}, "create")
+        return self._call({"op": "create", "path": path, "exist_ok": exist_ok})
 
     def mkdir(self, path: str, parents: bool = False) -> Event:
         """Create a remote directory."""
-        return self._simple({"op": "mkdir", "path": path, "parents": parents}, "mkdir")
+        return self._call({"op": "mkdir", "path": path, "parents": parents})
 
     def stat(self, path: str) -> Event:
         """Remote getattr; returns a dict(size, mtime, is_dir, ino)."""
-        return self._simple({"op": "getattr", "path": path}, "stat")
+        return self._call({"op": "getattr", "path": path})
 
     def listdir(self, path: str) -> Event:
         """Remote readdir."""
-        return self._simple({"op": "readdir", "path": path}, "listdir")
+        return self._call({"op": "readdir", "path": path})
 
     def unlink(self, path: str) -> Event:
         """Remote remove."""
-        return self._simple({"op": "remove", "path": path}, "unlink")
+        return self._call({"op": "remove", "path": path})
 
     def access(self, path: str) -> Event:
         """Timed existence check."""
-        return self._simple({"op": "access", "path": path}, "access")
+        return self._call({"op": "access", "path": path})
 
     def prefetch(self, path: str, offset: int = 0, nbytes: int | None = None) -> Event:
         """Ask the server to pull a range into its tier (readahead RPC).
@@ -293,76 +288,9 @@ class NFSMount:
         Returns an event carrying True when the server actually started a
         fill (False when it has no tier or the range is already cached).
         """
-        return self._simple(
-            {"op": "prefetch", "path": path, "offset": offset, "nbytes": nbytes},
-            "prefetch",
+        return self._call(
+            {"op": "prefetch", "path": path, "offset": offset, "nbytes": nbytes}
         )
 
-    def _simple(self, req: dict, label: str) -> Event:
-        def _proc() -> _t.Generator:
-            return (yield self.client.call(self.server, req))
-
-        return self.sim.spawn(_proc(), name=f"{self.name}.{label}")
-
-    # -- client-side watching (smartFAM host side) -------------------------------
-
-    def watch(self, path: str, poll_interval: float) -> "NFSWatch":
-        """Poll a remote file's mtime; changes appear in the watch queue.
-
-        This models what a host-side file-alteration monitor must actually
-        do for a file on an NFS share.  Each poll is a real getattr RPC, so
-        the smartFAM ablation bench can measure the channel's cost.
-        """
-        return NFSWatch(self, path, poll_interval)
-
-
-class NFSWatch:
-    """An active mtime-polling watch on a remote file."""
-
-    def __init__(self, mount: NFSMount, path: str, poll_interval: float):
-        if poll_interval < 0:
-            raise NFSError("poll interval must be >= 0")
-        self.mount = mount
-        self.path = path
-        self.poll_interval = poll_interval
-        self.queue = Store(mount.sim, name=f"nfswatch:{path}")
-        self.active = True
-        #: getattr polls issued (stats)
-        self.polls = 0
-        mount.sim.spawn(self._poll_loop(), name=f"nfswatch:{path}")
-
-    def stop(self) -> None:
-        """Stop polling after the current round."""
-        self.active = False
-
-    def _poll_loop(self) -> _t.Generator:
-        sim = self.mount.sim
-        primed = False
-        existed = False
-        last_mtime = 0.0
-        last_size = 0
-        while self.active:
-            try:
-                attrs = yield self.mount.stat(self.path)
-            except Exception:
-                attrs = None  # file may not exist yet
-            self.polls += 1
-            if not primed:
-                # First poll establishes the baseline; nothing fires.
-                primed = True
-                existed = attrs is not None
-                if attrs is not None:
-                    last_mtime, last_size = attrs["mtime"], attrs["size"]
-            elif attrs is not None:
-                appeared = not existed
-                changed = attrs["mtime"] != last_mtime or attrs["size"] != last_size
-                if (appeared or changed) and self.active:
-                    self.queue.put(dict(attrs, path=self.path, time=sim.now))
-                existed = True
-                last_mtime, last_size = attrs["mtime"], attrs["size"]
-            else:
-                existed = False
-            if self.poll_interval > 0:
-                yield sim.timeout(self.poll_interval)
-            else:
-                yield sim.timeout(0.0)
+    def _call(self, req: dict) -> Event:
+        return self.client.call(self.server, req)

@@ -1,25 +1,30 @@
-"""The fabric: endpoint mailboxes + segmented flow transfer over the switch.
+"""The fabric: endpoint handlers + segmented message transfer over the switch.
 
 ``send`` moves a :class:`~repro.net.message.Message` from its source port
-to the destination inbox, charging uplink and downlink serialization with
-segment-level pipelining: while segment *i* crosses the destination's
-downlink, segment *i+1* is already on the source's uplink.  Loopback
-messages skip the wire entirely.
+to the destination endpoint, charging uplink and downlink serialization
+with segment-level pipelining: while segment *i* crosses the destination's
+downlink, segment *i+1* is already on the source's uplink.  Each segment
+asks for the next link when it arrives over the previous one (per-segment
+store-and-forward at the switch), driven by callbacks on the links'
+arrival events.  Loopback messages skip the wire entirely.  A message is
+handed to its endpoint's handler when its last segment arrives.
 """
 
 from __future__ import annotations
 
+import collections
 import typing as _t
 
 from repro.config import NetworkConfig
 from repro.errors import NetworkError
-from repro.net.message import Flow, Message
+from repro.net.message import Message
 from repro.net.switch import Switch
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Store
 
 __all__ = ["Fabric"]
+
+Handler = _t.Callable[[Message], object]
 
 
 class Fabric:
@@ -29,36 +34,35 @@ class Fabric:
         self.sim = sim
         self.config = config or NetworkConfig()
         self.switch = Switch(sim, self.config)
-        self._inboxes: dict[str, Store] = {}
-        #: completed flows (stats)
-        self.flows: list[Flow] = []
+        self._handlers: dict[str, Handler | None] = {}
         #: total bytes delivered endpoint-to-endpoint
         self.bytes_delivered = 0
+        #: messages and bytes delivered per (src, dst) pair (stats)
+        self.pair_messages: collections.Counter = collections.Counter()
+        self.pair_bytes: collections.Counter = collections.Counter()
         #: messages lost to injected faults (stats)
         self.dropped = 0
 
     # -- topology ---------------------------------------------------------------
 
-    def attach(self, endpoint: str) -> Store:
-        """Attach ``endpoint``; returns its inbox (idempotent)."""
-        inbox = self._inboxes.get(endpoint)
-        if inbox is None:
+    def attach(self, endpoint: str, handler: Handler | None = None) -> None:
+        """Attach ``endpoint``; ``handler(msg)`` runs as each message to it
+        arrives (``None`` discards arrivals).  Re-attaching replaces the
+        handler."""
+        if endpoint not in self._handlers:
             self.switch.attach(endpoint)
-            inbox = Store(self.sim, name=f"inbox:{endpoint}")
-            self._inboxes[endpoint] = inbox
-        return inbox
+        self._handlers[endpoint] = handler
 
-    def inbox(self, endpoint: str) -> Store:
-        """The inbox of an attached endpoint."""
+    def _handler(self, endpoint: str) -> Handler | None:
         try:
-            return self._inboxes[endpoint]
+            return self._handlers[endpoint]
         except KeyError:
             raise NetworkError(f"{endpoint!r} is not attached") from None
 
     @property
     def endpoints(self) -> list[str]:
         """All attached endpoints."""
-        return list(self._inboxes)
+        return list(self._handlers)
 
     # -- transfers ---------------------------------------------------------------
 
@@ -73,73 +77,67 @@ class Fabric:
         return out
 
     def send(self, msg: Message) -> Event:
-        """Deliver ``msg`` into the destination inbox; Process completes then.
+        """Deliver ``msg`` to the destination's handler; the event fires then.
 
         Injected faults at ``net.deliver``: *drop* pays the wire cost but
-        never delivers into the inbox (a lost frame — the sender's send
-        still "completes", as a real NIC's does), *delay* adds latency
-        before delivery.
+        never delivers (a lost frame — the sender's send still
+        "completes", as a real NIC's does), *delay* adds latency before
+        delivery.
         """
-        dst_inbox = self.inbox(msg.dst)
-        self.inbox(msg.src)  # validates attachment
-        msg.sent_at = self.sim.now
-        flow = Flow(msg.src, msg.dst, msg.nbytes, started_at=self.sim.now)
-        inj = self.sim.faults
+        handler = self._handler(msg.dst)
+        self._handler(msg.src)  # validates attachment
+        sim = self.sim
+        done = Event(sim, name="fabric.send")
+        inj = sim.faults
         decision = None
         if inj is not None:
             decision = inj.check(
                 "net.deliver", src=msg.src, dst=msg.dst, kind=msg.kind
             )
 
+        def _deliver(_ev: Event | None = None) -> None:
+            self.bytes_delivered += msg.nbytes
+            pair = (msg.src, msg.dst)
+            self.pair_messages[pair] += 1
+            self.pair_bytes[pair] += msg.nbytes
+            if handler is not None:
+                handler(msg)
+            done.succeed(msg)
+
+        def _arrived(_ev: Event) -> None:
+            action = decision.action if decision is not None else None
+            if action == "drop":
+                self.dropped += 1
+                done.succeed(msg)
+            elif action == "delay":
+                sim.timeout(decision.delay).add_callback(_deliver)
+            else:
+                _deliver()
+
         if msg.src == msg.dst:
-
-            def _loopback() -> _t.Generator:
-                # Local delivery: no wire cost, but still an event boundary
-                # so ordering with real messages stays consistent.
-                yield self.sim.timeout(0.0)
-                flow.finished_at = self.sim.now
-                self.flows.append(flow)
-                if decision is not None and decision.action == "drop":
-                    self.dropped += 1
-                    return msg
-                if decision is not None and decision.action == "delay":
-                    yield self.sim.timeout(decision.delay)
-                self.bytes_delivered += msg.nbytes
-                yield dst_inbox.put(msg)
-                return msg
-
-            return self.sim.spawn(_loopback(), name=f"loopback:{msg.src}")
+            # Local delivery: no wire cost, but still an event boundary so
+            # ordering with real messages stays consistent.
+            sim.timeout(0.0).add_callback(_arrived)
+            return done
 
         uplink, downlink = self.switch.path(msg.src, msg.dst)
         segments = self._segments(msg.nbytes)
-        flow.segments = len(segments)
+        last = len(segments) - 1
+        hop = 0
 
-        def _flow() -> _t.Generator:
-            down_done: list[Event] = []
-            for seg in segments:
-                yield uplink.transmit(seg, label=f"m{msg.msg_id}")
-                down_done.append(downlink.transmit(seg, label=f"m{msg.msg_id}"))
-            if down_done:
-                yield self.sim.all_of(down_done)
-            flow.finished_at = self.sim.now
-            self.flows.append(flow)
-            if decision is not None and decision.action == "drop":
-                self.dropped += 1
-                return msg
-            if decision is not None and decision.action == "delay":
-                yield self.sim.timeout(decision.delay)
-            self.bytes_delivered += msg.nbytes
-            yield dst_inbox.put(msg)
-            return msg
+        def _over_uplink(_ev: Event) -> None:
+            # segment `hop` reached the switch: forward it, start the next
+            nonlocal hop
+            down = downlink.transmit(segments[hop])
+            if hop == last:
+                down.add_callback(_arrived)
+                return
+            hop += 1
+            uplink.transmit(segments[hop]).add_callback(_over_uplink)
 
-        return self.sim.spawn(_flow(), name=f"flow:{msg.src}->{msg.dst}")
+        uplink.transmit(segments[0]).add_callback(_over_uplink)
+        return done
 
     def transfer(self, src: str, dst: str, nbytes: int, kind: str = "bulk") -> Event:
         """Convenience bulk transfer; completes at delivery."""
         return self.send(Message(src=src, dst=dst, nbytes=nbytes, kind=kind))
-
-    # -- stats ----------------------------------------------------------------------
-
-    def flows_between(self, src: str, dst: str) -> list[Flow]:
-        """Completed flows from src to dst."""
-        return [f for f in self.flows if f.src == src and f.dst == dst]

@@ -2,18 +2,19 @@
 
 Transmitting ``n`` bytes holds the link for ``n / bandwidth`` and the data
 arrives ``latency`` later (cut-through: latency does not occupy the link).
-Concurrent senders queue FIFO, so a link is a standard M/G/1-style server
-and contention falls out naturally.
+Concurrent senders queue FIFO behind one transmitter, so a link is a
+standard M/G/1-style server and contention falls out naturally.
+
+A FIFO server with one transmitter needs no process and no queue: transfer
+*i* starts at ``max(now_i, end_{i-1})``, so the link only remembers when
+its transmitter frees up and each transfer is one arrival event.
 """
 
 from __future__ import annotations
 
-import typing as _t
-
 from repro.errors import NetworkError
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Resource
 
 __all__ = ["Link"]
 
@@ -36,7 +37,8 @@ class Link:
         self.bandwidth = bandwidth
         self.latency = latency
         self.name = name
-        self._server = Resource(sim, capacity=1, name=f"{name}.tx")
+        #: when the transmitter finishes the last transfer handed to it
+        self.free_at = 0.0
         #: total bytes pushed through (stats)
         self.bytes_sent = 0
 
@@ -44,33 +46,26 @@ class Link:
         """Serialization time for ``nbytes``."""
         return nbytes / self.bandwidth
 
-    @property
-    def queue_len(self) -> int:
-        """Transfers waiting for the transmitter."""
-        return self._server.queue_len
-
-    def transmit(self, nbytes: int, label: str = "tx") -> Event:
-        """Send ``nbytes``; the returned Process completes at *arrival*."""
+    def transmit(self, nbytes: int) -> Event:
+        """Send ``nbytes``; the returned event fires at *arrival* with ``nbytes``."""
         nbytes = int(nbytes)
         if nbytes < 0:
             raise NetworkError(f"negative transmit size {nbytes}")
+        sim = self.sim
+        end = max(sim.now, self.free_at) + nbytes / self.bandwidth
+        self.free_at = end
+        # propagation happens after the transmitter is released
+        arrival = sim.at(end + self.latency, nbytes, name=self.name)
+        arrival.add_callback(self._arrived)
+        return arrival
 
-        def _proc() -> _t.Generator:
-            with self._server.request() as req:
-                yield req
-                ser = self.tx_time(nbytes)
-                yield self.sim.timeout(ser)
-                self.bytes_sent += nbytes
-            obs = self.sim.obs
-            obs.count("net.bytes", nbytes)
-            if obs.enabled:
-                obs.observe("net.tx_bytes", nbytes)
-            # propagation happens after the transmitter is released
-            if self.latency > 0:
-                yield self.sim.timeout(self.latency)
-            return nbytes
-
-        return self.sim.spawn(_proc(), name=f"{self.name}.{label}")
+    def _arrived(self, event: Event) -> None:
+        nbytes = event.value
+        self.bytes_sent += nbytes
+        obs = self.sim.obs
+        obs.count("net.bytes", nbytes)
+        if obs.enabled:
+            obs.observe("net.tx_bytes", nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Link {self.name} {self.bandwidth / 1e6:.0f}MB/s q={self.queue_len}>"
+        return f"<Link {self.name} {self.bandwidth / 1e6:.0f}MB/s free@{self.free_at:.6f}>"

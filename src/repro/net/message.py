@@ -1,14 +1,10 @@
-"""Message and flow descriptors for the simulated fabric."""
+"""Message descriptor for the simulated fabric."""
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import typing as _t
 
-__all__ = ["Message", "Flow"]
-
-_msg_ids = itertools.count(1)
+__all__ = ["Message"]
 
 
 @dataclasses.dataclass
@@ -26,34 +22,7 @@ class Message:
     nbytes: int
     payload: object = None
     kind: str = "data"
-    msg_id: int = dataclasses.field(default_factory=lambda: next(_msg_ids))
-    sent_at: float = 0.0
 
     def __post_init__(self) -> None:
         if self.nbytes < 0:
             raise ValueError(f"negative message size {self.nbytes}")
-
-
-@dataclasses.dataclass
-class Flow:
-    """Bookkeeping for one bulk transfer (stats / tracing)."""
-
-    src: str
-    dst: str
-    nbytes: int
-    started_at: float
-    finished_at: float | None = None
-    segments: int = 0
-
-    @property
-    def duration(self) -> float:
-        """Transfer latency (valid once finished)."""
-        if self.finished_at is None:
-            raise ValueError("flow not finished")
-        return self.finished_at - self.started_at
-
-    @property
-    def goodput(self) -> float:
-        """Achieved bytes/second (valid once finished)."""
-        d = self.duration
-        return self.nbytes / d if d > 0 else float("inf")

@@ -1,8 +1,8 @@
 """A cluster machine: CPU, memory, disk, local FS, inotify, and a netstack.
 
-The netstack gives each node one fabric endpoint and demultiplexes inbound
-messages to named *service ports* (queues), so NFS, smartFAM and SMB can
-coexist on one wire exactly like UDP/TCP services on one NIC.
+The netstack gives each node one fabric endpoint and hands each inbound
+message to the handler bound to its named *service port*, so NFS and SMB
+can coexist on one wire exactly like UDP/TCP services on one NIC.
 
 Memory pressure is wired straight into the CPU: the memory model's thrash
 factor becomes the CPU's node-wide slowdown, which is how a bloated
@@ -12,8 +12,6 @@ behind Fig 8(b)'s nonlinear curves).
 
 from __future__ import annotations
 
-import typing as _t
-
 from repro.config import NodeConfig
 from repro.errors import NetworkError
 from repro.fs.inotify import InotifyManager
@@ -21,11 +19,10 @@ from repro.fs.localfs import LocalFS
 from repro.hardware.cpu import ProcessorSharingCPU
 from repro.hardware.disk import DiskModel
 from repro.hardware.memory import MemoryModel
-from repro.net.fabric import Fabric
+from repro.net.fabric import Fabric, Handler
 from repro.net.message import Message
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Store
 
 __all__ = ["Node"]
 
@@ -63,29 +60,26 @@ class Node:
             sim, self.fs.vfs, latency=inotify_latency, name=f"{self.name}.inotify"
         )
 
-        self._inbox = fabric.attach(self.name)
-        self._services: dict[str, Store] = {}
+        self._ports: dict[str, Handler] = {}
         self._mounts: dict[str, object] = {}  # mount point -> NFSMount
-        sim.spawn(self._demux_loop(), name=f"{self.name}.netstack")
+        fabric.attach(self.name, self._deliver)
 
     # -- network services ---------------------------------------------------
 
-    def open_port(self, port: str) -> Store:
-        """Create (or return) the inbound queue for a named service port."""
-        q = self._services.get(port)
-        if q is None:
-            q = Store(self.sim, name=f"{self.name}:{port}")
-            self._services[port] = q
-        return q
+    def bind(self, port: str, handler: Handler) -> None:
+        """Run ``handler(msg)`` as each message for ``port`` arrives.
 
-    def _demux_loop(self) -> _t.Generator:
-        while True:
-            msg = yield self._inbox.get()
-            assert isinstance(msg, Message)
-            port = "default"
-            if isinstance(msg.payload, dict):
-                port = msg.payload.get("port", "default")
-            self.open_port(port).put(msg)
+        Messages for a port nobody bound are discarded on arrival.
+        """
+        self._ports[port] = handler
+
+    def _deliver(self, msg: Message) -> None:
+        port = "default"
+        if isinstance(msg.payload, dict):
+            port = msg.payload.get("port", "default")
+        handler = self._ports.get(port)
+        if handler is not None:
+            handler(msg)
 
     def send(
         self,

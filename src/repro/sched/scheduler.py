@@ -62,6 +62,7 @@ from repro.sched.health import HeartbeatConfig, NodeHealthTracker
 from repro.sched.policies import OrderingPolicy, make_ordering
 from repro.sched.queue import JobQueue, QueuedJob
 from repro.sim.events import Event
+from repro.sim.resources import Store
 from repro.sim.sync import Signal
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -233,7 +234,8 @@ class ClusterScheduler:
                 unhealthy=self.unhealthy,
             )
             endpoint = f"hb:{cluster.host.name}"
-            inbox = cluster.fabric.attach(endpoint)
+            inbox = Store(self.sim, name=f"inbox:{endpoint}")
+            cluster.fabric.attach(endpoint, inbox.put)
             for daemon in cluster.sd_daemons.values():
                 daemon.start_heartbeat(cluster.fabric, endpoint, cfg.interval)
             self.sim.spawn(

@@ -104,6 +104,21 @@ class Simulator:
         """An event firing after ``delay`` simulated seconds."""
         return Timeout(self, delay, value)
 
+    def at(self, when: float, value: object = None, name: str = "") -> Event:
+        """An event firing at the absolute instant ``when`` with ``value``.
+
+        Unlike ``timeout(when - now)`` it fires at exactly ``when``:
+        ``now + (when - now)`` can round to a neighbouring float.
+        """
+        if when < self.now:
+            raise SimulationError(f"cannot schedule into the past (at={when})")
+        event = Event(self, name=name)
+        event._ok = True
+        event._value = value
+        self._seq += 1
+        heapq.heappush(self._heap, (when, NORMAL, self._seq, event))
+        return event
+
     def all_of(self, events: _t.Sequence[Event]) -> AllOf:
         """Barrier over ``events``."""
         return AllOf(self, events)

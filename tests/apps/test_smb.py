@@ -28,10 +28,23 @@ def test_ring_pattern_covers_all_participants(bed):
     smb.start()
     run_for(bed, 1.0)
     smb.stop()
-    srcs = {f.src for f in bed.cluster.fabric.flows if f.nbytes == KB(16)}
-    dsts = {f.dst for f in bed.cluster.fabric.flows if f.nbytes == KB(16)}
-    names = {n.name for n in participants}
-    assert srcs == names and dsts == names
+    fab = bed.cluster.fabric
+    names = [n.name for n in participants]
+    ring = set(zip(names, names[1:] + names[:1]))
+    assert ring <= set(fab.pair_messages)
+    for pair in ring:
+        assert fab.pair_bytes[pair] == fab.pair_messages[pair] * KB(16)
+
+
+def test_every_sent_message_is_received(bed):
+    participants = [bed.host, *bed.cluster.compute_nodes]
+    smb = SMBTraffic(participants, message_bytes=KB(16), interval=msec(10))
+    smb.start()
+    run_for(bed, 1.0)
+    smb.stop()
+    run_for(bed, 1.0)  # drain the in-flight round
+    assert smb.messages_sent > len(participants)
+    assert smb.messages_received == smb.messages_sent
 
 
 def test_start_is_idempotent(bed):

@@ -83,12 +83,8 @@ def test_smb_traffic_flows_between_participants():
     assert smb is not None
     assert smb.messages_sent > 10
     # SMB runs among host + compute nodes, never touching the SD node
-    sd_flows = [
-        f
-        for f in bed.cluster.fabric.flows
-        if "sd0" in (f.src, f.dst)
-    ]
-    assert not sd_flows
+    sd_pairs = [pair for pair in bed.cluster.fabric.pair_messages if "sd0" in pair]
+    assert not sd_pairs
     smb.stop()
 
 

@@ -110,8 +110,9 @@ def test_mount_resolution_via_node(nfs):
 
 
 def test_watch_detects_remote_modification(nfs):
+    """A client-side getattr poll (how the smartFAM host watches its log
+    over NFS) sees a server-side write within a poll round and an RTT."""
     sim, host, sd, mount = nfs
-    watch = mount.watch("/data/f.txt", poll_interval=0.05)
     write_done_at = []
 
     def modifier():
@@ -119,17 +120,22 @@ def test_watch_detects_remote_modification(nfs):
         yield sd.fs.write("/export/data/f.txt", data=b"v2", size=MB(50))
         write_done_at.append(sim.now)
 
-    def waiter():
-        ev = yield watch.queue.get()
-        watch.stop()
-        return sim.now, ev["size"]
+    def poller():
+        baseline = yield mount.stat("/data/f.txt")
+        polls = 0
+        while True:
+            yield sim.timeout(0.05)
+            attrs = yield mount.stat("/data/f.txt")
+            polls += 1
+            if attrs["mtime"] != baseline["mtime"]:
+                return sim.now, attrs["size"], polls
 
     sim.spawn(modifier())
-    t, size = run_proc(sim, waiter())
+    t, size, polls = run_proc(sim, poller())
     # detected within ~2 poll rounds + one getattr RTT of the write landing
     assert write_done_at and write_done_at[0] < t < write_done_at[0] + 0.15
     assert size == MB(50)
-    assert watch.polls > 2
+    assert polls > 2
 
 
 def test_concurrent_rpcs_matched_by_xid(nfs):

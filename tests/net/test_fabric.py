@@ -7,7 +7,7 @@ import pytest
 from repro.config import NetworkConfig
 from repro.errors import NetworkError, RoutingError
 from repro.net import Fabric, Link, Switch
-from repro.sim import Simulator
+from repro.sim import Simulator, Store
 from repro.units import Gbit, MB, MiB
 
 
@@ -117,7 +117,8 @@ def test_fabric_delivers_to_inbox():
     sim = Simulator()
     fab = Fabric(sim, NetworkConfig())
     fab.attach("a")
-    inbox = fab.attach("b")
+    inbox = Store(sim)
+    fab.attach("b", inbox.put)
 
     def consumer(sim, inbox):
         msg = yield inbox.get()
@@ -181,13 +182,14 @@ def test_flow_stats_recorded():
 
     def main(sim, fab):
         yield fab.transfer("a", "b", MB(10))
+        return sim.now
 
-    sim.spawn(main(sim, fab))
+    p = sim.spawn(main(sim, fab))
     sim.run()
-    flows = fab.flows_between("a", "b")
-    assert len(flows) == 1
-    assert flows[0].nbytes == MB(10)
-    assert flows[0].goodput > 0
+    assert fab.pair_messages == {("a", "b"): 1}
+    assert fab.pair_bytes == {("a", "b"): MB(10)}
+    goodput = MB(10) / p.value
+    assert 0 < goodput < NetworkConfig().link_bandwidth
     assert fab.bytes_delivered == MB(10)
 
 

@@ -48,24 +48,23 @@ def test_memory_pressure_slows_cpu(pair):
 
 def test_service_demux_routing(pair):
     sim, host, sd = pair
-    q_a = sd.open_port("svc-a")
-    q_b = sd.open_port("svc-b")
-    got = {}
-
-    def consumer(q, name):
-        msg = yield q.get()
-        got[name] = msg.payload["body"]
-
-    sim.spawn(consumer(q_a, "a"))
-    sim.spawn(consumer(q_b, "b"))
+    got = []
+    sd.bind("svc-a", lambda msg: got.append(("a", msg.payload["body"], sim.now)))
+    sd.bind("svc-b", lambda msg: got.append(("b", msg.payload["body"], sim.now)))
+    sent = []
 
     def producer():
         yield host.send(sd.name, "svc-b", {"x": 2}, nbytes=100)
+        sent.append(sim.now)
         yield host.send(sd.name, "svc-a", {"x": 1}, nbytes=100)
+        sent.append(sim.now)
+        # a port nobody bound swallows its messages
+        yield host.send(sd.name, "svc-c", {"x": 3}, nbytes=100)
 
     sim.spawn(producer())
     sim.run(until=2.0)
-    assert got == {"a": {"x": 1}, "b": {"x": 2}}
+    # each handler runs on arrival, the instant the sender's send completes
+    assert got == [("b", {"x": 2}, sent[0]), ("a", {"x": 1}, sent[1])]
 
 
 def test_send_negative_bytes_rejected(pair):
@@ -78,19 +77,14 @@ def test_default_port_for_untagged_messages(pair):
     sim, host, sd = pair
     from repro.net.message import Message
 
-    q = sd.open_port("default")
+    got = []
+    sd.bind("default", lambda msg: got.append(msg.payload))
 
     def producer():
         yield host.fabric.send(Message(src="host", dst="sd0", nbytes=10, payload="raw"))
 
-    def consumer():
-        msg = yield q.get()
-        return msg.payload
-
-    sim.spawn(producer())
-    p = sim.spawn(consumer())
-    sim.run(until=p)
-    assert p.value == "raw"
+    sim.run(until=sim.spawn(producer()))
+    assert got == ["raw"]
 
 
 def test_mount_longest_prefix_wins(pair):

@@ -1,0 +1,110 @@
+"""Golden determinism: a fixed scheduler stream reproduces exact sim times.
+
+A small open-loop stream on a 2-SD testbed crosses every network layer:
+smartFAM invokes over NFS, distributed shuffles over the fabric, heartbeats
+to the failure detector, and one daemon kill and revive.  Every job's finish
+time (its float ``repr``) and output digest are pinned.  A change to the
+network, NFS or kernel code that moves any simulated instant — even by one
+ulp, through a reordered tie — fails here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from repro.cluster import Testbed
+from repro.config import table1_cluster
+from repro.core import DataJob
+from repro.core.distributed import DistributedJob
+from repro.phoenix.api import InputSpec
+from repro.sched import ClusterScheduler
+from repro.units import MB
+from repro.workloads import text_input
+from repro.workloads.keys import encrypted_input, keys_for
+
+KEYS = tuple(keys_for(4, seed=5))
+
+#: (arrival s, app, mode, declared MB)
+STREAM = (
+    (0.5, "wordcount", "parallel", 64),
+    (1.0, "stringmatch", "parallel", 128),
+    (2.5, "wordcount", "partitioned", 1700),
+    (4.0, "wordcount", "distributed", 256),
+    (6.0, "stringmatch", "parallel", 64),
+    (9.0, "wordcount", "parallel", 128),
+    (12.0, "stringmatch", "partitioned", 1700),
+    (20.0, "wordcount", "parallel", 64),
+)
+KILL_AT = 6.5
+REVIVE_AT = 16.0
+
+#: (finish time repr, sha256 of the output repr) per job, in STREAM order
+GOLDEN = [
+    ("2.533459455999997", "2eb533b239b508f0342793f0237b43831f9e4bc2cc53778bc4cc8e6e6b559ada"),
+    ("2.884957531247312", "d9daafde5ea2662e58152ce811ebb3fa75fe71ed4fa9c7346e0a3970aca99afe"),
+    ("60.14041882878507", "169b838522e29281d981138e042e4e6d6c35639204db6a91be1d4912e2d7ee74"),
+    ("83.48471876266707", "2cc84311a404b8907bb495d5a73201a829c06fd9fb1daa344a29f1f33033b3ec"),
+    ("7.234150452724215", "696e620d1a21341181c30428636397c2f4d189c0eb79d0ede23f089a80b3bcf4"),
+    ("15.652613120000405", "9480045a2ceca830a68aeabf7e3cea18c9ce0365543c2e272dfb479187e41d10"),
+    ("44.714402732785224", "3666798130905095e0779b571f83e070c6ccc07efdaa6689fb54ba1b4b72e203"),
+    ("20.0", "2eb533b239b508f0342793f0237b43831f9e4bc2cc53778bc4cc8e6e6b559ada"),
+]
+
+
+def digest(output: object) -> str:
+    return hashlib.sha256(repr(output).encode()).hexdigest()
+
+
+def run_stream() -> list[tuple[str, str]]:
+    bed = Testbed(config=table1_cluster(n_sd=2, seed=11), seed=11)
+    paths: dict[tuple[str, int], str] = {}
+    for app, size in sorted({(app, mb) for _, app, _, mb in STREAM}):
+        if app == "wordcount":
+            spec = text_input(f"/{app}{size}", MB(size), payload_bytes=6_000, seed=size)
+        else:
+            spec, _, _ = encrypted_input(
+                f"/{app}{size}", MB(size), payload_bytes=6_000, keys=list(KEYS), seed=size
+            )
+            spec = InputSpec(path=spec.path, size=spec.size, payload=spec.payload)
+        _, paths[(app, size)] = bed.stage_replicated(f"{app}{size}", spec)
+    sched = ClusterScheduler(bed.cluster, heartbeat=True, attempt_timeout=60.0)
+    sim = bed.sim
+    finished: dict[int, float] = {}
+
+    def driver():
+        waits = []
+        for k, (at, app, mode, size) in enumerate(STREAM):
+            if at > sim.now:
+                yield sim.timeout(at - sim.now)
+            params = {"keys": KEYS} if app == "stringmatch" else {}
+            path = paths[(app, size)]
+            if mode == "distributed":
+                done = sched.submit_distributed(DistributedJob(
+                    app=app, input_path=path, input_size=MB(size),
+                    fragment_bytes=MB(size) // 4, params=params,
+                ))
+            else:
+                done = sched.submit(DataJob(
+                    app=app, input_path=path, input_size=MB(size),
+                    mode=mode, params=params,
+                ))
+            done.add_callback(lambda _ev, k=k: finished.__setitem__(k, sim.now))
+            waits.append(done)
+        results = []
+        for done in waits:
+            results.append((yield done))
+        return results
+
+    def chaos():
+        yield sim.timeout(KILL_AT)
+        bed.cluster.sd_daemons["sd0"].kill()
+        yield sim.timeout(REVIVE_AT - KILL_AT)
+        bed.cluster.sd_daemons["sd0"].revive()
+
+    sim.spawn(chaos(), name="golden.chaos")
+    results = bed.run(driver())
+    return [(repr(finished[k]), digest(r.output)) for k, r in enumerate(results)]
+
+
+def test_golden_stream_finish_times_and_outputs():
+    assert run_stream() == GOLDEN

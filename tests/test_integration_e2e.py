@@ -174,9 +174,9 @@ def test_conservation_invariants_after_the_storm(world):
         assert node.cpu.n_active == 0, node.name
     # SMB really ran and never touched the SD nodes
     assert bed.cluster.smb.messages_sent > 0
-    for f in bed.cluster.fabric.flows:
-        if f.src.startswith("sd") and f.dst.startswith("sd"):
-            pytest.fail(f"unexpected SD-to-SD flow {f}")
+    for src, dst in bed.cluster.fabric.pair_messages:
+        if src.startswith("sd") and dst.startswith("sd"):
+            pytest.fail(f"unexpected SD-to-SD traffic {src} -> {dst}")
 
 
 def test_deterministic_replay(world):

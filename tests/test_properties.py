@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import CPUSpec, MemoryPolicy, NetworkConfig
 from repro.hardware import MemoryModel, ProcessorSharingCPU
-from repro.net import Fabric
+from repro.net import Fabric, Link
 from repro.sim import Simulator
 from repro.errors import OutOfMemoryError
 
@@ -95,9 +95,12 @@ def test_property_fabric_conserves_bytes(flows):
     for n in names:
         fab.attach(n)
     sent = 0
+    latencies = []
 
     def xfer(src, dst, nbytes):
+        t0 = sim.now
         yield fab.transfer(src, dst, nbytes)
+        latencies.append((nbytes, sim.now - t0))
 
     for s, d, nb in flows:
         if s == d:
@@ -105,11 +108,55 @@ def test_property_fabric_conserves_bytes(flows):
         sent += nb
         sim.spawn(xfer(names[s], names[d], nb))
     sim.run()
-    assert fab.bytes_delivered == sent
-    assert len(fab.flows) == sum(1 for s, d, _ in flows if s != d)
-    # per-flow latency >= serialization floor
-    for f in fab.flows:
-        assert f.duration >= f.nbytes / NetworkConfig().link_bandwidth - 1e-9
+    assert fab.bytes_delivered == sent == sum(fab.pair_bytes.values())
+    assert len(latencies) == sum(fab.pair_messages.values())
+    assert len(latencies) == sum(1 for s, d, _ in flows if s != d)
+    # per-transfer latency >= serialization floor
+    for nbytes, latency in latencies:
+        assert latency >= nbytes / NetworkConfig().link_bandwidth - 1e-9
+
+
+@given(
+    sends=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([0.0, 0.001, 0.5]),
+                      st.floats(min_value=0.0, max_value=1.0)),
+            st.one_of(st.just(0), st.integers(min_value=0, max_value=20_000_000)),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    latency=st.sampled_from([0.0, 5e-5, 0.01]),
+)
+@settings(max_examples=80, deadline=None)
+def test_property_link_is_a_fifo_recurrence(sends, latency):
+    """Arrivals follow end_i = max(t_i, end_{i-1}) + n_i/bw, arrival =
+    end_i + latency, in send order, to the last bit of the float."""
+    sim = Simulator()
+    bw = NetworkConfig().link_bandwidth
+    link = Link(sim, bandwidth=bw, latency=latency)
+    sent_at: list[float] = []
+    arrived: list[tuple[int, float]] = []
+
+    def sender():
+        # sorted() is stable: equal times are same-instant sends in list order
+        for t, nbytes in sorted(sends, key=lambda s: s[0]):
+            if t > sim.now:
+                yield sim.timeout(t - sim.now)
+            i = len(sent_at)
+            sent_at.append(sim.now)
+            link.transmit(nbytes).add_callback(
+                lambda ev, i=i: arrived.append((i, sim.now))
+            )
+
+    sim.spawn(sender())
+    sim.run()
+    expected, end = [], 0.0
+    for (_, nbytes), t in zip(sorted(sends, key=lambda s: s[0]), sent_at):
+        end = max(t, end) + nbytes / bw
+        expected.append((len(expected), end + latency))
+    assert arrived == expected
+    assert link.bytes_sent == sum(nbytes for _, nbytes in sends)
 
 
 # ------------------------------------------------------------------ memory
