@@ -1,61 +1,14 @@
 """Ablation: parallelism across multiple McSD nodes (Section VI #2).
 
 "Perhaps the most exciting future work lies in exploring ... the
-parallelisms among multiple McSD smart disks."  We shard a 2 GB Word
-Count across 1, 2 and 4 smart-storage nodes and scatter-gather it: every
-node runs the partition-enabled module over its local shard concurrently,
-and the host merges.
-
-Expected shape: near-linear scaling in SD count (the shards are
-independent and the gather phase moves only aggregates), with efficiency
-dipping as per-node work shrinks toward the offload/partition overheads.
+parallelisms among multiple McSD smart disks."  A 2 GB Word Count is
+sharded across 1, 2 and 4 smart-storage nodes and scatter-gathered;
+expect near-linear scaling.  The runs and bands are ``multisd`` in
+:mod:`repro.analysis.figures`.
 """
 
-from __future__ import annotations
-
-from benchmarks.conftest import once
-from repro.analysis.report import banner, render_table
-from repro.cluster import Testbed
-from repro.config import table1_cluster
-from repro.core import ScatterGatherEngine, ScatterJob
-from repro.units import MB
-from repro.workloads import text_input
-
-SIZE = MB(2000)
-SD_COUNTS = (1, 2, 4)
-
-
-def _run(n_sd: int) -> float:
-    bed = Testbed(config=table1_cluster(n_sd=n_sd, seed=3), seed=3)
-    inp = text_input("/data/huge", SIZE, payload_bytes=16_000, seed=3)
-    shards = bed.stage_shards("huge", inp)
-    engine = ScatterGatherEngine(bed.cluster)
-
-    def go():
-        res = yield engine.run(ScatterJob(app="wordcount", shards=shards))
-        return res
-
-    res = bed.run(go())
-    # the merged word count must be exact regardless of sharding
-    assert sum(v for _, v in res.output) == len(inp.payload_bytes.split())
-    return res.elapsed
+from benchmarks.conftest import run_figure
 
 
 def bench_multi_mcsd_scaling(benchmark):
-    def sweep():
-        return {n: _run(n) for n in SD_COUNTS}
-
-    times = once(benchmark, sweep)
-    base = times[1]
-    rows = [
-        [n, times[n], base / times[n], (base / times[n]) / n * 100.0]
-        for n in SD_COUNTS
-    ]
-    print(banner(f"ABLATION - multi-McSD scatter-gather, WordCount {SIZE / 1e6:.0f}MB"))
-    print(render_table(["SD nodes", "elapsed (s)", "speedup", "efficiency %"], rows))
-
-    sp2, sp4 = base / times[2], base / times[4]
-    print(f"scaling: 2 nodes {sp2:.2f}x, 4 nodes {sp4:.2f}x")
-    # near-linear scaling with mild efficiency loss
-    assert 1.7 <= sp2 <= 2.05
-    assert 3.2 <= sp4 <= 4.1
+    run_figure(benchmark, "multisd")

@@ -1,41 +1,12 @@
 """Fig 10: speedups of the MM + String-Match multi-application pair.
 
 "In contrary, the speedups of the MM/SM, which represents less
-data-intensive applications, are both averagely 2X speedup." — SM's 2x
-footprint keeps every scenario out of deep thrash at these sizes, so all
-three comparisons stay in the ~1-2.5x band (the paper's axes top out at
-2.5), instead of exploding like MM/WC.
+data-intensive applications, are both averagely 2X speedup."  The runs
+and paper bands are ``fig10`` in :mod:`repro.analysis.figures`.
 """
 
-from __future__ import annotations
-
-from benchmarks.conftest import once
-from repro.analysis.metrics import speedup
-from repro.cluster.scenario import run_pair_scenario
-from repro.workloads import FIG9_SIZES
-
-from benchmarks.bench_fig9 import BASELINES, pair_sweep, print_pair
-
-DATA_APP = "stringmatch"
+from benchmarks.conftest import run_figure
 
 
 def bench_fig10_mm_stringmatch(benchmark):
-    results = once(benchmark, lambda: pair_sweep(DATA_APP))
-    sp = print_pair(results, DATA_APP, "10")
-
-    trad = sp["trad-sd"]
-    host_only = sp["host-only"]
-    nopart = sp["mcsd-nopart"]
-    print(
-        f"paper: ~1.5-2x everywhere, axes capped at 2.5 | measured means: "
-        f"trad {sum(trad) / 4:.2f}x, host-only {sum(host_only) / 4:.2f}x, "
-        f"no-part {sum(nopart) / 4:.2f}x"
-    )
-
-    # everything stays in the modest band of the paper's Fig 10
-    for label, series in (("trad", trad), ("host-only", host_only), ("no-part", nopart)):
-        assert all(0.9 <= v <= 2.6 for v in series), (label, series)
-    # vs traditional SD approaches ~2x at the large end (duo vs single core)
-    assert trad[-1] > 1.7
-    # and the MM/SM pair never shows the MM/WC explosion
-    assert max(host_only) < 2.6 and max(nopart) < 2.6
+    run_figure(benchmark, "fig10")

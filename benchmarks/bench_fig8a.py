@@ -2,85 +2,12 @@
 
 "Fig. 8(a) depicts speedups of partition-enabled Phoenix vs original
 Phoenix and the sequential approach on both duo-core and quad-core
-machines.  The data size is scaling from 500MB to 1.25GB."
-
-Rows printed per platform/app: the speedup of the partition-enabled run
-over (a) the plain sequential implementation and (b) the original
-(non-partitioned) Phoenix.
-
-Paper bands checked (Section V-B):
-* "both the benchmarks can achieve a 2X speedup [over sequential], which
-  proves the fully utilization of duo-core";
-* quad-core speedups exceed duo-core (axis tops out around 4.5);
-* for WC at huge sizes, the partitioned run approaches 1/6 of the
-  traditional elapsed time (checked at the 1.25G end of this sweep).
+machines.  The data size is scaling from 500MB to 1.25GB."  The runs and
+paper bands are ``fig8a`` in :mod:`repro.analysis.figures`.
 """
 
-from __future__ import annotations
-
-from benchmarks.conftest import once
-from repro.analysis.metrics import Series, speedup
-from repro.analysis.report import banner, render_series_table
-from repro.cluster.scenario import run_single_app
-from repro.units import MB
-from repro.workloads import FIG8A_SIZES, size_label
-
-
-def _sweep():
-    results = {}
-    for app in ("wordcount", "stringmatch"):
-        for platform in ("duo", "quad"):
-            vs_seq, vs_par = [], []
-            for size in FIG8A_SIZES:
-                part = run_single_app(app, size, platform, "partitioned").elapsed
-                seq = run_single_app(app, size, platform, "sequential").elapsed
-                par = run_single_app(app, size, platform, "parallel").elapsed
-                vs_seq.append(speedup(seq, part))
-                vs_par.append(speedup(par, part))
-            results[(app, platform)] = (vs_seq, vs_par)
-    return results
+from benchmarks.conftest import run_figure
 
 
 def bench_fig8a_speedups(benchmark):
-    results = once(benchmark, _sweep)
-    xs = [s / MB(1) for s in FIG8A_SIZES]
-    labels = [size_label(s) for s in FIG8A_SIZES]
-
-    series_seq = [
-        Series(f"{p.capitalize()}, {'WC' if a == 'wordcount' else 'SM'}", xs, results[(a, p)][0])
-        for a in ("wordcount", "stringmatch")
-        for p in ("quad", "duo")
-    ]
-    series_par = [
-        Series(f"{p.capitalize()}, {'WC' if a == 'wordcount' else 'SM'}", xs, results[(a, p)][1])
-        for a in ("wordcount", "stringmatch")
-        for p in ("quad", "duo")
-    ]
-    print(banner("FIG 8(a) - partition-enabled Phoenix speedup vs SEQUENTIAL"))
-    print(render_series_table(series_seq, labels))
-    print(banner("FIG 8(a) - partition-enabled Phoenix speedup vs ORIGINAL Phoenix"))
-    print(render_series_table(series_par, labels))
-
-    wc_duo_seq = results[("wordcount", "duo")][0]
-    sm_duo_seq = results[("stringmatch", "duo")][0]
-    wc_quad_seq = results[("wordcount", "quad")][0]
-    wc_duo_par = results[("wordcount", "duo")][1]
-
-    print(
-        "paper: ~2x vs sequential on duo | measured: "
-        f"WC {sum(wc_duo_seq) / 4:.2f}x, SM {sum(sm_duo_seq) / 4:.2f}x"
-    )
-    print(
-        "paper: partitioned ~1/6 of traditional at huge sizes | measured at "
-        f"1.25G: {wc_duo_par[-1]:.2f}x"
-    )
-
-    # Bands
-    assert all(1.7 <= v <= 2.2 for v in wc_duo_seq), wc_duo_seq
-    assert all(1.7 <= v <= 2.2 for v in sm_duo_seq), sm_duo_seq
-    # quad beats duo and lands under the figure's 4.5 ceiling
-    assert all(q > d for q, d in zip(wc_quad_seq, wc_duo_seq))
-    assert all(v <= 4.6 for v in wc_quad_seq)
-    # WC vs original grows towards ~6x at 1.25G
-    assert wc_duo_par[-1] > 4.5
-    assert wc_duo_par[0] < 1.3  # parity at 500M ("almost the same")
+    run_figure(benchmark, "fig8a")

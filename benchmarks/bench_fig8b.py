@@ -1,81 +1,14 @@
 """Fig 8(b): Word Count elapsed-time growth curves on Duo and Quad.
 
 "Fig. 8(b) draws the growth curves of elapsed time on duo-core and
-quad-core machines.  The data size is scaling from 500MB to 2GB."
-
-Also reproduces the supportability claim: "the traditional Phoenix cannot
-support the Word-count ... for data size larger than 1.5G, because of the
-memory overflow" — those cells print as ``n/s``.
-
-Shape checks:
-* the partition-enabled curves grow linearly ("the performance curve has
-  linear-like growth, our methodology provides scalability");
-* the traditional curves grow superlinearly once footprint outgrows RAM;
-* traditional cells beyond 1.5G are unsupported.
+quad-core machines.  The data size is scaling from 500MB to 2GB."  The
+traditional runtime's cells beyond 1.5G print as ``n/s`` (memory
+overflow).  The runs and paper bands are ``fig8b`` in
+:mod:`repro.analysis.figures`.
 """
 
-from __future__ import annotations
-
-from benchmarks.conftest import once
-from repro.analysis.metrics import Series
-from repro.analysis.report import banner, render_ascii_chart, render_series_table
-from repro.cluster.scenario import run_single_app
-from repro.units import MB
-from repro.workloads import FIG8BC_SIZES, size_label
-
-APP = "wordcount"
-
-
-def growth_sweep(app: str):
-    out = {}
-    for platform in ("duo", "quad"):
-        for approach in ("partitioned", "parallel", "sequential"):
-            ys = []
-            for size in FIG8BC_SIZES:
-                r = run_single_app(app, size, platform, approach)
-                ys.append(r.elapsed)
-            out[(platform, approach)] = ys
-    return out
-
-
-def check_growth_shapes(results, app: str, min_superlinearity: float = 1.8):
-    """min_superlinearity: WC (3x footprint) bends hard (~>1.8x off-linear
-    by 1.5G); SM (2x footprint) bends later and gentler (~1.5x)."""
-    xs = [s / MB(1) for s in FIG8BC_SIZES]
-    for platform in ("duo", "quad"):
-        part = Series(f"{platform} partitioned", xs, results[(platform, "partitioned")])
-        trad = Series(f"{platform} traditional", xs, results[(platform, "parallel")])
-        # linear-like growth of the partition-enabled curve
-        assert part.linearity_ratio() < 1.35, (app, platform, part.ys)
-        assert part.is_monotone_increasing()
-        # traditional: superlinear by the last supported point
-        assert trad.linearity_ratio() > min_superlinearity, (app, platform, trad.ys)
-        # unsupported beyond 1.5G (cells 1750M and 2000M)
-        assert trad.ys[-2] is None and trad.ys[-1] is None
-        assert all(y is not None for y in trad.ys[:5])
-
-
-def print_growth(results, app: str, figure: str):
-    xs = [s / MB(1) for s in FIG8BC_SIZES]
-    labels = [size_label(s) for s in FIG8BC_SIZES]
-    series = [
-        Series("Duo trad", xs, results[("duo", "parallel")]),
-        Series("Duo part", xs, results[("duo", "partitioned")]),
-        Series("Quad trad", xs, results[("quad", "parallel")]),
-        Series("Quad part", xs, results[("quad", "partitioned")]),
-        Series("Duo seq", xs, results[("duo", "sequential")]),
-    ]
-    print(banner(f"FIG {figure} - {app} elapsed time growth curves (seconds)"))
-    print(render_series_table(series, labels))
-    print("n/s = not supported (memory overflow), exactly as the paper reports")
-    print(render_ascii_chart(series[:2], y_label=f"{app} on the duo SD, seconds vs MB"))
+from benchmarks.conftest import run_figure
 
 
 def bench_fig8b_wordcount_growth(benchmark):
-    results = once(benchmark, lambda: growth_sweep(APP))
-    print_growth(results, APP, "8(b)")
-    check_growth_shapes(results, APP)
-    # the Section V-B quote: partitioned ~1/6 of traditional at huge sizes
-    ratio = results[("duo", "parallel")][3] / results[("duo", "partitioned")][3]
-    print(f"duo 1.25G traditional/partitioned = {ratio:.2f}x (paper: ~6x)")
-    assert ratio > 4.5
+    run_figure(benchmark, "fig8b")

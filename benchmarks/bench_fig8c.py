@@ -1,38 +1,14 @@
 """Fig 8(c): String Match elapsed-time growth curves on Duo and Quad.
 
-Same sweep as Fig 8(b) for the lighter, map-only String Match.  SM's
-footprint is ~2x (vs WC's 3x), so its traditional curve bends later and
-less violently — the paper's point (2): "for the applications that are
-not very data-intensive, the Partition model can only enhance their
-supportability of data-size range."
+Same sweep as Fig 8(b) for the lighter, map-only String Match, whose
+traditional curve bends later and less violently — the paper's point (2):
+"for the applications that are not very data-intensive, the Partition
+model can only enhance their supportability of data-size range."  The
+runs and paper bands are ``fig8c`` in :mod:`repro.analysis.figures`.
 """
 
-from __future__ import annotations
-
-from benchmarks.conftest import once
-from repro.analysis.metrics import Series
-from repro.analysis.report import banner
-from repro.cluster.scenario import run_single_app
-from repro.units import MB
-from repro.workloads import FIG8BC_SIZES
-
-from benchmarks.bench_fig8b import check_growth_shapes, growth_sweep, print_growth
-
-APP = "stringmatch"
+from benchmarks.conftest import run_figure
 
 
 def bench_fig8c_stringmatch_growth(benchmark):
-    results = once(benchmark, lambda: growth_sweep(APP))
-    print_growth(results, APP, "8(c)")
-    check_growth_shapes(results, APP, min_superlinearity=1.5)
-
-    # SM bends less than WC at the same size: its 1.25G trad/part ratio is
-    # well below WC's ~6x (the "supportability, not speed" point).
-    xs = [s / MB(1) for s in FIG8BC_SIZES]
-    ratio_sm = results[("duo", "parallel")][3] / results[("duo", "partitioned")][3]
-    print(f"duo 1.25G traditional/partitioned = {ratio_sm:.2f}x (WC was ~6x)")
-    assert ratio_sm < 4.0
-    # but supportability is extended identically: beyond 1.5G only the
-    # partitioned runtime works
-    assert results[("duo", "parallel")][-1] is None
-    assert results[("duo", "partitioned")][-1] is not None
+    run_figure(benchmark, "fig8c")

@@ -2,95 +2,13 @@
 
 "We defined the performance speedup to be the ratio of the elapsed time
 without the optimization technique to that with the McSD technique."
-Three comparisons, one per subfigure:
-
-* (a) Host Node Only      - both programs on the host, data over NFS;
-* (b) Traditional SD      - single-core SD runs WC sequentially;
-* (c) McSD without Partition - duo SD runs original (non-partitioned) WC.
-
-Paper bands:
-* vs traditional SD: ~2x on average, flat across sizes ("compared with the
-  traditional smart storage, our McSD improves the overall performance by
-  2x");
-* vs host-only / vs non-partitioned: only slight improvement at 500M/750M
-  (below the memory threshold), then a nonlinear jump at 1G/1.25G (the
-  paper reports 6.8x and 17.4x averages past the threshold; the exact
-  multiplier depends on the paging model — see EXPERIMENTS.md — but the
-  crossover location and explosive growth are the reproduced shape).
+McSD against (a) Host Node Only, (b) Traditional SD, (c) McSD without
+Partition, plus the caption's host-with-partition variant.  The runs and
+paper bands are ``fig9`` in :mod:`repro.analysis.figures`.
 """
 
-from __future__ import annotations
-
-from benchmarks.conftest import once
-from repro.analysis.metrics import Series, speedup
-from repro.analysis.report import banner, render_series_table
-from repro.cluster.scenario import run_pair_scenario
-from repro.units import MB
-from repro.workloads import FIG9_SIZES, size_label
-
-DATA_APP = "wordcount"
-BASELINES = ("host-only", "trad-sd", "mcsd-nopart")
-#: the Fig 9 caption's extra variant: partitioning enabled on the host
-EXTRA = ("host-part",)
-
-
-def pair_sweep(data_app: str):
-    out = {}
-    for scenario in BASELINES + EXTRA + ("mcsd",):
-        out[scenario] = [
-            run_pair_scenario(scenario, data_app, size).makespan
-            for size in FIG9_SIZES
-        ]
-    return out
-
-
-def print_pair(results, data_app: str, figure: str):
-    xs = [s / MB(1) for s in FIG9_SIZES]
-    labels = [size_label(s) for s in FIG9_SIZES]
-    sp = {
-        sc: [speedup(b, m) for b, m in zip(results[sc], results["mcsd"])]
-        for sc in BASELINES + EXTRA
-    }
-    series = [
-        Series("(a) Host only", xs, sp["host-only"]),
-        Series("(b) Trad SD", xs, sp["trad-sd"]),
-        Series("(c) McSD no-part", xs, sp["mcsd-nopart"]),
-        Series("(+) Host-part", xs, sp["host-part"]),
-    ]
-    print(banner(f"FIG {figure} - MM/{data_app}: speedup of McSD over each baseline"))
-    print(render_series_table(series, labels))
-    mk = Series("mcsd makespan", xs, results["mcsd"])
-    print(
-        "McSD makespans (s): "
-        + ", ".join(f"{l}={v:.1f}" for l, v in zip(labels, results["mcsd"]))
-    )
-    return sp
+from benchmarks.conftest import run_figure
 
 
 def bench_fig9_mm_wordcount(benchmark):
-    results = once(benchmark, lambda: pair_sweep(DATA_APP))
-    sp = print_pair(results, DATA_APP, "9")
-
-    trad = sp["trad-sd"]
-    host_only = sp["host-only"]
-    nopart = sp["mcsd-nopart"]
-    print(
-        f"paper: ~2x vs trad SD | measured mean {sum(trad) / len(trad):.2f}x; "
-        f"past-threshold host-only {host_only[2]:.1f}/{host_only[3]:.1f}x, "
-        f"no-part {nopart[2]:.1f}/{nopart[3]:.1f}x"
-    )
-
-    # ~2x over traditional single-core SD, roughly flat
-    assert all(1.6 <= v <= 2.4 for v in trad), trad
-    # below the threshold: only slight improvement
-    assert host_only[0] < 1.5 and nopart[0] < 1.3
-    # past the threshold: the nonlinear jump
-    assert host_only[3] > 3.5
-    assert nopart[3] > 4.5
-    # monotone growth of the non-partitioned penalties
-    assert nopart == sorted(nopart)
-    # the Host-part variant: partitioning rescues the host path from the
-    # memory wall, so it stays far below the non-partitioned host-only line
-    host_part = sp["host-part"]
-    assert all(hp <= ho + 1e-9 for hp, ho in zip(host_part, host_only))
-    assert host_part[3] < 0.55 * host_only[3]
+    run_figure(benchmark, "fig9")

@@ -6,8 +6,9 @@ output — for both engines' shapes, on wordcount-shaped (Zipf keys, heavy
 repeats) and matmul-shaped ((i, j) tuple keys, mostly distinct) key
 distributions.  The "seed" side runs the frozen reference in
 :mod:`repro.phoenix.seed_shuffle`; the "new" side runs the very helpers
-the engines use (:func:`repro.phoenix.sort.shuffle_parallel` and
-:func:`~repro.phoenix.sort.local_merge_maps`).  Outputs are compared for
+the engines use (:func:`repro.phoenix.sort.shuffle_parallel`, and
+LocalMapReduce's :func:`~repro.phoenix.sort.fold_map_into` plus
+:func:`~repro.phoenix.sort.finalize_folded_map`).  Outputs are compared for
 byte-identity on every run — a benchmark that computes the wrong answer
 fails instead of reporting a number.
 
@@ -33,7 +34,7 @@ from repro.phoenix.seed_shuffle import (
     seed_local_worker_run,
     seed_shuffle_parallel,
 )
-from repro.phoenix.sort import local_merge_maps, shuffle_parallel
+from repro.phoenix.sort import finalize_folded_map, fold_map_into, shuffle_parallel
 from repro.workloads import zipf_corpus
 
 #: shared no-op sink for untraced runs (span sites cost one branch)
@@ -139,7 +140,12 @@ def run_new(engine: str, workload: str, maps: list[dict]) -> list:
         return shuffle_parallel(
             maps, combine_fn, reduce_fn, True, sort_output, N_BUCKETS, {}
         )
-    return local_merge_maps(maps, combine_fn, reduce_fn, sort_output, {})
+    # LocalMapReduce adopts batch 0 as its accumulator; the timed repeats
+    # reuse ``maps``, so fold into a copy (both workloads have a combiner)
+    merged = dict(maps[0])
+    for m in maps[1:]:
+        fold_map_into(merged, m, combine_fn)
+    return finalize_folded_map(merged, reduce_fn, sort_output, {})
 
 
 def _best_of(fn: _t.Callable[[], object], repeats: int) -> float:

@@ -20,6 +20,7 @@ from repro.core import (
     ScatterGatherEngine,
     ScatterJob,
 )
+from repro.faults import FaultPlan, FaultRule
 from repro.units import MB, fmt_time
 from repro.workloads import text_input
 
@@ -52,7 +53,10 @@ def main() -> None:
     inp = text_input("/data/huge", MB(400), payload_bytes=8_000, seed=8)
     _sd, _h, sd_path = bed.stage_on_sd("huge", inp)
     bed.stage(bed.cluster.sd(1), sd_path, inp)  # replica on sd1
-    bed.cluster.sd_daemons["sd0"].inject_module_crash("wordcount", 99)
+    bed.sim.install_faults(FaultPlan(rules=(
+        FaultRule("fam.module", action="fail", count=99,
+                  where={"node": "sd0", "module": "wordcount"}),
+    )))
     ft = FaultTolerantInvoker(bed.cluster, timeout=60.0, max_retries=1)
     job = DataJob(app="wordcount", input_path=sd_path, input_size=MB(400))
 

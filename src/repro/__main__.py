@@ -10,6 +10,9 @@ going through pytest:
     python -m repro single wordcount 1000 --platform quad --approach partitioned
     python -m repro pair mcsd wordcount 1250
     python -m repro cmd "wordcount /export/data/input 600M" --size 1000
+
+The ``fig*`` commands print the figure's EXPERIMENTS.md rows (defined in
+:mod:`repro.analysis.figures`).
 """
 
 from __future__ import annotations
@@ -17,20 +20,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.metrics import Series, speedup
-from repro.analysis.report import (
-    banner,
-    render_ascii_chart,
-    render_series_table,
-    render_table,
-)
+from repro.analysis.report import banner, render_table
 from repro.cluster.scenario import (
     PAIR_SCENARIOS,
     run_pair_scenario,
     run_single_app,
 )
 from repro.units import MB, fmt_time
-from repro.workloads import FIG8A_SIZES, FIG8BC_SIZES, FIG9_SIZES, size_label
 
 
 def cmd_table1(_args) -> None:
@@ -48,74 +44,11 @@ def cmd_table1(_args) -> None:
     print(render_table(["node", "CPU", "cores", "memory", "role"], rows))
 
 
-def cmd_fig8a(_args) -> None:
-    """Print the Fig 8(a) speedup tables."""
-    xs = [s / MB(1) for s in FIG8A_SIZES]
-    labels = [size_label(s) for s in FIG8A_SIZES]
-    for baseline, title in (("sequential", "vs SEQUENTIAL"), ("parallel", "vs ORIGINAL Phoenix")):
-        series = []
-        for app, tag in (("wordcount", "WC"), ("stringmatch", "SM")):
-            for platform in ("quad", "duo"):
-                ys = []
-                for size in FIG8A_SIZES:
-                    part = run_single_app(app, size, platform, "partitioned").elapsed
-                    base = run_single_app(app, size, platform, baseline).elapsed
-                    ys.append(speedup(base, part))
-                series.append(Series(f"{platform.capitalize()}, {tag}", xs, ys))
-        print(banner(f"FIG 8(a) - partition-enabled speedup {title}"))
-        print(render_series_table(series, labels))
+def cmd_figure(args) -> None:
+    """Print one paper figure's EXPERIMENTS.md rows."""
+    from repro.analysis.figures import render_text, sweep
 
-
-def _growth(app: str, fig: str) -> None:
-    xs = [s / MB(1) for s in FIG8BC_SIZES]
-    labels = [size_label(s) for s in FIG8BC_SIZES]
-    series = []
-    for platform in ("duo", "quad"):
-        for approach, name in (("parallel", "trad"), ("partitioned", "part")):
-            ys = [run_single_app(app, s, platform, approach).elapsed for s in FIG8BC_SIZES]
-            series.append(Series(f"{platform} {name}", xs, ys))
-    series.append(
-        Series("duo seq", xs, [run_single_app(app, s, "duo", "sequential").elapsed for s in FIG8BC_SIZES])
-    )
-    print(banner(f"FIG {fig} - {app} growth curves (seconds; n/s = memory overflow)"))
-    print(render_series_table(series, labels))
-    print(render_ascii_chart(series[:2], y_label=f"{app} on the duo SD: seconds vs MB"))
-
-
-def cmd_fig8b(_args) -> None:
-    """Print the Fig 8(b) Word Count growth curves."""
-    _growth("wordcount", "8(b)")
-
-
-def cmd_fig8c(_args) -> None:
-    """Print the Fig 8(c) String Match growth curves."""
-    _growth("stringmatch", "8(c)")
-
-
-def _pair(app: str, fig: str) -> None:
-    xs = [s / MB(1) for s in FIG9_SIZES]
-    labels = [size_label(s) for s in FIG9_SIZES]
-    base = [run_pair_scenario("mcsd", app, s).makespan for s in FIG9_SIZES]
-    series = []
-    for scenario, name in (
-        ("host-only", "(a) Host only"),
-        ("trad-sd", "(b) Trad SD"),
-        ("mcsd-nopart", "(c) McSD no-part"),
-    ):
-        ys = [run_pair_scenario(scenario, app, s).makespan for s in FIG9_SIZES]
-        series.append(Series(name, xs, [speedup(y, b) for y, b in zip(ys, base)]))
-    print(banner(f"FIG {fig} - MM/{app}: McSD speedup over each baseline"))
-    print(render_series_table(series, labels))
-
-
-def cmd_fig9(_args) -> None:
-    """Print the Fig 9 MM/WC pair speedups."""
-    _pair("wordcount", "9")
-
-
-def cmd_fig10(_args) -> None:
-    """Print the Fig 10 MM/SM pair speedups."""
-    _pair("stringmatch", "10")
+    print(render_text(args.figure, sweep([args.figure])))
 
 
 def cmd_single(args) -> None:
@@ -175,8 +108,9 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("table1", "fig8a", "fig8b", "fig8c", "fig9", "fig10"):
-        sub.add_parser(name).set_defaults(fn=globals()[f"cmd_{name}"])
+    sub.add_parser("table1").set_defaults(fn=cmd_table1)
+    for name in ("fig8a", "fig8b", "fig8c", "fig9", "fig10"):
+        sub.add_parser(name).set_defaults(fn=cmd_figure, figure=name)
 
     p_single = sub.add_parser("single", help="one single-application run")
     p_single.add_argument("app", choices=["wordcount", "stringmatch"])

@@ -5,7 +5,6 @@ from repro.analysis.csvout import write_series_csv
 from repro.analysis.report import (
     banner,
     render_ascii_chart,
-    render_series_table,
     render_table,
 )
 
@@ -13,7 +12,6 @@ __all__ = [
     "speedup",
     "Series",
     "render_table",
-    "render_series_table",
     "render_ascii_chart",
     "banner",
     "write_series_csv",

@@ -1,8 +1,8 @@
 """CSV export of experiment series (for external plotting).
 
-``tools/run_experiments.py --csv results/`` drops one file per figure so
-the curves can be re-plotted with any tool; cells that the paper reports
-as unsupported are empty.
+``tools/run_experiments.py --csv=results`` drops one file per figure table
+so the curves can be re-plotted with any tool; cells that the paper
+reports as unsupported are empty.
 """
 
 from __future__ import annotations

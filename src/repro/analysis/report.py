@@ -11,7 +11,7 @@ import typing as _t
 
 from repro.analysis.metrics import Series
 
-__all__ = ["render_table", "render_series_table", "render_ascii_chart", "banner", "fmt_cell"]
+__all__ = ["render_table", "render_ascii_chart", "banner", "fmt_cell"]
 
 
 def fmt_cell(value: object) -> str:
@@ -50,23 +50,6 @@ def render_table(
     for row in cells:
         out.append(line(row))
     return "\n".join(out)
-
-
-def render_series_table(
-    series: _t.Sequence[Series],
-    x_labels: _t.Sequence[str],
-    title: str = "",
-    x_header: str = "size",
-) -> str:
-    """Figure data as a table: one column per series, one row per x."""
-    headers = [x_header] + [s.label for s in series]
-    rows = []
-    for i, xl in enumerate(x_labels):
-        row: list[object] = [xl]
-        for s in series:
-            row.append(s.ys[i] if i < len(s.ys) else None)
-        rows.append(row)
-    return render_table(headers, rows, title=title)
 
 
 def banner(text: str, width: int = 72) -> str:

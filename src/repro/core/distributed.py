@@ -146,9 +146,7 @@ class SpeculationPolicy:
 
     A shard becomes a straggler once it has run longer than
     ``multiplier`` times the median of this phase's completed shard
-    durations (and, when tracing has accumulated a ``dist.latency.map``
-    histogram, longer than its ``percentile``-th percentile, whichever
-    threshold is tighter).  Speculation waits for ``min_done`` completions
+    durations.  Speculation waits for ``min_done`` completions
     first (default: a majority of the phase's shards) so the threshold
     has signal, launches at most one duplicate per shard, and only uses
     replicas with no in-flight map work.
@@ -156,20 +154,16 @@ class SpeculationPolicy:
 
     enabled: bool = True
     multiplier: float = 1.5
-    percentile: float = 95.0
     min_done: int | None = None
     #: floor for the straggler threshold (absorbs near-zero medians)
     min_wait: float = 0.05
 
-    def threshold(self, durations: list, histogram=None) -> float | None:
+    def threshold(self, durations: list) -> float | None:
         """The straggler cutoff given completed durations (None: no signal)."""
         if not durations:
             return None
         med = sorted(durations)[len(durations) // 2]
-        thr = self.multiplier * max(med, 1e-9)
-        if histogram is not None and histogram.count >= 8:
-            thr = min(thr, max(histogram.percentile(self.percentile), self.min_wait))
-        return max(thr, self.min_wait)
+        return max(self.multiplier * max(med, 1e-9), self.min_wait)
 
 
 @dataclasses.dataclass
@@ -466,7 +460,6 @@ class DistributedEngine:
                 raise DistributedJobError(
                     job.app,
                     excluded=recovery["evicted"],
-                    timed_out=recovery["evicted"],
                     failures=recovery["failures"],
                 ) from exc
             result.elapsed = self.sim.now - t0
@@ -946,10 +939,7 @@ class DistributedEngine:
         while pending:
             threshold = None
             if pol.enabled and len(durations) >= min_done:
-                threshold = pol.threshold(
-                    durations,
-                    histogram=obs.metrics.histograms.get("dist.latency.map"),
-                )
+                threshold = pol.threshold(durations)
             if threshold is not None:
                 self._launch_speculation(
                     pending, start, speculated, threshold, alive, rank,

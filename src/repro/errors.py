@@ -342,21 +342,21 @@ class DistributedJobError(OffloadError):
     Transient from the control plane's point of view: the scheduler may
     retry the job on the surviving replicas or fall back to a single-node
     run on the host.  ``excluded`` names the shard nodes the engine
-    evicted; ``timed_out`` the subset whose daemons missed a deadline (the
-    quarantine signal); ``failures`` is the structured per-shard history —
-    one ``{"node", "phase", "cause", "at"}`` dict per observed failure.
+    evicted — it evicts a node only when its daemon missed a deadline, so
+    these are the nodes to quarantine; ``failures`` is the structured
+    per-shard history — one ``{"node", "phase", "cause", "at"}`` dict per
+    observed failure.
     """
 
     retryable = True
 
-    def __init__(self, app: str, excluded=(), timed_out=(), failures=()):
+    def __init__(self, app: str, excluded=(), failures=()):
         super().__init__(
             f"distributed job {app!r} failed; "
             f"excluded nodes: {sorted(excluded) or 'none'}"
         )
         self.app = app
         self.excluded = set(excluded)
-        self.timed_out = set(timed_out)
         self.failures = list(failures)
 
 

@@ -22,7 +22,7 @@ import typing as _t
 
 from repro.errors import WorkloadError
 from repro.exec.chunks import chunk_file, read_chunk
-from repro.phoenix.sort import local_merge_maps
+from repro.phoenix.sort import finalize_merged_map, merge_combiner_maps
 
 __all__ = ["SeedJobResult", "SeedLocalMapReduce"]
 
@@ -94,8 +94,9 @@ class SeedLocalMapReduce:
                 parts = pool.map(_seed_apply_chunk, tasks)
         else:
             parts = [_seed_apply_chunk(t) for t in tasks]
-        out = local_merge_maps(
-            parts, self.combine_fn, self.reduce_fn, self.sort_output, params
+        out = finalize_merged_map(
+            merge_combiner_maps(parts, self.combine_fn),
+            self.combine_fn, self.reduce_fn, self.sort_output, params,
         )
         return SeedJobResult(
             output=out,

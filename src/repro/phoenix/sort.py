@@ -42,7 +42,6 @@ __all__ = [
     "sort_decorated_by_value_desc",
     "undecorate",
     "shuffle_parallel",
-    "local_merge_maps",
     "sort_by_value_desc",
 ]
 
@@ -354,27 +353,6 @@ def shuffle_parallel(
     return undecorate(out_entries)
 
 
-def local_merge_maps(
-    maps: _t.Sequence[dict],
-    combine_fn: _t.Callable[[object, object], object] | None,
-    reduce_fn: _t.Callable[[object, list, dict], object] | None,
-    sort_output: bool,
-    params: dict,
-) -> list[tuple[object, object]]:
-    """Parent-side shuffle of LocalMapReduce: dict-merge the worker maps.
-
-    Workers ship their raw combiner maps (smaller IPC than decorated
-    runs); the parent dict-merges them and pays exactly one ``repr`` per
-    distinct key per job in the single decorate-sort — repr'ing in the
-    workers would cost one per key per *chunk*, which measures slower even
-    before pickling the extra strings.
-    """
-    return finalize_merged_map(
-        merge_combiner_maps(maps, combine_fn), combine_fn, reduce_fn,
-        sort_output, params,
-    )
-
-
 def finalize_merged_map(
     merged: dict[object, list],
     combine_fn: _t.Callable[[object, object], object] | None,
@@ -384,9 +362,10 @@ def finalize_merged_map(
 ) -> list[tuple[object, object]]:
     """Reduce/fold + decorate-sort one already-merged ``key -> values`` map.
 
-    The tail of :func:`local_merge_maps`, split out so the streaming
-    engine can feed it an accumulator built incrementally (via
-    :func:`merge_map_into`) instead of a materialized list of maps.
+    The streaming engine feeds it the accumulator it built incrementally
+    with :func:`merge_map_into`; a materialized list of maps goes through
+    :func:`merge_combiner_maps` first.  Workers ship raw maps, so the
+    parent pays exactly one ``repr`` per distinct key per job here.
     """
     if reduce_fn is not None:
         entries = [

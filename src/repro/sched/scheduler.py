@@ -570,11 +570,11 @@ class ClusterScheduler:
         obs = self.sim.obs
         obs.count("sched.attempt_failures")
         if isinstance(exc, DistributedJobError):
-            # the engine burned through these replicas already; keep them
-            # out of the next placement and quarantine deadline-missers
+            # the engine burned through these replicas, each by missing a
+            # deadline: keep them out of the next placement and quarantine
             entry.last_failures = list(exc.failures)
             entry.excluded |= exc.excluded
-            for node in exc.timed_out:
+            for node in exc.excluded:
                 self._quarantine(node)
             if self.health is not None:
                 for node in exc.excluded:

@@ -77,12 +77,6 @@ class SDSmartFAM:
         self._hb_proc = None
         #: sequence numbers currently being executed (idempotency guard)
         self._in_flight: set[int] = set()
-        #: fault injection: module -> number of upcoming invocations to crash
-        self._crash_budget: dict[str, int] = {}
-        #: fault injection: module -> number of upcoming results to drop
-        #: (models the daemon dying after the module ran but before the
-        #: result record was written)
-        self._drop_budget: dict[str, int] = {}
         node.fs.vfs.mkdir(self.log_dir, parents=True)
         for name in registry.names():
             path = self.log_path(name)
@@ -98,14 +92,6 @@ class SDSmartFAM:
         return _p.join(self.log_dir, f"{module}.log")
 
     # -- fault injection (Section VI: fault tolerance future work) ---------
-
-    def inject_module_crash(self, module: str, count: int = 1) -> None:
-        """Make the next ``count`` invocations of ``module`` fail."""
-        self._crash_budget[module] = self._crash_budget.get(module, 0) + count
-
-    def inject_result_drop(self, module: str, count: int = 1) -> None:
-        """Silently drop the next ``count`` results of ``module``."""
-        self._drop_budget[module] = self._drop_budget.get(module, 0) + count
 
     def kill(self) -> None:
         """Kill the daemon: it stops dispatching and never answers again.
@@ -225,9 +211,6 @@ class SDSmartFAM:
                 )
 
     def _should_crash(self, module: str) -> bool:
-        if self._crash_budget.get(module, 0) > 0:
-            self._crash_budget[module] -= 1
-            return True
         inj = self.sim.faults
         if inj is not None:
             decision = inj.check("fam.module", module=module, node=self.node.name)
@@ -235,9 +218,8 @@ class SDSmartFAM:
         return False
 
     def _should_drop_result(self, module: str) -> bool:
-        if self._drop_budget.get(module, 0) > 0:
-            self._drop_budget[module] -= 1
-            return True
+        """A ``fam.result`` drop models the daemon dying after the module
+        ran but before the result record was written."""
         inj = self.sim.faults
         if inj is not None:
             decision = inj.check("fam.result", module=module, node=self.node.name)

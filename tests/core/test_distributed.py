@@ -301,4 +301,4 @@ def test_whole_fleet_dead_raises_distributed_job_error():
 
     exc = bed.run(go())
     assert isinstance(exc, DistributedJobError)
-    assert exc.timed_out  # dead daemons are only detectable by deadline
+    assert exc.excluded  # dead daemons are only detectable by deadline

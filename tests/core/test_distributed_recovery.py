@@ -116,3 +116,33 @@ def test_speculation_disabled_by_policy():
     assert res.recovery["speculation"] == {
         "launched": 0, "won": 0, "cancelled": 0,
     }
+
+
+def _straggler_stream_finish_times(trace: bool) -> list[str]:
+    """Four 100 MB jobs back to back on 4 SDs; one dist_map dispatch of
+    the third job stalls 1 s, so speculation has to pick a threshold."""
+    bed = Testbed(config=table1_cluster(n_sd=4, seed=3), seed=3, trace=trace)
+    inp = text_input("/data/d", MB(100), payload_bytes=6_000, seed=3)
+    _, sd_path = bed.stage_replicated("d", inp)
+    bed.sim.install_faults(FaultPlan(rules=(
+        FaultRule("fam.dispatch", action="delay", delay=1.0, count=1, after=12,
+                  where={"module": "dist_map"}),
+    )))
+    eng = DistributedEngine(bed.cluster)
+
+    def stream():
+        finished = []
+        for _ in range(4):
+            yield eng.run(
+                DistributedJob(app="wordcount", input_path=sd_path, input_size=MB(100)),
+                timeout=_TIMEOUT,
+            )
+            finished.append(repr(bed.sim.now))
+        return finished
+
+    return bed.run(stream())
+
+
+def test_tracing_does_not_change_speculation():
+    # the straggler cutoff once read a histogram only tracing fills
+    assert _straggler_stream_finish_times(False) == _straggler_stream_finish_times(True)

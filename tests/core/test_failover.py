@@ -8,6 +8,7 @@ from repro.cluster import Testbed
 from repro.config import table1_cluster
 from repro.core import DataJob, FaultTolerantInvoker
 from repro.errors import OffloadError, OffloadTimeoutError, SmartFAMError
+from repro.faults import FaultPlan, FaultRule
 from repro.units import MB
 from repro.workloads import text_input
 
@@ -27,6 +28,22 @@ def expected_total(inp):
     return len(inp.payload_bytes.split())
 
 
+def inject(bed, *rules):
+    bed.sim.install_faults(FaultPlan(rules=rules))
+
+
+def crash(node, count):
+    """The next ``count`` wordcount runs on ``node`` fail."""
+    return FaultRule("fam.module", action="fail", count=count,
+                     where={"node": node, "module": "wordcount"})
+
+
+def drop(node, count):
+    """The next ``count`` wordcount results on ``node`` are lost."""
+    return FaultRule("fam.result", action="drop", count=count,
+                     where={"node": node, "module": "wordcount"})
+
+
 def test_clean_run_single_attempt(env):
     bed, inp, job = env
     ft = FaultTolerantInvoker(bed.cluster, timeout=60.0)
@@ -42,7 +59,7 @@ def test_clean_run_single_attempt(env):
 
 def test_injected_crash_retried_on_same_node(env):
     bed, inp, job = env
-    bed.cluster.sd_daemons["sd0"].inject_module_crash("wordcount", 1)
+    inject(bed, crash("sd0", 1))
     ft = FaultTolerantInvoker(bed.cluster, timeout=60.0, max_retries=1)
 
     def go():
@@ -58,7 +75,7 @@ def test_injected_crash_retried_on_same_node(env):
 
 def test_dropped_result_times_out_and_retries(env):
     bed, inp, job = env
-    bed.cluster.sd_daemons["sd0"].inject_result_drop("wordcount", 1)
+    inject(bed, drop("sd0", 1))
     ft = FaultTolerantInvoker(bed.cluster, timeout=20.0, max_retries=1)
 
     def go():
@@ -76,7 +93,7 @@ def test_dropped_result_times_out_and_retries(env):
 
 def test_failover_to_replica_sd(env):
     bed, inp, job = env
-    bed.cluster.sd_daemons["sd0"].inject_module_crash("wordcount", 5)
+    inject(bed, crash("sd0", 5))
     ft = FaultTolerantInvoker(bed.cluster, timeout=60.0, max_retries=1)
 
     def go():
@@ -109,8 +126,7 @@ def test_slow_sd_answers_the_retry_from_its_first_run(env):
 
 def test_failover_to_host_when_all_sds_dead(env):
     bed, inp, job = env
-    bed.cluster.sd_daemons["sd0"].inject_module_crash("wordcount", 5)
-    bed.cluster.sd_daemons["sd1"].inject_module_crash("wordcount", 5)
+    inject(bed, crash("sd0", 5), crash("sd1", 5))
     ft = FaultTolerantInvoker(bed.cluster, timeout=60.0, max_retries=0)
 
     def go():
@@ -125,7 +141,7 @@ def test_failover_to_host_when_all_sds_dead(env):
 
 def test_no_fallback_raises(env):
     bed, inp, job = env
-    bed.cluster.sd_daemons["sd0"].inject_module_crash("wordcount", 5)
+    inject(bed, crash("sd0", 5))
     ft = FaultTolerantInvoker(
         bed.cluster, timeout=60.0, max_retries=1, fallback_to_host=False
     )
@@ -139,7 +155,7 @@ def test_no_fallback_raises(env):
 
 def test_raw_channel_timeout_error(env):
     bed, inp, job = env
-    bed.cluster.sd_daemons["sd0"].inject_result_drop("wordcount", 1)
+    inject(bed, drop("sd0", 1))
 
     def go():
         try:
@@ -157,7 +173,7 @@ def test_raw_channel_timeout_error(env):
 def test_channel_recovers_after_timeout(env):
     """The per-module lock must not be leaked by an abandoned call."""
     bed, inp, job = env
-    bed.cluster.sd_daemons["sd0"].inject_result_drop("wordcount", 1)
+    inject(bed, drop("sd0", 1))
     channel = bed.cluster.channel()
 
     def go():

@@ -8,6 +8,7 @@ from repro.cluster import Testbed
 from repro.core import DataJob, OffloadEngine, Placement
 from repro.core.offload import _spec_for
 from repro.errors import OffloadError
+from repro.faults import FaultPlan, FaultRule
 from repro.units import MB
 from repro.workloads import text_input
 
@@ -71,7 +72,10 @@ def test_inflight_tracking_returns_to_zero(bed):
 
 
 def test_inflight_decrements_on_failure(bed):
-    bed.cluster.sd_daemons["sd0"].inject_module_crash("wordcount", 1)
+    bed.sim.install_faults(FaultPlan(rules=(
+        FaultRule("fam.module", action="fail", count=1,
+                  where={"node": "sd0", "module": "wordcount"}),
+    )))
     inp = text_input("/data/f", MB(50), payload_bytes=2_000, seed=62)
     _s, _h, sd_path = bed.stage_on_sd("f", inp)
     engine = OffloadEngine(bed.cluster)

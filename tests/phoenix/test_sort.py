@@ -8,7 +8,8 @@ import zlib
 from repro.phoenix.sort import (
     Combiner,
     decorate_sorted,
-    local_merge_maps,
+    finalize_folded_map,
+    fold_map_into,
     merge_combiner_maps,
     merge_decorated_runs,
     merge_entry_runs,
@@ -160,21 +161,30 @@ def test_shuffle_parallel_reprs_once_per_distinct_key():
     assert CountingKey.reprs == n_distinct
 
 
-def test_local_merge_maps_folds_chunk_partials():
+def _fold_path(maps, reduce_fn, sort_output):
+    """LocalMapReduce's combiner-job merge: fold every chunk map into the
+    first (copied here), then finalize."""
+    merged = dict(maps[0])
+    for m in maps[1:]:
+        fold_map_into(merged, m, operator.add)
+    return finalize_folded_map(merged, reduce_fn, sort_output, {})
+
+
+def test_fold_path_folds_chunk_partials():
     maps = [{"a": 2, "b": 1}, {"a": 3}]
-    assert local_merge_maps(maps, operator.add, None, False, {}) == [
+    assert _fold_path(maps, None, False) == [
         ("a", 5),
         ("b", 1),
     ]
-    assert local_merge_maps(maps, operator.add, _sum_reduce, True, {}) == [
+    assert _fold_path(maps, _sum_reduce, True) == [
         ("a", 5),
         ("b", 1),
     ]
 
 
-def test_local_merge_maps_reprs_once_per_distinct_key():
+def test_fold_path_reprs_once_per_distinct_key():
     CountingKey.reprs = 0
     maps = [{CountingKey(i): 1 for i in range(w, w + 8)} for w in range(4)]
     n_distinct = len({k for m in maps for k in m})
-    local_merge_maps(maps, operator.add, None, True, {})
+    _fold_path(maps, None, True)
     assert CountingKey.reprs == n_distinct

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.metrics import Series, speedup
-from repro.analysis.report import banner, fmt_cell, render_series_table, render_table
+from repro.analysis.report import banner, fmt_cell, render_table
 
 
 def test_speedup_basic():
@@ -62,13 +62,6 @@ def test_render_table_alignment():
     assert "n/s" in lines[-1]
     # columns align: header and rows have equal width
     assert len(lines[1]) == len(lines[3])
-
-
-def test_render_series_table():
-    s1 = Series("one", [1, 2], [1.0, 2.0])
-    s2 = Series("two", [1, 2], [3.0, None])
-    out = render_series_table([s1, s2], ["500M", "1G"])
-    assert "500M" in out and "one" in out and "n/s" in out
 
 
 def test_banner():

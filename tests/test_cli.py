@@ -42,3 +42,17 @@ def test_unknown_command_rejected():
 def test_bad_choice_rejected():
     with pytest.raises(SystemExit):
         main(["single", "sorting", "100"])
+
+
+def test_figure_command_prints_the_experiments_rows(capsys):
+    assert main(["fig10"]) == 0
+    out = capsys.readouterr().out
+
+    def cells(label):
+        line = next(ln for ln in out.splitlines() if ln.strip().startswith(label))
+        return line.split()[-4:]
+
+    # the same cells as EXPERIMENTS.md's Fig 10 table, host-with-partition included
+    assert cells("(+) Host with Partition") == ["1.24", "1.35", "1.22", "1.22"]
+    assert cells("McSD makespan (s)") == ["10.9", "10.9", "14.0", "17.5"]
+    assert "Measured vs paper" in out

@@ -111,7 +111,13 @@ from repro.phoenix.seed_shuffle import (  # noqa: E402
     seed_local_worker_run,
     seed_shuffle_parallel,
 )
-from repro.phoenix.sort import local_merge_maps, shuffle_parallel  # noqa: E402
+from repro.phoenix.sort import (  # noqa: E402
+    finalize_folded_map,
+    finalize_merged_map,
+    fold_map_into,
+    merge_map_into,
+    shuffle_parallel,
+)
 
 
 def _sum_reduce(key, values, params):
@@ -170,6 +176,22 @@ def test_property_parallel_shuffle_identical_to_seed(
     assert got == expected
 
 
+def _engine_merge(maps, combine_fn, reduce_fn, sort_output):
+    """LocalMapReduce's parent side, in batch order: adopt the first
+    non-empty map, then fold (combiner) or extend (none) the rest."""
+    merged: dict = {}
+    for m in maps:
+        if not merged:
+            merged = m
+        elif combine_fn is not None:
+            fold_map_into(merged, m, combine_fn)
+        else:
+            merge_map_into(merged, m)
+    if combine_fn is not None:
+        return finalize_folded_map(merged, reduce_fn, sort_output, {})
+    return finalize_merged_map(merged, combine_fn, reduce_fn, sort_output, {})
+
+
 @given(
     emissions=worker_emissions_st,
     use_combine=st.booleans(),
@@ -186,7 +208,7 @@ def test_property_local_merge_identical_to_seed(
     # the seed engine's workers sorted each chunk before shipping it
     runs = [seed_local_worker_run(m) for m in maps]
     expected = seed_local_merge_runs(runs, combine_fn, reduce_fn, sort_output, {})
-    got = local_merge_maps(maps, combine_fn, reduce_fn, sort_output, {})
+    got = _engine_merge(maps, combine_fn, reduce_fn, sort_output)
     assert got == expected
 
 

@@ -25,6 +25,7 @@ from repro.core import (
     ScatterJob,
 )
 from repro.apps.dbselect import make_dbselect_spec
+from repro.faults import FaultPlan, FaultRule
 from repro.smartfam.registry import mapreduce_module, standard_registry
 from repro.units import MB
 from repro.workloads import encrypted_input, text_input
@@ -60,7 +61,10 @@ def world():
     shards = bed.stage_shards("big", big_inp)
 
     # sd0's daemon flakes once mid-run
-    bed.cluster.sd_daemons["sd0"].inject_module_crash("wordcount", 1)
+    bed.sim.install_faults(FaultPlan(rules=(
+        FaultRule("fam.module", action="fail", count=1,
+                  where={"node": "sd0", "module": "wordcount"}),
+    )))
 
     runtime = McSDRuntime(bed.cluster, policy=AdaptivePolicy(tolerance=1.0))
     ft = FaultTolerantInvoker(bed.cluster, timeout=90.0, max_retries=0)

@@ -97,7 +97,7 @@ _ERROR_ARGS = {
     "OffloadTimeoutError": ("wordcount", 5.0),
     "ShuffleArtifactError": ("/shuffle/m0", 1, 2, "short read"),
     "DistributedJobError": (
-        "wordcount", {"sd1"}, {"sd1"},
+        "wordcount", {"sd1"},
         [{"node": "sd1", "phase": "map", "cause": "OffloadTimeoutError", "at": 1.0}],
     ),
     "AdmissionError": ("job-7", 4, 4),

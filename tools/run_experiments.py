@@ -1,28 +1,33 @@
 #!/usr/bin/env python3
-"""Run every paper experiment and (re)generate EXPERIMENTS.md.
+"""Run every paper experiment, (re)generate EXPERIMENTS.md and check the bands.
 
-Usage:  python tools/run_experiments.py [output.md]
+Usage:  python tools/run_experiments.py [output.md] [--csv[=DIR]]
 
-This is the canonical paper-vs-measured record.  The same sweeps run
-under ``pytest benchmarks/ --benchmark-only`` with shape assertions; this
-script renders them into the repository's EXPERIMENTS.md.
+This is the canonical paper-vs-measured record.  The figures themselves
+(runs, tables, notes, paper-band checks) are defined in
+:mod:`repro.analysis.figures`; this script renders them as markdown,
+prints one ``[ok  ]``/``[FAIL]`` row per check and exits 1 if any row
+failed (the file is written either way).  ``--csv`` also writes each
+figure table to ``DIR`` (default ``results``) at full precision.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
-from repro.analysis.metrics import speedup
-from repro.cluster.scenario import run_pair_scenario, run_single_app
-from repro.units import MB
-from repro.workloads import FIG8A_SIZES, FIG8BC_SIZES, FIG9_SIZES, size_label
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for p in (_REPO_ROOT, os.path.join(_REPO_ROOT, "src")):
+    if p not in sys.path:
+        sys.path.insert(0, p)
 
+from benchmarks.checks import failed, print_rows  # noqa: E402
+from repro.analysis import write_series_csv  # noqa: E402
+from repro.analysis.figures import FIGURES, checks, sweep  # noqa: E402
 
-def fmt(v, digits=2):
-    if v is None:
-        return "n/s"
-    return f"{v:.{digits}f}"
+#: the figures EXPERIMENTS.md renders as sections, in order
+SECTIONS = ("fig8a", "fig8b", "fig8c", "fig9", "fig10")
 
 
 def md_table(headers, rows):
@@ -32,104 +37,32 @@ def md_table(headers, rows):
     return "\n".join(out)
 
 
-def fig8a():
-    lines = ["## Fig 8(a) — single-application speedups (500M–1.25G)\n"]
-    rows_seq, rows_par = [], []
-    for app, tag in (("wordcount", "WC"), ("stringmatch", "SM")):
-        for platform in ("quad", "duo"):
-            vs_seq, vs_par = [], []
-            for size in FIG8A_SIZES:
-                part = run_single_app(app, size, platform, "partitioned").elapsed
-                seq = run_single_app(app, size, platform, "sequential").elapsed
-                par = run_single_app(app, size, platform, "parallel").elapsed
-                vs_seq.append(speedup(seq, part))
-                vs_par.append(speedup(par, part))
-            rows_seq.append([f"{platform.capitalize()}, {tag}"] + [fmt(v) for v in vs_seq])
-            rows_par.append([f"{platform.capitalize()}, {tag}"] + [fmt(v) for v in vs_par])
-    labels = [size_label(s) for s in FIG8A_SIZES]
-    lines.append("**Partition-enabled vs sequential** (paper: ~2x on duo, quad tops out ≈4.5):\n")
-    lines.append(md_table(["series"] + labels, rows_seq))
-    lines.append("\n**Partition-enabled vs original Phoenix** (paper: partitioned ≈1/6 of traditional at huge sizes):\n")
-    lines.append(md_table(["series"] + labels, rows_par))
-    lines.append(
-        "\n*Measured vs paper*: duo speedups vs sequential hold at ~1.9–2.0x "
-        "(paper: \"a 2X speedup, which proves the fully utilization of "
-        "duo-core\"); quad reaches ~3.7x (paper's axis tops at 4.5). The "
-        "vs-original ratio grows from parity at 500M to ~5.8–6.1x at 1.25G "
-        "(paper: \"only 1/6 of the traditional one\").\n"
-    )
+def section(name, results):
+    fig = FIGURES[name]
+    lines = [f"## {fig.title}\n"]
+    for i, table in enumerate(fig.tables(results[name])):
+        if table.caption:
+            lines.append(("\n" if i else "") + table.caption + "\n")
+        lines.append(md_table(table.header, table.cells()))
+    lines.append(f"\n*Measured vs paper*: {fig.note(results[name])}\n")
     return "\n".join(lines)
 
 
-def growth(app, fig, paper_note):
-    lines = [f"## Fig {fig} — {app} elapsed-time growth curves, 500M–2G (seconds)\n"]
-    labels = [size_label(s) for s in FIG8BC_SIZES]
-    rows = []
-    for platform in ("duo", "quad"):
-        for approach, name in (("parallel", "traditional"), ("partitioned", "partitioned")):
-            ys = [run_single_app(app, s, platform, approach).elapsed for s in FIG8BC_SIZES]
-            rows.append([f"{platform} {name}"] + [fmt(y, 1) for y in ys])
-    rows.append(
-        ["duo sequential"]
-        + [fmt(run_single_app(app, s, "duo", "sequential").elapsed, 1) for s in FIG8BC_SIZES]
-    )
-    lines.append(md_table(["series"] + labels, rows))
-    lines.append(f"\n*Measured vs paper*: {paper_note}\n")
-    return "\n".join(lines)
-
-
-def pair(app, fig, paper_note):
-    lines = [f"## Fig {fig} — MM/{app} multi-application speedups\n"]
-    labels = [size_label(s) for s in FIG9_SIZES]
-    base = [run_pair_scenario("mcsd", app, s).makespan for s in FIG9_SIZES]
-    rows = []
-    for scenario, name in (
-        ("host-only", "(a) Host node only"),
-        ("trad-sd", "(b) Traditional SD"),
-        ("mcsd-nopart", "(c) McSD w/o Partition"),
-        ("host-part", "(+) Host with Partition"),
-    ):
-        ys = [run_pair_scenario(scenario, app, s).makespan for s in FIG9_SIZES]
-        rows.append([name] + [fmt(speedup(y, b)) for y, b in zip(ys, base)])
-    rows.append(["McSD makespan (s)"] + [fmt(b, 1) for b in base])
-    lines.append(md_table(["speedup of McSD over"] + labels, rows))
-    lines.append(f"\n*Measured vs paper*: {paper_note}\n")
-    return "\n".join(lines)
-
-
-def _export_csv(csv_dir: str) -> None:
-    """Drop per-figure CSVs (raw elapsed seconds) under ``csv_dir``."""
-    from repro.analysis import Series, write_series_csv
-
-    labels = [size_label(s) for s in FIG8BC_SIZES]
-    xs = [s / MB(1) for s in FIG8BC_SIZES]
-    for app, name in (("wordcount", "fig8b"), ("stringmatch", "fig8c")):
-        series = []
-        for platform in ("duo", "quad"):
-            for approach in ("parallel", "partitioned", "sequential"):
-                ys = [
-                    run_single_app(app, s, platform, approach).elapsed
-                    for s in FIG8BC_SIZES
-                ]
-                series.append(Series(f"{platform}-{approach}", xs, ys))
-        path = write_series_csv(f"{csv_dir}/{name}.csv", series, labels)
-        print(f"wrote {path}")
-    plabels = [size_label(s) for s in FIG9_SIZES]
-    pxs = [s / MB(1) for s in FIG9_SIZES]
-    for app, name in (("wordcount", "fig9"), ("stringmatch", "fig10")):
-        series = []
-        for scenario in ("host-only", "host-part", "trad-sd", "mcsd-nopart", "mcsd"):
-            ys = [run_pair_scenario(scenario, app, s).makespan for s in FIG9_SIZES]
-            series.append(Series(scenario, pxs, ys))
-        path = write_series_csv(f"{csv_dir}/{name}.csv", series, plabels)
-        print(f"wrote {path}")
+def write_csv(csv_dir, results):
+    """One CSV per figure table: a row per size, a column per series."""
+    for name, r in results.items():
+        for i, table in enumerate(FIGURES[name].tables(r)):
+            path = os.path.join(csv_dir, f"{name}.csv" if i == 0 else f"{name}-{i + 1}.csv")
+            write_series_csv(path, [s for s, _ in table.rows], table.header[1:], table.header[0])
+            print(f"wrote {path}")
 
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
 Generated by `python tools/run_experiments.py` (deterministic simulation;
-identical on every run).  Shape assertions for every row live in
-`benchmarks/` and run under `pytest benchmarks/ --benchmark-only`.
+identical on every run).  Every figure's runs and paper-band checks live
+in `src/repro/analysis/figures.py`; the script prints one row per check
+and exits non-zero if any fails.
 
 **Reading guide.** The testbed is a calibrated simulation of the paper's
 5-node cluster (see DESIGN.md §2/§5), so *shapes* — who wins, where the
@@ -184,7 +117,7 @@ FOOTER = """## Known deviations from the paper
 | Claim | Where | Result |
 |---|---|---|
 | Ethernet -> Infiniband upgrade | `bench_ablation_network.py` | host-only improves with bandwidth; McSD insensitive; advantage shrinks but persists |
-| Parallelism across multiple McSDs | `bench_ablation_multisd.py` | 1.95x / 3.76x on 2 / 4 SD nodes (94–98 % efficiency) |
+| Parallelism across multiple McSDs | `bench_ablation_multisd.py` | {multisd} |
 | Fault tolerance mechanism | `tests/core/test_failover.py` | deadline + retry + replica/host failover, exact results preserved |
 | Module extensibility (database ops) | `examples/custom_module.py` | SELECT/GROUP-BY preloaded and offloaded like the built-ins |
 """
@@ -198,59 +131,20 @@ def main() -> int:
             csv_dir = a.split("=", 1)[1] if "=" in a else "results"
     out_path = args[0] if args else "EXPERIMENTS.md"
     t0 = time.time()
+    results = sweep()
     if csv_dir:
-        _export_csv(csv_dir)
-    parts = [HEADER]
-    print("Fig 8(a)...")
-    parts.append(fig8a())
-    print("Fig 8(b)...")
-    parts.append(
-        growth(
-            "wordcount",
-            "8(b)",
-            "partitioned curves grow linearly; traditional bends hard past "
-            "~750M and dies (n/s) beyond 1.5G — both exactly the paper's "
-            "story. The duo 1.25G traditional/partitioned ratio lands at "
-            "~5.8x against the paper's ~6x.",
-        )
-    )
-    print("Fig 8(c)...")
-    parts.append(
-        growth(
-            "stringmatch",
-            "8(c)",
-            "SM (2x footprint) bends later and gentler than WC (3x): "
-            "partitioning mostly extends the supportable range, the paper's "
-            "point (2) in Section V-B.",
-        )
-    )
-    print("Fig 9...")
-    parts.append(
-        pair(
-            "wordcount",
-            "9",
-            "~1.9x over traditional SD at every size (paper: \"averagely "
-            "improves the overall performance by 2X\"); parity below the "
-            "memory threshold and an explosive jump at 1G/1.25G for the "
-            "non-partitioned baselines (see Known deviations #1 for the "
-            "multiplier).",
-        )
-    )
-    print("Fig 10...")
-    parts.append(
-        pair(
-            "stringmatch",
-            "10",
-            "every comparison stays in the ~1–2.2x band and the traditional-"
-            "SD column approaches 2x — the paper's \"averagely 2X speedup\" "
-            "for the less data-intensive pair, with no MM/WC-style blow-up.",
-        )
-    )
-    parts.append(FOOTER)
-    content = "\n".join(parts)
+        write_csv(csv_dir, results)
+    parts = [HEADER] + [section(name, results) for name in SECTIONS]
+    parts.append(FOOTER.format(multisd=FIGURES["multisd"].note(results["multisd"])))
     with open(out_path, "w") as f:
-        f.write(content)
+        f.write("\n".join(parts))
+    rows = checks(results)
+    print_rows(rows)
     print(f"wrote {out_path} in {time.time() - t0:.0f}s real")
+    bad = failed(rows)
+    if bad:
+        print(f"paper bands missed: {', '.join(bad)}", file=sys.stderr)
+        return 1
     return 0
 
 
