@@ -38,17 +38,6 @@ class Series:
         """Points where the system actually ran."""
         return [(x, y) for x, y in zip(self.xs, self.ys) if y is not None]
 
-    @property
-    def max_y(self) -> float:
-        """Largest defined value (0 if empty)."""
-        vals = [y for y in self.ys if y is not None]
-        return max(vals) if vals else 0.0
-
-    def mean(self) -> float:
-        """Arithmetic mean of defined values (0 if none)."""
-        vals = [y for y in self.ys if y is not None]
-        return sum(vals) / len(vals) if vals else 0.0
-
     def is_monotone_increasing(self, tol: float = 1e-9) -> bool:
         """True if defined values never decrease (growth-curve check)."""
         vals = [y for y in self.ys if y is not None]

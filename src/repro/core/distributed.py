@@ -964,7 +964,6 @@ class DistributedEngine:
                     resolved.add(i)
                     dur = sim.now - start[i]
                     durations.append(dur)
-                    obs.observe("dist.latency.map", dur)
                     if is_spec:
                         self.spec_won += 1
                         recovery["spec_won"] += 1

@@ -1,15 +1,18 @@
 """Timed local-file I/O: VFS operations that charge the node's disk.
 
 Every byte-moving operation is a simulated process whose duration comes
-from the :class:`~repro.hardware.disk.DiskModel`; metadata operations cost
-one seek.  The timestamp written into inodes is the simulation clock.
+from the :class:`~repro.hardware.disk.DiskModel`; mkdir, create and unlink
+cost one seek.  Reading metadata costs no disk time, so it has no timed
+form: callers read :meth:`LocalFS.exists`, :meth:`LocalFS.size_of` or the
+VFS itself (the NFS server answers getattr and readdir that way).  The
+timestamp written into inodes is the simulation clock.
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-from repro.fs.vfs import VFS, Inode
+from repro.fs.vfs import VFS
 from repro.hardware.disk import DiskModel
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
@@ -26,8 +29,8 @@ class LocalFS:
     An optional :class:`~repro.tier.burst.BurstBuffer` (see
     :meth:`attach_tier`) interposes between reads/writes and the disk:
     reads hit the tier's block cache first, writes are buffered in the
-    tier's memory level and drained in the background.  Metadata
-    operations always go straight to the disk.
+    tier's memory level and drained in the background.  mkdir, create
+    and unlink always go straight to the disk.
     """
 
     def __init__(self, sim: Simulator, disk: DiskModel, name: str = "localfs"):
@@ -141,24 +144,6 @@ class LocalFS:
         if span <= 0:
             return None
         return self.tier.prefetch(path, int(offset), span, size)
-
-    def stat(self, path: str) -> Event:
-        """Stat via the attribute cache (no disk charge); returns the inode."""
-
-        def _proc() -> _t.Generator:
-            yield self.sim.timeout(0.0)
-            return self.vfs.stat(path)
-
-        return self.sim.spawn(_proc(), name=f"{self.name}.stat")
-
-    def listdir(self, path: str) -> Event:
-        """Directory listing via the dentry cache (no disk charge)."""
-
-        def _proc() -> _t.Generator:
-            yield self.sim.timeout(0.0)
-            return self.vfs.listdir(path)
-
-        return self.sim.spawn(_proc(), name=f"{self.name}.listdir")
 
     def unlink(self, path: str) -> Event:
         """Timed unlink (one seek)."""

@@ -5,17 +5,22 @@ through NFS over Gigabit Ethernet; smartFAM's log files live on that share.
 This module implements a compact NFSv3-flavoured protocol on the simulated
 fabric:
 
-* :class:`NFSServer` — exports a subtree of a node's local FS; each request
-  is served concurrently from the moment it arrives (disk queueing
-  provides the serialization).
+* :class:`NFSServer` — exports a subtree of a node's local FS.  An op that
+  charges the disk (read, write, create, mkdir, remove) gets a server
+  process from the moment it arrives (disk queueing provides the
+  serialization); getattr, access, readdir and prefetch are answered
+  from the VFS in the arrival handler.
 * :class:`NFSClient` — per-node RPC endpoint resolving each call's event
-  when its reply arrives.
+  when its reply arrives.  Requests and replies are posted, so no
+  completion event is scheduled for them.
 * :class:`NFSMount` — the client-side file API, mirroring
-  :class:`~repro.fs.localfs.LocalFS` so higher layers are mount-agnostic.
+  :class:`~repro.fs.localfs.LocalFS`'s timed operations so higher layers
+  are mount-agnostic, plus the getattr/readdir/access RPCs.
 
 Kernel inotify does not propagate over NFS, so a client watching a remote
 file polls its attributes with getattr RPCs (the smartFAM host does this
-inline while it waits for a result).
+inline while it waits for a result): five kernel events per round trip
+on an idle fabric, four link hops and the call's reply.
 
 Every RPC charges a small request message; data-bearing replies (READ) or
 requests (WRITE) charge the payload size, so bulk file movement costs real
@@ -41,6 +46,8 @@ NFS_PORT = "nfs"
 NFS_REPLY_PORT = "nfs-reply"
 #: simulated wire size of an RPC header / metadata-only message
 RPC_HEADER_BYTES = 256
+#: ops that charge the server's disk; each gets its own server process
+_DISK_OPS = frozenset({"read", "write", "create", "mkdir", "remove"})
 
 _xids = itertools.count(1)
 
@@ -64,16 +71,45 @@ class NFSServer:
         return _p.join(self.export_root, rel.lstrip("/"))
 
     def _on_request(self, msg: Message) -> None:
-        body = msg.payload["body"]
-        self.sim.spawn(self._handle(msg.src, body), name=self._req_name)
-
-    def _handle(self, client: str, req: dict) -> _t.Generator:
+        req = msg.payload["body"]
         op: str = req["op"]
-        xid: int = req["xid"]
         self.ops[op] = self.ops.get(op, 0) + 1
         self.sim.obs.count(f"nfs.op.{op}")
+        if op in _DISK_OPS:
+            self.sim.spawn(self._serve_disk(msg.src, req), name=self._req_name)
+            return
+        # no disk time: answer from the VFS in the arrival instant
+        try:
+            reply = {"ok": True, "value": self._metadata(op, req)}
+        except Exception as exc:  # deliver errors to the caller, not the server
+            reply = {"ok": False, "error": exc}
+        reply["xid"] = req["xid"]
+        self.node.post(msg.src, NFS_REPLY_PORT, reply, RPC_HEADER_BYTES)
+
+    def _metadata(self, op: str, req: dict) -> object:
         fs = self.node.fs
-        reply: dict = {"xid": xid, "ok": True, "value": None}
+        path = self._translate(req.get("path", "/"))
+        if op == "getattr":
+            inode = fs.vfs.stat(path)
+            return {"size": inode.size, "mtime": inode.mtime,
+                    "is_dir": inode.is_dir, "ino": inode.ino}
+        if op == "readdir":
+            return fs.vfs.listdir(path)
+        if op == "access":
+            return fs.exists(path)
+        if op == "prefetch":
+            # kick the server-side tier's readahead and reply at once (the
+            # fill runs in the background)
+            started = fs.prefetch(
+                path, offset=int(req.get("offset", 0)), nbytes=req.get("nbytes")
+            )
+            return started is not None
+        raise NFSError(f"unknown NFS op {op!r}")
+
+    def _serve_disk(self, client: str, req: dict) -> _t.Generator:
+        op: str = req["op"]
+        fs = self.node.fs
+        reply: dict = {"xid": req["xid"], "ok": True, "value": True}
         reply_bytes = RPC_HEADER_BYTES
         try:
             path = self._translate(req.get("path", "/"))
@@ -92,41 +128,16 @@ class NFSServer:
                     size=req.get("size"),
                     append=req.get("append", False),
                 )
-                reply["value"] = True
             elif op == "create":
                 yield fs.create(path, exist_ok=req.get("exist_ok", False))
-                reply["value"] = True
             elif op == "mkdir":
                 yield fs.mkdir(path, parents=req.get("parents", False))
-                reply["value"] = True
-            elif op == "getattr":
-                inode = yield fs.stat(path)
-                reply["value"] = {
-                    "size": inode.size,
-                    "mtime": inode.mtime,
-                    "is_dir": inode.is_dir,
-                    "ino": inode.ino,
-                }
-            elif op == "readdir":
-                reply["value"] = (yield fs.listdir(path))
-            elif op == "remove":
-                yield fs.unlink(path)
-                reply["value"] = True
-            elif op == "access":
-                reply["value"] = fs.exists(path)
-            elif op == "prefetch":
-                # fire-and-forget: kick the server-side tier's readahead
-                # and reply immediately (the fill runs in the background)
-                started = fs.prefetch(
-                    path, offset=int(req.get("offset", 0)), nbytes=req.get("nbytes")
-                )
-                reply["value"] = started is not None
             else:
-                raise NFSError(f"unknown NFS op {op!r}")
+                yield fs.unlink(path)
         except Exception as exc:  # deliver errors to the caller, not the server
             reply["ok"] = False
             reply["error"] = exc
-        self.node.send(client, NFS_REPLY_PORT, reply, nbytes=reply_bytes)
+        self.node.post(client, NFS_REPLY_PORT, reply, reply_bytes)
 
 
 class NFSClient:
@@ -169,7 +180,7 @@ class NFSClient:
         if inj is not None:
             decision = inj.check("nfs.call", op=req["op"], server=server)
         if decision is None:
-            self.node.send(server, NFS_PORT, req, nbytes=request_bytes)
+            self.node.post(server, NFS_PORT, req, request_bytes)
             return done
 
         def _faulted() -> _t.Generator:
@@ -182,7 +193,7 @@ class NFSClient:
                 return  # the request is lost; the event never resolves
             if decision.action == "delay":
                 yield self.sim.timeout(decision.delay)
-            self.node.send(server, NFS_PORT, req, nbytes=request_bytes)
+            self.node.post(server, NFS_PORT, req, request_bytes)
 
         self.sim.spawn(_faulted(), name=f"nfscli:{self.node.name}.send")
         return done

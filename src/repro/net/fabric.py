@@ -1,6 +1,6 @@
 """The fabric: endpoint handlers + segmented message transfer over the switch.
 
-``send`` moves a :class:`~repro.net.message.Message` from its source port
+``post`` moves a :class:`~repro.net.message.Message` from its source port
 to the destination endpoint, charging uplink and downlink serialization
 with segment-level pipelining: while segment *i* crosses the destination's
 downlink, segment *i+1* is already on the source's uplink.  Each segment
@@ -8,6 +8,10 @@ asks for the next link when it arrives over the previous one (per-segment
 store-and-forward at the switch), driven by callbacks on the links'
 arrival events.  Loopback messages skip the wire entirely.  A message is
 handed to its endpoint's handler when its last segment arrives.
+
+``send`` is ``post`` for a sender that waits: its event fires at delivery.
+A sender that does not wait (an NFS request or reply) posts, and no
+completion event is created or scheduled for its message.
 """
 
 from __future__ import annotations
@@ -79,15 +83,25 @@ class Fabric:
     def send(self, msg: Message) -> Event:
         """Deliver ``msg`` to the destination's handler; the event fires then.
 
+        For a sender that waits.  A *drop* still fires it: the wire cost is
+        paid and the send "completes", as a real NIC's does.
+        """
+        done = Event(self.sim, name="fabric.send")
+        self.post(msg, done)
+        return done
+
+    def post(self, msg: Message, done: Event | None = None) -> None:
+        """Deliver ``msg`` to the destination's handler, then succeed ``done``.
+
+        The one delivery path.  A sender that does not wait passes no
+        ``done``, so no completion event is created or scheduled.
+
         Injected faults at ``net.deliver``: *drop* pays the wire cost but
-        never delivers (a lost frame — the sender's send still
-        "completes", as a real NIC's does), *delay* adds latency before
-        delivery.
+        never delivers (a lost frame), *delay* adds latency before delivery.
         """
         handler = self._handler(msg.dst)
         self._handler(msg.src)  # validates attachment
         sim = self.sim
-        done = Event(sim, name="fabric.send")
         inj = sim.faults
         decision = None
         if inj is not None:
@@ -102,13 +116,15 @@ class Fabric:
             self.pair_bytes[pair] += msg.nbytes
             if handler is not None:
                 handler(msg)
-            done.succeed(msg)
+            if done is not None:
+                done.succeed(msg)
 
         def _arrived(_ev: Event) -> None:
             action = decision.action if decision is not None else None
             if action == "drop":
                 self.dropped += 1
-                done.succeed(msg)
+                if done is not None:
+                    done.succeed(msg)
             elif action == "delay":
                 sim.timeout(decision.delay).add_callback(_deliver)
             else:
@@ -118,7 +134,7 @@ class Fabric:
             # Local delivery: no wire cost, but still an event boundary so
             # ordering with real messages stays consistent.
             sim.timeout(0.0).add_callback(_arrived)
-            return done
+            return
 
         uplink, downlink = self.switch.path(msg.src, msg.dst)
         segments = self._segments(msg.nbytes)
@@ -136,7 +152,6 @@ class Fabric:
             uplink.transmit(segments[hop]).add_callback(_over_uplink)
 
         uplink.transmit(segments[0]).add_callback(_over_uplink)
-        return done
 
     def transfer(self, src: str, dst: str, nbytes: int, kind: str = "bulk") -> Event:
         """Convenience bulk transfer; completes at delivery."""

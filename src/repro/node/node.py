@@ -81,25 +81,20 @@ class Node:
         if handler is not None:
             handler(msg)
 
-    def send(
-        self,
-        dst: str,
-        port: str,
-        body: object,
-        nbytes: int,
-        kind: str = "data",
-    ) -> Event:
+    def send(self, dst: str, port: str, body: object, nbytes: int) -> Event:
         """Send a service message to another node; completes at delivery."""
+        return self.fabric.send(self._message(dst, port, body, nbytes))
+
+    def post(self, dst: str, port: str, body: object, nbytes: int) -> None:
+        """Send a service message whose sender does not wait for delivery."""
+        self.fabric.post(self._message(dst, port, body, nbytes))
+
+    def _message(self, dst: str, port: str, body: object, nbytes: int) -> Message:
         if nbytes < 0:
             raise NetworkError(f"negative message size {nbytes}")
-        msg = Message(
-            src=self.name,
-            dst=dst,
-            nbytes=nbytes,
-            payload={"port": port, "body": body},
-            kind=kind,
+        return Message(
+            src=self.name, dst=dst, nbytes=nbytes, payload={"port": port, "body": body}
         )
-        return self.fabric.send(msg)
 
     # -- compute ------------------------------------------------------------
 

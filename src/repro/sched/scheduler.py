@@ -62,7 +62,6 @@ from repro.sched.health import HeartbeatConfig, NodeHealthTracker
 from repro.sched.policies import OrderingPolicy, make_ordering
 from repro.sched.queue import JobQueue, QueuedJob
 from repro.sim.events import Event
-from repro.sim.resources import Store
 from repro.sim.sync import Signal
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -158,11 +157,13 @@ class ClusterScheduler:
     heartbeat:
         ``True`` or a :class:`~repro.sched.health.HeartbeatConfig` starts
         the failure detector: every SD daemon pings the host over the
-        fabric and a :class:`~repro.sched.health.NodeHealthTracker` turns
-        inter-arrival gaps into phi-accrual suspicion.  Suspected nodes
-        are avoided (not torn down), quarantined nodes leave the eligible
-        set, and a quarantined node whose beats resume re-enters through
-        probation — one canary job at a time until a success restores it.
+        fabric, and the host's heartbeat endpoint hands each ping, as it
+        arrives, to a :class:`~repro.sched.health.NodeHealthTracker`,
+        which turns inter-arrival gaps into phi-accrual suspicion.
+        Suspected nodes are avoided (not torn down), quarantined nodes
+        leave the eligible set, and a quarantined node whose beats resume
+        re-enters through probation — one canary job at a time until a
+        success restores it.
         ``None`` (default) keeps the PR-8 behavior: quarantine only on
         attempt timeout, rejoin only via :meth:`mark_healthy`.
     """
@@ -227,20 +228,17 @@ class ClusterScheduler:
                 heartbeat if isinstance(heartbeat, HeartbeatConfig)
                 else HeartbeatConfig()
             )
-            self.health = NodeHealthTracker(
+            health = self.health = NodeHealthTracker(
                 self.sim,
                 [n.name for n in cluster.sd_nodes],
                 cfg,
                 unhealthy=self.unhealthy,
             )
+            # the detector records each daemon's beat as it arrives
             endpoint = f"hb:{cluster.host.name}"
-            inbox = Store(self.sim, name=f"inbox:{endpoint}")
-            cluster.fabric.attach(endpoint, inbox.put)
+            cluster.fabric.attach(endpoint, lambda m: health.beat(m.src, self.sim.now))
             for daemon in cluster.sd_daemons.values():
                 daemon.start_heartbeat(cluster.fabric, endpoint, cfg.interval)
-            self.sim.spawn(
-                self._heartbeat_listener(inbox), name="sched.hb.listener"
-            )
             self.sim.spawn(self._health_monitor(cfg), name="sched.hb.monitor")
 
     # -- submission --------------------------------------------------------
@@ -678,13 +676,6 @@ class ClusterScheduler:
         else:
             self.unhealthy.add(node)
         self.sim.obs.count("sched.node_unhealthy")
-
-    def _heartbeat_listener(self, inbox) -> _t.Generator:
-        """Feed daemon heartbeats into the failure detector."""
-        assert self.health is not None
-        while True:
-            msg = yield inbox.get()
-            self.health.beat(msg.src, self.sim.now)
 
     def _health_monitor(self, cfg: HeartbeatConfig) -> _t.Generator:
         """Periodically re-score every node; wake dispatch on transitions."""

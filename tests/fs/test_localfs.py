@@ -76,16 +76,17 @@ def test_mutating_metadata_ops_cost_one_seek(lfs):
 
 
 def test_cached_metadata_ops_are_free(lfs):
+    """stat and listdir are answered from the VFS: no clock, no disk."""
     sim, fs = lfs
 
     def proc():
         yield fs.create("/f")
-        t0 = sim.now
-        yield fs.stat("/f")
-        yield fs.listdir("/")
-        return sim.now - t0
+        t0, requests = sim.now, fs.disk.requests
+        inode = fs.vfs.stat("/f")
+        names = fs.vfs.listdir("/")
+        return sim.now - t0, fs.disk.requests - requests, inode.size, names
 
-    assert run(sim, proc()) == 0.0
+    assert run(sim, proc()) == (0.0, 0, 0, ["f"])
 
 
 def test_mtime_is_simulation_clock(lfs):
@@ -94,8 +95,7 @@ def test_mtime_is_simulation_clock(lfs):
     def proc():
         yield sim.timeout(3.0)
         yield fs.write("/f", data=b"x")
-        inode = yield fs.stat("/f")
-        return inode.mtime
+        return fs.vfs.stat("/f").mtime
 
     # write completes after the disk charge (seek)
     assert run(sim, proc()) == pytest.approx(3.01)

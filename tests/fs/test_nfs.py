@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import FileNotFoundInVFS
 from repro.fs import NFSClient, NFSMount, NFSServer
+from repro.fs.nfs import RPC_HEADER_BYTES
 from repro.units import MB
 
 from tests.conftest import run_proc
@@ -162,3 +163,25 @@ def test_nfs_traffic_counted(nfs):
     run_proc(sim, proc())
     assert mount.bytes_read == MB(50)
     assert mount.bytes_written == MB(5)
+
+
+def test_getattr_round_trip_is_five_events_and_four_hops(sim, fabric, host_and_sd):
+    """getattr charges no disk, so the server answers it in the arrival
+    instant: four link hops and the call's reply, no server process and
+    no completion event for the request or the reply."""
+    host, sd = host_and_sd
+    NFSServer(sd, export_root="/export")
+    mount = NFSMount(NFSClient(host), "sd0")
+    sd.fs.vfs.mkdir("/export")
+    sd.fs.vfs.create("/export/f")
+
+    call = mount.stat("/f")
+    sim.run()
+
+    assert sim.processed_events == 5
+    assert call.value["size"] == 0 and not call.value["is_dir"]
+    expect = 0.0
+    for link in (*fabric.switch.path("host", "sd0"), *fabric.switch.path("sd0", "host")):
+        expect = expect + link.tx_time(RPC_HEADER_BYTES) + link.latency
+    assert sim.now == expect
+    assert sd.disk.requests == 0

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import NetworkConfig
 from repro.errors import NetworkError, RoutingError
-from repro.net import Fabric, Link, Switch
+from repro.net import Fabric, Link, Message, Switch
 from repro.sim import Simulator, Store
 from repro.units import Gbit, MB, MiB
 
@@ -199,3 +199,27 @@ def test_send_to_unattached_endpoint_rejected():
     fab.attach("a")
     with pytest.raises(NetworkError):
         fab.transfer("a", "ghost", 10)
+
+
+def test_posted_message_arrives_with_a_waited_one():
+    """post (nobody waits) and send share one delivery path: the handler
+    sees the message at the same instant, the waited send's event fires
+    then, and only send schedules that completion event."""
+    seen = {}
+    for how in ("post", "send"):
+        sim = Simulator()
+        fab = Fabric(sim, NetworkConfig(segment_bytes=MiB(1)))
+        fab.attach("a")
+        fab.attach("b", lambda msg, how=how, sim=sim: seen.setdefault(how, sim.now))
+        msg = Message(src="a", dst="b", nbytes=MB(3))
+        if how == "send":
+            fab.send(msg).add_callback(
+                lambda ev: seen.setdefault("fired", (sim.now, ev.value))
+            )
+        else:
+            assert fab.post(msg) is None
+        sim.run()
+        seen[f"{how}.events"] = sim.processed_events
+    assert seen["post"] == seen["send"] > 0
+    assert seen["fired"] == (seen["send"], msg)
+    assert seen["send.events"] == seen["post.events"] + 1
