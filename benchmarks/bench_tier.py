@@ -28,6 +28,8 @@ by ``tools/bench_diff.py``).
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import time
 from collections import Counter
 
@@ -74,17 +76,19 @@ def _run_real_half(quick: bool) -> dict:
     payload = REAL_PAYLOAD // 2 if quick else REAL_PAYLOAD
     budget = REAL_BUDGET // 2 if quick else REAL_BUDGET
     path = corpus_file(payload, REAL_VOCAB, seed=1)
+    spill_root = tempfile.mkdtemp(prefix="bench-tier-")
     obs = Observability(enabled=False)
     try:
         # ground truth + tier-less reference
         with open(path, "rb") as f:
             truth = Counter(f.read().split())
-        with wordcount_engine(memory_budget=budget) as plain_eng:
+        with wordcount_engine(memory_budget=budget, spill_dir=spill_root) as plain_eng:
             plain_out = plain_eng.run(path, chunk_bytes=REAL_CHUNK_BYTES).output
 
         with TieredStore(REAL_TIER_MEM, REAL_TIER_SSD, obs=obs) as store:
             with wordcount_engine(
                 memory_budget=budget, tier=store, readahead=1, obs=obs,
+                spill_dir=spill_root,
             ) as eng:
                 t0 = time.perf_counter()
                 cold_res = eng.run(path, chunk_bytes=REAL_CHUNK_BYTES)
@@ -99,7 +103,7 @@ def _run_real_half(quick: bool) -> dict:
             tier_dir = store.ssd_dir
         ctr = obs.metrics.counters
 
-        leaks = leak_scan(tier_dir)
+        leaks = leak_scan(spill_root, tier_dir)
         return {
             "payload_bytes": payload,
             "memory_budget": budget,
@@ -119,6 +123,7 @@ def _run_real_half(quick: bool) -> dict:
         }
     finally:
         os.unlink(path)
+        shutil.rmtree(spill_root, ignore_errors=True)
 
 
 def _sim_run(tier: TierSpec | None, size: int):

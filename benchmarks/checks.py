@@ -20,7 +20,6 @@ from __future__ import annotations
 import glob
 import os
 import pickle
-import tempfile
 import typing as _t
 
 from repro.apps.matmul import assemble_product
@@ -80,15 +79,17 @@ def canonical_output(app: str, output: object) -> bytes:
     return pickle.dumps(assemble_product(pairs))
 
 
-def leak_scan(*tier_dirs: str) -> dict[str, list[str]]:
+def leak_scan(spill_root: str, *tier_dirs: str) -> dict[str, list[str]]:
     """Spill and tier directories still on disk after their owners closed.
 
-    ``spill``: registered spill dirs plus any ``localmr-spill-*`` left in
-    the temp dir; ``tier``: registered tier dirs plus any of
-    ``tier_dirs`` (the stores' SSD dirs) that still exists.
+    ``spill``: registered spill dirs plus any ``localmr-spill-*`` left
+    under ``spill_root``, the directory the caller's engines spill into
+    (so a concurrent run spilling elsewhere is not counted); ``tier``:
+    registered tier dirs plus any of ``tier_dirs`` (the stores' SSD dirs)
+    that still exists.
     """
     spill = live_spill_dirs() + glob.glob(
-        os.path.join(tempfile.gettempdir(), "localmr-spill-*")
+        os.path.join(spill_root, "localmr-spill-*")
     )
     tier = live_tier_dirs() + [d for d in tier_dirs if os.path.isdir(d)]
     return {"spill": sorted(set(spill)), "tier": sorted(set(tier))}

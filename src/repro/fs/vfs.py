@@ -111,10 +111,10 @@ class VFS:
     def _lookup(self, path: str) -> Inode | None:
         node = self.root
         for comp in _p.split(path):
-            if not node.is_dir:
+            children = node.children  # None for a file
+            if children is None:
                 raise NotADirectoryInVFS(f"{self.name}: not a directory on the way to {path}")
-            assert node.children is not None
-            node = node.children.get(comp)  # type: ignore[assignment]
+            node = children.get(comp)  # type: ignore[assignment]
             if node is None:
                 return None
         return node

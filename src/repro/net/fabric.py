@@ -6,7 +6,9 @@ with segment-level pipelining: while segment *i* crosses the destination's
 downlink, segment *i+1* is already on the source's uplink.  Each segment
 asks for the next link when it arrives over the previous one (per-segment
 store-and-forward at the switch), driven by callbacks on the links'
-arrival events.  Loopback messages skip the wire entirely.  A message is
+arrival events.  A message that fits one segment (every RPC and
+heartbeat) is the short case of the same walk: one uplink and one
+downlink hop.  Loopback messages skip the wire entirely.  A message is
 handed to its endpoint's handler when its last segment arrives.
 
 ``send`` is ``post`` for a sender that waits: its event fires at delivery.
@@ -21,10 +23,14 @@ import typing as _t
 
 from repro.config import NetworkConfig
 from repro.errors import NetworkError
+from repro.net.link import Link
 from repro.net.message import Message
 from repro.net.switch import Switch
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
+
+if _t.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.injector import Injection
 
 __all__ = ["Fabric"]
 
@@ -70,23 +76,13 @@ class Fabric:
 
     # -- transfers ---------------------------------------------------------------
 
-    def _segments(self, nbytes: int) -> list[int]:
-        seg = self.config.segment_bytes
-        if nbytes <= 0:
-            return [0]
-        full, rem = divmod(nbytes, seg)
-        out = [seg] * full
-        if rem:
-            out.append(rem)
-        return out
-
     def send(self, msg: Message) -> Event:
         """Deliver ``msg`` to the destination's handler; the event fires then.
 
         For a sender that waits.  A *drop* still fires it: the wire cost is
         paid and the send "completes", as a real NIC's does.
         """
-        done = Event(self.sim, name="fabric.send")
+        done = Event(self.sim, "fabric.send")
         self.post(msg, done)
         return done
 
@@ -99,60 +95,88 @@ class Fabric:
         Injected faults at ``net.deliver``: *drop* pays the wire cost but
         never delivers (a lost frame), *delay* adds latency before delivery.
         """
-        handler = self._handler(msg.dst)
-        self._handler(msg.src)  # validates attachment
-        sim = self.sim
-        inj = sim.faults
+        src, dst = msg.src, msg.dst
+        handler = self._handler(dst)
+        self._handler(src)  # validates attachment
+        inj = self.sim.faults
         decision = None
         if inj is not None:
-            decision = inj.check(
-                "net.deliver", src=msg.src, dst=msg.dst, kind=msg.kind
-            )
-
-        def _deliver(_ev: Event | None = None) -> None:
-            self.bytes_delivered += msg.nbytes
-            pair = (msg.src, msg.dst)
-            self.pair_messages[pair] += 1
-            self.pair_bytes[pair] += msg.nbytes
-            if handler is not None:
-                handler(msg)
-            if done is not None:
-                done.succeed(msg)
-
-        def _arrived(_ev: Event) -> None:
-            action = decision.action if decision is not None else None
-            if action == "drop":
-                self.dropped += 1
-                if done is not None:
-                    done.succeed(msg)
-            elif action == "delay":
-                sim.timeout(decision.delay).add_callback(_deliver)
-            else:
-                _deliver()
-
-        if msg.src == msg.dst:
+            decision = inj.check("net.deliver", src=src, dst=dst, kind=msg.kind)
+        if src == dst:
             # Local delivery: no wire cost, but still an event boundary so
             # ordering with real messages stays consistent.
-            sim.timeout(0.0).add_callback(_arrived)
+            walk = _Transfer(self, msg, handler, done, decision)
+            self.sim.timeout(0.0).add_callback(walk.arrived)
             return
-
-        uplink, downlink = self.switch.path(msg.src, msg.dst)
-        segments = self._segments(msg.nbytes)
-        last = len(segments) - 1
-        hop = 0
-
-        def _over_uplink(_ev: Event) -> None:
-            # segment `hop` reached the switch: forward it, start the next
-            nonlocal hop
-            down = downlink.transmit(segments[hop])
-            if hop == last:
-                down.add_callback(_arrived)
-                return
-            hop += 1
-            uplink.transmit(segments[hop]).add_callback(_over_uplink)
-
-        uplink.transmit(segments[0]).add_callback(_over_uplink)
+        uplink, downlink = self.switch.path(src, dst)
+        _Transfer(self, msg, handler, done, decision, uplink, downlink).send_segment()
 
     def transfer(self, src: str, dst: str, nbytes: int, kind: str = "bulk") -> Event:
         """Convenience bulk transfer; completes at delivery."""
         return self.send(Message(src=src, dst=dst, nbytes=nbytes, kind=kind))
+
+
+class _Transfer:
+    """One posted message: its segments' walk over the source's uplink and
+    the destination's downlink, then its hand-over to the endpoint.
+
+    The link callbacks are bound methods of this object, which refers to
+    none of them, so a delivered message leaves no reference cycle for the
+    garbage collector to find.
+    """
+
+    __slots__ = ("fabric", "msg", "handler", "done", "decision", "uplink",
+                 "downlink", "left")
+
+    def __init__(self, fabric: Fabric, msg: Message, handler: Handler | None,
+                 done: Event | None, decision: Injection | None,
+                 uplink: Link | None = None, downlink: Link | None = None):
+        self.fabric = fabric
+        self.msg = msg
+        self.handler = handler
+        self.done = done
+        self.decision = decision
+        self.uplink = uplink
+        self.downlink = downlink
+        #: bytes not yet handed to the uplink
+        self.left = msg.nbytes
+
+    def send_segment(self) -> None:
+        """Hand the next segment to the uplink: ``segment_bytes``, or what
+        is left (a message that fits one segment, as every RPC and
+        heartbeat does, has only this one)."""
+        size = min(self.left, self.fabric.config.segment_bytes)
+        self.left -= size
+        self.uplink.transmit(size).add_callback(self.over_uplink)
+
+    def over_uplink(self, ev: Event) -> None:
+        """A segment reached the switch: forward it, start the next."""
+        down = self.downlink.transmit(ev._value)
+        if self.left:
+            self.send_segment()
+        else:
+            down.add_callback(self.arrived)
+
+    def arrived(self, _ev: Event) -> None:
+        """The last segment is in: hand the message over, unless an injected
+        ``net.deliver`` fault drops it or delays it (a delayed message
+        arrives again after the delay, with no fault left to apply)."""
+        decision, self.decision = self.decision, None
+        fabric, msg, done = self.fabric, self.msg, self.done
+        if decision is not None:
+            if decision.action == "drop":
+                fabric.dropped += 1
+                if done is not None:
+                    done.succeed(msg)
+                return
+            if decision.action == "delay":
+                fabric.sim.timeout(decision.delay).add_callback(self.arrived)
+                return
+        fabric.bytes_delivered += msg.nbytes
+        pair = (msg.src, msg.dst)
+        fabric.pair_messages[pair] += 1
+        fabric.pair_bytes[pair] += msg.nbytes
+        if self.handler is not None:
+            self.handler(msg)
+        if done is not None:
+            done.succeed(msg)

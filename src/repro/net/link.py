@@ -55,12 +55,12 @@ class Link:
         end = max(sim.now, self.free_at) + nbytes / self.bandwidth
         self.free_at = end
         # propagation happens after the transmitter is released
-        arrival = sim.at(end + self.latency, nbytes, name=self.name)
+        arrival = sim.at(end + self.latency, nbytes, self.name)
         arrival.add_callback(self._arrived)
         return arrival
 
     def _arrived(self, event: Event) -> None:
-        nbytes = event.value
+        nbytes = event._value
         self.bytes_sent += nbytes
         obs = self.sim.obs
         obs.count("net.bytes", nbytes)

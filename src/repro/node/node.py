@@ -1,8 +1,9 @@
 """A cluster machine: CPU, memory, disk, local FS, inotify, and a netstack.
 
 The netstack gives each node one fabric endpoint and hands each inbound
-message to the handler bound to its named *service port*, so NFS and SMB
-can coexist on one wire exactly like UDP/TCP services on one NIC.
+message to the handler bound to its named *service port* (the message's
+``port``), so NFS and SMB can coexist on one wire exactly like UDP/TCP
+services on one NIC.
 
 Memory pressure is wired straight into the CPU: the memory model's thrash
 factor becomes the CPU's node-wide slowdown, which is how a bloated
@@ -74,10 +75,7 @@ class Node:
         self._ports[port] = handler
 
     def _deliver(self, msg: Message) -> None:
-        port = "default"
-        if isinstance(msg.payload, dict):
-            port = msg.payload.get("port", "default")
-        handler = self._ports.get(port)
+        handler = self._ports.get(msg.port)
         if handler is not None:
             handler(msg)
 
@@ -92,9 +90,7 @@ class Node:
     def _message(self, dst: str, port: str, body: object, nbytes: int) -> Message:
         if nbytes < 0:
             raise NetworkError(f"negative message size {nbytes}")
-        return Message(
-            src=self.name, dst=dst, nbytes=nbytes, payload={"port": port, "body": body}
-        )
+        return Message(self.name, dst, nbytes, body, port)
 
     # -- compute ------------------------------------------------------------
 

@@ -160,7 +160,7 @@ class Observability:
 
     def count(self, name: str, amount: float = 1) -> None:
         """Bump a named counter (always on)."""
-        self.metrics.count(name, amount)
+        self.metrics.counters[name] += amount
         if self.flight is not None:
             self.flight.note_count(name, amount, self._clock())
 

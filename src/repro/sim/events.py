@@ -41,17 +41,17 @@ class Event:
 
     Callbacks (``callable(event)``) registered before triggering run when the
     event is *processed* by the simulator loop; callbacks registered after
-    processing run immediately.
+    processing run immediately.  The loop drops the callback list as it
+    runs it, so ``callbacks is None`` marks a processed event.
     """
 
-    __slots__ = ("sim", "_value", "_ok", "callbacks", "_processed", "name")
+    __slots__ = ("sim", "_value", "_ok", "callbacks", "name")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
         self._value: object = PENDING
         self._ok: bool | None = None
         self.callbacks: list[_t.Callable[["Event"], None]] | None = []
-        self._processed = False
         self.name = name
 
     # -- state ------------------------------------------------------------
@@ -64,7 +64,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """True once the simulator has run this event's callbacks."""
-        return self._processed
+        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -114,14 +114,6 @@ class Event:
         else:
             self.callbacks.append(fn)
 
-    def _process(self) -> None:
-        """Called by the simulator loop: run and discard the callbacks."""
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        if callbacks:
-            for fn in callbacks:
-                fn(self)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = self.name or self.__class__.__name__
         state = (
@@ -133,18 +125,27 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after ``delay`` simulated seconds."""
+    """An event that fires after ``delay`` simulated seconds.
+
+    Its name is formatted only when read (a traced run's ``repr``), not
+    for every timeout.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: object = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
-        super().__init__(sim, name=f"Timeout({delay})")
-        self.delay = delay
+        self.sim = sim
         self._ok = True
         self._value = value
-        sim._push(self, delay=delay)
+        self.callbacks = []
+        self.delay = delay
+        sim._push(self, delay)
+
+    @property
+    def name(self) -> str:
+        return f"Timeout({self.delay})"
 
 
 class Condition(Event):

@@ -7,8 +7,8 @@ execution order — and therefore the entire simulation — deterministic.
 
 from __future__ import annotations
 
-import heapq
 import typing as _t
+from heapq import heappop, heappush
 
 from repro.errors import DeadlockError, SimulationError
 from repro.obs.registry import Observability
@@ -49,6 +49,11 @@ class Simulator:
     >>> p.value
     3.0
     """
+
+    __slots__ = (
+        "now", "_heap", "_seq", "_running", "rng", "obs", "faults",
+        "processed_events",
+    )
 
     def __init__(self, seed: int = 0, trace: bool = False):
         self.now: float = 0.0
@@ -92,13 +97,13 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
+        heappush(self._heap, (self.now + delay, priority, self._seq, event))
 
     # -- factories ------------------------------------------------------------
 
     def event(self, name: str = "") -> Event:
         """A fresh pending event."""
-        return Event(self, name=name)
+        return Event(self, name)
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
         """An event firing after ``delay`` simulated seconds."""
@@ -112,11 +117,11 @@ class Simulator:
         """
         if when < self.now:
             raise SimulationError(f"cannot schedule into the past (at={when})")
-        event = Event(self, name=name)
+        event = Event(self, name)
         event._ok = True
         event._value = value
         self._seq += 1
-        heapq.heappush(self._heap, (when, NORMAL, self._seq, event))
+        heappush(self._heap, (when, NORMAL, self._seq, event))
         return event
 
     def all_of(self, events: _t.Sequence[Event]) -> AllOf:
@@ -142,18 +147,22 @@ class Simulator:
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event, advancing the clock to it."""
-        if not self._heap:
+        """Process exactly one event, advancing the clock to it: run its
+        callbacks and drop them, which marks it processed."""
+        heap = self._heap
+        if not heap:
             raise DeadlockError("no events left to process")
-        t, _prio, _seq, event = heapq.heappop(self._heap)
+        t, _prio, _seq, event = heappop(heap)
         if t < self.now:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
         self.now = t
         self.processed_events += 1
         if self.obs.enabled:
             # repr(event) is not free; the untraced hot loop must not pay it
-            self.obs.record("event", self.now, repr(event))
-        event._process()
+            self.obs.record("event", t, repr(event))
+        callbacks, event.callbacks = event.callbacks, None
+        for fn in callbacks:
+            fn(event)
 
     def run(self, until: float | Event | None = None) -> object:
         """Run until the heap drains, a deadline passes, or an event fires.

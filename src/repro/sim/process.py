@@ -39,13 +39,11 @@ class Process(Event):
                 f"spawn() needs a generator, got {type(gen).__name__} "
                 "(did you forget to call the process function?)"
             )
-        super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
+        super().__init__(sim, name or getattr(gen, "__name__", "process"))
         self.gen = gen
         self._waiting_on: Event | None = None
         # Kick off the process at the current instant via an init event.
-        init = Event(sim, name=f"init:{self.name}")
-        init.add_callback(self._resume)
-        init.succeed()
+        _Start(self)
 
     # -- state ------------------------------------------------------------
 
@@ -142,3 +140,23 @@ class Process(Event):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "alive" if self.is_alive else ("ok" if self._ok else "failed")
         return f"<Process {self.name} {state}>"
+
+
+class _Start(Event):
+    """A process's init event: it fires at the spawn instant and resumes
+    the generator the first time.  Its name, ``init:<process name>``, is
+    formatted only when read (a traced run's ``repr``)."""
+
+    __slots__ = ("proc",)
+
+    def __init__(self, proc: Process):
+        self.sim = proc.sim
+        self._ok = True
+        self._value = None
+        self.callbacks = [proc._resume]
+        self.proc = proc
+        proc.sim._push(self)
+
+    @property
+    def name(self) -> str:
+        return f"init:{self.proc.name}"

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import NetworkConfig
 from repro.errors import FileNotFoundInVFS
 from repro.fs import NFSClient, NFSMount, NFSServer
 from repro.fs.nfs import RPC_HEADER_BYTES
+from repro.net import Fabric
+from repro.node import Node
+from repro.sim import Simulator
 from repro.units import MB
 
 from tests.conftest import run_proc
@@ -185,3 +189,34 @@ def test_getattr_round_trip_is_five_events_and_four_hops(sim, fabric, host_and_s
         expect = expect + link.tx_time(RPC_HEADER_BYTES) + link.latency
     assert sim.now == expect
     assert sd.disk.requests == 0
+
+
+def test_traced_poll_records_each_event_repr(cluster_cfg):
+    """A traced run records every processed event's ``repr``, which is
+    what ``tools/trace_view.py`` and the flight recorder show.  Timeout,
+    RPC and process-init names are formatted only when read; the text
+    must not change."""
+    sim = Simulator(seed=42, trace=True)
+    fabric = Fabric(sim, NetworkConfig())
+    host = Node(sim, cluster_cfg.node("host"), fabric)
+    sd = Node(sim, cluster_cfg.node("sd0"), fabric)
+    NFSServer(sd, export_root="/export")
+    mount = NFSMount(NFSClient(host), "sd0")
+    sd.fs.vfs.mkdir("/export")
+    sd.fs.vfs.create("/export/log")
+
+    def poll():
+        yield sim.timeout(0.05)
+        return (yield mount.stat("/log"))
+
+    sim.run(until=sim.spawn(poll(), name="poller"))
+    assert [r.detail for r in sim.obs.records.of_kind("event")] == [
+        "<init:poller ok>",
+        "<Timeout(0.05) ok>",
+        "<host->switch ok>",
+        "<switch->sd0 ok>",
+        "<sd0->switch ok>",
+        "<switch->host ok>",
+        "<nfs-rpc:getattr ok>",
+        "<Process poller ok>",
+    ]

@@ -49,8 +49,8 @@ def test_memory_pressure_slows_cpu(pair):
 def test_service_demux_routing(pair):
     sim, host, sd = pair
     got = []
-    sd.bind("svc-a", lambda msg: got.append(("a", msg.payload["body"], sim.now)))
-    sd.bind("svc-b", lambda msg: got.append(("b", msg.payload["body"], sim.now)))
+    sd.bind("svc-a", lambda msg: got.append(("a", msg.payload, sim.now)))
+    sd.bind("svc-b", lambda msg: got.append(("b", msg.payload, sim.now)))
     sent = []
 
     def producer():

@@ -16,7 +16,7 @@ import re
 
 import pytest
 
-from benchmarks.checks import GATE, OUTPUT, failed, verdict
+from benchmarks.checks import GATE, OUTPUT, failed, leak_scan, verdict
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -157,3 +157,19 @@ def test_quick_shuffle_reports_speedups_without_gating():
     rows = _suite("BENCH_shuffle.json").checks(payload)
     assert verdict(rows) == 0
     assert all(kind == OUTPUT for _, kind, _, _ in rows)
+
+
+def test_leak_scan_reports_spill_dirs_under_its_root_only(tmp_path):
+    """A soak's leak check sees its own spill root, not another run's."""
+    root, elsewhere = tmp_path / "root", tmp_path / "elsewhere"
+    (root / "localmr-spill-mine").mkdir(parents=True)
+    (elsewhere / "localmr-spill-theirs").mkdir(parents=True)
+    (tmp_path / "ssd").mkdir()
+    leaks = leak_scan(str(root), str(tmp_path / "ssd"), str(tmp_path / "gone"))
+    # the registered (live) dirs may include ones other tests still hold
+    planted = {kind: [d for d in dirs if d.startswith(str(tmp_path))]
+               for kind, dirs in leaks.items()}
+    assert planted == {
+        "spill": [str(root / "localmr-spill-mine")],
+        "tier": [str(tmp_path / "ssd")],
+    }

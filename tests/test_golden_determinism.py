@@ -5,7 +5,10 @@ smartFAM invokes over NFS, distributed shuffles over the fabric, heartbeats
 to the failure detector, and one daemon kill and revive.  Every job's finish
 time (its float ``repr``) and output digest are pinned.  A change to the
 network, NFS or kernel code that moves any simulated instant — even by one
-ulp, through a reordered tie — fails here.
+ulp, through a reordered tie — fails here.  So does one that merges, drops
+or adds a kernel event, or moves byte accounting, while every finish time
+stays put: the stream's processed-event count and ``net.bytes`` counter are
+pinned too.
 """
 
 from __future__ import annotations
@@ -49,13 +52,18 @@ GOLDEN = [
     ("44.714402732785224", "3666798130905095e0779b571f83e070c6ccc07efdaa6689fb54ba1b4b72e203"),
     ("20.0", "2eb533b239b508f0342793f0237b43831f9e4bc2cc53778bc4cc8e6e6b559ada"),
 ]
+#: the stream's ``sim.processed_events`` and ``net.bytes`` counter at its end
+GOLDEN_EVENTS = 26423
+GOLDEN_NET_BYTES = 3593821236
 
 
 def digest(output: object) -> str:
     return hashlib.sha256(repr(output).encode()).hexdigest()
 
 
-def run_stream() -> list[tuple[str, str]]:
+def run_stream() -> tuple[list[tuple[str, str]], int, int]:
+    """Per-job (finish time repr, output digest), processed events and
+    ``net.bytes`` at the end of the stream."""
     bed = Testbed(config=table1_cluster(n_sd=2, seed=11), seed=11)
     paths: dict[tuple[str, int], str] = {}
     for app, size in sorted({(app, mb) for _, app, _, mb in STREAM}):
@@ -103,8 +111,11 @@ def run_stream() -> list[tuple[str, str]]:
 
     sim.spawn(chaos(), name="golden.chaos")
     results = bed.run(driver())
-    return [(repr(finished[k]), digest(r.output)) for k, r in enumerate(results)]
+    rows = [(repr(finished[k]), digest(r.output)) for k, r in enumerate(results)]
+    return rows, sim.processed_events, sim.obs.metrics.counters["net.bytes"]
 
 
 def test_golden_stream_finish_times_and_outputs():
-    assert run_stream() == GOLDEN
+    rows, events, net_bytes = run_stream()
+    assert rows == GOLDEN
+    assert (events, net_bytes) == (GOLDEN_EVENTS, GOLDEN_NET_BYTES)

@@ -590,12 +590,12 @@ def engine_case(args: argparse.Namespace):
     with tempfile.TemporaryDirectory(prefix="chaos-soak-") as tmpdir:
         run = functools.partial(
             _run_local, _make_engine_input(tmpdir, args.quick),
-            budget=128 * 1024, chunk=32 * 1024,
+            budget=128 * 1024, chunk=32 * 1024, spill_dir=tmpdir,
         )
         baseline, _, base_res, _ = run(None)
         output, engine, res, _ = run(plan, trace=bool(args.trace))
         output2, engine2, _, _ = run(plan)
-        leaks = leak_scan()
+        leaks = leak_scan(tmpdir)
     same, fired, repro = _replay_rows(
         plan, baseline, (output, engine.faults), (output2, engine2.faults),
         f"{len(baseline)} bytes, {base_res.n_fragments} fragments",
@@ -634,7 +634,8 @@ def tier_kill_writeback_case(args: argparse.Namespace):
     plan = tier_chaos_plan(args.seed)
     with tempfile.TemporaryDirectory(prefix="chaos-soak-") as tmpdir:
         path = _make_engine_input(tmpdir, args.quick)
-        geometry = dict(budget=_TIER_CHAOS_BUDGET, chunk=_TIER_CHAOS_CHUNK)
+        geometry = dict(budget=_TIER_CHAOS_BUDGET, chunk=_TIER_CHAOS_CHUNK,
+                        spill_dir=tmpdir)
         baseline, _, base_res, _ = _run_local(path, None, **geometry)
         run_bytes = base_res.spilled_bytes / base_res.n_fragments
         levels = (int(_TIER_CHAOS_MEM_RUNS * run_bytes),
@@ -648,7 +649,7 @@ def tier_kill_writeback_case(args: argparse.Namespace):
         # the real background drain thread, gated on the answer and the
         # leak check only (its injection interleaving is not seeded)
         output_bg, _, _, store_bg = run(plan, background=True)
-        leaks = leak_scan(store.ssd_dir, store_bg.ssd_dir)
+        leaks = leak_scan(tmpdir, store.ssd_dir, store_bg.ssd_dir)
     same, fired, repro = _replay_rows(
         plan, baseline, (output, engine.faults), (output2, engine2.faults),
         f"{len(baseline)} bytes, {res.n_fragments} runs through a "
