@@ -34,7 +34,9 @@ from repro.core import ScatterGatherEngine, ScatterJob
 from repro.units import MB
 from repro.workloads import FIG8A_SIZES, FIG8BC_SIZES, FIG9_SIZES, size_label, text_input
 
-__all__ = ["FIGURES", "Figure", "Table", "checks", "render_text", "sweep"]
+__all__ = [
+    "FIGURES", "Figure", "Table", "checks", "render_text", "sweep", "trad_over_part",
+]
 
 #: check-row kinds, as in ``benchmarks/checks.py``
 OUTPUT = "output"
@@ -191,7 +193,7 @@ def _growth_tables(r: dict) -> list[Table]:
     return [Table("", ["series", *_labels(FIG8BC_SIZES)], rows, chart="duo SD: seconds vs MB")]
 
 
-def _trad_over_part(r: dict) -> float:
+def trad_over_part(r: dict) -> float:
     """The duo 1.25G traditional/partitioned elapsed-time ratio."""
     return r[("duo", "parallel")][3] / r[("duo", "partitioned")][3]
 
@@ -225,13 +227,13 @@ def _fig8b_note(r: dict) -> str:
     return (
         "partitioned curves grow linearly; traditional bends hard past ~750M and dies (n/s) "
         f"beyond {size_label(FIG8BC_SIZES[last])} — both exactly the paper's story. The duo "
-        f"1.25G traditional/partitioned ratio lands at {_trad_over_part(r):.2f}x against the "
+        f"1.25G traditional/partitioned ratio lands at {trad_over_part(r):.2f}x against the "
         "paper's ~6x."
     )
 
 
 def _fig8b_checks(r: dict) -> list[tuple]:
-    ratio = _trad_over_part(r)  # "partitioned ~1/6 of traditional at huge sizes"
+    ratio = trad_over_part(r)  # "partitioned ~1/6 of traditional at huge sizes"
     return _growth_checks("fig8b", r, 1.8) + [
         _row("fig8b.duo_trad_over_part", ratio > 4.5, f"1.25G {ratio:.2f}x > 4.5"),
     ]
@@ -240,7 +242,7 @@ def _fig8b_checks(r: dict) -> list[tuple]:
 def _fig8c_note(r: dict) -> str:
     return (
         "SM (2x footprint) bends later and gentler than WC (3x) — its duo 1.25G "
-        f"traditional/partitioned ratio is {_trad_over_part(r):.2f}x — so partitioning mostly "
+        f"traditional/partitioned ratio is {trad_over_part(r):.2f}x — so partitioning mostly "
         "extends the supportable range, the paper's point (2) in Section V-B."
     )
 
@@ -249,7 +251,7 @@ def _fig8c_checks(r: dict) -> list[tuple]:
     # point (2): partitioning "can only enhance their supportability of
     # data-size range" — the ratio stays well below WC's ~6x, yet only the
     # partitioned runtime runs at 2G (traditional n/s: the growth rows)
-    ratio = _trad_over_part(r)
+    ratio = trad_over_part(r)
     return _growth_checks("fig8c", r, 1.5) + [
         _row("fig8c.duo_trad_over_part", ratio < 4.0, f"1.25G {ratio:.2f}x < 4.0"),
         _row("fig8c.duo_part_runs_at_2G", r[("duo", "partitioned")][-1] is not None,

@@ -8,11 +8,13 @@ the honest demonstration that the McSD programming framework is
 implementable outside the simulator.
 
 The engine is a bounded-memory streaming pipeline: a persistent worker
-pool (:mod:`repro.exec.pool`) with mmap-backed chunk reads, overlapped
-map/merge via ``imap_unordered``, and an out-of-core fragment mode
-(:mod:`repro.exec.outofcore`) that spills fragment runs to disk when the
-input exceeds the configured memory budget — the paper's Fig 6
-partitioning loop on real hardware.  The pre-streaming barrier engine is
+pool (:mod:`repro.exec.pool`) with mmap-backed chunk reads and a bounded
+submission window, one contiguous share of the chunks per worker per map
+call, overlapped map/merge via ``imap_unordered``, and an out-of-core
+fragment mode (:mod:`repro.exec.outofcore`) that streams every fragment
+through the pool and spills each fragment's run while the workers map the
+next, when the input exceeds the configured memory budget — the paper's
+Fig 6 partitioning loop on real hardware.  The pre-streaming barrier engine is
 frozen in :mod:`repro.exec.seed_engine` for the perf gate.
 
 GIL note: workers are OS *processes* (not threads), so map tasks genuinely

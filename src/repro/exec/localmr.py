@@ -7,26 +7,29 @@ The hot path is a **streaming, bounded-memory pipeline**:
   ``close()``/context manager) and read chunks through per-worker cached
   ``mmap`` handles — no fresh pool fork per job, no open/seek/read per
   chunk.
-* Map tasks are batches of consecutive chunks; each worker folds its
-  batch into one combiner map, so the pool's result pipe carries one
-  pickled map per batch instead of one per chunk.
+* Each map call gives every worker one contiguous *share* of the
+  chunks; a worker folds its share into one combiner map, so the pool's
+  result pipe carries one pickled map per worker instead of one per
+  chunk.
 * There is no ``pool.map`` barrier: results stream back via
   ``imap_unordered`` and are dict-merged into a single accumulator *as
-  they arrive* (a reorder buffer keeps the merge in batch order, so
+  they arrive* (a reorder buffer keeps the merge in share order, so
   results stay deterministic).  Merge CPU overlaps worker map time and
   peak parent memory is O(accumulator + in-flight results), not
   O(all chunks).
 * With a ``memory_budget`` set and an input larger than it, the job runs
-  **out of core** (:mod:`repro.exec.outofcore`): map a fragment at a
-  time, spill each result to disk, then fold the runs (combiner jobs) or
-  ``heapq.merge`` sorted runs (combinerless jobs) before reduce.  Output
-  is identical to the in-memory mode; only peak memory changes.
+  **out of core** (:mod:`repro.exec.outofcore`): every cold fragment's
+  shares stream through one windowed pool call, and the parent spills
+  fragment i's map while the workers map fragment i+1; then it folds the
+  runs (combiner jobs) or ``heapq.merge``-s sorted runs (combinerless
+  jobs) before reduce.  Output is identical to the in-memory mode; only
+  peak memory changes.
 
 API notes: ``map``/``reduce``/``merge`` callbacks mirror
 :class:`~repro.phoenix.api.MapReduceSpec` and must be module-level
 picklable functions (a multiprocessing constraint).  With a
 ``combine_fn`` the engine may pre-combine across any grouping of chunks
-(per batch, per fragment), so the combiner must be an
+(per share, per fragment), so the combiner must be an
 associative/commutative fold — the standard combiner contract.
 
 Tracing: pass an enabled :class:`~repro.obs.registry.Observability` as
@@ -45,13 +48,14 @@ import collections
 import dataclasses
 import hashlib
 import os
+import pickle
 import time
 import typing as _t
 
 from repro.errors import RETRIES, WorkloadError
 from repro.exec.chunks import FileChunk, chunk_file
 from repro.exec.outofcore import plan_fragments, run_out_of_core
-from repro.exec.pool import WorkerPool, run_batch
+from repro.exec.pool import WorkerPool, run_batch, run_share
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import Observability
 from repro.phoenix.sort import (
@@ -81,10 +85,6 @@ _UNSET = object()
 
 #: cached chunk plans per engine (repeat jobs over an unchanged file)
 _MAX_CACHED_PLANS = 4
-
-#: pool batches per worker for a parallel map (a slow batch leaves the
-#: other workers one more to take)
-_BATCHES_PER_WORKER = 2
 
 
 @dataclasses.dataclass
@@ -231,8 +231,10 @@ class LocalMapReduce:
                 chunks = self._plan_chunks(path, st, chunk_bytes)
 
             if out_of_core:
-                def map_fragment(fragment: _t.Sequence[FileChunk]) -> dict:
-                    return self._map_chunks(fragment, params, parallel, job_sp)
+                def map_fragments(
+                    fragments: _t.Sequence[_t.Sequence[FileChunk]],
+                ) -> _t.Iterator[dict]:
+                    return self._map_fragments(fragments, params, parallel, job_sp)
 
                 tier_key = None
                 if self.tier is not None:
@@ -246,7 +248,7 @@ class LocalMapReduce:
                         depth=self.readahead, obs=obs,
                     )
                 out, n_fragments, spilled = run_out_of_core(
-                    chunks, map_fragment, self.combine_fn, self.reduce_fn,
+                    chunks, map_fragments, self.combine_fn, self.reduce_fn,
                     self.sort_output, params, budget, obs, self.spill_dir,
                     faults=self.faults,
                     max_retries=self.spill_retries,
@@ -254,7 +256,7 @@ class LocalMapReduce:
                     prefetcher=prefetcher,
                 )
             else:
-                merged = self._map_chunks(chunks, params, parallel, job_sp)
+                (merged,) = self._map_fragments([chunks], params, parallel, job_sp)
                 with obs.span("localmr.merge", cat="localmr", track="localmr"):
                     if self.combine_fn is not None:
                         # the accumulator is scalar-folded (fold_map_into)
@@ -333,19 +335,22 @@ class LocalMapReduce:
             plans.move_to_end(key)
         return chunks
 
-    def _map_chunks(
+    def _map_fragments(
         self,
-        chunks: _t.Sequence[FileChunk],
+        fragments: _t.Sequence[_t.Sequence[FileChunk]],
         params: dict,
         parallel: bool,
         job_sp: object,
-    ) -> dict:
-        """Map ``chunks`` into one merged combiner map.
+    ) -> _t.Iterator[dict]:
+        """Map each fragment into one merged combiner map, yielding the
+        maps in fragment order.
 
-        Parallel path: batches stream through the persistent pool via
-        ``imap_unordered``; each arriving map is folded into the
-        accumulator immediately (reorder buffer keeps batch order, so the
-        result is deterministic).  Serial path: one batch per chunk,
+        Parallel path: every fragment is cut into one contiguous share
+        per worker, and all shares stream through *one* windowed
+        ``imap_unordered`` call, so the workers map fragment i+1 while the
+        caller spills fragment i.  Each arriving map is folded into its
+        fragment's accumulator at once (a reorder buffer keeps task order,
+        so the result is deterministic).  Serial path: one task per chunk,
         in-process — the seed dataflow, byte for byte.
 
         With a ``combine_fn`` the accumulator is *scalar-folded*
@@ -357,51 +362,65 @@ class LocalMapReduce:
         obs = self.obs
         want_spans = obs.enabled
         combine_fn = self.combine_fn
-        use_pool = parallel and self.n_workers > 1 and len(chunks) > 1
-        if use_pool:
-            n_batches = min(
-                len(chunks), self.n_workers * _BATCHES_PER_WORKER
-            )
-            per = -(-len(chunks) // n_batches)  # ceil division
-            batches = [chunks[i : i + per] for i in range(0, len(chunks), per)]
-        else:
-            batches = [[c] for c in chunks]
-        tasks = [
-            (i, batch, self.map_fn, combine_fn, params, want_spans)
-            for i, batch in enumerate(batches)
-        ]
+        n_chunks = sum(map(len, fragments))
+        use_pool = parallel and self.n_workers > 1 and n_chunks > 1
+        tasks: list[tuple] = []
+        #: one past each fragment's last task index
+        ends: list[int] = []
+        for fragment in fragments:
+            size = len(fragment)
+            # contiguous shares, in chunk order; an empty input is one
+            # empty share, which maps to an empty map
+            n = max(1, min(size, self.n_workers) if use_pool else size)
+            for k in range(n):
+                share = fragment[size * k // n : size * (k + 1) // n]
+                tasks.append(
+                    (len(tasks), share, self.map_fn, combine_fn, params, want_spans)
+                )
+            ends.append(len(tasks))
 
-        merged: dict = {}
         with obs.span(
             "localmr.map_pool", cat="localmr", track="localmr",
-            chunks=len(chunks), batches=len(batches),
+            chunks=n_chunks, tasks=len(tasks), fragments=len(fragments),
             transport="pickle" if use_pool else "inline",
         ):
             if use_pool:
-                results: _t.Iterable = self.pool.imap_unordered(run_batch, tasks)
+                results: _t.Iterable = self.pool.imap_unordered(run_share, tasks)
             else:
                 results = map(run_batch, tasks)
-            pending: dict[int, dict] = {}
+            pending: dict[int, object] = {}
             next_index = 0
+            fragment_index = 0
+            merged: dict = {}
             for index, acc, segments in results:
                 if want_spans and segments:
                     self._stitch(segments, job_sp)
-                # merge in batch order as soon as the order is available:
-                # merge CPU overlaps the still-running map tasks
+                # merge in task order as soon as the order is available:
+                # merge CPU overlaps the still-running map tasks.  A pool
+                # result waits here as its pickle (compact, see
+                # run_share), and the buffer holds the only reference, so
+                # a fragment being spilled pins no share already merged
                 pending[index] = acc
+                del acc
                 while next_index in pending:
                     arrived = pending.pop(next_index)
+                    if use_pool:
+                        arrived = pickle.loads(arrived)
                     if not merged:
-                        # adopt batch 0 outright: it is freshly
-                        # unpickled (or run_batch's own accumulator),
-                        # exclusively ours — no key-by-key fold needed
+                        # adopt the fragment's first map outright: it is
+                        # freshly unpickled (or run_batch's own
+                        # accumulator), exclusively ours — no fold needed
                         merged = arrived
                     elif combine_fn is not None:
                         fold_map_into(merged, arrived, combine_fn)
                     else:
                         merge_map_into(merged, arrived)
+                    del arrived
                     next_index += 1
-        return merged
+                    if next_index == ends[fragment_index]:
+                        yield merged
+                        merged = {}
+                        fragment_index += 1
 
     def _stitch(self, segments: list, job_sp: object) -> None:
         """Attach worker-recorded wall-clock segments to the trace, one

@@ -3,10 +3,13 @@
 When a job's input exceeds the engine's memory budget, the streaming
 engine runs the paper's partitioning extension for real: the chunk plan is
 grouped into consecutive *fragments* no larger than the budget, each
-fragment is mapped on its own, and its result is spilled as a *run* of
-pickled blocks.  At any instant the parent holds one fragment's
-accumulator — not the whole input's — which is what bounds peak RSS.
-A combiner job spills its folded map as it stands, then folds the runs,
+fragment is mapped into one map, and that map is spilled as a *run* of
+pickled blocks.  The fragments do not wait for each other: every cold
+fragment streams through one engine call, and the parent spills fragment
+i, in fragment order, while the workers already map fragment i+1.  The
+parent holds the fragment being spilled plus the engine's bounded window
+of results in flight — not the whole input — which is what bounds peak
+RSS.  A combiner job spills its folded map as it stands, then folds the runs,
 one block at a time in fragment order, into one accumulator with the
 in-memory path's ``fold_map_into`` and ``finalize_folded_map``.  A
 combinerless job's value lists must stream: its runs are decorate-sorted
@@ -509,7 +512,7 @@ def _finalize_stream(
 
 def run_out_of_core(
     chunks: _t.Sequence[FileChunk],
-    map_fragment: _t.Callable[[_t.Sequence[FileChunk]], dict],
+    map_fragments: _t.Callable[[list[_t.Sequence[FileChunk]]], _t.Iterator[dict]],
     combine_fn: _t.Callable | None,
     reduce_fn: _t.Callable | None,
     sort_output: bool,
@@ -523,16 +526,20 @@ def run_out_of_core(
     tier_key: str | None = None,
     prefetcher: "ReadaheadPrefetcher | None" = None,
 ) -> tuple[list[tuple[object, object]], int, int]:
-    """Fragment-at-a-time map and spill, then merge and finalize.
+    """Streamed map and spill of every fragment, then merge and finalize.
 
-    ``map_fragment`` is the engine's chunk-mapping closure (pool or
-    in-process) returning one map per fragment: with a ``combine_fn`` a
-    folded ``key -> value`` map (so ``reduce_fn`` gets one folded partial
-    per key, as in memory), else a ``key -> values`` map.
-    Returns ``(output, n_fragments, spilled_bytes)``.  Spill files live
-    under a fresh directory inside ``spill_dir`` (default: the system
-    temp dir) and are removed whether the run succeeds or raises — with
-    an ``atexit`` finalizer backstopping interpreter teardown.
+    ``map_fragments`` is the engine's mapping stream (pool or
+    in-process): given a list of fragments it returns an iterator of one
+    map per fragment, in fragment order — with a ``combine_fn`` a folded
+    ``key -> value`` map (so ``reduce_fn`` gets one folded partial per
+    key, as in memory), else a ``key -> values`` map.  Every cold
+    fragment goes through one stream, and each map is spilled as it
+    arrives, so the engine's workers map fragment i+1 while this spills
+    fragment i.  The stream is closed (when it has ``close``) if a spill
+    fails.  Returns ``(output, n_fragments, spilled_bytes)``.  Spill files
+    live under a fresh directory inside ``spill_dir`` (default: the
+    system temp dir) and are removed whether the run succeeds or raises —
+    with an ``atexit`` finalizer backstopping interpreter teardown.
 
     With a ``tier`` (:class:`~repro.tier.store.TieredStore`), runs go
     into the burst buffer instead of plain spill files: each fragment's
@@ -546,14 +553,14 @@ def run_out_of_core(
     each merge attempt (``contains``) and recomputed from the input file;
     a corrupted payload fails the crc check, is invalidated and
     recomputed.  Loss costs time, never answers.  ``prefetcher`` is
-    advised as each fragment starts mapping (never for a warm run) so the
-    next fragment's chunks warm the page cache while this one maps.
+    advised once per cold fragment, before its map is awaited (never for
+    a warm run), so the fragments after it warm the page cache.
 
     Recovery: a transient spill-write failure re-spills the fragment; a
     durably corrupt block found during the merge recomputes *that*
-    fragment from its source chunks and restarts the merge; a transient
-    merge-side failure just restarts the merge.  All three are bounded by
-    ``max_retries`` per stage and classified via
+    fragment (a stream of one) from its source chunks and restarts the
+    merge; a transient merge-side failure just restarts the merge.  All
+    three are bounded by ``max_retries`` per stage and classified via
     :func:`repro.errors.is_retryable` — permanent errors propagate at
     once.
     """
@@ -573,6 +580,8 @@ def run_out_of_core(
     #: fragment indices whose current run lives in a plain spill file
     #: rather than the tier (the durable fallback for merge recovery)
     on_disk: set[int] = set()
+    #: where each fragment's current run lives (tier key or file path)
+    run_sources = [""] * len(fragments)
 
     def ensure_tmpdir() -> str:
         nonlocal tmpdir
@@ -588,36 +597,18 @@ def run_out_of_core(
             return f"{tier_key or 'localmr'}/bv{block_values}/run-{i:05d}"
         return os.path.join(ensure_tmpdir(), f"run-{i:05d}.spill")
 
-    def spill_fragment(i: int, to_disk: bool = False) -> str:
-        """Map fragment ``i`` and spill its run (with bounded retry on
-        transient write faults).  With a warm tier the whole pipeline is
-        skipped when the run is already resident.
-
-        ``to_disk`` forces the run into a plain spill file even when a
-        tier is attached: the durable fallback for merge recovery, so a
-        tier too small to hold the whole run set (each recompute's
-        ``put`` can evict another run it is merging with) converges
-        instead of burning every retry on capacity churn.
-        """
+    def spill(i: int, run: dict) -> None:
+        """Spill fragment ``i``'s map as its run, with bounded retry on
+        transient write faults."""
         nonlocal spilled
-        if to_disk:
-            on_disk.add(i)
-        source = run_source(i)
+        source = run_sources[i]
         use_tier = tier is not None and i not in on_disk
-        if use_tier and tier.contains(source):
-            # warm run: the tier still holds this fragment's spill from a
-            # previous identical job — nothing to map, nothing to write
-            obs.count("tier.spill.reuse")
-            return source
-        if prefetcher is not None:
-            prefetcher.advise(i)
         fragment = fragments[i]
         with obs.span(
             "localmr.fragment", cat="localmr", track="localmr",
             index=i, chunks=len(fragment),
             bytes=sum(c.length for c in fragment),
         ):
-            run = map_fragment(fragment)
             if combine_fn is None:
                 # value lists stream through the heap merge: sort the run
                 run = decorate_sorted(run)
@@ -645,11 +636,44 @@ def run_out_of_core(
                         obs.count("retry.count")
                         obs.count("retry.spill_write")
                 spill_sp.set(bytes=nbytes, entries=len(run))
-            del run
             obs.count("localmr.spill_bytes", nbytes)
             obs.count("localmr.spill_runs")
             spilled += nbytes
-        return source
+
+    def map_and_spill(indices: _t.Iterable[int], to_disk: bool = False) -> None:
+        """Map fragments ``indices`` through one stream and spill each run,
+        in fragment order, as its map arrives.  A run the tier still
+        holds from a previous identical job is reused: nothing to map,
+        nothing to write.
+
+        ``to_disk`` forces the runs into plain spill files even when a
+        tier is attached: the durable fallback for merge recovery, so a
+        tier too small to hold the whole run set (each recompute's
+        ``put`` can evict another run it is merging with) converges
+        instead of burning every retry on capacity churn.
+        """
+        cold = []
+        for i in indices:
+            if to_disk:
+                on_disk.add(i)
+            run_sources[i] = run_source(i)
+            if tier is not None and i not in on_disk and tier.contains(run_sources[i]):
+                obs.count("tier.spill.reuse")
+            else:
+                cold.append(i)
+        if not cold:
+            return
+        stream = iter(map_fragments([fragments[i] for i in cold]))
+        try:
+            for i in cold:
+                if prefetcher is not None:
+                    prefetcher.advise(i)
+                spill(i, next(stream))
+            next(stream, None)  # let the stream end, and its spans close, normally
+        finally:
+            close = getattr(stream, "close", None)
+            if close is not None:
+                close()
 
     def open_blocks(j: int) -> _t.Iterator:
         """Run ``j``'s verified blocks, from its file or the tier."""
@@ -677,7 +701,7 @@ def run_out_of_core(
         return finalize_folded_map(acc, reduce_fn, sort_output, params)
 
     try:
-        run_sources = [spill_fragment(i) for i in range(len(fragments))]
+        map_and_spill(range(len(fragments)))
         for attempt in range(max_retries + 1):
             try:
                 if tier is not None:
@@ -691,9 +715,7 @@ def run_out_of_core(
                             # retry attempts recompute onto durable disk:
                             # re-putting into a thrashing tier could evict
                             # a sibling run and spin the merge forever
-                            run_sources[j] = spill_fragment(
-                                j, to_disk=attempt > 0
-                            )
+                            map_and_spill([j], to_disk=attempt > 0)
                 with obs.span(
                     "localmr.merge", cat="localmr", track="localmr",
                     runs=len(run_sources),
@@ -720,9 +742,7 @@ def run_out_of_core(
                     obs.count("localmr.recompute")
                     if tier is not None and exc.run_index not in on_disk:
                         tier.invalidate(run_sources[exc.run_index])
-                    run_sources[exc.run_index] = spill_fragment(
-                        exc.run_index, to_disk=attempt > 0
-                    )
+                    map_and_spill([exc.run_index], to_disk=attempt > 0)
             except Exception as exc:
                 if not is_retryable(exc) or attempt == max_retries:
                     raise

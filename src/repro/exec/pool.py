@@ -11,10 +11,17 @@ dataflow in :mod:`repro.exec.localmr`:
   ``open``+``mmap`` per file per worker lifetime instead of the seed's
   open/seek/read syscall triple per chunk, with slices served straight
   from the page cache.
-* Map tasks are *batches* of consecutive chunks (:func:`run_batch`).  A
-  worker folds every chunk of its batch into one combiner map and ships
-  that single map back, so result traffic scales with batches (a few per
-  worker) rather than chunks.
+* Map tasks are *shares*: runs of consecutive chunks
+  (:func:`run_batch`), one share per worker per map call.  A worker folds
+  every chunk of its share into one combiner map and ships that single
+  map back, so the parent unpickles and folds one result per worker per
+  job (or out-of-core fragment) rather than one per chunk.
+* Submission is windowed: :meth:`WorkerPool.imap_unordered` submits a
+  task only while it is less than :data:`TASKS_PER_WORKER` tasks per
+  worker past the oldest task not yet yielded, so an out-of-core job
+  streams every fragment's shares through one call — the workers map
+  the next fragment while the parent folds and spills this one — with a
+  bounded number of results waiting on the parent.
 * Results take one path, the executor's result pipe: the worker pickles
   its result itself (:func:`_pickled`) and the parent counts the payload
   into ``transport.bytes`` and unpickles it as it consumes the future,
@@ -33,13 +40,14 @@ worker death (``BrokenProcessPool``) where the latter hangs an
 dispatch rounds: pending tasks are submitted, results stream back as
 they complete, and failures are classified through
 :func:`repro.errors.is_retryable` — transient ones (a dead worker, an
-injected fault) are re-dispatched on the next round with a bounded
-per-task retry budget, permanent ones (a bug in the map function)
-surface immediately.  A broken executor is torn down and respawned
-between rounds.  Injected faults at the ``pool.worker`` site are
-decided parent-side at submission time (deterministic given the plan
-seed): *kill* replaces the task body with an ``os._exit`` so the worker
-genuinely dies mid-task, *fail* replaces it with a raise.
+injected fault) end the round and are re-dispatched on the next with a
+bounded per-task retry budget, permanent ones (a bug in the map
+function) surface immediately.  A broken executor is torn down and
+respawned between rounds.  Injected faults at the ``pool.worker`` site
+are decided parent-side for a whole round before it submits anything,
+once per (task, attempt) (deterministic given the plan seed): *kill*
+replaces the task body with an ``os._exit`` so the worker genuinely dies
+mid-task, *fail* replaces it with a raise.
 """
 
 from __future__ import annotations
@@ -75,7 +83,19 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.obs import Observability
 
-__all__ = ["WorkerPool", "read_chunk_cached", "resolve_start_method", "run_batch"]
+__all__ = [
+    "TASKS_PER_WORKER",
+    "WorkerPool",
+    "read_chunk_cached",
+    "resolve_start_method",
+    "run_batch",
+    "run_share",
+]
+
+#: tasks each worker may have outstanding (submitted, result not yet
+#: yielded): one running and one queued behind it, so a worker that
+#: finishes a share starts the next without waiting on the parent
+TASKS_PER_WORKER = 2
 
 # C helper behind collections.Counter: folds an iterable of hashables into
 # a dict at C speed (``d[k] = d.get(k, 0) + 1`` per element, no Python
@@ -128,13 +148,14 @@ def _heartbeat(index: int) -> tuple | None:
 
 
 def run_batch(args: tuple) -> tuple[int, dict, list | None]:
-    """Worker body: map a batch of consecutive chunks into one combiner map.
+    """Worker body: map a share of consecutive chunks into one combiner map.
 
-    Returns ``(batch_index, combiner_map, segments)``.  All of the batch's
-    chunks fold into a single accumulator — with a ``combine_fn`` this is
-    worker-side combining across chunks (licensed by the combiner contract:
-    an associative/commutative fold), without one it is value-list
-    extension in chunk order — so the result pipe carries one map per batch.
+    Returns ``(task_index, combiner_map, segments)``.  All of the share's
+    chunks fold into a single accumulator, in chunk order — with a
+    ``combine_fn`` this is worker-side combining across chunks (licensed
+    by the combiner contract: an associative/commutative fold), without
+    one it is value-list extension in chunk order — so the result pipe
+    carries one map per share.
     The fold is specialized per combiner shape: the hot (existing-key)
     path is a bare ``try``/``except`` dict probe — zero-cost when the key
     is present under CPython 3.11 — and ``operator.add`` combiners fold
@@ -152,7 +173,7 @@ def run_batch(args: tuple) -> tuple[int, dict, list | None]:
     ``segments`` are wall-clock span tuples ``(name, t0, t1, wall_dur,
     attrs)`` per chunk when tracing is on, else ``None`` (tracing-off runs
     ship nothing extra).  The final segment of a traced
-    batch is a ``worker.heartbeat`` pseudo-segment carrying the worker's
+    share is a ``worker.heartbeat`` pseudo-segment carrying the worker's
     RSS, cumulative CPU seconds, and utilization since its previous
     heartbeat — the parent stitches it into per-worker time series rather
     than the span tree.
@@ -238,6 +259,18 @@ def run_batch(args: tuple) -> tuple[int, dict, list | None]:
     return index, acc, segments
 
 
+def run_share(args: tuple) -> tuple[int, bytes, list | None]:
+    """Pool body of the engine: :func:`run_batch` with the map pickled.
+
+    The parent unpickles the small outer tuple on arrival and the map
+    only when its turn to merge comes, so a share that finished out of
+    order waits in the reorder buffer as compact bytes rather than as a
+    live dict several times larger.
+    """
+    index, acc, segments = run_batch(args)
+    return index, pickle.dumps(acc, pickle.HIGHEST_PROTOCOL), segments
+
+
 def resolve_start_method(preferred: str | None = None) -> str:
     """Pick the multiprocessing start method for a :class:`WorkerPool`.
 
@@ -307,7 +340,7 @@ def _pickled(packed: tuple) -> bytes:
 class WorkerPool:
     """A lazily created, persistent, crash-tolerant process pool.
 
-    The pool is built on first use and reused for every subsequent batch
+    The pool is built on first use and reused for every subsequent
     submission until :meth:`close` — across fragments of one out-of-core
     job and across jobs on the same engine — so worker processes keep
     their warm module imports and mmap handle caches.  Usable as a
@@ -427,14 +460,21 @@ class WorkerPool:
     def imap_unordered(
         self, fn: _t.Callable, tasks: _t.Sequence
     ) -> _t.Iterator:
-        """Submit ``tasks`` and yield results as they complete.
+        """Submit ``tasks`` in index order and yield results as they complete.
 
-        Completion order is arbitrary; callers that need determinism
-        reorder on the task index (see the engine's reorder-buffer merge).
-        Tasks whose worker dies (or whose injected fault fires) are
-        re-dispatched in later rounds, up to ``max_task_retries`` per
-        task; a permanent (non-retryable) task exception propagates
-        immediately.
+        A task is submitted only while its index is less than
+        ``TASKS_PER_WORKER x n_workers`` past the oldest task not yet
+        yielded, so at most that many are outstanding (submitted and not
+        yet yielded) and a long task list — an out-of-core job's every
+        fragment — streams through the pool while the parent holds a
+        bounded number of results.  Completion order is arbitrary;
+        callers that need determinism reorder on the task index (see the
+        engine's reorder-buffer merge), and the window bounds that buffer
+        too.  Tasks whose worker dies
+        (or whose injected fault fires) are re-dispatched in later rounds,
+        up to ``max_task_retries`` per task; a permanent (non-retryable)
+        task exception propagates immediately.  Closing the iterator early
+        cancels every task not yet started.
         """
         return self._run_rounds(fn, list(tasks))
 
@@ -462,72 +502,100 @@ class WorkerPool:
         return calls
 
     def _run_rounds(self, fn: _t.Callable, tasks: list) -> _t.Iterator:
+        """Dispatch rounds over a bounded submission window.
+
+        A round decides the faults of every task that needs a decision
+        (all of them at first, then the ones that failed), then submits
+        the planned tasks lowest index first as the window slides.  The
+        first failure ends the round: nothing more is submitted, the tasks
+        in flight drain, and the failed ones are re-planned at their next
+        attempt.  A task the round never submitted keeps its decision, so
+        every (task, attempt) pair is decided exactly once.
+        """
+        window = TASKS_PER_WORKER * self.n_workers
         attempts = [0] * len(tasks)
-        pending = set(range(len(tasks)))
-        while pending:
-            executor = self.ensure()
-            calls = self._plan_round(fn, pending, attempts)
-            futures: dict[_cf.Future, int] = {}
-            broken = False
-            failed: list[tuple[int, BaseException]] = []
-            for i in sorted(pending):
-                try:
-                    futures[executor.submit(_pickled, (calls[i], tasks[i]))] = i
-                except (BrokenProcessPool, RuntimeError):
-                    # the break surfaced at submit time; unsubmitted
-                    # tasks simply stay pending for the next round
-                    broken = True
-                    break
-            while futures:
-                done, _ = _cf.wait(futures, return_when=_cf.FIRST_COMPLETED)
-                for fut in done:
-                    # pop our reference immediately: a finished Future
-                    # pins its result object, and holding the whole
-                    # round's futures would make parent memory O(all
-                    # results) — the barrier the streaming merge exists
-                    # to avoid
-                    i = futures.pop(fut)
-                    try:
-                        raw = fut.result()
-                    except (BrokenProcessPool, _cf.CancelledError) as exc:
-                        broken = True
-                        failed.append(
-                            (i, WorkerCrashError(
-                                f"worker died while running task {i}: {exc}",
-                                task_index=i,
-                            ))
-                        )
-                        continue
-                    except BaseException as exc:
-                        if is_retryable(exc):
-                            failed.append((i, exc))
+        #: decided but not yet submitted: task index -> task body
+        planned: dict[int, _t.Callable] = {}
+        to_plan: _t.Iterable[int] = range(len(tasks))
+        futures: dict[_cf.Future, int] = {}
+        try:
+            while to_plan or planned:
+                planned.update(self._plan_round(fn, to_plan, attempts))
+                order = collections.deque(sorted(planned))
+                executor = self.ensure()
+                broken = False
+                failed: list[tuple[int, BaseException]] = []
+                while True:
+                    # top up the window, which starts at the oldest task
+                    # not yet handed over, so a straggler also bounds the
+                    # results a caller buffers to restore task order; stop
+                    # submitting once anything failed
+                    while order and not (broken or failed):
+                        i = order[0]
+                        if i >= min(futures.values(), default=i) + window:
+                            break
+                        try:
+                            fut = executor.submit(_pickled, (planned[i], tasks[i]))
+                        except (BrokenProcessPool, RuntimeError):
+                            # the break surfaced at submit time; unsubmitted
+                            # tasks keep their decision for the next round
+                            broken = True
+                            break
+                        futures[fut] = i
+                        del planned[order.popleft()]
+                    if not futures:
+                        break
+                    done, _ = _cf.wait(futures, return_when=_cf.FIRST_COMPLETED)
+                    for fut in done:
+                        # pop our reference immediately: a finished Future
+                        # pins its result object
+                        i = futures.pop(fut)
+                        try:
+                            raw = fut.result()
+                        except (BrokenProcessPool, _cf.CancelledError) as exc:
+                            broken = True
+                            failed.append(
+                                (i, WorkerCrashError(
+                                    f"worker died while running task {i}: {exc}",
+                                    task_index=i,
+                                ))
+                            )
                             continue
-                        raise  # permanent: retrying a deterministic bug is futile
+                        except BaseException as exc:
+                            if is_retryable(exc):
+                                failed.append((i, exc))
+                                continue
+                            raise  # permanent: retrying a deterministic bug is futile
+                        if self.obs is not None:
+                            self.obs.count("transport.bytes", len(raw))
+                        yield pickle.loads(raw)
+                if broken:
+                    self.respawns += 1
                     if self.obs is not None:
-                        self.obs.count("transport.bytes", len(raw))
-                    pending.discard(i)
-                    yield pickle.loads(raw)
-            if broken:
-                self.respawns += 1
-                if self.obs is not None:
-                    self.obs.count("pool.respawn")
-                # discard the dead executor; the next round respawns it
-                self.close()
-            for i, exc in failed:
-                attempts[i] += 1
-                if attempts[i] > self.max_task_retries:
-                    msg = (
-                        f"task {i} failed after {attempts[i]} attempts "
-                        f"(last: {exc})"
-                    )
-                    box = self._dump_blackbox(i, exc)
-                    if box is not None:
-                        msg += f" [black box: {box}]"
-                    raise mark_retryable(
-                        WorkerCrashError(msg, task_index=i),
-                        False,
-                    ) from exc
-                self.redispatches += 1
-                if self.obs is not None:
-                    self.obs.count("retry.count")
-                    self.obs.count("retry.pool")
+                        self.obs.count("pool.respawn")
+                    # discard the dead executor; the next round respawns it
+                    self.close()
+                for i, exc in failed:
+                    attempts[i] += 1
+                    if attempts[i] > self.max_task_retries:
+                        msg = (
+                            f"task {i} failed after {attempts[i]} attempts "
+                            f"(last: {exc})"
+                        )
+                        box = self._dump_blackbox(i, exc)
+                        if box is not None:
+                            msg += f" [black box: {box}]"
+                        raise mark_retryable(
+                            WorkerCrashError(msg, task_index=i),
+                            False,
+                        ) from exc
+                    self.redispatches += 1
+                    if self.obs is not None:
+                        self.obs.count("retry.count")
+                        self.obs.count("retry.pool")
+                to_plan = [i for i, _ in failed]
+        finally:
+            # an abandoned stream (the consumer raised or stopped early)
+            # must not leave queued tasks to run for nobody
+            for fut in futures:
+                fut.cancel()

@@ -8,7 +8,8 @@ reading in the background; the hint itself costs one ``open`` per file
 and one syscall per chunk, and reads no bytes into this process.
 
 ``advise(i)`` is the engine's only integration point: call it when
-fragment ``i`` *starts*; the prefetcher hints the fragments after it and
+fragment ``i`` *starts* (``run_out_of_core`` calls it before it awaits
+fragment ``i``'s map); the prefetcher hints the fragments after it and
 skips anything already hinted.  It never raises into the engine — a hint
 that fails (file gone, descriptor error) is counted and dropped — and it
 is a no-op where the platform has no ``posix_fadvise``.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import glob
 import operator
 import os
+import pickle
 from collections import Counter
 
 import pytest
@@ -13,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.wordcount import wc_map, wc_reduce
 from repro.errors import WorkloadError
 from repro.exec import LocalMapReduce, plan_fragments
-from repro.exec.chunks import FileChunk
+from repro.exec.chunks import FileChunk, chunk_file
 import repro.exec.outofcore as outofcore
 from repro.exec.outofcore import dump_run, iter_run, iter_run_bytes, write_run
 from repro.obs import Observability
 from repro.phoenix.sort import decorate_sorted
+from repro.tier import TieredStore
 from repro.workloads import zipf_corpus
 
 
@@ -254,3 +256,130 @@ def test_property_out_of_core_reduce_sees_in_memory_partials(
     assert dict(ooc.output) == {
         k: (1, n) for k, n in Counter(data.split()).items()
     }
+
+
+# -- streamed fragments ---------------------------------------------------------
+
+#: fixed-width tokens: two-byte key + four-digit position, one delimiter
+#: after each, so chunk and fragment boundaries fall where they are drafted
+_KEYS = (b"ab", b"cd", b"ef", b"gh", b"ij")
+_TOKEN_BYTES = 7
+
+
+def _key_map(data, emit, params):
+    # module-level: crosses the multiprocessing pickle boundary
+    for tok in data.split():
+        emit(tok[:2], 1)
+
+
+def _position_map(data, emit, params):
+    # value lists carry global positions, so their order is observable
+    for tok in data.split():
+        emit(tok[:2], tok[2:])
+
+
+@st.composite
+def _fragment_layouts(draw):
+    """(tokens, chunk_bytes, budget) for an out-of-core run of 1-6
+    fragments (one fragment: a single chunk over budget)."""
+    n_fragments = draw(st.integers(min_value=1, max_value=6))
+    per_fragment = 1 if n_fragments == 1 else draw(st.integers(1, 3))
+    per_chunk = draw(st.integers(min_value=1, max_value=6))
+    n_tokens = n_fragments * per_fragment * per_chunk
+    keys = draw(st.lists(st.sampled_from(_KEYS), min_size=n_tokens, max_size=n_tokens))
+    tokens = [key + b"%04d" % i for i, key in enumerate(keys)]
+    chunk_bytes = per_chunk * _TOKEN_BYTES
+    budget = per_fragment * chunk_bytes if n_fragments > 1 else chunk_bytes - 1
+    return tokens, chunk_bytes, budget, n_fragments
+
+
+@given(
+    layout=_fragment_layouts(),
+    combiner=st.booleans(),
+    n_workers=st.sampled_from([2, 3]),
+    tiered=st.booleans(),
+)
+@settings(max_examples=20, deadline=None)
+def test_property_streamed_fragments_are_byte_identical(
+    tmp_path_factory, layout, combiner, n_workers, tiered
+):
+    tokens, chunk_bytes, budget, n_fragments = layout
+    d = tmp_path_factory.mktemp("stream")
+    path = str(d / "corpus")
+    with open(path, "wb") as f:
+        f.write(b"".join(tok + b" " for tok in tokens))
+    if combiner:
+        kw = dict(map_fn=_key_map, reduce_fn=wc_reduce, combine_fn=operator.add,
+                  sort_output=True)
+    else:
+        kw = dict(map_fn=_position_map)
+    tier = TieredStore(256, 4096, writeback=False) if tiered else None
+    try:
+        with LocalMapReduce(
+            n_workers=n_workers, start_method="fork", spill_dir=str(d),
+            tier=tier, **kw,
+        ) as eng:
+            runs = {
+                "serial": eng.run(path, chunk_bytes, parallel=False),
+                "memory": eng.run(path, chunk_bytes),
+                "serial-ooc": eng.run(path, chunk_bytes, parallel=False,
+                                      memory_budget=budget),
+                "outofcore": eng.run(path, chunk_bytes, memory_budget=budget),
+            }
+    finally:
+        if tier is not None:
+            tier.close()
+    assert runs["outofcore"].mode == "outofcore"
+    assert runs["outofcore"].n_fragments == n_fragments
+    expected = pickle.dumps(runs["serial"].output)
+    for name, res in runs.items():
+        assert pickle.dumps(res.output) == expected, name
+    if not combiner:
+        # global chunk order survives the shares and the fragments
+        positions = [int(p) for _, values in runs["serial"].output for p in values]
+        assert sorted(positions) == list(range(len(tokens)))
+        for _, values in runs["serial"].output:
+            assert values == sorted(values)
+
+
+def test_next_fragment_is_submitted_before_this_one_spills(tmp_path, monkeypatch):
+    tokens = [_KEYS[i % 5] + b"%04d" % i for i in range(240)]
+    path = str(tmp_path / "corpus")
+    with open(path, "wb") as f:
+        f.write(b"".join(tok + b" " for tok in tokens))
+    chunk_bytes, budget = 10 * _TOKEN_BYTES, 40 * _TOKEN_BYTES
+    fragment_of = {
+        chunk.offset: i
+        for i, fragment in enumerate(plan_fragments(chunk_file(path, chunk_bytes), budget))
+        for chunk in fragment
+    }
+    events: list[tuple[str, int]] = []
+    real_write_run = outofcore.write_run
+
+    def write_run(*args, **kwargs):
+        events.append(("spill", kwargs["run_index"]))
+        return real_write_run(*args, **kwargs)
+
+    monkeypatch.setattr(outofcore, "write_run", write_run)
+    with LocalMapReduce(
+        map_fn=_key_map, combine_fn=operator.add, n_workers=2,
+        start_method="fork", spill_dir=str(tmp_path),
+    ) as eng:
+        executor = eng.pool.ensure()
+        real_submit = executor.submit
+
+        def submit(fn, packed):
+            share = packed[1][1]
+            events.append(("submit", fragment_of[share[0].offset]))
+            return real_submit(fn, packed)
+
+        executor.submit = submit
+        res = eng.run(path, chunk_bytes, memory_budget=budget)
+    assert res.n_fragments == 6
+    assert dict(res.output) == dict(Counter(tok[:2] for tok in tokens))
+    # one share per worker per fragment, all through one stream
+    assert [e for e in events if e[0] == "submit"] == [
+        ("submit", i) for i in range(6) for _ in range(2)
+    ]
+    for i in range(res.n_fragments - 1):
+        assert events.index(("submit", i + 1)) < events.index(("spill", i))

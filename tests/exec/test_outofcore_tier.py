@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 
@@ -36,7 +37,8 @@ def run_job(path, tier=None, faults=None, obs=None, max_retries=2,
     obs = obs or Observability(enabled=False)
     chunks = chunk_file(path, 1024)
     out, n_fragments, spilled = run_out_of_core(
-        chunks, wc_fragment, operator.add, None, True, {}, budget, obs,
+        chunks, functools.partial(map, wc_fragment), operator.add, None, True,
+        {}, budget, obs,
         faults=faults, max_retries=max_retries,
         tier=tier, tier_key=tier_key,
     )

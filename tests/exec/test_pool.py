@@ -6,13 +6,15 @@ import multiprocessing as mp
 import operator
 import os
 import pickle
+import time
 
 import pytest
 
 from repro.errors import WorkloadError
 from repro.exec import WorkerPool, resolve_start_method
 from repro.exec.chunks import FileChunk
-from repro.exec.pool import read_chunk_cached, run_batch
+from repro.exec.pool import TASKS_PER_WORKER, read_chunk_cached, run_batch
+from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.obs import Observability
 
 
@@ -179,3 +181,114 @@ def test_emit_many_counting_fast_path(tmp_path):
     many = _run_one_batch(tmp_path, data, _many_count, operator.add)
     assert many == loop == {b"x": 3, b"y": 2, b"z": 1}
     assert list(many) == list(loop)
+
+
+# -- windowed submission -----------------------------------------------------
+
+
+def _square(x):
+    return x * x
+
+
+class _CountingSubmits:
+    """Wraps a pool's live executor: tracks tasks submitted but not yet
+    handed to the consumer."""
+
+    def __init__(self, pool: WorkerPool):
+        executor = pool.ensure()
+        real_submit = executor.submit
+        self.submitted = 0
+        self.yielded = 0
+        self.peak = 0
+
+        def submit(fn, *args, **kwargs):
+            self.submitted += 1
+            self.peak = max(self.peak, self.submitted - self.yielded)
+            return real_submit(fn, *args, **kwargs)
+
+        executor.submit = submit
+
+
+def test_stream_keeps_at_most_two_tasks_per_worker_outstanding():
+    with WorkerPool(2, start_method="fork") as pool:
+        counts = _CountingSubmits(pool)
+        got = []
+        for result in pool.imap_unordered(_square, list(range(12))):
+            counts.yielded += 1
+            got.append(result)
+    assert sorted(got) == [x * x for x in range(12)]
+    assert counts.submitted == 12
+    # the window fills (both workers kept busy) and never overflows
+    assert counts.peak == TASKS_PER_WORKER * pool.n_workers == 4
+
+
+def _straggle_first(x):
+    if x == 0:
+        time.sleep(0.3)
+    return x
+
+
+def test_window_starts_at_the_oldest_task_not_yet_yielded():
+    # a straggler holds the window: tasks past it wait, so a caller that
+    # reorders on the task index never buffers more than the window
+    with WorkerPool(2, start_method="fork") as pool:
+        got = list(pool.imap_unordered(_straggle_first, list(range(12))))
+    assert sorted(got) == list(range(12))
+    assert got.index(0) <= TASKS_PER_WORKER * pool.n_workers - 1
+
+
+class _RecordingInjector(FaultInjector):
+    """Records every (task, attempt) the pool asks a decision for."""
+
+    def __init__(self, plan: FaultPlan):
+        super().__init__(plan)
+        self.checked: list[tuple[int, int]] = []
+
+    def check(self, site, **ctx):
+        self.checked.append((ctx["index"], ctx["attempt"]))
+        return super().check(site, **ctx)
+
+
+def _slow_count_map(data, emit, params):
+    # slow enough that the kill is seen while later tasks are unsubmitted
+    time.sleep(0.02)
+    _count_map(data, emit, params)
+
+
+def _merged_counts(results) -> list:
+    """The engine's parent side: fold share maps in task order."""
+    merged: dict = {}
+    for _, acc, _ in sorted(results, key=operator.itemgetter(0)):
+        for key, value in acc.items():
+            merged[key] = merged.get(key, 0) + value
+    return list(merged.items())
+
+
+def test_kill_mid_stream_is_redispatched_with_unchanged_output(tmp_path):
+    p = tmp_path / "data"
+    words = [b"w%02d" % (i % 17) for i in range(1200)]
+    p.write_bytes(b" ".join(words) + b" ")
+    size = p.stat().st_size
+    chunks = [FileChunk(str(p), off, min(100, size - off)) for off in range(0, size, 100)]
+    tasks = [
+        (i, chunks[i::12], _slow_count_map, operator.add, {}, False)
+        for i in range(12)
+    ]
+    with WorkerPool(2, start_method="fork") as pool:
+        clean = _merged_counts(pool.imap_unordered(run_batch, tasks))
+
+    inj = _RecordingInjector(FaultPlan(
+        rules=(FaultRule("pool.worker", action="kill", count=1, where={"index": 6}),),
+    ))
+    with WorkerPool(2, start_method="fork", faults=inj) as pool:
+        got = list(pool.imap_unordered(run_batch, tasks))
+    assert _merged_counts(got) == clean
+    assert sorted(i for i, _, _ in got) == list(range(12))
+    assert inj.fired_by_site() == {"pool.worker": 1}
+    assert pool.respawns == 1 and pool.redispatches >= 1
+    # tasks past the window were never dispatched when the worker died
+    assert pool.redispatches <= TASKS_PER_WORKER * pool.n_workers
+    # every (task, attempt) was decided exactly once, also for the tasks
+    # the broken round never submitted
+    assert len(inj.checked) == len(set(inj.checked))
+    assert {i for i, attempt in inj.checked if attempt == 0} == set(range(12))

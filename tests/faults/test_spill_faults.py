@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 import signal
@@ -145,7 +146,7 @@ def _run_ooc(path, tmp_path, faults=None, obs=None, calls=None):
         return _count_fragment(fragment)
 
     return run_out_of_core(
-        chunks, map_fragment, None, None, False, {}, 4_096,
+        chunks, functools.partial(map, map_fragment), None, None, False, {}, 4_096,
         obs or Observability(enabled=False), str(tmp_path), faults=faults,
     )
 
@@ -203,7 +204,7 @@ def test_failed_run_leaves_no_spill_dirs(tmp_path):
 
     with pytest.raises(WorkloadError):
         run_out_of_core(
-            chunks, exploding, None, None, False, {}, 4_096,
+            chunks, functools.partial(map, exploding), None, None, False, {}, 4_096,
             Observability(enabled=False), str(tmp_path),
         )
     assert not glob.glob(str(tmp_path / "localmr-spill-*"))
@@ -238,7 +239,8 @@ def map_fragment(fragment):
     return {k: [v] for k, v in counts.items()}
 
 chunks = chunk_file(sys.argv[1], 1024, b" ")
-run_out_of_core(chunks, map_fragment, None, None, False, {}, 4096,
+run_out_of_core(chunks, lambda fragments: map(map_fragment, fragments),
+                None, None, False, {}, 4096,
                 Observability(enabled=False), sys.argv[2])
 """
     proc = subprocess.run(

@@ -12,6 +12,7 @@ disk — none of it may leak into the result.
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 import tempfile
@@ -58,7 +59,8 @@ def _wc(fragment):
 
 def _run(path, budget, tier=None, faults=None):
     out, _, _ = run_out_of_core(
-        chunk_file(path, 256), _wc, operator.add, None, True, {}, budget,
+        chunk_file(path, 256), functools.partial(map, _wc), operator.add, None,
+        True, {}, budget,
         Observability(enabled=False), faults=faults, max_retries=8,
         tier=tier, tier_key="prop",
     )
