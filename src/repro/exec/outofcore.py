@@ -36,7 +36,7 @@ source chunks and re-spills it before restarting the merge: the input
 file is the durable copy, so spill corruption costs time, never answers.
 
 Burst-buffer spill: with a :class:`~repro.tier.store.TieredStore` the
-runs live in the tier (memory level first, background write-back to the
+runs live in the tier (memory level first, written through to the
 tier's SSD directory) instead of plain files — same crc framing
 (:func:`dump_run` builds the bytes :func:`write_run` writes).  Runs are
 keyed by job content identity, so a repeat job over an unchanged input
@@ -56,12 +56,15 @@ to :func:`install_signal_cleanup`, which chains spill cleanup in front
 of the existing handler — ``atexit`` alone does not run on a fatal
 signal.
 
-Fault sites: ``spill.write`` (actions *corrupt* — flip one payload byte
-after the crc is computed, i.e. durable on-disk corruption — and *fail*)
-and ``spill.read`` (actions *fail* and *corrupt* — in-memory flip before
-the crc check, caught by the single re-read).  Context key ``run`` is
-the fragment/run index, so plans can target a specific run
-deterministically.
+Fault sites: ``spill.write``, decided in :func:`_framed_blocks`, which
+both :func:`write_run` and the tier path's :func:`dump_run` reach
+(actions *corrupt* — flip one payload byte after the crc is computed,
+i.e. durable corruption — and *fail*), and ``spill.read``, decided in
+:func:`_iter_blocks`, which the engine reaches through
+:func:`run_out_of_core`'s block reader for file and tier runs alike
+(actions *fail* and *corrupt* — in-memory flip before the crc check,
+caught by the single re-read).  Context key ``run`` is the fragment/run
+index, so plans can target a specific run deterministically.
 
 Observability: each fragment gets a ``localmr.fragment`` span with a
 nested ``localmr.spill``; spilled volume feeds the always-on

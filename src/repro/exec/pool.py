@@ -546,29 +546,33 @@ class WorkerPool:
                     if not futures:
                         break
                     done, _ = _cf.wait(futures, return_when=_cf.FIRST_COMPLETED)
-                    for fut in done:
-                        # pop our reference immediately: a finished Future
-                        # pins its result object
-                        i = futures.pop(fut)
-                        try:
-                            raw = fut.result()
-                        except (BrokenProcessPool, _cf.CancelledError) as exc:
-                            broken = True
-                            failed.append(
-                                (i, WorkerCrashError(
-                                    f"worker died while running task {i}: {exc}",
-                                    task_index=i,
-                                ))
-                            )
+                    # hand over one result per pass, lowest task first, so
+                    # the window is topped up between results that finished
+                    # together: a caller that spills on a later one leaves
+                    # no slot an earlier one freed idle meanwhile
+                    fut = min(done, key=futures.__getitem__)
+                    # pop our reference immediately: a finished Future
+                    # pins its result object
+                    i = futures.pop(fut)
+                    try:
+                        raw = fut.result()
+                    except (BrokenProcessPool, _cf.CancelledError) as exc:
+                        broken = True
+                        failed.append(
+                            (i, WorkerCrashError(
+                                f"worker died while running task {i}: {exc}",
+                                task_index=i,
+                            ))
+                        )
+                        continue
+                    except BaseException as exc:
+                        if is_retryable(exc):
+                            failed.append((i, exc))
                             continue
-                        except BaseException as exc:
-                            if is_retryable(exc):
-                                failed.append((i, exc))
-                                continue
-                            raise  # permanent: retrying a deterministic bug is futile
-                        if self.obs is not None:
-                            self.obs.count("transport.bytes", len(raw))
-                        yield pickle.loads(raw)
+                        raise  # permanent: retrying a deterministic bug is futile
+                    if self.obs is not None:
+                        self.obs.count("transport.bytes", len(raw))
+                    yield pickle.loads(raw)
                 if broken:
                     self.respawns += 1
                     if self.obs is not None:

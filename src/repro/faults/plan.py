@@ -46,8 +46,12 @@ site                      hook
 ``fam.result``            SD daemon result write (ctx: module)
 ``pool.worker``           :class:`repro.exec.pool.WorkerPool` (index,
                           attempt; decided parent-side at submission)
-``spill.write``           :func:`repro.exec.outofcore.write_run` (run)
-``spill.read``            :func:`repro.exec.outofcore.iter_run` (run)
+``spill.write``           :func:`repro.exec.outofcore._framed_blocks`
+                          (run), which ``write_run`` and the tier
+                          path's ``dump_run`` both reach
+``spill.read``            :func:`repro.exec.outofcore._iter_blocks`
+                          (run), which the engine reaches through
+                          ``run_out_of_core``'s block reader
 ``shuffle.exchange``      :class:`repro.core.distributed.DistributedEngine`
                           partition transfer (src, dst, partition,
                           nbytes); fail/drop cost one bounded in-place
@@ -71,10 +75,13 @@ site                      hook
                           read / recompute (entry invalidated),
                           *corrupt* flips returned bytes (caught by the
                           spill crc upstream), delay stalls the hit
-``tier.writeback``        background drain of dirty tier blocks (key,
-                          bytes); fail/drop cost bounded retries, then
-                          the entry is *lost* — a later read degrades
-                          to re-read/recompute, never wrong bytes
+``tier.writeback``        a tier block's write to the SSD level — the
+                          sim buffer's background drain of dirty blocks
+                          (path, bytes); the real store's synchronous
+                          write in ``put`` or a demotion (key, bytes).
+                          fail/drop cost bounded retries, then the entry
+                          is *lost* — a later read degrades to
+                          re-read/recompute, never wrong bytes
 ``tier.evict``            capacity eviction (key); fail/drop wedge the
                           eviction (``tier.evict.stuck``) so the tier
                           runs over budget rather than losing data
@@ -259,7 +266,7 @@ def recovery_chaos_plan(seed: int = 0) -> FaultPlan:
 def tier_chaos_plan(seed: int = 0) -> FaultPlan:
     """The chaos plan for the burst-buffer tier (``tier.*`` sites).
 
-    The write-back killer: dirty entries whose background drain is
+    The write-back killer: entries whose write to the SSD level is
     dropped until retries exhaust (the entry is *lost* — a warm read
     must degrade to recompute), a degraded read (fail → treat as miss),
     a corrupted read (crc upstream must catch it and invalidate), and a

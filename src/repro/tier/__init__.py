@@ -7,9 +7,9 @@ The package has two symmetrical halves:
   that turns disk reads into sub-tier transfers, buffers writes
   (write-back) and absorbs readahead prefetch.
 * :mod:`repro.tier.store` — the *real-engine* tier: a byte-budgeted
-  memory+SSD store the out-of-core engine spills into, with a background
-  write-back thread and crc-checked degradation (a lying tier causes a
-  recompute, never corruption).
+  memory+SSD store the out-of-core engine spills into, writing each run
+  through to its SSD file in the caller, with crc-checked degradation (a
+  lying tier causes a recompute, never corruption).
 
 :mod:`repro.tier.prefetch` adds readahead for the real engine: kernel
 hints (``posix_fadvise``) for the next fragments, with no thread.  All

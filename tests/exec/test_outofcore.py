@@ -313,7 +313,7 @@ def test_property_streamed_fragments_are_byte_identical(
                   sort_output=True)
     else:
         kw = dict(map_fn=_position_map)
-    tier = TieredStore(256, 4096, writeback=False) if tiered else None
+    tier = TieredStore(256, 4096) if tiered else None
     try:
         with LocalMapReduce(
             n_workers=n_workers, start_method="fork", spill_dir=str(d),

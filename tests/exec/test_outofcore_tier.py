@@ -48,13 +48,13 @@ def run_job(path, tier=None, faults=None, obs=None, max_retries=2,
 def test_tiered_run_matches_plain_run(corpus):
     plain, n, _ = run_job(corpus)
     assert n >= 2
-    with TieredStore(64 * 1024, 256 * 1024, writeback=False) as store:
+    with TieredStore(64 * 1024, 256 * 1024) as store:
         tiered, _, _ = run_job(corpus, tier=store)
     assert tiered == plain
 
 
 def test_warm_tier_skips_recompute(corpus):
-    with TieredStore(64 * 1024, 256 * 1024, writeback=False) as store:
+    with TieredStore(64 * 1024, 256 * 1024) as store:
         first, n, _ = run_job(corpus, tier=store)
         second, _, obs = run_job(corpus, tier=store)
         assert second == first
@@ -62,7 +62,7 @@ def test_warm_tier_skips_recompute(corpus):
 
 
 def test_different_job_key_misses_the_warm_tier(corpus):
-    with TieredStore(64 * 1024, 256 * 1024, writeback=False) as store:
+    with TieredStore(64 * 1024, 256 * 1024) as store:
         run_job(corpus, tier=store, tier_key="job-a")
         _, _, obs = run_job(corpus, tier=store, tier_key="job-b")
         assert obs.metrics.counters.get("tier.spill.reuse", 0) == 0
@@ -74,8 +74,7 @@ def test_lost_writeback_recomputes_before_merge(corpus):
         rules=(FaultRule("tier.writeback", action="drop", count=3),), seed=2
     )
     inj = FaultInjector(plan)
-    with TieredStore(64 * 1024, 256 * 1024, writeback=False,
-                     faults=inj) as store:
+    with TieredStore(64 * 1024, 256 * 1024, faults=inj) as store:
         out, _, obs = run_job(corpus, tier=store, faults=inj)
     ctr = obs.metrics.counters
     assert out == plain
@@ -91,8 +90,7 @@ def test_degraded_warm_read_recomputes(corpus):
     )
     inj = FaultInjector(plan)
     obs = Observability(enabled=False)
-    with TieredStore(64 * 1024, 256 * 1024, writeback=False,
-                     faults=inj, obs=obs) as store:
+    with TieredStore(64 * 1024, 256 * 1024, faults=inj, obs=obs) as store:
         out, _, obs = run_job(corpus, tier=store, faults=inj, obs=obs)
     ctr = obs.metrics.counters
     assert out == plain
@@ -108,8 +106,7 @@ def test_corrupt_warm_read_caught_by_crc_and_recomputed(corpus):
     )
     inj = FaultInjector(plan)
     obs = Observability(enabled=False)
-    with TieredStore(64 * 1024, 256 * 1024, writeback=False,
-                     faults=inj, obs=obs) as store:
+    with TieredStore(64 * 1024, 256 * 1024, faults=inj, obs=obs) as store:
         out, _, obs = run_job(corpus, tier=store, faults=inj, obs=obs)
     ctr = obs.metrics.counters
     assert out == plain
@@ -121,7 +118,7 @@ def test_capacity_starved_tier_converges_via_disk_fallback(corpus):
     """A tier too small for even one run set: every merge-side recompute
     must land on durable disk instead of thrashing the tier forever."""
     plain, _, _ = run_job(corpus)
-    with TieredStore(512, 1024, writeback=False) as store:
+    with TieredStore(512, 1024) as store:
         out, _, obs = run_job(corpus, tier=store)
     assert out == plain
     # merge retries stayed inside the default budget
@@ -137,8 +134,7 @@ def test_retry_exhaustion_still_raises(corpus):
         rules=(FaultRule("tier.read", action="fail", count=99),), seed=2
     )
     inj = FaultInjector(plan)
-    with TieredStore(64 * 1024, 256 * 1024, writeback=False,
-                     faults=inj) as store:
+    with TieredStore(64 * 1024, 256 * 1024, faults=inj) as store:
         with pytest.raises(SpillCorruptionError):
             run_job(corpus, tier=store, faults=inj, max_retries=1)
     assert live_spill_dirs() == []

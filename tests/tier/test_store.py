@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
@@ -12,8 +13,6 @@ from repro.tier import TieredStore, live_tier_dirs
 
 
 def make_store(mem=1024, ssd=4096, **kw):
-    # synchronous write-back by default: deterministic tests
-    kw.setdefault("writeback", False)
     return TieredStore(mem, ssd, **kw)
 
 
@@ -74,23 +73,31 @@ def test_invalidate_and_prefix():
         store.put("job2/run-0", b"c")
         assert store.invalidate("job1/run-0")
         assert not store.invalidate("job1/run-0")  # already gone
-        assert store.invalidate_prefix("job1/") == 1
-        assert store.get("job1/run-1") is None
         assert store.get("job2/run-0") == b"c"
 
 
-def test_background_writeback_drains_and_persists():
-    store = TieredStore(1024, 8192, writeback=True)
-    try:
+def test_put_returns_with_the_entry_on_disk():
+    with make_store(mem=1024, ssd=8192) as store:
         store.put("k", b"payload " * 8)
-        assert store.flush(timeout=10.0)
-        assert store.dirty_entries == 0
+        # no flush: the SSD file is written before put() returns
         assert store.stats()["tier.writeback.bytes"] == 64
-        # the entry now has an SSD file backing it
         files = os.listdir(store.ssd_dir)
         assert len(files) == 1
-    finally:
-        store.close()
+        with open(os.path.join(store.ssd_dir, files[0]), "rb") as fh:
+            assert fh.read() == b"payload " * 8
+
+
+def test_store_starts_no_thread():
+    before = threading.active_count()
+    store = make_store(mem=64, ssd=4096)
+    assert threading.active_count() == before
+    store.put("k0", b"a" * 48)
+    store.put("k1", b"b" * 48)  # demotes k0 to the SSD level
+    assert threading.active_count() == before
+    assert store.get("k0") == b"a" * 48
+    assert threading.active_count() == before
+    store.close()
+    assert threading.active_count() == before
 
 
 def test_dropped_writeback_loses_entry_without_lying():
@@ -105,6 +112,24 @@ def test_dropped_writeback_loses_entry_without_lying():
         assert st["tier.writeback.lost"] == 1
         assert not store.contains("k")
         assert store.get("k") is None  # lost, never wrong
+
+
+def test_reput_with_lost_write_leaves_no_stale_file():
+    """A re-put whose write is dropped loses the key — and must take the
+    old entry's SSD file with it, not leave the old bytes behind."""
+    plan = FaultPlan(
+        rules=(FaultRule("tier.writeback", action="drop", count=3, after=1),),
+        seed=1,
+    )
+    inj = FaultInjector(plan)
+    with make_store(faults=inj) as store:
+        store.put("k", b"old bytes")  # written: the rule skips one write
+        assert len(os.listdir(store.ssd_dir)) == 1
+        store.put("k", b"new bytes")  # 1 attempt + 2 retries, all dropped
+        assert store.stats()["tier.writeback.lost"] == 1
+        assert store.get("k") is None
+        assert os.listdir(store.ssd_dir) == []
+        assert store.stats()["ssd_used"] == 0
 
 
 def test_degraded_read_becomes_miss():

@@ -82,8 +82,7 @@ def test_tiered_faulty_run_equals_plain_run(words, plan, mem, ssd_mult, budget):
             f.write(" ".join(words).encode())
         expected = _run(path, budget)
         inj = FaultInjector(plan)
-        with TieredStore(mem, mem * ssd_mult, writeback=False,
-                         faults=inj) as store:
+        with TieredStore(mem, mem * ssd_mult, faults=inj) as store:
             got = _run(path, budget, tier=store, faults=inj)
         drop_cached_handle(path)  # the corpus dir vanishes with this example
     assert got == expected

@@ -554,22 +554,18 @@ def _make_engine_input(tmpdir: str, quick: bool) -> str:
 
 def _run_local(path: str, plan: FaultPlan | None, budget: int, chunk: int,
                trace: bool = False, tier_levels: tuple[int, int] | None = None,
-               background: bool = False, **engine_kw):
+               **engine_kw):
     """One out-of-core wordcount through ``LocalMapReduce``.
 
     ``tier_levels`` (memory, SSD bytes) puts a deliberately tiny burst
     buffer under the spills; the store and the engine then share one
-    injector, so ``tier.*`` and engine-side sites draw from the same plan.  ``background`` enables
-    the store's real write-back drain thread — its fault decisions
-    interleave with the engine thread's, so only the deterministic
-    (synchronous) runs are fit for the coverage and reproducibility
-    checks.  Returns ``(output, engine, result, store)``.
+    injector, so ``tier.*`` and engine-side sites draw from the same plan.
+    Returns ``(output, engine, result, store)``.
     """
     obs = Observability(enabled=trace)
     inj = FaultInjector(plan, obs=obs) if plan is not None else None
     store = TieredStore(
-        *tier_levels, obs=obs, faults=inj, writeback=background,
-        name="chaos-tier",
+        *tier_levels, obs=obs, faults=inj, name="chaos-tier",
     ) if tier_levels is not None else None
     engine = LocalMapReduce(
         _wc_map, combine_fn=_wc_combine, n_workers=2, memory_budget=budget,
@@ -646,10 +642,7 @@ def tier_kill_writeback_case(args: argparse.Namespace):
         )
         output, engine, res, store = run(plan, trace=bool(args.trace))
         output2, engine2, _, _ = run(plan)
-        # the real background drain thread, gated on the answer and the
-        # leak check only (its injection interleaving is not seeded)
-        output_bg, _, _, store_bg = run(plan, background=True)
-        leaks = leak_scan(tmpdir, store.ssd_dir, store_bg.ssd_dir)
+        leaks = leak_scan(tmpdir, store.ssd_dir)
     same, fired, repro = _replay_rows(
         plan, baseline, (output, engine.faults), (output2, engine2.faults),
         f"{len(baseline)} bytes, {res.n_fragments} runs through a "
@@ -657,10 +650,7 @@ def tier_kill_writeback_case(args: argparse.Namespace):
     )
     c = engine.obs.metrics.counters
     rows = [
-        same,
-        ("background drain identical", output_bg == baseline,
-         "write-back thread on"),
-        fired,
+        same, fired,
         ("lost write-back recomputed",
          c["tier.writeback.lost"] >= 1 and c["tier.spill.lost"] >= 1
          and c["localmr.recompute"] >= 1,

@@ -199,7 +199,7 @@ def tier_view(metrics: dict) -> str:
         ("tier.evict.capacity", "evictions: capacity"),
         ("tier.evict.invalidation", "evictions: invalidation"),
         ("tier.evict.stuck", "evictions: stuck (faulted)"),
-        ("tier.writeback.bytes", "write-back bytes drained"),
+        ("tier.writeback.bytes", "write-back bytes to ssd"),
         ("tier.writeback.retry", "write-back retries"),
         ("tier.writeback.lost", "write-back entries lost"),
         ("tier.read.degraded", "reads degraded to disk"),
