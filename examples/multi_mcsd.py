@@ -4,8 +4,8 @@
 Shards a 2 GB Word Count across a cluster with 1, 2 and 4 smart-storage
 nodes; each node runs the partition-enabled module over its local shard
 concurrently and the host merges the results (scatter-gather).  Also
-shows the fault-tolerance mechanism kicking in when one storage node's
-daemon dies mid-burst.
+shows the scheduler moving a job to a replica when one storage node's
+module crashes on every run.
 
 Run:  python examples/multi_mcsd.py
 """
@@ -14,13 +14,9 @@ from __future__ import annotations
 
 from repro.cluster import Testbed
 from repro.config import table1_cluster
-from repro.core import (
-    DataJob,
-    FaultTolerantInvoker,
-    ScatterGatherEngine,
-    ScatterJob,
-)
+from repro.core import DataJob, ScatterGatherEngine, ScatterJob
 from repro.faults import FaultPlan, FaultRule
+from repro.sched import ClusterScheduler
 from repro.units import MB, fmt_time
 from repro.workloads import text_input
 
@@ -47,8 +43,8 @@ def main() -> None:
             f"speedup {base / res.elapsed:.2f}x  ({total} words, exact)"
         )
 
-    # --- fault tolerance on top: kill one daemon, watch the failover
-    print("\nnow with sd0's daemon crashing every attempt:")
+    # --- fault tolerance on top: sd0's module crashes, the job moves
+    print("\nnow with sd0's wordcount module crashing on every run:")
     bed = Testbed(config=table1_cluster(n_sd=2, seed=8), seed=8)
     inp = text_input("/data/huge", MB(400), payload_bytes=8_000, seed=8)
     _sd, _h, sd_path = bed.stage_on_sd("huge", inp)
@@ -57,17 +53,13 @@ def main() -> None:
         FaultRule("fam.module", action="fail", count=99,
                   where={"node": "sd0", "module": "wordcount"}),
     )))
-    ft = FaultTolerantInvoker(bed.cluster, timeout=60.0, max_retries=1)
+    sched = ClusterScheduler(bed.cluster, attempt_timeout=60.0, cache=None)
     job = DataJob(app="wordcount", input_path=sd_path, input_size=MB(400))
-
-    def reliable():
-        return (yield ft.run(job, replicas=["sd1"]))
-
-    res = bed.run(reliable())
-    trail = " -> ".join(f"{a.target}:{a.outcome}" for a in ft.history[0])
-    retries = sum(ch.retries for ch in bed.cluster.host_channels.values())
-    print(f"  targets: {trail} ({retries} same-node retries)")
-    print(f"  completed on {res.where} in {fmt_time(res.elapsed)}; results exact:",
+    res = bed.run(sched.submit(job))
+    rec = sched.completed[-1]
+    failed = bed.sim.obs.metrics.counters["sched.attempt_failures"]
+    print(f"  {rec.attempts} attempts, {int(failed)} failed; completed on "
+          f"{res.where} in {fmt_time(rec.total)}; results exact:",
           sum(v for _, v in res.output) == len(inp.payload_bytes.split()))
 
 

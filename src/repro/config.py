@@ -230,10 +230,11 @@ class SmartFAMConfig:
 
     The SD-side inotify is a kernel subsystem: near-instant.  The host-side
     monitor watches a file that lives on the NFS share, which in practice
-    means attribute polling; ``host_poll_interval`` models that.  Retries
-    of a transient failure (the SD's result write, the host's
-    :meth:`~repro.smartfam.daemon.HostSmartFAM.invoke_reliable`) follow
-    :data:`repro.errors.RETRIES` and :data:`repro.errors.RETRY_BACKOFF`.
+    means attribute polling; ``host_poll_interval`` models that.  The SD's
+    result write retries a transient failure per
+    :data:`repro.errors.RETRIES` and :data:`repro.errors.RETRY_BACKOFF`;
+    a failed call is retried by moving the job
+    (:class:`~repro.sched.ClusterScheduler`), never on the channel.
     """
 
     inotify_latency: float = usec(200)

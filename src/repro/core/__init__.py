@@ -44,7 +44,6 @@ from repro.core.distributed import (
     SpeculationPolicy,
     plan_distribution,
 )
-from repro.core.failover import Attempt, FaultTolerantInvoker
 from repro.core.offload import OffloadEngine
 from repro.core.scatter import ScatterGatherEngine, ScatterJob, ScatterResult, Shard
 from repro.core.runtime import McSDRuntime
@@ -57,8 +56,6 @@ __all__ = [
     "ProgramResult",
     "McSDRuntime",
     "OffloadEngine",
-    "FaultTolerantInvoker",
-    "Attempt",
     "ScatterGatherEngine",
     "ScatterJob",
     "ScatterResult",

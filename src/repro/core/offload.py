@@ -11,7 +11,7 @@ import typing as _t
 
 from repro.core.job import DataJob, JobResult
 from repro.core.loadbalance import Placement
-from repro.errors import OffloadError
+from repro.errors import InterruptError, OffloadError, OffloadTimeoutError
 from repro.fs import path as _p
 from repro.phoenix.api import InputSpec
 from repro.phoenix.runtime import PhoenixRuntime
@@ -41,15 +41,17 @@ class OffloadEngine:
     ) -> Event:
         """Run ``job`` per ``placement``; Process value is a JobResult.
 
-        ``timeout`` bounds an *offloaded* attempt (queueing + execution on
-        the SD node); expiry raises
-        :class:`~repro.errors.OffloadTimeoutError` — the liveness signal a
-        silently dead SD daemon requires.  Host placements ignore it.
+        ``timeout`` bounds the attempt wherever it runs; expiry raises
+        :class:`~repro.errors.OffloadTimeoutError`.  Offloaded, it covers
+        queueing + execution on the SD node — the liveness signal a
+        silently dead SD daemon requires.  On the host it ends a run
+        whose NFS message was lost: the run is aborted, handing back its
+        memory and withdrawing its CPU tasks.
         """
         if placement.offload:
             gen = self._run_offloaded(job, placement, timeout)
         else:
-            gen = self._run_on_host(job)
+            gen = self._run_on_host(job, timeout)
         target = placement.node if placement.offload else self.cluster.host.name
         self.inflight[target] = self.inflight.get(target, 0) + 1
 
@@ -101,7 +103,7 @@ class OffloadEngine:
             path=host_path, size=job.input_size, payload=payload, params=dict(job.params)
         )
 
-    def _run_on_host(self, job: DataJob) -> _t.Generator:
+    def _run_on_host(self, job: DataJob, timeout: float | None) -> _t.Generator:
         host = self.cluster.host
         cfg = self.cluster.config.phoenix
         inp = self._host_view(job)
@@ -109,12 +111,21 @@ class OffloadEngine:
         t0 = self.sim.now
         if job.mode == "partitioned":
             ext = ExtendedPhoenixRuntime(host, cfg)
-            result = yield ext.run(spec, inp, fragment_bytes=job.fragment_bytes)
-            output = result.output
+            run = ext.run(spec, inp, fragment_bytes=job.fragment_bytes)
         else:
-            rt = PhoenixRuntime(host, cfg)
-            result = yield rt.run(spec, inp, mode=job.mode)
-            output = result.output
+            run = PhoenixRuntime(host, cfg).run(spec, inp, mode=job.mode)
+        if timeout is not None:
+            # a bare timer: the completion path gains no event
+            def expire(_ev: Event) -> None:
+                if run.is_alive:
+                    run.abort("host deadline", cancel=host.cpu.cancel)
+
+            self.sim.timeout(timeout).add_callback(expire)
+        try:
+            result = yield run
+        except InterruptError:
+            raise OffloadTimeoutError(job.app, timeout) from None
+        output = result.output
         self.host_runs += 1
         return JobResult(
             name=job.app,

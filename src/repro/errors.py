@@ -78,11 +78,11 @@ class McSDError(Exception):
 
 
 #: in-place retries of a transient failure where nothing sets a budget:
-#: the smartFAM result write, a shuffle transfer and both tier
-#: write-backs; the retry settings that remain default to it
+#: the smartFAM result write, a shuffle transfer, both tier write-backs
+#: and a worker-pool task; the retry settings that remain default to it
 RETRIES = 2
 #: base delay in seconds of the retry sites that back off (the result
-#: write, ``invoke_reliable``, a shuffle transfer), doubling per attempt
+#: write, a shuffle transfer), doubling per attempt
 RETRY_BACKOFF = 0.1
 
 

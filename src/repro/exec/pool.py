@@ -347,10 +347,10 @@ class WorkerPool:
     context manager; closing is idempotent and the pool resurrects on the
     next submission after a close.
 
-    ``max_task_retries`` bounds how many times one task may be
-    re-dispatched after a transient failure (a dead worker, an injected
-    fault) before :class:`~repro.errors.WorkerCrashError` is raised with
-    the permanent stamp.  ``faults``/``obs`` are optional: a
+    One task may be re-dispatched :data:`~repro.errors.RETRIES` times
+    after a transient failure (a dead worker, an injected fault) before
+    :class:`~repro.errors.WorkerCrashError` is raised with the permanent
+    stamp.  ``faults``/``obs`` are optional: a
     :class:`~repro.faults.injector.FaultInjector` evaluated at the
     ``pool.worker`` site on every submission, and the observability
     registry that receives the ``retry.*``, ``pool.respawn`` and
@@ -367,18 +367,14 @@ class WorkerPool:
         self,
         n_workers: int,
         start_method: str | None = None,
-        max_task_retries: int = RETRIES,
         faults: "FaultInjector | None" = None,
         obs: "Observability | None" = None,
         blackbox_dir: str | None = None,
     ):
         if n_workers < 1:
             raise WorkloadError(f"n_workers must be >= 1, got {n_workers}")
-        if max_task_retries < 0:
-            raise WorkloadError("max_task_retries must be >= 0")
         self.n_workers = n_workers
         self.start_method = resolve_start_method(start_method)
-        self.max_task_retries = max_task_retries
         self.faults = faults
         self.obs = obs
         self.blackbox_dir = (
@@ -472,9 +468,9 @@ class WorkerPool:
         engine's reorder-buffer merge), and the window bounds that buffer
         too.  Tasks whose worker dies
         (or whose injected fault fires) are re-dispatched in later rounds,
-        up to ``max_task_retries`` per task; a permanent (non-retryable)
-        task exception propagates immediately.  Closing the iterator early
-        cancels every task not yet started.
+        up to :data:`~repro.errors.RETRIES` times per task; a permanent
+        (non-retryable) task exception propagates immediately.  Closing
+        the iterator early cancels every task not yet started.
         """
         return self._run_rounds(fn, list(tasks))
 
@@ -581,7 +577,7 @@ class WorkerPool:
                     self.close()
                 for i, exc in failed:
                     attempts[i] += 1
-                    if attempts[i] > self.max_task_retries:
+                    if attempts[i] > RETRIES:
                         msg = (
                             f"task {i} failed after {attempts[i]} attempts "
                             f"(last: {exc})"

@@ -36,8 +36,9 @@ class QueuedJob:
     attempts: int = 0
     #: nodes that failed this job (excluded from later placements)
     excluded: set = dataclasses.field(default_factory=set)
-    #: set once retries are exhausted: place on the host, which cannot
-    #: silently die on us (completion guarantee for admitted jobs)
+    #: set once the SD retries are spent or a host attempt failed: place
+    #: on the host, which never leaves the eligible set (completion
+    #: guarantee for admitted jobs)
     force_host: bool = False
     dispatched_at: float | None = None
     #: the open ``sched.queue`` span (None with tracing off)

@@ -19,11 +19,15 @@ Guarantees:
 * **Backpressure, not collapse** — a full queue rejects at admission with
   :class:`~repro.errors.AdmissionError`; an *admitted* job is never
   dropped.
-* **Completion** — a retryable failure (daemon timeout, injected fault)
-  re-queues the job with the failed node excluded; once retries are
-  exhausted the job is pinned to the host, which runs in-process and
-  cannot silently die.  Only a permanent error (unknown app, bad params)
-  fails the submitter's ``done`` event.
+* **Completion within one budget** — a retryable failure (a missed
+  deadline, an injected fault) re-queues the job with the failed SD node
+  excluded; after ``max_retries`` re-dispatches, or once no trusted SD
+  node is left, the job is pinned to the host.  The host is never
+  excluded or quarantined: a retryable failure there re-queues the job
+  on the host until its host attempts exceed ``max_retries``.  A job so
+  makes at most 2 × (``max_retries`` + 1) attempts.  Only a permanent
+  error (unknown app, bad params, a missing input) or a host failure
+  past that budget fails the submitter's ``done`` event.
 * **Work conservation** — the dispatcher walks the ordering policy's
   preference order and skips entries whose feasible nodes are at their
   ``per_node_limit``, so a blocked head never idles a free node.
@@ -52,6 +56,7 @@ from repro.core.offload import OffloadEngine
 from repro.errors import (
     RETRIES,
     AdmissionError,
+    ConfigError,
     DistributedJobError,
     OffloadTimeoutError,
     is_retryable,
@@ -138,11 +143,13 @@ class ClusterScheduler:
     per_node_limit:
         Max jobs concurrently placed on any one node (SD or host).
     attempt_timeout:
-        Deadline for one *offloaded* attempt; expiry marks the node
-        unhealthy and re-queues the job.  ``None`` disables deadlines
-        (a dead daemon then hangs its jobs — benchmarks always set one).
+        Deadline for every attempt, offloaded or on the host; expiry
+        re-queues the job, and an SD node that missed it is marked
+        unhealthy.  ``None`` disables deadlines (a dead daemon or a lost
+        NFS message then hangs its job — benchmarks always set one).
     max_retries:
-        Dispatch attempts before the job is pinned to the host.
+        Re-dispatches (>= 0) before the job is pinned to the host, and
+        again on the host before the job fails.
     cache:
         ``True`` (default) builds a :class:`ResultCache` watching every SD
         node's VFS; pass an instance to share/configure one, or
@@ -182,6 +189,8 @@ class ClusterScheduler:
         | _t.Iterable[SLOPolicy] | None = None,
         heartbeat: HeartbeatConfig | bool | None = None,
     ):
+        if max_retries < 0:
+            raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
         self.cluster = cluster
         self.sim = cluster.sim
         self.engine = OffloadEngine(cluster)
@@ -298,8 +307,8 @@ class ClusterScheduler:
         restart on the survivors); only a job its recovery passes cannot
         finish surfaces here, where the normal retry path is the
         whole-job retry — requeue on the remaining replicas, ultimately a
-        single-node partitioned run on the host, which cannot silently
-        die.
+        single-node partitioned run on the host, under the same deadline
+        and budget as any host attempt.
         """
         obs = self.sim.obs
         done = Event(self.sim, name=f"sched.done:{job.app}")
@@ -558,9 +567,8 @@ class ClusterScheduler:
                 params=dict(job.params),
                 tenant=job.tenant,
             )
-            return self.engine.run(fallback, placement, timeout=None)
-        timeout = self.attempt_timeout if placement.offload else None
-        return self.engine.run(job, placement, timeout=timeout)
+            return self.engine.run(fallback, placement, timeout=self.attempt_timeout)
+        return self.engine.run(job, placement, timeout=self.attempt_timeout)
 
     def _on_failure(
         self, entry: QueuedJob, placement: Placement, exc: BaseException
@@ -577,24 +585,34 @@ class ClusterScheduler:
             if self.health is not None:
                 for node in exc.excluded:
                     self.health.job_failed(node)
-        if isinstance(exc, OffloadTimeoutError):
+        if isinstance(exc, OffloadTimeoutError) and placement.offload:
             # A deadline miss is the only liveness signal a dead daemon
             # gives: quarantine the node so the queue drains elsewhere.
             self._quarantine(placement.node)
-        if is_retryable(exc) and placement.offload:
+        retry = is_retryable(exc)
+        if retry and not isinstance(exc, DistributedJobError):
+            entry.last_failures.append({
+                "node": placement.node,
+                "phase": "job",
+                "cause": type(exc).__name__,
+                "attempt": entry.attempts,
+                "at": self.sim.now,
+            })
+        if retry and placement.offload:
             entry.excluded.add(placement.node)
-            if not isinstance(exc, DistributedJobError):
-                entry.last_failures.append({
-                    "node": placement.node,
-                    "phase": "job",
-                    "cause": type(exc).__name__,
-                    "attempt": entry.attempts,
-                    "at": self.sim.now,
-                })
-                if self.health is not None:
-                    self.health.job_failed(placement.node)
+            if self.health is not None and not isinstance(exc, DistributedJobError):
+                self.health.job_failed(placement.node)
             if entry.attempts > self.max_retries:
                 entry.force_host = True
+        elif retry:
+            # the host never leaves the eligible set: retry there, with
+            # its own budget of max_retries + 1 attempts
+            entry.force_host = True
+            host_failures = sum(
+                f["node"] == placement.node for f in entry.last_failures
+            )
+            retry = host_failures <= self.max_retries
+        if retry:
             obs.count("sched.requeued")
             entry.queue_span = obs.span(
                 "sched.queue", cat="sched", track=f"sched:j{entry.seq}",
@@ -604,8 +622,8 @@ class ClusterScheduler:
             self._sample_depth()
             self._wake.fire()
             return
-        # permanent: unknown app, bad params, host-side crash — retrying
-        # cannot change the outcome, so the submitter gets the exception
+        # permanent (unknown app, bad params, a missing input) or the
+        # host's budget is spent: the submitter gets the exception
         obs.count("sched.failed")
         now = self.sim.now
         self.slo.observe(

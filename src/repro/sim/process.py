@@ -10,6 +10,8 @@ raises (failure).
 Interrupts: ``proc.interrupt(cause)`` throws
 :class:`~repro.errors.InterruptError` into the process at its current wait
 point.  The event it was waiting on stays valid and can be re-yielded.
+``proc.abort(cause, cancel)`` interrupts the process and everything it
+waits on, as a deadline that ends a whole run does.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.errors import InterruptError, SimulationError
-from repro.sim.events import Event
+from repro.sim.events import Condition, Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
@@ -136,6 +138,28 @@ class Process(Event):
 
         intr.add_callback(_deliver)
         intr.succeed(cause)
+
+    def abort(self, cause: object, cancel: _t.Callable[[Event], object]) -> None:
+        """Interrupt this process and every live process it waits on.
+
+        Follows each wait point down through processes and composite
+        events; ``cancel`` gets every other pending event at the bottom
+        (a CPU task's completion event, to withdraw the task).  Only for
+        process trees that hold no shared resource at their wait points.
+        """
+        stack: list[Event] = [self]
+        while stack:
+            ev = stack.pop()
+            if ev.triggered:
+                continue
+            if isinstance(ev, Process):
+                if ev._waiting_on is not None:
+                    stack.append(ev._waiting_on)
+                ev.interrupt(cause)
+            elif isinstance(ev, Condition):
+                stack.extend(ev.events)
+            else:
+                cancel(ev)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "alive" if self.is_alive else ("ok" if self._ok else "failed")

@@ -152,16 +152,19 @@ class SDSmartFAM:
     def _dispatch_loop(self, module: str, path: str, watch) -> _t.Generator:
         """Steps 2-4 of the invoke protocol, forever.
 
-        Idempotency: dispatch is keyed on the record's sequence number.  A
-        seq is skipped while a run for it is *in flight* or once its RESULT
-        is already in the log — but a seq whose run died before the result
-        was persisted is dispatched again when the host re-writes the same
-        INVOKE record, which is what makes host-side re-invocation after a
-        timeout safe (at-most-once while alive, at-least-once overall).
+        Dispatch guards: every write to the log fires inotify, and the
+        daemon runs the *latest* INVOKE record, keyed on its sequence
+        number.  A seq is skipped while a run for it is *in flight* or
+        once its RESULT is already in the log.  Both guards matter even
+        though the host never re-sends a seq: each RESULT write fires
+        inotify again, and a timed-out call releases the host's module
+        lock, so a later call's INVOKE (or a late RESULT) can land while
+        an older run is still going — without the guards the daemon
+        would run the latest INVOKE once per such write.
 
         Resilience: a transient read failure (torn write, injected disk
         fault) skips the event rather than killing the loop — the daemon
-        is a long-lived service, and the host's retry re-fires inotify.
+        is a long-lived service, and the next write re-fires inotify.
         """
         obs = self.sim.obs
         track = f"{self.node.name}:{module}"
@@ -231,8 +234,7 @@ class SDSmartFAM:
             yield from self._run_module_inner(module, path, record)
         finally:
             # whatever happened — result written, result dropped, module
-            # crashed — the seq is no longer executing, so a host re-invoke
-            # with the same seq may dispatch again (at-least-once overall)
+            # crashed — the seq is no longer executing
             self._in_flight.discard(record.seq)
 
     def _run_module_inner(
@@ -322,8 +324,6 @@ class HostSmartFAM:
         self._locks: dict[str, Semaphore] = {}
         #: completed invocations (stats)
         self.calls = 0
-        #: attempts re-issued by :meth:`invoke_reliable` (stats)
-        self.retries = 0
 
     def log_path(self, module: str) -> str:
         """Mount-relative path of a module's log file."""
@@ -365,71 +365,11 @@ class HostSmartFAM:
             name=f"smartfam-call:{module}",
         )
 
-    def invoke_reliable(
-        self,
-        module: str,
-        params: dict,
-        timeout: float | None = None,
-        max_retries: int = RETRIES,
-    ) -> Event:
-        """Offload one call with deadline + bounded retry + backoff.
-
-        Each attempt gets its own ``timeout`` (default: no per-attempt
-        deadline — pass one whenever the SD daemon can die silently).
-        Transient failures (:func:`~repro.errors.is_retryable`) retry up
-        to ``max_retries`` times (default :data:`~repro.errors.RETRIES`)
-        with exponential backoff from :data:`~repro.errors.RETRY_BACKOFF`;
-        permanent failures raise immediately.
-
-        Idempotency: a *timed-out* attempt re-invokes with the **same**
-        sequence number — the daemon skips the seq while the original run
-        is still in flight, and the host picks up a late-but-persisted
-        RESULT record instead of executing the module twice.  An attempt
-        that failed with a *recorded* error result re-invokes under a
-        fresh seq (the old seq is answered; reusing it would re-read the
-        failure forever).
-        """
-        if max_retries < 0:
-            raise SmartFAMError("max_retries must be >= 0")
-
-        def _proc() -> _t.Generator:
-            obs = self.sim.obs
-            seq = next(_seqs)
-            last_exc: BaseException | None = None
-            for attempt in range(max_retries + 1):
-                try:
-                    if timeout is None:
-                        return (
-                            yield self.sim.spawn(
-                                self._invoke(module, params, seq=seq),
-                                name=f"smartfam-inner:{module}",
-                            )
-                        )
-                    return (
-                        yield self.sim.spawn(
-                            self._invoke_with_timeout(module, params, timeout, seq=seq),
-                            name=f"smartfam-inner:{module}",
-                        )
-                    )
-                except Exception as exc:
-                    last_exc = exc
-                    if not is_retryable(exc) or attempt == max_retries:
-                        raise
-                    self.retries += 1
-                    obs.count("retry.count")
-                    obs.count(f"retry.smartfam.{module}")
-                    if not isinstance(exc, OffloadTimeoutError):
-                        seq = next(_seqs)  # the old seq carries a failure RESULT
-                    yield self.sim.timeout(RETRY_BACKOFF * (2.0 ** attempt))
-            raise SmartFAMError(f"unreachable retry state for {module!r}") from last_exc
-
-        return self.sim.spawn(_proc(), name=f"smartfam-reliable:{module}")
-
     def _invoke_with_timeout(
-        self, module: str, params: dict, timeout: float, seq: int | None = None
+        self, module: str, params: dict, timeout: float
     ) -> _t.Generator:
         inner = self.sim.spawn(
-            self._invoke(module, params, seq=seq), name=f"smartfam-inner:{module}"
+            self._invoke(module, params), name=f"smartfam-inner:{module}"
         )
         timer = self.sim.timeout(timeout)
         yield self.sim.any_of([inner, timer])
@@ -452,7 +392,7 @@ class HostSmartFAM:
             self._locks[module] = lock
         return lock
 
-    def _invoke(self, module: str, params: dict, seq: int | None = None) -> _t.Generator:
+    def _invoke(self, module: str, params: dict) -> _t.Generator:
         obs = self.sim.obs
         track = f"{self.node.name}:{module}"
         with obs.span(
@@ -470,8 +410,7 @@ class HostSmartFAM:
                 raise
             try:
                 path = self.log_path(module)
-                if seq is None:
-                    seq = next(_seqs)
+                seq = next(_seqs)
                 call_sp.set(seq=seq)
                 # Invoke Step 1: write the input parameters to the log file.
                 with obs.span(
@@ -483,15 +422,6 @@ class HostSmartFAM:
                     current = (
                         current if isinstance(current, (bytes, bytearray)) else None
                     )
-                    # a re-invocation may find its answer already persisted
-                    # (the first attempt's result arrived after the host's
-                    # deadline) — consume it instead of re-executing
-                    existing = LogFileCodec.find(current, RESULT, seq)
-                    if existing is not None:
-                        self.calls += 1
-                        if not existing.ok:
-                            raise _as_exception(existing.body)
-                        return existing.body
                     payload = LogFileCodec.append(
                         current,
                         LogRecord(INVOKE, seq, module, body=dict(params)),

@@ -10,8 +10,9 @@ budgets.
 The contract that makes the tier safe to lie about durability:
 
 * ``get()`` may return **None** (the entry was lost — its write dropped
-  by the ``tier.writeback`` fault site, or evicted after a lost
-  write).  The engine must treat that as "recompute the fragment".
+  by the ``tier.writeback`` fault site past its retries, which drops the
+  entry at once, or a degraded read).  The engine must treat that as
+  "recompute the fragment".
 * ``get()`` may return **corrupted bytes** (``tier.read`` corrupt): the
   spill framing's crc32 catches it, the engine invalidates the entry and
   recomputes.  The tier never silently converts a loss into wrong data.
@@ -59,7 +60,7 @@ atexit.register(_cleanup_tier_dirs)
 
 
 class _Entry:
-    __slots__ = ("key", "nbytes", "data", "path", "lost")
+    __slots__ = ("key", "nbytes", "data", "path")
 
     def __init__(self, key: str, data: bytes):
         self.key = key
@@ -68,9 +69,6 @@ class _Entry:
         self.data: bytes | None = data
         #: SSD file path once persisted (None while mem-only)
         self.path: str | None = None
-        #: the write was dropped and retries ran out: not served unless a
-        #: demotion, which retries the write, gets it onto the SSD level
-        self.lost = False
 
 
 class TieredStore:
@@ -128,7 +126,8 @@ class TieredStore:
         """Admit ``data`` under ``key`` and write it to its SSD file.
 
         An oversized payload (> mem budget) is demoted straight to the
-        SSD level — the tier never refuses a spill.
+        SSD level — the tier never refuses a spill.  A write lost past
+        its retries leaves nothing behind.
         """
         if self._closed:
             raise RuntimeError(f"{self.name}: store is closed")
@@ -136,12 +135,11 @@ class TieredStore:
         entry = _Entry(key, data)
         self._entries[key] = entry
         self._mem_used += entry.nbytes
-        victims = self._make_room()
         self._count("tier.put")
         self._count("tier.bytes.written", entry.nbytes)
-        self._persist(entry)
-        for victim in victims:
-            self._demote(victim)
+        if self._persist(entry):
+            for victim in self._make_room():
+                self._demote(victim)
 
     # -- read path ----------------------------------------------------------
 
@@ -154,7 +152,7 @@ class TieredStore:
         framing's crc32 catches upstream (call :meth:`invalidate` then).
         """
         entry = self._entries.get(key)
-        if entry is None or entry.lost:
+        if entry is None:
             self._count("tier.miss")
             return None
         self._entries.move_to_end(key)
@@ -196,8 +194,7 @@ class TieredStore:
         movement — the engine uses it to decide between reusing a warm
         run and recomputing a lost one before paying for a ``get``.
         """
-        entry = self._entries.get(key)
-        return entry is not None and not entry.lost
+        return key in self._entries
 
     # -- invalidation ---------------------------------------------------------
 
@@ -241,8 +238,9 @@ class TieredStore:
 
     def _demote(self, entry: _Entry) -> None:
         """Persist a mem victim to the SSD level and drop its mem copy."""
-        self._persist(entry)
-        if entry.path is None and not entry.lost:
+        if not self._persist(entry):
+            return  # the write was lost: the entry is gone
+        if entry.path is None:
             # the write failed without a fault verdict (an OSError);
             # keep it resident rather than losing the only copy
             return
@@ -275,14 +273,16 @@ class TieredStore:
         safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in key)
         return os.path.join(self.ssd_dir, f"{safe}.{abs(hash(key)) & 0xFFFFFFFF:08x}.blk")
 
-    def _persist(self, entry: _Entry) -> None:
+    def _persist(self, entry: _Entry) -> bool:
         """Write a resident, unpersisted entry to its SSD file.
 
-        One ``tier.writeback`` decision per attempt, ``RETRIES`` retries;
-        a fault on the last attempt marks the entry lost.
+        One ``tier.writeback`` decision per attempt, ``RETRIES`` retries.
+        A fault on the last attempt loses the write: the entry is dropped
+        and False returned.  An OSError on the last attempt leaves it
+        resident and unpersisted.
         """
         if entry.data is None or entry.path is not None:
-            return
+            return True
         inj = self.faults
         path = self._entry_path(entry.key)
         tmp = f"{path}.tmp"
@@ -308,14 +308,12 @@ class TieredStore:
                 continue
             entry.path = path
             self._ssd_used += entry.nbytes
-            entry.lost = False
             self._count("tier.writeback.bytes", entry.nbytes)
-            return
-        # retries exhausted: a dropped write is lost (get() -> None); an
-        # OSError leaves the entry resident for _demote to keep
-        if faulted:
-            entry.lost = True
+            return True
         self._count("tier.writeback.lost")
+        if faulted:
+            self._drop(entry.key)
+        return not faulted
 
     # -- teardown ------------------------------------------------------------
 

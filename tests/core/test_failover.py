@@ -1,4 +1,8 @@
-"""Tests for fault tolerance: deadlines, retries, failover (Section VI)."""
+"""Tests for fault tolerance: deadlines, requeue, replica/host failover (Section VI).
+
+One path absorbs a failed offload: the scheduler re-queues the job on
+another SD node holding the input, then on the host.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +10,10 @@ import pytest
 
 from repro.cluster import Testbed
 from repro.config import table1_cluster
-from repro.core import DataJob, FaultTolerantInvoker
-from repro.errors import OffloadError, OffloadTimeoutError, SmartFAMError
+from repro.core import AlwaysOffloadPolicy, DataJob
+from repro.errors import ConfigError, OffloadTimeoutError
 from repro.faults import FaultPlan, FaultRule
+from repro.sched import ClusterScheduler
 from repro.units import MB
 from repro.workloads import text_input
 
@@ -44,113 +49,55 @@ def drop(node, count):
                      where={"node": node, "module": "wordcount"})
 
 
+def schedule(bed, timeout=60.0):
+    return ClusterScheduler(
+        bed.cluster, policy=AlwaysOffloadPolicy(), attempt_timeout=timeout,
+        cache=None,
+    )
+
+
 def test_clean_run_single_attempt(env):
     bed, inp, job = env
-    ft = FaultTolerantInvoker(bed.cluster, timeout=60.0)
-
-    def go():
-        return (yield ft.run(job))
-
-    res = bed.run(go())
+    sched = schedule(bed)
+    res = bed.run(sched.submit(job))
     assert res.where == "sd0"
-    assert ft.total_attempts == 1
+    assert sched.completed[0].attempts == 1
     assert sum(v for _, v in res.output) == expected_total(inp)
-
-
-def test_injected_crash_retried_on_same_node(env):
-    bed, inp, job = env
-    inject(bed, crash("sd0", 1))
-    ft = FaultTolerantInvoker(bed.cluster, timeout=60.0, max_retries=1)
-
-    def go():
-        return (yield ft.run(job))
-
-    res = bed.run(go())
-    assert res.where == "sd0"
-    trail = ft.history[0]
-    # one trail entry per target; the same-node retry is the channel's
-    assert [a.outcome for a in trail] == ["ok"]
-    assert bed.cluster.channel("sd0").retries == 1
 
 
 def test_dropped_result_times_out_and_retries(env):
     bed, inp, job = env
     inject(bed, drop("sd0", 1))
-    ft = FaultTolerantInvoker(bed.cluster, timeout=20.0, max_retries=1)
-
-    def go():
-        return (yield ft.run(job))
-
-    res = bed.run(go())
-    trail = ft.history[0]
-    assert [a.outcome for a in trail] == ["ok"]
-    assert bed.cluster.channel("sd0").retries == 1
-    # the first try waited out its whole deadline before the retry
-    assert trail[0].finished_at - trail[0].started_at > 20.0
-    assert res.where == "sd0"
+    sched = schedule(bed, timeout=20.0)
+    res = bed.run(sched.submit(job))
+    rec = sched.completed[0]
+    # the first try waited out its whole deadline, then the job moved
+    assert rec.attempts == 2 and rec.dispatched_at >= 20.0
+    assert res.where == "sd1"
+    assert "sd0" in sched.unhealthy  # a missed deadline quarantines the SD
     assert sum(v for _, v in res.output) == expected_total(inp)
 
 
 def test_failover_to_replica_sd(env):
     bed, inp, job = env
     inject(bed, crash("sd0", 5))
-    ft = FaultTolerantInvoker(bed.cluster, timeout=60.0, max_retries=1)
-
-    def go():
-        return (yield ft.run(job, replicas=["sd1"]))
-
-    res = bed.run(go())
+    sched = schedule(bed)
+    res = bed.run(sched.submit(job))
     assert res.where == "sd1"
-    targets = [a.target for a in ft.history[0]]
-    assert targets == ["sd0", "sd1"]
-    assert bed.cluster.channel("sd0").retries == 1
-    assert sum(v for _, v in res.output) == expected_total(inp)
-
-
-def test_slow_sd_answers_the_retry_from_its_first_run(env):
-    """A timed-out try is re-invoked under the same seq: a slow but alive
-    daemon runs the module once and that run answers the retry."""
-    bed, inp, job = env
-    # the clean run takes ~6.15 s: the first try misses its deadline
-    ft = FaultTolerantInvoker(bed.cluster, timeout=3.69, max_retries=1)
-
-    def go():
-        return (yield ft.run(job))
-
-    res = bed.run(go())
-    assert res.where == "sd0"
-    assert bed.cluster.channel("sd0").retries == 1
-    assert bed.cluster.sd_daemons["sd0"].invocations == 1
+    assert sched.completed[0].attempts == 2
+    assert not sched.unhealthy  # a crash answers; only a silence quarantines
     assert sum(v for _, v in res.output) == expected_total(inp)
 
 
 def test_failover_to_host_when_all_sds_dead(env):
     bed, inp, job = env
     inject(bed, crash("sd0", 5), crash("sd1", 5))
-    ft = FaultTolerantInvoker(bed.cluster, timeout=60.0, max_retries=0)
-
-    def go():
-        return (yield ft.run(job, replicas=["sd1"]))
-
-    res = bed.run(go())
+    sched = schedule(bed)
+    res = bed.run(sched.submit(job))
     assert res.where == "host"
     assert not res.offloaded
-    assert ft.failovers == 1
+    assert sched.completed[0].attempts == 3
     assert sum(v for _, v in res.output) == expected_total(inp)
-
-
-def test_no_fallback_raises(env):
-    bed, inp, job = env
-    inject(bed, crash("sd0", 5))
-    ft = FaultTolerantInvoker(
-        bed.cluster, timeout=60.0, max_retries=1, fallback_to_host=False
-    )
-
-    def go():
-        yield ft.run(job)
-
-    with pytest.raises(OffloadError):
-        bed.run(go())
 
 
 def test_raw_channel_timeout_error(env):
@@ -190,5 +137,5 @@ def test_channel_recovers_after_timeout(env):
 
 def test_validation():
     bed = Testbed(seed=1)
-    with pytest.raises(OffloadError):
-        FaultTolerantInvoker(bed.cluster, max_retries=-1)
+    with pytest.raises(ConfigError):
+        ClusterScheduler(bed.cluster, max_retries=-1)

@@ -1,14 +1,17 @@
-"""Edge-case tests for FaultTolerantInvoker: replicas, fallback, counters."""
+"""Edge-case tests for failover through the scheduler: replicas, host, counters."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from repro.cluster import Testbed
 from repro.config import table1_cluster
-from repro.core import DataJob, FaultTolerantInvoker
-from repro.errors import OffloadError
+from repro.core import AlwaysOffloadPolicy, DataJob
+from repro.errors import FileNotFoundInVFS
 from repro.faults import FaultPlan, FaultRule
+from repro.sched import ClusterScheduler
 from repro.units import MB
 from repro.workloads import text_input
 
@@ -22,13 +25,17 @@ def env():
     job = DataJob(
         app="wordcount", input_path=sd_path, input_size=MB(50), mode="parallel"
     )
-    return bed, inp, job
-
-
-def _always_crashing(bed):
-    bed.sim.install_faults(
-        FaultPlan(rules=(FaultRule("fam.module", action="fail", count=1000),), seed=12)
+    sched = ClusterScheduler(
+        bed.cluster, policy=AlwaysOffloadPolicy(), attempt_timeout=60.0,
+        cache=None,
     )
+    return bed, inp, job, sched
+
+
+def _always_crashing(bed, **where):
+    bed.sim.install_faults(FaultPlan(rules=(
+        FaultRule("fam.module", action="fail", count=1000, where=where or None),
+    ), seed=12))
 
 
 def _expected(inp):
@@ -36,121 +43,56 @@ def _expected(inp):
 
 
 def test_zero_replicas_falls_back_to_host(env):
-    bed, inp, job = env
+    bed, inp, job, sched = env
     _always_crashing(bed)
-    ft = FaultTolerantInvoker(bed.cluster, timeout=60.0, max_retries=1)
-
-    def go():
-        return (yield ft.run(job))  # no replicas at all
-
-    res = bed.run(go())
+    # pinned to sd0: no other SD node is a candidate
+    res = bed.run(sched.submit(dataclasses.replace(job, sd_node="sd0")))
     assert res.where == bed.cluster.host.name  # degraded but correct
     assert sum(v for _, v in res.output) == _expected(inp)
-    assert ft.failovers == 1
-    trail = ft.history[0]
-    assert [a.outcome for a in trail] == ["error", "ok"]
-    assert trail[-1].detail == "failover"
-    assert bed.cluster.channel("sd0").retries == 1
-
-
-def test_all_replicas_down_without_fallback_raises(env):
-    bed, _inp, job = env
-    _always_crashing(bed)
-    ft = FaultTolerantInvoker(
-        bed.cluster, timeout=60.0, max_retries=1, fallback_to_host=False
-    )
-
-    def go():
-        try:
-            return (yield ft.run(job, replicas=["sd1"]))
-        except OffloadError as exc:
-            return exc
-
-    exc = bed.run(go())
-    assert isinstance(exc, OffloadError)
-    # budget fully spent, nothing beyond it: one try + one retry per target
-    assert ft.total_attempts == 2
-    assert [bed.cluster.channel(n).retries for n in ("sd0", "sd1")] == [1, 1]
-    assert ft.failovers == 0
+    assert sched.completed[0].attempts == 2
 
 
 def test_replica_failover_succeeds_before_host(env):
-    bed, inp, job = env
+    bed, inp, job, sched = env
     # only sd0's module crashes: the rule is scoped by daemon node
-    bed.sim.install_faults(
-        FaultPlan(
-            rules=(
-                FaultRule(
-                    "fam.module", action="fail", count=1000, where={"node": "sd0"}
-                ),
-            ),
-            seed=12,
-        )
-    )
-    ft = FaultTolerantInvoker(bed.cluster, timeout=60.0, max_retries=1)
-
-    def go():
-        return (yield ft.run(job, replicas=["sd1"]))
-
-    res = bed.run(go())
+    _always_crashing(bed, node="sd0")
+    res = bed.run(sched.submit(job))
     assert res.where == "sd1"
     assert sum(v for _, v in res.output) == _expected(inp)
-    assert ft.failovers == 0  # replica absorbed it; host never entered
+    assert sched.engine.host_runs == 0  # replica absorbed it; host never entered
 
 
 def test_permanent_error_fails_fast_per_target(env):
-    bed, _inp, job = env
+    bed, _inp, _job, sched = env
     bad = DataJob(
         app="wordcount", input_path="/export/data/ghost",
         input_size=MB(1), mode="parallel",
     )
-    ft = FaultTolerantInvoker(
-        bed.cluster, timeout=60.0, max_retries=3, fallback_to_host=False
-    )
+    done = sched.submit(bad)
 
     def go():
         try:
-            return (yield ft.run(bad, replicas=["sd1"]))
-        except OffloadError as exc:
+            yield done
+        except Exception as exc:
             return exc
 
     exc = bed.run(go())
-    assert isinstance(exc, OffloadError)
-    # one attempt per target despite max_retries=3: the error is permanent
-    assert ft.total_attempts == 2
-    assert [bed.cluster.channel(n).retries for n in ("sd0", "sd1")] == [0, 0]
-
-
-def test_unknown_replica_names_are_skipped(env):
-    bed, inp, job = env
-    ft = FaultTolerantInvoker(bed.cluster, timeout=60.0)
-
-    def go():
-        return (yield ft.run(job, replicas=["no-such-node"]))
-
-    res = bed.run(go())
-    assert res.where == "sd0"
-    assert sum(v for _, v in res.output) == _expected(inp)
-    assert ft.total_attempts == 1
+    assert isinstance(exc, FileNotFoundInVFS)
+    counters = bed.sim.obs.metrics.counters
+    # one attempt, no requeue: a missing input is not fixed by retrying
+    assert counters["sched.attempt_failures"] == 1
+    assert counters["sched.requeued"] == 0
+    assert counters["sched.failed"] == 1
+    assert bed.sim.now < 1.0
 
 
 def test_counters_track_retries_and_failovers(env):
-    bed, _inp, job = env
+    bed, _inp, job, sched = env
     _always_crashing(bed)
-    ft = FaultTolerantInvoker(bed.cluster, timeout=60.0, max_retries=1)
-
-    def go():
-        return (yield ft.run(job, replicas=["sd1"]))
-
-    bed.run(go())
+    bed.run(sched.submit(job))
     counters = bed.sim.obs.metrics.snapshot()["counters"]
-    # 1 retry on each SD target, then sd0 -> sd1 and sd1 -> host failovers
-    assert counters["retry.smartfam.wordcount"] == 2
-    assert counters["failover.count"] == 2
-    assert counters["failover.host"] == 1
-
-
-def test_invoker_validates_budgets(env):
-    bed, _inp, _job = env
-    with pytest.raises(OffloadError):
-        FaultTolerantInvoker(bed.cluster, max_retries=-1)
+    # sd0 -> sd1 -> host: two failed attempts, each re-queued
+    assert counters["fault.injected.fam.module"] == 2
+    assert counters["sched.attempt_failures"] == 2
+    assert counters["sched.requeued"] == 2
+    assert sched.engine.host_runs == 1

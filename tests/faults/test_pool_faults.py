@@ -19,11 +19,9 @@ def _bad_map(x):
     raise ValueError(f"deterministic bug on {x}")
 
 
-def _pool(*rules, seed=0, retries=2, obs=None):
+def _pool(*rules, seed=0, obs=None):
     inj = FaultInjector(FaultPlan(rules=tuple(rules), seed=seed), obs=obs)
-    return WorkerPool(
-        2, start_method="fork", max_task_retries=retries, faults=inj, obs=obs
-    )
+    return WorkerPool(2, start_method="fork", faults=inj, obs=obs)
 
 
 def test_killed_worker_is_respawned_and_task_redispatched():
@@ -53,10 +51,10 @@ def test_injected_task_failure_is_retried_without_respawn():
 
 
 def test_exhausted_retries_raise_permanent_worker_crash():
-    # the rule never burns out, so task 0 fails on every dispatch
+    # the rule never burns out (10 > RETRIES + 1 dispatches), so task 0
+    # fails on every dispatch
     with _pool(
         FaultRule("pool.worker", action="fail", count=10, where={"index": 0}),
-        retries=1,
     ) as pool:
         with pytest.raises(WorkerCrashError) as err:
             list(pool.imap_unordered(_square, list(range(4))))
@@ -80,7 +78,6 @@ def test_attempt_number_is_visible_to_rules():
             "pool.worker", action="fail", count=1,
             where={"index": 1, "attempt": 1},
         ),
-        retries=3,
     ) as pool:
         results = sorted(pool.imap_unordered(_square, list(range(3))))
     assert results == [0, 1, 4]

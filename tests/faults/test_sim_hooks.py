@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 
 from repro.cluster import Testbed
 from repro.config import table1_cluster
-from repro.core import DataJob, FaultTolerantInvoker
+from repro.core import DataJob
 from repro.errors import DiskError, NFSError, is_retryable
 from repro.faults import FaultPlan, FaultRule, standard_plan
 from repro.fs.inotify import IN_MODIFY, InotifyManager
 from repro.fs.vfs import VFS
 from repro.hardware.disk import DiskModel
+from repro.sched import ClusterScheduler
 from repro.sim import Simulator
 from repro.units import MB
 from repro.workloads import text_input
@@ -104,48 +107,70 @@ def test_nfs_call_fail_surfaces_transient_nfs_error():
 
 # -- end-to-end recovery under the standard plan -----------------------------
 
+#: the scheduler's budget: max_retries + 1 attempts on SD nodes, as many
+#: on the host
+RETRIES = 2
+BOUND = 2 * (RETRIES + 1)
+
+
+def _standard_plan_run(app, seed, chaos=True, n_jobs=1):
+    """``n_jobs`` ``app`` jobs, one after another, through the scheduler
+    on two replicated SD nodes; returns (outputs, injector, scheduler)."""
+    bed = Testbed(config=table1_cluster(n_sd=2, seed=seed), seed=seed)
+    inp = text_input("/data/f", MB(50), payload_bytes=4_000, seed=seed)
+    _view, sd_path = bed.stage_replicated("f", inp)
+    injector = bed.sim.install_faults(standard_plan(seed)) if chaos else None
+    sched = ClusterScheduler(
+        bed.cluster, attempt_timeout=60.0, max_retries=RETRIES, cache=None
+    )
+    job = DataJob(app=app, input_path=sd_path, input_size=MB(50), mode="parallel")
+
+    def go():
+        outputs = []
+        for _ in range(n_jobs):
+            result = yield sched.submit(job)
+            outputs.append(result.output)
+        return outputs
+
+    return bed.run(go()), injector, sched
+
 
 @pytest.mark.parametrize("app", ["wordcount", "stringmatch"])
 def test_standard_plan_preserves_job_output(app):
-    def run_once(chaos):
-        bed = Testbed(config=table1_cluster(n_sd=2, seed=6), seed=6)
-        inp = text_input("/data/f", MB(50), payload_bytes=4_000, seed=6)
-        _sd, _host, sd_path = bed.stage_on_sd("f", inp)
-        bed.stage(bed.cluster.sd(1), sd_path, inp)
-        injector = bed.sim.install_faults(standard_plan(6)) if chaos else None
-        job = DataJob(app=app, input_path=sd_path, input_size=MB(50), mode="parallel")
-        ft = FaultTolerantInvoker(bed.cluster, timeout=60.0, max_retries=2)
-
-        def go():
-            return (yield ft.run(job, replicas=["sd1"]))
-
-        result = bed.run(go())
-        return result.output, injector, ft
-
-    baseline, _, _ = run_once(chaos=False)
-    output, injector, ft = run_once(chaos=True)
+    baseline, _, _ = _standard_plan_run(app, 6, chaos=False)
+    output, injector, sched = _standard_plan_run(app, 6)
     assert output == baseline  # faults cost time, never answers
     assert injector.injections >= 1
-    # bounded: at most (retries+1) per SD target plus the host fallback
-    assert ft.total_attempts <= 2 * 3 + 1
+    assert sched.completed[0].attempts <= BOUND
+
+
+def test_standard_plan_one_job_gets_the_reference_answer():
+    """Two NFS errors pin the job to the host, whose first request is then
+    lost: the host attempt's deadline ends it and the host runs it again."""
+    bed = Testbed(config=table1_cluster(n_sd=2, seed=7), seed=7)
+    inp = text_input("/data/f", MB(50), payload_bytes=6_000, seed=7)
+    _view, sd_path = bed.stage_replicated("f", inp)
+    bed.sim.install_faults(standard_plan(7))
+    sched = ClusterScheduler(
+        bed.cluster, attempt_timeout=60.0, max_retries=RETRIES, cache=None
+    )
+    job = DataJob(app="wordcount", input_path=sd_path, input_size=MB(50),
+                  mode="parallel")
+    result = bed.run(sched.submit(job))
+    assert dict(result.output) == collections.Counter(inp.payload_bytes.split())
+    rec = sched.completed[0]
+    assert rec.where == bed.cluster.host.name and rec.attempts <= BOUND
+    assert bed.cluster.host.name not in sched.unhealthy
 
 
 def test_standard_plan_injection_is_reproducible():
+    # three jobs: the first is pinned to the host by the two NFS errors,
+    # the later ones carry the module and result faults to the SD daemons
     def run_once():
-        bed = Testbed(config=table1_cluster(n_sd=2, seed=8), seed=8)
-        inp = text_input("/data/f", MB(50), payload_bytes=4_000, seed=8)
-        _sd, _host, sd_path = bed.stage_on_sd("f", inp)
-        bed.stage(bed.cluster.sd(1), sd_path, inp)
-        injector = bed.sim.install_faults(standard_plan(8))
-        job = DataJob(
-            app="wordcount", input_path=sd_path, input_size=MB(50), mode="parallel"
-        )
-        ft = FaultTolerantInvoker(bed.cluster, timeout=60.0, max_retries=2)
+        _, injector, sched = _standard_plan_run("wordcount", 8, n_jobs=3)
+        assert all(rec.attempts <= BOUND for rec in sched.completed)
+        return injector
 
-        def go():
-            return (yield ft.run(job, replicas=["sd1"]))
-
-        bed.run(go())
-        return injector.signatures()
-
-    assert run_once() == run_once()
+    first, again = run_once(), run_once()
+    assert first.signatures() == again.signatures()
+    assert {sig[3] for sig in first.signatures()} == set(range(len(standard_plan(8))))

@@ -1,23 +1,30 @@
-"""Tests for host-side smartFAM reliability: retry, deadline, idempotency."""
+"""Tests for retrying smartFAM calls: fresh sequence numbers, one budget.
+
+The host never re-sends a call: whoever retries (the scheduler) invokes
+again, and every invoke writes a new INVOKE record under a fresh seq.
+"""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cluster import Testbed
-from repro.errors import SmartFAMError
+from repro.core import DataJob
+from repro.errors import FileNotFoundInVFS, NFSError, SmartFAMError, is_retryable
 from repro.faults import FaultPlan, FaultRule
+from repro.sched import ClusterScheduler
+from repro.smartfam.logfile import INVOKE, LogFileCodec
 from repro.units import MB
 from repro.workloads import text_input
 
 
-@pytest.fixture()
-def env():
+def _env(*rules):
     bed = Testbed(seed=9)
     inp = text_input("/data/f", MB(50), payload_bytes=4_000, seed=9)
     _sd, _host, sd_path = bed.stage_on_sd("f", inp)
-    params = {"input_path": sd_path, "input_size": MB(50), "mode": "parallel"}
-    return bed, inp, params
+    if rules:
+        bed.sim.install_faults(FaultPlan(rules=rules, seed=9))
+    job = DataJob(app="wordcount", input_path=sd_path, input_size=MB(50),
+                  mode="parallel")
+    return bed, inp, job
 
 
 def _total(output):
@@ -28,118 +35,69 @@ def _daemon(bed):
     return bed.cluster.sd_daemons[bed.sd.name]
 
 
-def test_injected_module_crash_is_retried_with_fresh_seq(env):
-    bed, inp, params = env
-    bed.sim.install_faults(
-        FaultPlan(rules=(FaultRule("fam.module", action="fail", count=1),), seed=9)
-    )
-    channel = bed.cluster.channel()
-
-    def proc():
-        return (yield channel.invoke_reliable("wordcount", params, timeout=60.0))
-
-    result = bed.run(proc())
-    assert _total(result.output) == len(inp.payload_bytes.split())
-    assert channel.retries == 1
-    assert _daemon(bed).invocations == 2  # crashed run + successful rerun
-
-
-def test_dropped_result_times_out_and_reinvokes_same_seq(env):
-    bed, inp, params = env
-    bed.sim.install_faults(
-        FaultPlan(rules=(FaultRule("fam.result", action="drop", count=1),), seed=9)
-    )
-    channel = bed.cluster.channel()
-
-    def proc():
-        return (yield channel.invoke_reliable("wordcount", params, timeout=30.0))
-
-    result = bed.run(proc())
-    assert _total(result.output) == len(inp.payload_bytes.split())
-    assert channel.retries == 1
-    # the module genuinely ran twice: its first result record was lost
-    assert _daemon(bed).invocations == 2
-
-
-def test_reinvoking_a_completed_seq_consumes_the_persisted_result(env):
-    # idempotency core: a RESULT already in the log answers a re-invoke
-    # without executing the module again (the late-result deadline case)
-    bed, inp, params = env
-    channel = bed.cluster.channel()
-    seq = 10_000_000  # far from the global seq counter
-
-    def proc():
-        first = yield bed.sim.spawn(channel._invoke("wordcount", params, seq=seq))
-        ran_after_first = _daemon(bed).invocations
-        again = yield bed.sim.spawn(channel._invoke("wordcount", params, seq=seq))
-        return first, again, ran_after_first
-
-    first, again, ran_after_first = bed.run(proc())
-    assert first.output == again.output
-    assert ran_after_first == 1
-    assert _daemon(bed).invocations == 1  # the second call executed nothing
-    assert channel.calls == 2
-
-
-def test_permanent_module_failure_is_not_retried(env):
-    bed, _inp, _params = env
-    channel = bed.cluster.channel()
-
-    def proc():
+def _outcome(bed, event):
+    def go():
         try:
-            yield channel.invoke_reliable(
-                "wordcount",
-                {"input_path": "/export/data/ghost", "mode": "parallel"},
-                timeout=60.0,
-                max_retries=3,
-            )
+            return (yield event)
         except Exception as exc:
             return exc
 
-    exc = bed.run(proc())
-    assert exc is not None
-    assert channel.retries == 0  # fail fast: no retry budget spent
-    assert _daemon(bed).invocations == 1
+    return bed.run(go())
 
 
-def test_retry_budget_exhaustion_raises_the_last_error(env):
-    bed, _inp, params = env
-    bed.sim.install_faults(
-        FaultPlan(rules=(FaultRule("fam.module", action="fail", count=10),), seed=9)
-    )
+def test_injected_module_crash_is_retried_with_fresh_seq():
+    bed, inp, job = _env(FaultRule("fam.module", action="fail", count=1))
     channel = bed.cluster.channel()
 
     def proc():
         try:
-            yield channel.invoke_reliable(
-                "wordcount", params, timeout=60.0, max_retries=1
-            )
+            yield channel.invoke("wordcount", job.invoke_params(), timeout=60.0)
         except SmartFAMError as exc:
-            return exc
+            crashed = exc
+        result = yield channel.invoke("wordcount", job.invoke_params(), timeout=60.0)
+        return crashed, result
 
-    exc = bed.run(proc())
-    assert isinstance(exc, SmartFAMError)
-    assert channel.retries == 1  # budget spent, then surfaced
+    crashed, result = bed.run(proc())
+    assert is_retryable(crashed)
+    assert _total(result.output) == len(inp.payload_bytes.split())
+    assert _daemon(bed).invocations == 2  # crashed run + the new call's run
+    log = _daemon(bed).node.fs.vfs.read(_daemon(bed).log_path("wordcount"))
+    seqs = [r.seq for r in LogFileCodec.decode(log) if r.kind == INVOKE]
+    assert len(seqs) == 2 and seqs[0] != seqs[1]
 
 
-def test_negative_retry_budget_rejected(env):
-    bed, _inp, params = env
-    with pytest.raises(SmartFAMError):
-        bed.cluster.channel().invoke_reliable("wordcount", params, max_retries=-1)
+def test_permanent_module_failure_is_not_retried():
+    bed, _inp, _job = _env()
+    sched = ClusterScheduler(bed.cluster, attempt_timeout=60.0, cache=None)
+    ghost = DataJob(app="wordcount", input_path="/export/data/ghost",
+                    input_size=MB(1), mode="parallel")
+    exc = _outcome(bed, sched.submit(ghost))
+    assert isinstance(exc, FileNotFoundInVFS)
+    assert bed.sim.obs.metrics.counters["sched.requeued"] == 0
+    assert _daemon(bed).invocations == 1
 
 
-def test_retry_counters_reach_the_metrics_registry(env):
-    bed, _inp, params = env
-    bed.sim.install_faults(
-        FaultPlan(rules=(FaultRule("fam.module", action="fail", count=1),), seed=9)
+def test_retry_budget_exhaustion_raises_the_last_error():
+    # every NFS round trip fails: the SD attempt, then each host attempt
+    bed, _inp, job = _env(FaultRule("nfs.call", action="fail"))
+    sched = ClusterScheduler(
+        bed.cluster, attempt_timeout=60.0, max_retries=1, cache=None
     )
-    channel = bed.cluster.channel()
+    exc = _outcome(bed, sched.submit(job))
+    assert isinstance(exc, NFSError)
+    counters = bed.sim.obs.metrics.counters
+    # one SD attempt (the only SD is excluded after it), then
+    # max_retries + 1 host attempts: inside 2 x (max_retries + 1)
+    assert counters["sched.attempt_failures"] == 1 + 2
+    assert counters["sched.failed"] == 1
+    assert bed.sim.now < 1.0  # spent, not livelocked
 
-    def proc():
-        return (yield channel.invoke_reliable("wordcount", params, timeout=60.0))
 
-    bed.run(proc())
+def test_retry_counters_reach_the_metrics_registry():
+    bed, _inp, job = _env(FaultRule("fam.module", action="fail", count=1))
+    sched = ClusterScheduler(bed.cluster, attempt_timeout=60.0, cache=None)
+    bed.run(sched.submit(job))
     counters = bed.sim.obs.metrics.snapshot()["counters"]
-    assert counters["retry.count"] >= 1
-    assert counters["retry.smartfam.wordcount"] == 1
     assert counters["fault.injected.fam.module"] == 1
+    assert counters["sched.attempt_failures"] == 1
+    assert counters["sched.requeued"] == 1

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pickle
 
+import pytest
+
 from repro.cluster.testbed import Testbed
 from repro.config import table1_cluster
 from repro.core import DistributedEngine, DistributedJob
+from repro.faults import FaultPlan, FaultRule
 from repro.sched import ClusterScheduler
 from repro.units import MB
 from repro.workloads import text_input
@@ -94,3 +97,24 @@ def test_whole_fleet_dead_falls_back_to_host():
     res = bed.run(sched.submit_distributed(_job(sd_path)))
     assert pickle.dumps(res.output) == pickle.dumps(ref.output)
     assert not res.offloaded and res.where == "host"
+
+
+def test_host_fallback_runs_under_the_attempt_deadline():
+    """A lost NFS message in the host fallback costs one deadline; then the
+    fallback runs again on the host."""
+    ref = _reference()
+    bed, sd_path = _bed()
+    sched = ClusterScheduler(
+        bed.cluster, attempt_timeout=2.0, max_queue=4, max_retries=1,
+    )
+    for name in list(bed.cluster.sd_daemons):
+        bed.cluster.sd_daemons[name].kill()
+    # the dead fleet costs the job until t = 8 s, when the fallback starts
+    bed.sim.install_faults(FaultPlan(rules=(
+        FaultRule("nfs.call", action="drop", count=1, window=(8.0, 9.0)),
+    )))
+    res = bed.run(sched.submit_distributed(_job(sd_path)))
+    assert pickle.dumps(res.output) == pickle.dumps(ref.output)
+    rec = sched.completed[0]
+    assert res.where == "host" and rec.attempts == 3
+    assert rec.dispatched_at == pytest.approx(10.0)

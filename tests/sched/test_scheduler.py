@@ -7,8 +7,9 @@ import pytest
 from repro.cluster import Testbed
 from repro.config import table1_cluster
 from repro.core import DataJob
-from repro.core.loadbalance import AdaptivePolicy, AlwaysOffloadPolicy
-from repro.errors import AdmissionError
+from repro.core.loadbalance import AdaptivePolicy, AlwaysOffloadPolicy, HostOnlyPolicy
+from repro.errors import AdmissionError, DiskError, OffloadTimeoutError
+from repro.faults import FaultPlan, FaultRule
 from repro.sched import ClusterScheduler
 from repro.units import MB
 from repro.workloads import ArrivalProcess, text_input
@@ -171,6 +172,71 @@ def test_admitted_job_completes_on_host_when_all_sds_dead():
     assert rec.where == "host" and not rec.offloaded
     _, _, res = report.completed[0]
     assert sum(v for _, v in res.output) == expected_total(inp)
+
+
+def _host_only(bed, **kw) -> ClusterScheduler:
+    kw.setdefault("attempt_timeout", 60.0)
+    return ClusterScheduler(bed.cluster, policy=HostOnlyPolicy(), cache=None, **kw)
+
+
+@pytest.mark.parametrize("site", ["nfs.call", "disk.read"])
+def test_transient_host_fault_is_retried_on_the_host(site):
+    bed, inp, sd_path = make_bed()
+    bed.sim.install_faults(FaultPlan(rules=(FaultRule(site, count=1),), seed=7))
+    sched = _host_only(bed)
+    res = bed.run(sched.submit(make_job(sd_path)))
+    rec = sched.completed[0]
+    assert rec.where == "host" and rec.attempts == 2
+    assert sum(v for _, v in res.output) == expected_total(inp)
+
+
+def test_host_fault_that_never_burns_out_fails_within_the_bound():
+    bed, _, sd_path = make_bed()
+    bed.sim.install_faults(FaultPlan(rules=(FaultRule("disk.read"),), seed=7))
+    sched = _host_only(bed, max_retries=2)
+    with pytest.raises(DiskError):
+        bed.run(sched.submit(make_job(sd_path)))
+    counters = bed.sim.obs.metrics.counters
+    assert counters["sched.attempt_failures"] == 2 + 1  # max_retries + 1
+    assert counters["sched.failed"] == 1
+    assert bed.sim.now < 1.0  # the budget ran out; nothing livelocked
+
+
+@pytest.mark.parametrize("site", ["nfs.call", "net.deliver"])
+def test_lost_message_times_out_the_host_attempt(site):
+    bed, inp, sd_path = make_bed()
+    bed.sim.install_faults(
+        FaultPlan(rules=(FaultRule(site, action="drop", count=1),), seed=7)
+    )
+    sched = _host_only(bed)
+    res = bed.run(sched.submit(make_job(sd_path)))
+    rec = sched.completed[0]
+    # the first attempt waited for a reply that never came, until its deadline
+    assert rec.attempts == 2 and rec.dispatched_at == pytest.approx(60.0)
+    assert not sched.unhealthy  # the host is never quarantined
+    assert bed.cluster.host.memory.used == 0
+    assert sum(v for _, v in res.output) == expected_total(inp)
+
+
+def _sample(bed, at: float, probe):
+    yield bed.sim.timeout(at)
+    return probe()
+
+
+def test_timed_out_host_run_gives_back_memory_and_cpu():
+    """A deadline shorter than the host run aborts it while it maps."""
+    bed, _, sd_path = make_bed()
+    host = bed.cluster.host
+    # the clean host run maps for its first ~0.17 s of ~0.55 s
+    sched = _host_only(bed, attempt_timeout=0.1, max_retries=1)
+    done = sched.submit(make_job(sd_path))
+    mid_run = bed.run(_sample(bed, 0.05, lambda: (host.memory.used, host.cpu.n_active)))
+    assert mid_run[0] > 0 and mid_run[1] > 0
+    with pytest.raises(OffloadTimeoutError):
+        bed.run(done)
+    # two host attempts of 0.1 s each, both aborted: nothing left behind
+    assert bed.sim.now == pytest.approx(0.2)
+    assert host.memory.used == 0 and host.cpu.n_active == 0
 
 
 def test_cache_hit_answers_without_queueing():

@@ -150,6 +150,36 @@ def test_interrupt_race_with_completion_is_safe():
     assert victim_p.triggered
 
 
+def test_abort_interrupts_the_waited_on_tree_and_cancels_its_leaves():
+    sim = Simulator()
+    never = sim.event("never")  # a reply that never comes
+    cancelled = []
+    done = []
+
+    def leaf(sim):
+        try:
+            yield never
+        finally:
+            done.append("leaf")
+
+    def child(sim):
+        yield sim.all_of([sim.spawn(leaf(sim)), sim.timeout(1)])
+
+    def root(sim):
+        try:
+            yield sim.spawn(child(sim))
+        finally:
+            done.append("root")
+
+    p = sim.spawn(root(sim))
+    sim.run(until=2.0)
+    p.abort("deadline", cancel=cancelled.append)
+    sim.run()
+    assert isinstance(p.value, InterruptError)
+    assert sorted(done) == ["leaf", "root"]
+    assert cancelled == [never]  # the expired timeout is not a leaf
+
+
 def test_nested_spawn_fanout():
     sim = Simulator()
 

@@ -4,8 +4,8 @@ One scenario, everything at once: a 2-SD Table I cluster with SMB routine
 traffic, an adaptive-placement McSD runtime running a burst of mixed
 programs (MM on the host + WC/SM/dbselect offloads), a scatter-gather
 query across both storage nodes, and a fault injected mid-run that the
-fault-tolerance layer must absorb — all while every result stays exactly
-correct and every conservation invariant holds.
+scheduler must absorb by moving the job — all while every result stays
+exactly correct and every conservation invariant holds.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from repro.cluster import Testbed
 from repro.config import table1_cluster
 from repro.core import (
     AdaptivePolicy,
+    AlwaysOffloadPolicy,
     ComputeJob,
     DataJob,
-    FaultTolerantInvoker,
     McSDProgram,
     McSDRuntime,
     ScatterGatherEngine,
@@ -26,6 +26,7 @@ from repro.core import (
 )
 from repro.apps.dbselect import make_dbselect_spec
 from repro.faults import FaultPlan, FaultRule
+from repro.sched import ClusterScheduler
 from repro.smartfam.registry import mapreduce_module, standard_registry
 from repro.units import MB
 from repro.workloads import encrypted_input, text_input
@@ -67,17 +68,19 @@ def world():
     )))
 
     runtime = McSDRuntime(bed.cluster, policy=AdaptivePolicy(tolerance=1.0))
-    ft = FaultTolerantInvoker(bed.cluster, timeout=90.0, max_retries=0)
+    sched = ClusterScheduler(
+        bed.cluster, policy=AlwaysOffloadPolicy(), attempt_timeout=90.0,
+        cache=None,
+    )
     scatter = ScatterGatherEngine(bed.cluster)
 
     results: dict = {}
 
     def driver():
         t0 = bed.sim.now
-        # a WC offload that will hit the injected crash and fail over
-        p_wc = ft.run(
-            DataJob(app="wordcount", input_path=wc_path, input_size=wc_inp.size),
-            replicas=["sd1"],
+        # a WC offload that will hit the injected crash and move to sd1
+        p_wc = sched.submit(
+            DataJob(app="wordcount", input_path=wc_path, input_size=wc_inp.size)
         )
         # a mixed program: MM on the host + SM offloaded (data on sd1)
         p_prog = runtime.submit(
@@ -106,7 +109,7 @@ def world():
         )
         # a scatter-gather across both SD nodes, issued once the WC offload
         # holds sd0's wordcount channel (calls to one module serialize), so
-        # the injected crash lands on the fault-tolerant job
+        # the injected crash lands on the scheduled job
         yield bed.sim.timeout(0.001)
         p_scatter = scatter.run(ScatterJob(app="wordcount", shards=shards))
         gathered = yield bed.sim.all_of([p_wc, p_prog, p_db, p_scatter])
@@ -122,7 +125,7 @@ def world():
         "sm_planted": sm_planted,
         "db_inp": db_inp,
         "big_inp": big_inp,
-        "ft": ft,
+        "sched": sched,
     }
 
 
@@ -136,8 +139,8 @@ def test_wordcount_failed_over_and_is_exact(world):
     bed, results, ctx = world
     wc = results["wc"]
     assert wc.where == "sd1"  # crashed on sd0, recovered on the replica
-    trail = ctx["ft"].history[0]
-    assert trail[0].outcome == "error" and trail[-1].outcome == "ok"
+    assert ctx["sched"].completed[0].attempts == 2
+    assert bed.sim.obs.metrics.counters["sched.attempt_failures"] == 1
     assert sum(v for _, v in wc.output) == len(ctx["wc_inp"].payload_bytes.split())
 
 

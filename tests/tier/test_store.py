@@ -114,6 +114,24 @@ def test_dropped_writeback_loses_entry_without_lying():
         assert store.get("k") is None  # lost, never wrong
 
 
+def test_lost_write_drops_the_entry_and_never_comes_back():
+    """A write lost past its retries frees its bytes, accounting and LRU
+    slot at once; no later demotion writes it again."""
+    plan = FaultPlan(
+        rules=(FaultRule("tier.writeback", action="drop", count=3),), seed=1
+    )
+    with make_store(mem=250, faults=FaultInjector(plan)) as store:
+        store.put("lost", b"x" * 100)
+        st = store.stats()
+        assert (st["entries"], st["mem_used"], st["ssd_used"]) == (0, 0, 0)
+        for i in range(3):  # enough puts to demote every older entry
+            store.put(f"k{i}", b"y" * 100)
+        assert not store.contains("lost")
+        assert store.get("lost") is None
+        assert store.stats()["entries"] == 3
+        assert store.stats()["tier.writeback.lost"] == 1
+
+
 def test_reput_with_lost_write_leaves_no_stale_file():
     """A re-put whose write is dropped loses the key — and must take the
     old entry's SSD file with it, not leave the old bytes behind."""

@@ -65,9 +65,9 @@ from repro.core import (  # noqa: E402
     DataJob,
     DistributedEngine,
     DistributedJob,
-    FaultTolerantInvoker,
     SpeculationPolicy,
 )
+from repro.errors import RETRIES  # noqa: E402
 from repro.exec import LocalMapReduce  # noqa: E402
 from repro.exec.outofcore import install_signal_cleanup  # noqa: E402
 from repro.faults import (  # noqa: E402
@@ -120,11 +120,12 @@ def _kill(bed, node: str, at: float) -> None:
     bed.sim.spawn(go(), name=f"chaos.kill-{node}")
 
 
-def _replay_rows(plan: FaultPlan, baseline: bytes, chaos, again, note: str):
+def _replay_rows(plan: FaultPlan, baseline, chaos, again, note: str):
     """The rows every clean / chaos / chaos-again case shares.
 
     ``chaos`` and ``again`` are ``(output, injector)`` from two runs under
-    ``plan`` with the same seed; outputs are canonical bytes.
+    ``plan`` with the same seed; an output is canonical bytes, or a list
+    of them for a stream.
     """
     (output, injector), (output2, injector2) = chaos, again
     fired = injector.fired_by_site()
@@ -144,10 +145,14 @@ def _replay_rows(plan: FaultPlan, baseline: bytes, chaos, again, note: str):
 
 # -- simulated cluster cases -------------------------------------------------
 
-#: per-attempt deadline for the chaos invoker (simulated seconds)
+#: per-attempt deadline of the simulated cases (simulated seconds)
 SIM_TIMEOUT = 60.0
-#: same-target retries before failover
+#: scheduler re-dispatches before a job is pinned to the host, and on it
 SIM_RETRIES = 2
+#: jobs per simulated case, one after another: the plan's two NFS errors
+#: pin the first job to the host, so its module and result faults need
+#: the later jobs to reach an SD daemon
+SIM_JOBS = 3
 
 
 def _run_sim_once(args: argparse.Namespace, app: str, chaos: bool):
@@ -160,32 +165,40 @@ def _run_sim_once(args: argparse.Namespace, app: str, chaos: bool):
         params=params,
     )
     injector = bed.sim.install_faults(standard_plan(args.seed)) if chaos else None
-    ft = FaultTolerantInvoker(bed.cluster, timeout=SIM_TIMEOUT, max_retries=SIM_RETRIES)
+    sched = ClusterScheduler(
+        bed.cluster, attempt_timeout=SIM_TIMEOUT, max_retries=SIM_RETRIES,
+        cache=None,
+    )
 
     def go():
-        return (yield ft.run(job, replicas=["sd1"]))
+        outputs = []
+        for _ in range(SIM_JOBS):
+            result = yield sched.submit(job)
+            outputs.append(canonical_output(app, result.output))
+        return outputs
 
-    result = bed.run(go())
-    return canonical_output(app, result.output), injector, ft, bed
+    return bed.run(go()), injector, sched, bed
 
 
 def sim_case(args: argparse.Namespace, app: str):
-    """One app through the fault-tolerant invoker, clean and under faults."""
+    """A short stream of one app through the scheduler, clean and under faults."""
     baseline, _, _, _ = _run_sim_once(args, app, chaos=False)
-    output, injector, ft, bed = _run_sim_once(args, app, chaos=True)
-    output2, injector2, _, _ = _run_sim_once(args, app, chaos=True)
-    # FT invoker budget: (retries+1) per target (primary + 1 replica), +1 host
-    budget = (SIM_RETRIES + 1) * 2 + 1
-    # one trail entry per target tried, plus the channels' same-node retries
-    tries = ft.total_attempts + bed.sim.obs.metrics.counters.get(
-        f"retry.smartfam.{app}", 0
-    )
+    outputs, injector, sched, bed = _run_sim_once(args, app, chaos=True)
+    outputs2, injector2, _, _ = _run_sim_once(args, app, chaos=True)
+    # the scheduler's bound: max_retries + 1 attempts on SD nodes, as many
+    # on the host
+    budget = 2 * (SIM_RETRIES + 1)
+    attempts = [rec.attempts for rec in sched.completed]
+    failures = bed.sim.obs.metrics.counters["sched.attempt_failures"]
     rows = [
         *_replay_rows(
-            standard_plan(args.seed), baseline, (output, injector),
-            (output2, injector2), f"{len(baseline)} bytes",
+            standard_plan(args.seed), baseline, (outputs, injector),
+            (outputs2, injector2),
+            f"{SIM_JOBS} jobs x {len(baseline[0])} bytes",
         ),
-        ("retries bounded", tries <= budget, f"{tries} attempts <= {budget}"),
+        ("retries bounded", max(attempts) <= budget,
+         f"{int(failures)} failed attempts, at most {max(attempts)} per job "
+         f"<= {budget}"),
     ]
     return rows, bed.sim.obs, {"faults": injector.fired_by_site()}
 
@@ -606,8 +619,7 @@ def engine_case(args: argparse.Namespace):
          f"{counters['localmr.recompute']} recomputes"),
         repro,
         ("retries bounded",
-         engine.pool.redispatches
-         <= engine.pool.max_task_retries * (res.n_chunks + 1),
+         engine.pool.redispatches <= RETRIES * (res.n_chunks + 1),
          f"{engine.pool.redispatches} redispatches"),
         ("no spill dirs leaked", not leaks["spill"],
          f"{leaks['spill'] or 'clean'}"),

@@ -120,7 +120,7 @@ FOOTER = """## Known deviations from the paper
 |---|---|---|
 | Ethernet -> Infiniband upgrade | `bench_ablation_network.py` | host-only improves with bandwidth; McSD insensitive; advantage shrinks but persists |
 | Parallelism across multiple McSDs | `bench_ablation_multisd.py` | {multisd} |
-| Fault tolerance mechanism | `tests/core/test_failover.py` | deadline + retry + replica/host failover, exact results preserved |
+| Fault tolerance mechanism | `tests/core/test_failover.py`, `tests/sched/test_scheduler.py` | per-attempt deadlines (SD and host) + scheduler requeue on a replica, then the host, within 2 × (`max_retries` + 1) attempts; exact results preserved |
 | Module extensibility (database ops) | `examples/custom_module.py` | SELECT/GROUP-BY preloaded and offloaded like the built-ins |
 """
 

@@ -26,7 +26,7 @@ Reads either export format (Chrome-trace/Perfetto JSON or JSONL, see
   links;
 * counter sections from :data:`COUNTER_SECTIONS`, each printed when the
   trace recorded any of its counters: reliability (``fault.*`` /
-  ``retry.*`` / ``failover.*`` / ``pool.*`` — chaos-soak traces always
+  ``retry.*`` / ``pool.*`` — chaos-soak traces always
   have them), distributed shuffle (``shuffle.*`` and the ``dist.*``
   invoke/job counters of a ``DistributedEngine`` run — the
   ``shuffle.exchange`` leg itself lands on the job's ``dist:*`` track, so
@@ -79,7 +79,7 @@ from repro.obs.export import (  # noqa: E402
 #: counter sections in print order: (title, counter-name prefixes).  A
 #: counter prints once, in the section holding its longest matching prefix.
 COUNTER_SECTIONS = (
-    ("reliability counters", ("fault.", "retry.", "failover.", "pool.")),
+    ("reliability counters", ("fault.", "retry.", "pool.")),
     ("distributed shuffle", ("shuffle.", "dist.")),
     ("recovery", ("dist.restart", "dist.transfer.", "spec.", "node.")),
 )
