@@ -143,7 +143,9 @@ class LocalMapReduce:
         self.spill_dir = spill_dir
         #: burst buffer for spill runs (None: plain spill files).  Runs
         #: are keyed by job content identity, so a warm tier lets a
-        #: repeat job over an unchanged input skip map+spill per run.
+        #: repeat job over an unchanged input skip map+spill: a combiner
+        #: job reads its one merged run, a combinerless one each
+        #: fragment run still held.
         self.tier = tier
         #: fragments ahead that out-of-core runs hint to the kernel's
         #: page-cache readahead (0: no hints)

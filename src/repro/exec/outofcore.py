@@ -9,17 +9,22 @@ fragment streams through one engine call, and the parent spills fragment
 i, in fragment order, while the workers already map fragment i+1.  The
 parent holds the fragment being spilled plus the engine's bounded window
 of results in flight — not the whole input — which is what bounds peak
-RSS.  A combiner job spills its folded map as it stands, then folds the runs,
+RSS.  A combiner job spills its folded map as it stands (its keys and
+values, in insertion order, as two parallel lists), then folds the runs,
 one block at a time in fragment order, into one accumulator with the
-in-memory path's ``fold_map_into`` and ``finalize_folded_map``.  A
-combinerless job's value lists must stream: its runs are decorate-sorted
-and merged *lazily* (:func:`repro.phoenix.sort.merge_decorated_runs`),
-reducing per key as the stream drains, so that merge holds one block per
-run.
+in-memory path's ``fold_map_into``, orders its keys by ``repr`` and
+reduces them in that order (:func:`repro.phoenix.sort.reduce_in_order`,
+the in-memory finalize's second half).  A combinerless job's value lists
+must stream: its runs are decorate-sorted and merged *lazily*
+(:func:`repro.phoenix.sort.merge_decorated_runs`), reducing per key as
+the stream drains, so that merge holds one block per run.
 
 Spill format: each run file is a sequence of *independent* pickled
-blocks (dict slices of a folded map, or lists of decorated entries,
-bounded by :data:`SPILL_BLOCK_ENTRIES` and a per-job value cap).
+blocks (a folded map's — a fragment's or a job's merged map — as pairs
+of parallel key and value list slices, or lists of decorated entries,
+bounded by :data:`SPILL_BLOCK_ENTRIES` and a per-job value cap).  Two
+lists pickle and unpickle about twice as fast as dict slices or
+``(key, value)`` tuples, which every cold job pays for.
 Independence matters: a pickler/unpickler pair shared across blocks
 memoizes every object it has ever seen, so a shared reader would keep the
 *entire* run resident while the merge drains it — silently un-bounding
@@ -40,11 +45,17 @@ runs live in the tier (memory level first, written through to the
 tier's SSD directory) instead of plain files — same crc framing
 (:func:`dump_run` builds the bytes :func:`write_run` writes).  Runs are
 keyed by job content identity, so a repeat job over an unchanged input
-reuses every still-resident run and skips its map and spill entirely —
-the warm-tier speedup the burst buffer exists for.  The tier
-may *lose* entries (dropped write-back, eviction, fault injection);
-every loss is detected (presence sweep before each merge attempt, crc on
-read) and answered by recomputing the fragment from the input file.
+skips the work the tier still holds — the warm-tier speedup the burst
+buffer exists for.  A combiner job merges once per input: its merge
+writes the folded map, keys in ``repr`` order, as one *merged run*, and
+once the tier holds it the fragment runs are dropped, so a warm job
+reads one run and reduces it in key order — no map, spill, fold or key
+sort.  A combinerless job reuses each still-resident fragment run and
+maps only the rest.  The tier may *lose* entries (dropped write-back,
+eviction, fault injection); every loss is detected (presence sweep
+before each merge attempt, crc on read) and answered by recomputing from
+the input file: the lost fragment, or, for a lost merged run, the whole
+job.
 
 Leak safety: run files live in a fresh temporary directory removed on
 success *and* on failure (``finally``), and every live spill directory
@@ -64,12 +75,16 @@ i.e. durable corruption — and *fail*), and ``spill.read``, decided in
 :func:`run_out_of_core`'s block reader for file and tier runs alike
 (actions *fail* and *corrupt* — in-memory flip before the crc check,
 caught by the single re-read).  Context key ``run`` is the fragment/run
-index, so plans can target a specific run deterministically.
+index, so plans can target a specific run deterministically; a merged
+run is :data:`MERGED_RUN`, an index no fragment has.
 
 Observability: each fragment gets a ``localmr.fragment`` span with a
-nested ``localmr.spill``; spilled volume feeds the always-on
-``localmr.spill_bytes`` / ``localmr.spill_runs`` counters; the final
-merge runs under ``localmr.merge``; recovery feeds ``retry.count`` and
+nested ``localmr.spill``, and a merged run's write is a ``localmr.spill``
+of its own (``merged=True``); spilled volume, the merged run's included,
+feeds the always-on ``localmr.spill_bytes`` / ``localmr.spill_runs``
+counters; the final merge runs under ``localmr.merge`` (a warm read of a
+merged run too, with ``runs=1``, ``merged=True``); warm reuse feeds
+``tier.spill.reuse``; recovery feeds ``retry.count`` and
 ``localmr.recompute``.
 """
 
@@ -99,9 +114,9 @@ from repro.exec.chunks import FileChunk
 from repro.obs import Observability
 from repro.phoenix.sort import (
     decorate_sorted,
-    finalize_folded_map,
     fold_map_into,
     merge_decorated_runs,
+    reduce_in_order,
     sort_decorated_by_value_desc,
     undecorate,
 )
@@ -145,6 +160,11 @@ MIN_BLOCK_VALUES = 128
 
 #: ``<length:u32><crc32:u32>`` frame in front of every spill block
 _BLOCK_HEADER = struct.Struct("<II")
+
+#: the ``run`` index of a job's merged run in fault contexts and
+#: :class:`~repro.errors.SpillCorruptionError`: no fragment has it, so a
+#: plan aimed at a fragment run never fires on the merged one
+MERGED_RUN = -1
 
 _SORT_KEY = operator.itemgetter(0)
 
@@ -253,12 +273,16 @@ def plan_fragments(
 
 
 def _blocks(entries: _t.Iterable, block_values: int) -> _t.Iterator:
-    """Cut a run into blocks: a folded map (``dict``) into dict slices,
+    """Cut a run into blocks: a folded map (a ``dict``, or its keys and
+    values as two parallel lists) into pairs of parallel list slices,
     decorated entries into lists bounded by count and carried values."""
     if isinstance(entries, dict):
-        items = iter(entries.items())
-        while block := dict(itertools.islice(items, SPILL_BLOCK_ENTRIES)):
-            yield block
+        entries = list(entries), list(entries.values())
+    if isinstance(entries, tuple):
+        keys, values = entries
+        for i in range(0, len(keys), SPILL_BLOCK_ENTRIES):
+            j = i + SPILL_BLOCK_ENTRIES
+            yield keys[i:j], values[i:j]
         return
     block: list = []
     weight = 0
@@ -316,7 +340,8 @@ def write_run(
 ) -> int:
     """Spill one run as crc-framed pickled blocks; returns bytes written.
 
-    ``entries`` is a folded map (spilled as dict slices) or sorted
+    ``entries`` is a folded map (a ``dict``, or its keys and values as
+    two parallel lists; spilled as pairs of list slices) or sorted
     decorated entries, whose blocks are bounded both by entry count and
     by carried values (``block_values``), so a reader never holds more
     than ~one block's worth of data per run however lopsided the value
@@ -414,7 +439,7 @@ def iter_run_bytes(
 
 def _entries(blocks: _t.Iterable) -> _t.Iterator:
     for block in blocks:
-        yield from block.items() if isinstance(block, dict) else block
+        yield from zip(*block) if isinstance(block, tuple) else block
 
 
 def _iter_blocks(
@@ -508,6 +533,44 @@ def _finalize_stream(
     return undecorate(entries)
 
 
+def _read_merged(
+    tier: "TieredStore",
+    key: str,
+    reduce_fn: _t.Callable | None,
+    sort_output: bool,
+    params: dict,
+    obs: Observability,
+    faults: "FaultInjector | None",
+) -> list[tuple[object, object]] | None:
+    """A warm job's answer from its merged run, or None to run it cold.
+
+    The merged run's keys are already in ``repr`` order, so this is one
+    run's read, then :func:`~repro.phoenix.sort.reduce_in_order`.  A run
+    the tier does not hold (a miss or a degraded read) answers None; one
+    that fails its crc or its ``spill.read`` is invalidated first, as a
+    lost fragment run is: the input file is the durable copy.
+    """
+    data = tier.get(key)
+    if data is None:
+        return None
+    with obs.span(
+        "localmr.merge", cat="localmr", track="localmr", runs=1, merged=True,
+    ):
+        keys: list = []
+        values: list = []
+        try:
+            for block_keys, block_values in _iter_blocks(
+                io.BytesIO(data), key, faults, MERGED_RUN
+            ):
+                keys += block_keys
+                values += block_values
+        except (SpillCorruptionError, FaultInjectedError):
+            tier.invalidate(key)
+            return None
+        obs.count("tier.spill.reuse")
+        return reduce_in_order(keys, values, reduce_fn, sort_output, params)
+
+
 # --------------------------------------------------------------------------
 # The out-of-core driver
 # --------------------------------------------------------------------------
@@ -547,17 +610,27 @@ def run_out_of_core(
     With a ``tier`` (:class:`~repro.tier.store.TieredStore`), runs go
     into the burst buffer instead of plain spill files: each fragment's
     framed run is ``put()`` under ``{tier_key}/bv{block_values}/run-i``
-    and the merge reads it back block by block.  Because ``tier_key``
-    encodes the *content identity* of the job (file stat, chunk plan,
-    callables, params — the caller's responsibility), a warm tier lets a
-    repeat job skip map and spill for every run it still holds
-    (``tier.spill.reuse``).  The tier is allowed to lie about
-    durability: an entry lost to a dropped write-back is detected before
-    each merge attempt (``contains``) and recomputed from the input file;
-    a corrupted payload fails the crc check, is invalidated and
-    recomputed.  Loss costs time, never answers.  ``prefetcher`` is
-    advised once per cold fragment, before its map is awaited (never for
-    a warm run), so the fragments after it warm the page cache.
+    and the merge reads it back block by block.  ``tier_key`` must
+    encode the *content identity* of the job (file stat, chunk plan,
+    callables, params — the caller's responsibility); a tier without one
+    raises :class:`~repro.errors.WorkloadError`, because two inputs of
+    the same geometry would share runs.  A combiner job merges once per
+    input: its merge writes the folded map, keys in ``repr`` order, as
+    one *merged run* under ``{tier_key}/merged`` (``run`` index
+    :data:`MERGED_RUN`), and once the tier holds it the fragment runs
+    are dropped — a lost merged write keeps them.  A repeat job reads
+    the merged run first and reduces it in key order: no map, no spill,
+    no fold, no key sort (``tier.spill.reuse`` counts one run).  A
+    combinerless job keeps its fragment runs, and a repeat skips map and
+    spill for every one the tier still holds.  The tier is allowed to
+    lie about durability: an entry lost to a dropped write-back is
+    detected before each merge attempt (``contains``) and recomputed
+    from the input file; a corrupted payload fails the crc check, is
+    invalidated and recomputed (a merged run that fails is invalidated,
+    and the job runs cold).  Loss costs time, never answers.
+    ``prefetcher`` is advised once per cold fragment, before its map is
+    awaited (never for a warm run), so the fragments after it warm the
+    page cache.
 
     Recovery: a transient spill-write failure re-spills the fragment; a
     durably corrupt block found during the merge recomputes *that*
@@ -568,6 +641,19 @@ def run_out_of_core(
     once.
     """
     fragments = plan_fragments(chunks, budget)
+    if tier is not None and tier_key is None:
+        raise WorkloadError(
+            "a tier needs a tier_key naming the job's content identity: "
+            "without one, inputs of the same geometry share runs"
+        )
+    merged_key = None
+    if tier is not None and combine_fn is not None:
+        merged_key = f"{tier_key}/merged"
+        output = _read_merged(
+            tier, merged_key, reduce_fn, sort_output, params, obs, faults
+        )
+        if output is not None:
+            return output, len(fragments), 0
     # per-block value cap derived from the run count so the heap merge's
     # total read-ahead (one block per run) stays ~MERGE_READAHEAD_VALUES
     # however many runs the input needs
@@ -597,15 +683,45 @@ def run_out_of_core(
         if tier is not None and i not in on_disk:
             # block_values is part of the identity: a different merge
             # read-ahead derivation produces differently-framed runs
-            return f"{tier_key or 'localmr'}/bv{block_values}/run-{i:05d}"
+            return f"{tier_key}/bv{block_values}/run-{i:05d}"
         return os.path.join(ensure_tmpdir(), f"run-{i:05d}.spill")
 
-    def spill(i: int, run: dict) -> None:
-        """Spill fragment ``i``'s map as its run, with bounded retry on
-        transient write faults."""
+    def spill(
+        source: str, run: _t.Any, run_index: int, use_tier: bool,
+        entries: int, **attrs: object,
+    ) -> None:
+        """Write one run, with bounded retry on transient write faults."""
         nonlocal spilled
-        source = run_sources[i]
-        use_tier = tier is not None and i not in on_disk
+        with obs.span(
+            "localmr.spill", cat="localmr", track="localmr", **attrs,
+        ) as spill_sp:
+            for attempt in range(max_retries + 1):
+                try:
+                    if use_tier:
+                        data = dump_run(
+                            run, block_values,
+                            faults=faults, run_index=run_index,
+                        )
+                        tier.put(source, data)
+                        nbytes = len(data)
+                    else:
+                        nbytes = write_run(
+                            source, run, block_values,
+                            faults=faults, run_index=run_index,
+                        )
+                    break
+                except Exception as exc:
+                    if not is_retryable(exc) or attempt == max_retries:
+                        raise
+                    obs.count("retry.count")
+                    obs.count("retry.spill_write")
+            spill_sp.set(bytes=nbytes, entries=entries)
+        obs.count("localmr.spill_bytes", nbytes)
+        obs.count("localmr.spill_runs")
+        spilled += nbytes
+
+    def spill_fragment(i: int, run: dict) -> None:
+        """Spill fragment ``i``'s map as its run."""
         fragment = fragments[i]
         with obs.span(
             "localmr.fragment", cat="localmr", track="localmr",
@@ -615,33 +731,10 @@ def run_out_of_core(
             if combine_fn is None:
                 # value lists stream through the heap merge: sort the run
                 run = decorate_sorted(run)
-            with obs.span(
-                "localmr.spill", cat="localmr", track="localmr", index=i,
-            ) as spill_sp:
-                for attempt in range(max_retries + 1):
-                    try:
-                        if use_tier:
-                            data = dump_run(
-                                run, block_values,
-                                faults=faults, run_index=i,
-                            )
-                            tier.put(source, data)
-                            nbytes = len(data)
-                        else:
-                            nbytes = write_run(
-                                source, run, block_values,
-                                faults=faults, run_index=i,
-                            )
-                        break
-                    except Exception as exc:
-                        if not is_retryable(exc) or attempt == max_retries:
-                            raise
-                        obs.count("retry.count")
-                        obs.count("retry.spill_write")
-                spill_sp.set(bytes=nbytes, entries=len(run))
-            obs.count("localmr.spill_bytes", nbytes)
-            obs.count("localmr.spill_runs")
-            spilled += nbytes
+            spill(
+                run_sources[i], run, i, tier is not None and i not in on_disk,
+                len(run), index=i,
+            )
 
     def map_and_spill(indices: _t.Iterable[int], to_disk: bool = False) -> None:
         """Map fragments ``indices`` through one stream and spill each run,
@@ -671,7 +764,7 @@ def run_out_of_core(
             for i in cold:
                 if prefetcher is not None:
                     prefetcher.advise(i)
-                spill(i, next(stream))
+                spill_fragment(i, next(stream))
             next(stream, None)  # let the stream end, and its spans close, normally
         finally:
             close = getattr(stream, "close", None)
@@ -692,16 +785,29 @@ def run_out_of_core(
             raise SpillCorruptionError(source, 0, j)
         yield from _iter_blocks(io.BytesIO(data), source, faults, j)
 
-    def fold_runs() -> list[tuple[object, object]]:
+    def fold_runs() -> tuple[list, list]:
+        """Fold every run into one map: its keys in ``repr`` order, and
+        their folded values in step."""
         acc: dict = {}
         for j in range(len(run_sources)):
-            for block in open_blocks(j):
+            for block_keys, block_values in open_blocks(j):
+                pairs = zip(block_keys, block_values)
                 if j == 0:
                     # run 0's blocks are disjoint slices of one map
-                    acc.update(block)
+                    acc.update(pairs)
                 else:
-                    fold_map_into(acc, block, combine_fn)
-        return finalize_folded_map(acc, reduce_fn, sort_output, params)
+                    fold_map_into(acc, pairs, combine_fn)
+        keys = sorted(acc, key=repr)
+        return keys, list(map(acc.__getitem__, keys))
+
+    def keep_merged(keys: list, values: list) -> None:
+        """Write the folded map as the job's merged run; once the tier
+        holds it, drop the fragment runs it replaces."""
+        spill(merged_key, (keys, values), MERGED_RUN, True, len(keys), merged=True)
+        if tier.contains(merged_key):
+            for j, src in enumerate(run_sources):
+                if j not in on_disk:
+                    tier.invalidate(src)
 
     try:
         map_and_spill(range(len(fragments)))
@@ -724,7 +830,10 @@ def run_out_of_core(
                     runs=len(run_sources),
                 ):
                     if combine_fn is not None:
-                        output = fold_runs()
+                        keys, values = fold_runs()
+                        output = reduce_in_order(
+                            keys, values, reduce_fn, sort_output, params
+                        )
                     else:
                         stream = merge_decorated_runs([
                             itertools.chain.from_iterable(open_blocks(j))
@@ -751,6 +860,8 @@ def run_out_of_core(
                     raise
                 obs.count("retry.count")
                 obs.count("retry.spill_merge")
+        if merged_key is not None:
+            keep_merged(keys, values)
         return output, len(fragments), spilled
     finally:
         if tmpdir is not None:

@@ -35,6 +35,7 @@ __all__ = [
     "fold_map_into",
     "finalize_merged_map",
     "finalize_folded_map",
+    "reduce_in_order",
     "decorate_sorted",
     "partition_decorated",
     "merge_entry_runs",
@@ -51,10 +52,6 @@ Entry = _t.Tuple[str, object, object]
 _SORT_KEY = operator.itemgetter(0)
 _VALUE_KEY = operator.itemgetter(2)
 _PAIR_VALUE = operator.itemgetter(1)
-
-
-def _REPR_KEY(kv: tuple) -> str:
-    return repr(kv[0])
 
 
 class Combiner:
@@ -162,10 +159,11 @@ def merge_map_into(merged: dict[object, list], m: dict) -> None:
 
 def fold_map_into(
     merged: dict[object, object],
-    m: dict,
+    m: dict | _t.Iterable[tuple[object, object]],
     combine_fn: _t.Callable[[object, object], object],
 ) -> None:
-    """Scalar-fold one combiner map into ``merged``: ``key -> folded value``.
+    """Scalar-fold one combiner map (a ``dict``, or its ``(key, value)``
+    pairs) into ``merged``: ``key -> folded value``.
 
     The allocation-lean counterpart of :func:`merge_map_into` for jobs
     *with* a combiner: instead of appending each batch's partial to a
@@ -177,8 +175,9 @@ def fold_map_into(
     dict probe, and ``operator.add`` combiners fold with the inline ``+``
     operator instead of a call per key.
     """
+    items = m.items() if isinstance(m, dict) else m
     if combine_fn is operator.add:
-        for key, value in m.items():
+        for key, value in items:
             try:
                 old = merged[key]
             except KeyError:
@@ -186,7 +185,7 @@ def fold_map_into(
             else:
                 merged[key] = old + value
     else:
-        for key, value in m.items():
+        for key, value in items:
             try:
                 old = merged[key]
             except KeyError:
@@ -278,26 +277,30 @@ def merge_decorated_runs(runs: _t.Iterable[_t.Iterable[Entry]]) -> _t.Iterator[E
             heappop(heap)
 
 
-def sort_decorated_by_value_desc(entries: _t.Iterable[Entry]) -> list[Entry]:
-    """Frequency-descending output order, tie-broken on the cached sort key.
+def _by_value_desc(items: list, value: _t.Callable) -> list:
+    """The ``sort_output`` order of ``items``, which are already in sort-key
+    order: value descending, ties left in sort-key order.
 
-    When every value is a plain number, two stable passes with C-speed
-    itemgetter keys — sort-key ascending, then value descending
-    (``reverse=True`` preserves the order of equal elements) — equal one
-    sort by ``(-value, sort_key)`` without a Python-level key lambda
-    allocating a tuple per entry.  Any other value type falls back to the
-    seed's permissive ordering, whose :func:`_as_num` coercion treats
-    non-numbers as equal (and parses numeric strings!), which direct
-    comparison would not reproduce — among entries whose fallback keys
-    tie, the sort-key pass already restored the order a direct stable
-    sort would keep.
+    One stable pass on the value alone equals one sort by ``(-value,
+    sort_key)``: CPython's sort only asks whether an item is less than
+    one that came before it, whose sort key is never greater, so a value
+    tie answers "no" under either key (NaN included).  When every
+    value is a plain number the pass uses a C-speed itemgetter key
+    (``reverse=True`` preserves the order of equal elements).  Any other
+    value type falls back to the seed's permissive ordering, whose
+    :func:`_as_num` coercion treats non-numbers as equal (and parses
+    numeric strings!), which direct comparison would not reproduce.
     """
-    entries = list(entries)
-    entries.sort(key=_SORT_KEY)
-    if all(type(e[2]) is int or type(e[2]) is float for e in entries):
-        return sorted(entries, key=_VALUE_KEY, reverse=True)
-    entries.sort(key=lambda e: (-_as_num(e[2]), e[0]))
-    return entries
+    if all(type(v) is int or type(v) is float for v in map(value, items)):
+        return sorted(items, key=value, reverse=True)
+    return sorted(items, key=lambda item: -_as_num(value(item)))
+
+
+def sort_decorated_by_value_desc(entries: _t.Iterable[Entry]) -> list[Entry]:
+    """Frequency-descending output order, tie-broken on the cached sort key
+    (a sort-key pass, then :func:`_by_value_desc`)."""
+    entries = sorted(entries, key=_SORT_KEY)
+    return _by_value_desc(entries, _VALUE_KEY)
 
 
 def undecorate(entries: _t.Iterable[Entry]) -> list[tuple[object, object]]:
@@ -382,12 +385,7 @@ def finalize_merged_map(
         entries = [(repr(k), k, v) for k, v in merged.items()]
     entries.sort(key=_SORT_KEY)
     if sort_output:
-        # fast path only for plain numbers: _as_num orders anything else
-        # differently than direct comparison (see sort_decorated_by_value_desc)
-        if all(type(e[2]) is int or type(e[2]) is float for e in entries):
-            entries = sorted(entries, key=_VALUE_KEY, reverse=True)
-        else:
-            entries.sort(key=lambda e: (-_as_num(e[2]), e[0]))
+        entries = _by_value_desc(entries, _VALUE_KEY)
     return undecorate(entries)
 
 
@@ -397,32 +395,43 @@ def finalize_folded_map(
     sort_output: bool,
     params: dict,
 ) -> list[tuple[object, object]]:
-    """Reduce + decorate-sort a *scalar-folded* ``key -> value`` map.
+    """Reduce + order a *scalar-folded* ``key -> value`` map.
 
     The counterpart of :func:`finalize_merged_map` for accumulators built
-    with :func:`fold_map_into`: each key's combine is already complete,
-    so there is no per-key list to fold — ``reduce_fn`` (whose contract
-    must tolerate any pre-combining once a combiner is declared) receives
-    the single folded partial.
+    with :func:`fold_map_into`.  Nothing downstream reuses a sort key, so
+    the keys are ordered by the builtin ``repr`` alone (one stable pass,
+    the same key order every decorated path produces; dict order breaks
+    ties between distinct keys that share a ``repr``), and
+    :func:`reduce_in_order` does the rest.
+    """
+    keys = sorted(merged, key=repr)
+    return reduce_in_order(
+        keys, map(merged.__getitem__, keys), reduce_fn, sort_output, params
+    )
 
-    Unlike the multi-stage shuffle, nothing downstream reuses the sort
-    key here, so this skips the decorate/undecorate round trip and sorts
-    plain ``(key, value)`` pairs: one stable ``repr``-order pass (the
-    same key order every decorated path produces), then for sorted output
-    one stable value-descending pass with a C-speed itemgetter key.
+
+def reduce_in_order(
+    keys: _t.Iterable,
+    values: _t.Iterable,
+    reduce_fn: _t.Callable[[object, list, dict], object] | None,
+    sort_output: bool,
+    params: dict,
+) -> list[tuple[object, object]]:
+    """Reduce a folded map whose keys are already in ``repr`` order.
+
+    ``values`` holds each key's folded partial, in step with ``keys``.
+    Each key's combine is complete, so ``reduce_fn`` (whose contract must
+    tolerate any pre-combining once a combiner is declared) receives the
+    single folded partial; sorted output then takes one stable value pass
+    (:func:`_by_value_desc`).  The in-memory finalize, the out-of-core
+    merge and a warm read of a job's merged run all end here.
     """
     if reduce_fn is not None:
-        out = [(k, reduce_fn(k, [v], params)) for k, v in merged.items()]
+        out = [(k, reduce_fn(k, [v], params)) for k, v in zip(keys, values)]
     else:
-        out = list(merged.items())
-    out.sort(key=_REPR_KEY)
+        out = list(zip(keys, values))
     if sort_output:
-        # fast path only for plain numbers: _as_num orders anything else
-        # differently than direct comparison (see sort_decorated_by_value_desc)
-        if all(type(kv[1]) is int or type(kv[1]) is float for kv in out):
-            out = sorted(out, key=_PAIR_VALUE, reverse=True)
-        else:
-            out.sort(key=lambda kv: (-_as_num(kv[1]), repr(kv[0])))
+        out = _by_value_desc(out, _PAIR_VALUE)
     return out
 
 

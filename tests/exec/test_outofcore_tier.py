@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from repro.errors import RETRIES, WorkloadError
 from repro.exec import LocalMapReduce
 from repro.exec.chunks import chunk_file, read_chunk_cached
 from repro.exec.outofcore import live_spill_dirs, run_out_of_core
@@ -15,6 +16,9 @@ from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.obs import Observability
 from repro.tier import TieredStore
 from repro.workloads import zipf_corpus
+
+#: the merged run of run_job's default tier key
+MERGED = "job/merged"
 
 
 def wc_fragment(fragment):
@@ -25,6 +29,11 @@ def wc_fragment(fragment):
     return counts
 
 
+def wc_lists(fragment):
+    """A combinerless map: each word's per-fragment count as a value list."""
+    return {w: [n] for w, n in wc_fragment(fragment).items()}
+
+
 @pytest.fixture()
 def corpus(tmp_path):
     p = tmp_path / "corpus"
@@ -33,16 +42,30 @@ def corpus(tmp_path):
 
 
 def run_job(path, tier=None, faults=None, obs=None, max_retries=2,
-            tier_key="job", budget=4096):
+            tier_key="job", budget=4096, calls=None, combine_fn=operator.add):
+    """One out-of-core wordcount; ``calls`` collects each mapped
+    fragment's first chunk offset."""
     obs = obs or Observability(enabled=False)
     chunks = chunk_file(path, 1024)
+    map_one = wc_fragment if combine_fn is not None else wc_lists
+
+    def map_fragment(fragment):
+        if calls is not None:
+            calls.append(fragment[0].offset)
+        return map_one(fragment)
+
     out, n_fragments, spilled = run_out_of_core(
-        chunks, functools.partial(map, wc_fragment), operator.add, None, True,
+        chunks, functools.partial(map, map_fragment), combine_fn, None, True,
         {}, budget, obs,
         faults=faults, max_retries=max_retries,
         tier=tier, tier_key=tier_key,
     )
     return out, n_fragments, obs
+
+
+def fragment_runs(store):
+    """How many fragment runs the tier holds (every entry but the merged run)."""
+    return store.stats()["entries"] - store.contains(MERGED)
 
 
 def test_tiered_run_matches_plain_run(corpus):
@@ -53,12 +76,46 @@ def test_tiered_run_matches_plain_run(corpus):
     assert tiered == plain
 
 
-def test_warm_tier_skips_recompute(corpus):
+def test_tier_without_a_job_key_is_refused(tmp_path):
+    """Two inputs of the same size and geometry would share runs."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.write_bytes(b"apple pear " * 500)
+    second.write_bytes(b"kiwis plum " * 500)
     with TieredStore(64 * 1024, 256 * 1024) as store:
-        first, n, _ = run_job(corpus, tier=store)
-        second, _, obs = run_job(corpus, tier=store)
+        for path in (first, second):
+            with pytest.raises(WorkloadError):
+                run_out_of_core(
+                    chunk_file(str(path), 512), functools.partial(map, wc_fragment),
+                    operator.add, None, True, {}, 2048,
+                    Observability(enabled=False), tier=store,
+                )
+        assert store.stats()["entries"] == 0
+        # named by content, the two inputs keep their own answers
+        outs = [run_job(str(p), tier=store, tier_key=str(p), budget=2048)[0]
+                for p in (first, second, first, second)]
+    assert outs[0] == outs[2] == [(b"apple", 500), (b"pear", 500)]
+    assert outs[1] == outs[3] == [(b"kiwis", 500), (b"plum", 500)]
+
+
+def test_warm_tier_skips_recompute(corpus, monkeypatch):
+    """A warm rerun reads the merged run: no map, no spill, one run."""
+    import repro.exec.outofcore as outofcore
+
+    monkeypatch.setattr(outofcore, "SPILL_BLOCK_ENTRIES", 64)  # many blocks
+    with TieredStore(64 * 1024, 256 * 1024) as store:
+        calls: list = []
+        first, n, cold = run_job(corpus, tier=store, calls=calls)
+        assert len(calls) == n
+        # the merged run replaced the fragment runs in the tier
+        assert cold.metrics.counters["localmr.spill_runs"] == n + 1
+        assert store.contains(MERGED) and fragment_runs(store) == 0
+        calls.clear()
+        second, _, obs = run_job(corpus, tier=store, calls=calls)
         assert second == first
-        assert obs.metrics.counters["tier.spill.reuse"] == n
+        assert calls == []
+        ctr = obs.metrics.counters
+        assert ctr["tier.spill.reuse"] == 1
+        assert ctr.get("localmr.spill_runs", 0) == 0
 
 
 def test_different_job_key_misses_the_warm_tier(corpus):
@@ -66,6 +123,68 @@ def test_different_job_key_misses_the_warm_tier(corpus):
         run_job(corpus, tier=store, tier_key="job-a")
         _, _, obs = run_job(corpus, tier=store, tier_key="job-b")
         assert obs.metrics.counters.get("tier.spill.reuse", 0) == 0
+
+
+def test_lost_merged_write_keeps_the_fragment_runs(corpus):
+    plain, n, _ = run_job(corpus)
+    plan = FaultPlan(rules=(
+        # every attempt of the first merged write is dropped: it is lost
+        FaultRule("tier.writeback", action="drop", count=RETRIES + 1,
+                  where={"key": MERGED}),
+    ), seed=2)
+    inj = FaultInjector(plan)
+    obs = Observability(enabled=False)
+    with TieredStore(64 * 1024, 256 * 1024, faults=inj, obs=obs) as store:
+        cold, _, _ = run_job(corpus, tier=store, faults=inj, obs=obs)
+        assert obs.metrics.counters["tier.writeback.lost"] == 1
+        assert not store.contains(MERGED)
+        assert fragment_runs(store) == n
+        # the next run reuses every fragment run, then keeps its merge
+        calls: list = []
+        again, _, obs2 = run_job(corpus, tier=store, faults=inj, calls=calls)
+        assert calls == []
+        assert obs2.metrics.counters["tier.spill.reuse"] == n
+        assert store.contains(MERGED) and fragment_runs(store) == 0
+        warm, _, obs3 = run_job(corpus, tier=store, faults=inj)
+        assert obs3.metrics.counters["tier.spill.reuse"] == 1
+    assert cold == again == warm == plain
+
+
+@pytest.mark.parametrize("action,counter", [
+    ("fail", "tier.read.degraded"),
+    ("corrupt", "tier.read.corrupted"),
+])
+def test_bad_merged_run_is_invalidated_and_the_job_runs_cold(corpus, action, counter):
+    plain, n, _ = run_job(corpus)
+    plan = FaultPlan(rules=(
+        FaultRule("tier.read", action=action, count=1, where={"key": MERGED}),
+    ), seed=2)
+    inj = FaultInjector(plan)
+    obs = Observability(enabled=False)
+    with TieredStore(64 * 1024, 256 * 1024, faults=inj, obs=obs) as store:
+        run_job(corpus, tier=store, faults=inj)
+        assert store.contains(MERGED)
+        calls: list = []
+        out, _, job = run_job(corpus, tier=store, faults=inj, calls=calls)
+        assert obs.metrics.counters[counter] == 1
+        assert len(calls) == n  # cold: every fragment mapped again
+        assert job.metrics.counters.get("tier.spill.reuse", 0) == 0
+        # ... and it wrote a good merged run, which the next run reads
+        warm, _, obs3 = run_job(corpus, tier=store, faults=inj)
+        assert obs3.metrics.counters["tier.spill.reuse"] == 1
+    assert out == warm == plain
+
+
+def test_combinerless_job_writes_no_merged_run(corpus):
+    plain, n, _ = run_job(corpus, combine_fn=None)
+    with TieredStore(64 * 1024, 256 * 1024) as store:
+        cold, _, obs = run_job(corpus, tier=store, combine_fn=None)
+        assert obs.metrics.counters["localmr.spill_runs"] == n
+        assert not store.contains(MERGED)
+        assert fragment_runs(store) == n
+        warm, _, obs2 = run_job(corpus, tier=store, combine_fn=None)
+        assert obs2.metrics.counters["tier.spill.reuse"] == n
+    assert cold == warm == plain
 
 
 def test_lost_writeback_recomputes_before_merge(corpus):
@@ -148,23 +267,50 @@ def _map(data, emit, params):
         emit(token, 1)
 
 
-def test_engine_warm_rerun_through_tier(corpus):
+def test_engine_warm_rerun_through_tier(corpus, monkeypatch):
+    """A warm rerun submits no map task, writes no run, reuses one run
+    (the merged one) and advises no readahead."""
+    from repro.tier import ReadaheadPrefetcher
+
+    advised: list = []
+    monkeypatch.setattr(
+        ReadaheadPrefetcher, "advise", lambda self, index: advised.append(index)
+    )
     obs = Observability(enabled=False)
     with TieredStore(64 * 1024, 256 * 1024, obs=obs) as store:
         with LocalMapReduce(
-            _map, combine_fn=operator.add, sort_output=True, n_workers=1,
-            memory_budget=4096, tier=store, readahead=1, obs=obs,
+            _map, combine_fn=operator.add, sort_output=True, n_workers=2,
+            start_method="fork", memory_budget=4096, tier=store, readahead=1,
+            obs=obs,
         ) as eng:
             with LocalMapReduce(
                 _map, combine_fn=operator.add, sort_output=True, n_workers=1,
                 memory_budget=4096,
             ) as plain_eng:
                 plain = plain_eng.run(corpus, chunk_bytes=1024).output
+            executor = eng.pool.ensure()
+            submitted: list = []
+            real_submit = executor.submit
+
+            def submit(*args, **kwargs):
+                submitted.append(args)
+                return real_submit(*args, **kwargs)
+
+            executor.submit = submit
             cold = eng.run(corpus, chunk_bytes=1024)
+            assert len(submitted) == 2 * cold.n_fragments
+            assert advised == list(range(cold.n_fragments))
+            before = dict(obs.metrics.counters)
+            submitted.clear()
+            advised.clear()
             warm = eng.run(corpus, chunk_bytes=1024)
+    ctr = obs.metrics.counters
     assert cold.output == plain
     assert warm.output == plain
-    assert obs.metrics.counters["tier.spill.reuse"] == cold.n_fragments
+    assert submitted == [] and advised == []
+    assert ctr["tier.spill.reuse"] - before.get("tier.spill.reuse", 0) == 1
+    assert ctr["localmr.spill_runs"] == before["localmr.spill_runs"]
+    assert warm.spilled_bytes == 0
     tier_dir = store.ssd_dir
     assert not os.path.isdir(tier_dir)
 

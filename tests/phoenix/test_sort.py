@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import operator
+import pickle
 import zlib
+
+from hypothesis import given, settings, strategies as st
 
 from repro.phoenix.sort import (
     Combiner,
@@ -16,6 +19,7 @@ from repro.phoenix.sort import (
     partition_decorated,
     shuffle_parallel,
     sort_by_value_desc,
+    sort_decorated_by_value_desc,
     undecorate,
 )
 
@@ -188,3 +192,98 @@ def test_fold_path_reprs_once_per_distinct_key():
     n_distinct = len({k for m in maps for k in m})
     _fold_path(maps, None, True)
     assert CountingKey.reprs == n_distinct
+
+
+# -- the output order against its earlier definition -------------------------
+
+
+class Twin:
+    """Distinct keys of one group share a ``repr``."""
+
+    def __init__(self, ident: int):
+        self.ident = ident
+
+    def __hash__(self) -> int:
+        return hash(self.ident)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Twin) and self.ident == other.ident
+
+    def __repr__(self) -> str:
+        return f"Twin{self.ident // 2}"
+
+
+def _num(v):
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        return 0.0
+
+
+def _earlier_finalize_folded_map(merged, reduce_fn, sort_output, params):
+    """``finalize_folded_map`` as it was before the in-order reduce: reduce
+    in dict order, a ``repr`` sort of the pairs, then a value sort whose
+    fallback breaks ties on ``repr`` again."""
+    if reduce_fn is not None:
+        out = [(k, reduce_fn(k, [v], params)) for k, v in merged.items()]
+    else:
+        out = list(merged.items())
+    out.sort(key=lambda kv: repr(kv[0]))
+    if sort_output:
+        if all(type(kv[1]) is int or type(kv[1]) is float for kv in out):
+            out = sorted(out, key=operator.itemgetter(1), reverse=True)
+        else:
+            out.sort(key=lambda kv: (-_num(kv[1]), repr(kv[0])))
+    return out
+
+
+def _earlier_sort_decorated_by_value_desc(entries):
+    entries = sorted(entries, key=operator.itemgetter(0))
+    if all(type(e[2]) is int or type(e[2]) is float for e in entries):
+        return sorted(entries, key=operator.itemgetter(2), reverse=True)
+    entries.sort(key=lambda e: (-_num(e[2]), e[0]))
+    return entries
+
+
+def _first(key, values, params):
+    return values[0]
+
+
+def _repr_len(key, values, params):
+    return len(repr(values[0]))
+
+
+_order_key = st.one_of(
+    st.integers(-30, 30),
+    st.text(alphabet="abc", max_size=3),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.builds(Twin, st.integers(0, 7)),
+)
+_order_value = st.one_of(
+    st.integers(-3, 3),
+    st.integers(),
+    st.floats(),
+    st.text(alphabet="1e.-nai", max_size=3),
+    st.sampled_from(["nan", "inf", "1e3", "-2", None, True, b"7"]),
+)
+
+
+@given(
+    pairs=st.lists(st.tuples(_order_key, _order_value), max_size=40),
+    reduce_fn=st.sampled_from([None, _first, _repr_len]),
+    sort_output=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_property_output_order_matches_its_earlier_definition(
+    pairs, reduce_fn, sort_output
+):
+    """Numeric and non-numeric values (NaN and numeric strings too) leave
+    the finalize and the decorated value order where they were."""
+    merged = dict(pairs)
+    got = finalize_folded_map(dict(merged), reduce_fn, sort_output, {})
+    want = _earlier_finalize_folded_map(dict(merged), reduce_fn, sort_output, {})
+    assert pickle.dumps(got) == pickle.dumps(want)
+    entries = [(repr(k), k, v) for k, v in reversed(merged.items())]
+    assert pickle.dumps(sort_decorated_by_value_desc(entries)) == pickle.dumps(
+        _earlier_sort_decorated_by_value_desc(entries)
+    )

@@ -2,12 +2,15 @@
 
 The tentpole correctness claim as a hypothesis property: for any random
 corpus, any small tier geometry, and any random fault plan over the
-``tier.*`` sites (dropped write-backs, failed or corrupted warm reads,
-wedged evictions), an out-of-core run that spills through the tier
-produces byte-for-byte the same sorted output as a tier-less, fault-free
-run over the same input.  Loss degrades to recompute, corruption is
-caught by the spill crc, and capacity starvation falls back to durable
-disk — none of it may leak into the result.
+``tier.*`` and ``spill.*`` sites (dropped write-backs, failed or
+corrupted warm reads, wedged evictions, failed or corrupted spill writes
+and reads), a cold out-of-core run that spills through the tier and two
+warm reruns through the same store (which read the job's merged run, or
+its fragment runs where the merged run was lost) each produce
+byte-for-byte the same sorted output as a tier-less, fault-free run over
+the same input.  Loss degrades to recompute, corruption is caught by the
+spill crc, and capacity starvation falls back to durable disk — none of
+it may leak into the result.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.obs import Observability
 from repro.tier import TieredStore, live_tier_dirs
 
-_SITES = ("tier.read", "tier.writeback", "tier.evict")
+_SITES = ("tier.read", "tier.writeback", "tier.evict", "spill.read", "spill.write")
 _ACTIONS = ("drop", "fail", "corrupt")
 
 _rule = st.builds(
@@ -83,8 +86,9 @@ def test_tiered_faulty_run_equals_plain_run(words, plan, mem, ssd_mult, budget):
         expected = _run(path, budget)
         inj = FaultInjector(plan)
         with TieredStore(mem, mem * ssd_mult, faults=inj) as store:
-            got = _run(path, budget, tier=store, faults=inj)
+            # cold, then warm twice
+            got = [_run(path, budget, tier=store, faults=inj) for _ in range(3)]
         drop_cached_handle(path)  # the corpus dir vanishes with this example
-    assert got == expected
+    assert got == [expected] * 3
     assert live_spill_dirs() == []
     assert live_tier_dirs() == []

@@ -204,7 +204,7 @@ def tier_view(metrics: dict) -> str:
         ("tier.writeback.lost", "write-back entries lost"),
         ("tier.read.degraded", "reads degraded to disk"),
         ("tier.read.corrupted", "reads corrupted (crc-caught)"),
-        ("tier.spill.reuse", "warm spill runs reused"),
+        ("tier.spill.reuse", "warm runs reused (merged or fragment)"),
         ("tier.spill.lost", "spill runs recomputed (lost)"),
     ]
     rows = [(label, c(name)) for name, label in lifecycle if c(name)]
