@@ -12,16 +12,16 @@ of results in flight — not the whole input — which is what bounds peak
 RSS.  A combiner job spills its folded map as it stands (its keys and
 values, in insertion order, as two parallel lists), then folds the runs,
 one block at a time in fragment order, into one accumulator with the
-in-memory path's ``fold_map_into``, orders its keys by ``repr`` and
-reduces them in that order (:func:`repro.phoenix.sort.reduce_in_order`,
-the in-memory finalize's second half).  A combinerless job's value lists
-must stream: its runs are decorate-sorted and merged *lazily*
+in-memory path's ``fold_map_into`` and reduces it as the in-memory
+finalize does (:func:`repro.phoenix.sort.reduce_in_order`: keys in
+``repr`` order, then the ``sort_output`` order).  A combinerless job's
+value lists must stream: its runs are decorate-sorted and merged *lazily*
 (:func:`repro.phoenix.sort.merge_decorated_runs`), reducing per key as
 the stream drains, so that merge holds one block per run.
 
 Spill format: each run file is a sequence of *independent* pickled
-blocks (a folded map's — a fragment's or a job's merged map — as pairs
-of parallel key and value list slices, or lists of decorated entries,
+blocks (a fragment's folded map, or a job's answer, as pairs of
+parallel key and value list slices, or lists of decorated entries,
 bounded by :data:`SPILL_BLOCK_ENTRIES` and a per-job value cap).  Two
 lists pickle and unpickle about twice as fast as dict slices or
 ``(key, value)`` tuples, which every cold job pays for.
@@ -46,12 +46,16 @@ tier's SSD directory) instead of plain files — same crc framing
 (:func:`dump_run` builds the bytes :func:`write_run` writes).  Runs are
 keyed by job content identity, so a repeat job over an unchanged input
 skips the work the tier still holds — the warm-tier speedup the burst
-buffer exists for.  A combiner job merges once per input: its merge
-writes the folded map, keys in ``repr`` order, as one *merged run*, and
-once the tier holds it the fragment runs are dropped, so a warm job
-reads one run and reduces it in key order — no map, spill, fold or key
-sort.  A combinerless job reuses each still-resident fragment run and
-maps only the rest.  The tier may *lose* entries (dropped write-back,
+buffer exists for.  A combiner job merges and reduces once per input:
+its merge writes the job's *answer* — the output's keys and
+``reduce_fn`` values, in output order — as one *merged run*, and once
+the tier holds it the fragment runs are dropped, so a warm job reads
+one run and returns its pairs — no map, spill, fold, ``reduce_fn`` call
+or sort.  Keeping the answer is best effort: one that does not pickle,
+or a write that fails past its retries, keeps the fragment runs
+(``tier.spill.unkept``) and the job still answers.  A combinerless job
+reuses each still-resident fragment run and maps only the rest.  The
+tier may *lose* entries (dropped write-back,
 eviction, fault injection); every loss is detected (presence sweep
 before each merge attempt, crc on read) and answered by recomputing from
 the input file: the lost fragment, or, for a lost merged run, the whole
@@ -536,16 +540,14 @@ def _finalize_stream(
 def _read_merged(
     tier: "TieredStore",
     key: str,
-    reduce_fn: _t.Callable | None,
-    sort_output: bool,
-    params: dict,
     obs: Observability,
     faults: "FaultInjector | None",
 ) -> list[tuple[object, object]] | None:
     """A warm job's answer from its merged run, or None to run it cold.
 
-    The merged run's keys are already in ``repr`` order, so this is one
-    run's read, then :func:`~repro.phoenix.sort.reduce_in_order`.  A run
+    The merged run holds the job's answer — its keys and ``reduce_fn``
+    values, in output order — so this is one run's read, its pairs
+    returned block by block: no ``reduce_fn`` call and no sort.  A run
     the tier does not hold (a miss or a degraded read) answers None; one
     that fails its crc or its ``spill.read`` is invalidated first, as a
     lost fragment run is: the input file is the durable copy.
@@ -556,19 +558,17 @@ def _read_merged(
     with obs.span(
         "localmr.merge", cat="localmr", track="localmr", runs=1, merged=True,
     ):
-        keys: list = []
-        values: list = []
+        output: list = []
         try:
             for block_keys, block_values in _iter_blocks(
                 io.BytesIO(data), key, faults, MERGED_RUN
             ):
-                keys += block_keys
-                values += block_values
+                output += zip(block_keys, block_values)
         except (SpillCorruptionError, FaultInjectedError):
             tier.invalidate(key)
             return None
         obs.count("tier.spill.reuse")
-        return reduce_in_order(keys, values, reduce_fn, sort_output, params)
+        return output
 
 
 # --------------------------------------------------------------------------
@@ -614,20 +614,27 @@ def run_out_of_core(
     encode the *content identity* of the job (file stat, chunk plan,
     callables, params — the caller's responsibility); a tier without one
     raises :class:`~repro.errors.WorkloadError`, because two inputs of
-    the same geometry would share runs.  A combiner job merges once per
-    input: its merge writes the folded map, keys in ``repr`` order, as
-    one *merged run* under ``{tier_key}/merged`` (``run`` index
-    :data:`MERGED_RUN`), and once the tier holds it the fragment runs
-    are dropped — a lost merged write keeps them.  A repeat job reads
-    the merged run first and reduces it in key order: no map, no spill,
-    no fold, no key sort (``tier.spill.reuse`` counts one run).  A
-    combinerless job keeps its fragment runs, and a repeat skips map and
-    spill for every one the tier still holds.  The tier is allowed to
-    lie about durability: an entry lost to a dropped write-back is
-    detected before each merge attempt (``contains``) and recomputed
-    from the input file; a corrupted payload fails the crc check, is
-    invalidated and recomputed (a merged run that fails is invalidated,
-    and the job runs cold).  Loss costs time, never answers.
+    the same geometry would share runs.  Since the key also names
+    ``reduce_fn``, ``params`` and ``sort_output``, and reduce is
+    deterministic (the contract that lets the pool re-dispatch a task
+    and this engine recompute a lost fragment), one key has one answer.
+    A combiner job merges and reduces once per input: it writes its
+    answer — the output's keys and values in output order, as two
+    parallel lists — as one *merged run* under ``{tier_key}/merged``
+    (``run`` index :data:`MERGED_RUN`), and once the tier holds it the
+    fragment runs are dropped.  Keeping it is best effort: an answer that
+    does not pickle, or a write that fails past the spill retries, keeps
+    the fragment runs, as a lost merged write does, and the job still
+    returns its answer (``tier.spill.unkept`` counts one).  A repeat job
+    reads the merged run first and returns its pairs: no map, no spill,
+    no fold, no ``reduce_fn`` call, no sort (``tier.spill.reuse`` counts
+    one run).  A combinerless job keeps its fragment runs, and a repeat
+    skips map and spill for every one the tier still holds.  The tier is
+    allowed to lie about durability: an entry lost to a dropped
+    write-back is detected before each merge attempt (``contains``) and
+    recomputed from the input file; a corrupted payload fails the crc
+    check, is invalidated and recomputed (a merged run that fails is
+    invalidated, and the job runs cold).  Loss costs time, never answers.
     ``prefetcher`` is advised once per cold fragment, before its map is
     awaited (never for a warm run), so the fragments after it warm the
     page cache.
@@ -649,9 +656,7 @@ def run_out_of_core(
     merged_key = None
     if tier is not None and combine_fn is not None:
         merged_key = f"{tier_key}/merged"
-        output = _read_merged(
-            tier, merged_key, reduce_fn, sort_output, params, obs, faults
-        )
+        output = _read_merged(tier, merged_key, obs, faults)
         if output is not None:
             return output, len(fragments), 0
     # per-block value cap derived from the run count so the heap merge's
@@ -785,9 +790,8 @@ def run_out_of_core(
             raise SpillCorruptionError(source, 0, j)
         yield from _iter_blocks(io.BytesIO(data), source, faults, j)
 
-    def fold_runs() -> tuple[list, list]:
-        """Fold every run into one map: its keys in ``repr`` order, and
-        their folded values in step."""
+    def fold_runs() -> dict:
+        """Fold every run into one ``key -> folded value`` map."""
         acc: dict = {}
         for j in range(len(run_sources)):
             for block_keys, block_values in open_blocks(j):
@@ -797,13 +801,20 @@ def run_out_of_core(
                     acc.update(pairs)
                 else:
                     fold_map_into(acc, pairs, combine_fn)
-        keys = sorted(acc, key=repr)
-        return keys, list(map(acc.__getitem__, keys))
+        return acc
 
-    def keep_merged(keys: list, values: list) -> None:
-        """Write the folded map as the job's merged run; once the tier
-        holds it, drop the fragment runs it replaces."""
-        spill(merged_key, (keys, values), MERGED_RUN, True, len(keys), merged=True)
+    def keep_merged(keys: _t.Sequence, values: _t.Sequence) -> None:
+        """Keep the job's answer as its merged run; once the tier holds
+        it, drop the fragment runs it replaces.  Best effort: the answer
+        is already computed, so an answer that does not pickle or a write
+        that fails past its retries keeps the fragment runs instead, as a
+        lost merged write does."""
+        try:
+            spill(merged_key, (keys, values), MERGED_RUN, True, len(keys), merged=True)
+        except Exception as exc:
+            obs.count("tier.spill.unkept")
+            obs.record("tier.spill.unkept", obs.now(), repr(exc))
+            return
         if tier.contains(merged_key):
             for j, src in enumerate(run_sources):
                 if j not in on_disk:
@@ -830,10 +841,10 @@ def run_out_of_core(
                     runs=len(run_sources),
                 ):
                     if combine_fn is not None:
-                        keys, values = fold_runs()
-                        output = reduce_in_order(
-                            keys, values, reduce_fn, sort_output, params
+                        keys, values = reduce_in_order(
+                            fold_runs(), reduce_fn, sort_output, params
                         )
+                        output = list(zip(keys, values))
                     else:
                         stream = merge_decorated_runs([
                             itertools.chain.from_iterable(open_blocks(j))

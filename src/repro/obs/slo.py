@@ -14,9 +14,11 @@ Burn rate is the standard SRE ratio::
 
 ``burn == 1.0`` means the tenant is consuming its budget exactly at the
 sustainable rate; ``burn > 1`` means the budget will be exhausted early
-(a burn of 2 over a 30-day budget period exhausts it in 15 days).  The
-admission/autoscaling consumers (ROADMAP item 4) key off ``burn_rate``
-and ``queue_depth`` rather than raw histograms.
+(a burn of 2 over a 30-day budget period exhausts it in 15 days).
+Consumers key off ``burn_rate`` and ``queue_depth`` rather than raw
+histograms: today the serving benchmark's SLO rows
+(``benchmarks/bench_serving.py``); autoscaling, which would be another,
+is deferred.
 
 Everything here is pure bookkeeping over floats — no clock reads, no
 I/O — so the tracker is cheap enough to run always-on next to the
@@ -251,12 +253,12 @@ class SLOTracker:
 
 @dataclasses.dataclass
 class HealthReport:
-    """One instant's cluster health snapshot — the autoscaling signal.
+    """One instant's cluster health snapshot.
 
-    Produced by :meth:`ClusterScheduler.health_report`; consumed by
-    admission control and (ROADMAP item 4) the autoscaler.  ``healthy``
-    is the conjunction: every evaluated tenant objective met and no node
-    quarantined.
+    Produced by :meth:`ClusterScheduler.health_report`; read by the
+    serving benchmark (``BENCH_serving.json``'s ``critpath.health``).
+    ``healthy`` is the conjunction: every evaluated tenant objective met
+    and no node quarantined.
     """
 
     time: float

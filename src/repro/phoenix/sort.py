@@ -277,23 +277,45 @@ def merge_decorated_runs(runs: _t.Iterable[_t.Iterable[Entry]]) -> _t.Iterator[E
             heappop(heap)
 
 
-def _by_value_desc(items: list, value: _t.Callable) -> list:
-    """The ``sort_output`` order of ``items``, which are already in sort-key
-    order: value descending, ties left in sort-key order.
+#: the value types whose plain comparison is the ``sort_output`` order
+_NUMBERS = {int, float}
+
+
+def _take(seq: _t.Any, indices: _t.Sequence) -> _t.Sequence:
+    """``seq``'s items at ``indices`` (a list's positions or a dict's
+    keys), fetched by one ``operator.itemgetter`` call — which answers a
+    bare item rather than a tuple for a single index, hence the list."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)(seq)
+    return [seq[i] for i in indices]
+
+
+def _value_order(values: _t.Sequence) -> list[int]:
+    """The ``sort_output`` order, as positions into ``values``, of items
+    already in sort-key order: value descending, ties left in sort-key
+    order.  Every engine orders its output with this one step.
 
     One stable pass on the value alone equals one sort by ``(-value,
     sort_key)``: CPython's sort only asks whether an item is less than
     one that came before it, whose sort key is never greater, so a value
     tie answers "no" under either key (NaN included).  When every
-    value is a plain number the pass uses a C-speed itemgetter key
-    (``reverse=True`` preserves the order of equal elements).  Any other
-    value type falls back to the seed's permissive ordering, whose
-    :func:`_as_num` coercion treats non-numbers as equal (and parses
-    numeric strings!), which direct comparison would not reproduce.
+    value is a plain ``int`` or ``float`` (one C-level type pass; bools
+    are not) the pass compares the values directly (``reverse=True``
+    preserves the order of equal elements).  Any other value type falls
+    back to the seed's permissive ordering, whose :func:`_as_num`
+    coercion treats non-numbers as equal (and parses numeric strings!),
+    which direct comparison would not reproduce.
     """
-    if all(type(v) is int or type(v) is float for v in map(value, items)):
-        return sorted(items, key=value, reverse=True)
-    return sorted(items, key=lambda item: -_as_num(value(item)))
+    positions = range(len(values))
+    if {*map(type, values)} <= _NUMBERS:
+        return sorted(positions, key=values.__getitem__, reverse=True)
+    return sorted(positions, key=lambda i: -_as_num(values[i]))
+
+
+def _by_value_desc(items: list, value: _t.Callable) -> list:
+    """``items`` (in sort-key order) in the ``sort_output`` order, where
+    ``value(item)`` is an item's value (see :func:`_value_order`)."""
+    return list(_take(items, _value_order(list(map(value, items)))))
 
 
 def sort_decorated_by_value_desc(entries: _t.Iterable[Entry]) -> list[Entry]:
@@ -395,49 +417,51 @@ def finalize_folded_map(
     sort_output: bool,
     params: dict,
 ) -> list[tuple[object, object]]:
-    """Reduce + order a *scalar-folded* ``key -> value`` map.
+    """Reduce + order a *scalar-folded* ``key -> value`` map: the output
+    pairs of :func:`reduce_in_order`.
 
     The counterpart of :func:`finalize_merged_map` for accumulators built
-    with :func:`fold_map_into`.  Nothing downstream reuses a sort key, so
-    the keys are ordered by the builtin ``repr`` alone (one stable pass,
-    the same key order every decorated path produces; dict order breaks
-    ties between distinct keys that share a ``repr``), and
-    :func:`reduce_in_order` does the rest.
+    with :func:`fold_map_into`.
     """
-    keys = sorted(merged, key=repr)
-    return reduce_in_order(
-        keys, map(merged.__getitem__, keys), reduce_fn, sort_output, params
-    )
+    return list(zip(*reduce_in_order(merged, reduce_fn, sort_output, params)))
 
 
 def reduce_in_order(
-    keys: _t.Iterable,
-    values: _t.Iterable,
+    merged: dict[object, object],
     reduce_fn: _t.Callable[[object, list, dict], object] | None,
     sort_output: bool,
     params: dict,
-) -> list[tuple[object, object]]:
-    """Reduce a folded map whose keys are already in ``repr`` order.
+) -> tuple[_t.Sequence, _t.Sequence]:
+    """Reduce a *scalar-folded* ``key -> value`` map in key order; the
+    output's keys and values, in output order, as two parallel sequences.
 
-    ``values`` holds each key's folded partial, in step with ``keys``.
-    Each key's combine is complete, so ``reduce_fn`` (whose contract must
+    Nothing downstream reuses a sort key, so the keys are ordered by the
+    builtin ``repr`` alone (one stable pass, the same key order every
+    decorated path produces; dict order breaks ties between distinct keys
+    that share a ``repr``) and their values fetched in one call.  Each
+    key's combine is complete, so ``reduce_fn`` (whose contract must
     tolerate any pre-combining once a combiner is declared) receives the
-    single folded partial; sorted output then takes one stable value pass
-    (:func:`_by_value_desc`).  The in-memory finalize, the out-of-core
-    merge and a warm read of a job's merged run all end here.
+    single folded partial.  Sorted output takes the one value order
+    (:func:`_value_order`), applied to the keys and the values alike, so
+    the answer comes out as the two lists a tiered job keeps as its
+    merged run with no pass over the pairs.  The in-memory finalize and
+    the out-of-core merge both end here.
     """
+    keys = sorted(merged, key=repr)
+    values = _take(merged, keys)
     if reduce_fn is not None:
-        out = [(k, reduce_fn(k, [v], params)) for k, v in zip(keys, values)]
-    else:
-        out = list(zip(keys, values))
+        values = [reduce_fn(k, [v], params) for k, v in zip(keys, values)]
     if sort_output:
-        out = _by_value_desc(out, _PAIR_VALUE)
-    return out
+        order = _value_order(values)
+        keys, values = _take(keys, order), _take(values, order)
+    return keys, values
 
 
 def sort_by_value_desc(pairs: _t.Iterable[tuple[object, object]]) -> list[tuple[object, object]]:
-    """Final output ordering of Word Count: by frequency, descending."""
-    return sorted(pairs, key=lambda kv: (-_as_num(kv[1]), repr(kv[0])))
+    """Final output ordering of Word Count: by frequency, descending, ties
+    in ``repr`` key order — a ``repr`` key sort, then the engines' one
+    value order (:func:`_by_value_desc`)."""
+    return _by_value_desc(sorted(pairs, key=lambda kv: repr(kv[0])), _PAIR_VALUE)
 
 
 def _as_num(v: object) -> float:

@@ -6,7 +6,7 @@ Where the simulated :class:`~repro.tier.burst.BurstBuffer` models *time*,
 level and written through to files under an SSD directory before
 ``put()`` returns, and LRU eviction keeps both levels inside their
 budgets.  What it keeps across jobs is one run per combiner job (the
-job's *merged run*: its folded map in key order, which replaces the
+job's *merged run*: its answer in output order, which replaces the
 job's fragment runs once stored) and every fragment run of a
 combinerless job, each keyed by the job's content identity.
 

@@ -5,13 +5,17 @@ from __future__ import annotations
 import functools
 import operator
 import os
+import pickle
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.apps.wordcount import wc_reduce
 from repro.errors import RETRIES, WorkloadError
 from repro.exec import LocalMapReduce
-from repro.exec.chunks import chunk_file, read_chunk_cached
-from repro.exec.outofcore import live_spill_dirs, run_out_of_core
+from repro.exec.chunks import chunk_file, drop_cached_handle, read_chunk_cached
+from repro.exec.outofcore import MERGED_RUN, live_spill_dirs, run_out_of_core
 from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.obs import Observability
 from repro.tier import TieredStore
@@ -42,11 +46,12 @@ def corpus(tmp_path):
 
 
 def run_job(path, tier=None, faults=None, obs=None, max_retries=2,
-            tier_key="job", budget=4096, calls=None, combine_fn=operator.add):
+            tier_key="job", budget=4096, calls=None, combine_fn=operator.add,
+            reduce_fn=None, sort_output=True, chunk_bytes=1024):
     """One out-of-core wordcount; ``calls`` collects each mapped
     fragment's first chunk offset."""
     obs = obs or Observability(enabled=False)
-    chunks = chunk_file(path, 1024)
+    chunks = chunk_file(path, chunk_bytes)
     map_one = wc_fragment if combine_fn is not None else wc_lists
 
     def map_fragment(fragment):
@@ -55,12 +60,42 @@ def run_job(path, tier=None, faults=None, obs=None, max_retries=2,
         return map_one(fragment)
 
     out, n_fragments, spilled = run_out_of_core(
-        chunks, functools.partial(map, map_fragment), combine_fn, None, True,
-        {}, budget, obs,
+        chunks, functools.partial(map, map_fragment), combine_fn, reduce_fn,
+        sort_output, {}, budget, obs,
         faults=faults, max_retries=max_retries,
         tier=tier, tier_key=tier_key,
     )
     return out, n_fragments, obs
+
+
+def counting(reduce_fn, calls):
+    """``reduce_fn`` that appends each key it reduces to ``calls``."""
+    def reduce_counted(key, values, params):
+        calls.append(key)
+        return reduce_fn(key, values, params)
+    return reduce_counted
+
+
+def pair_reduce(key, values, params):
+    """A reduce whose values are tuples (no plain numbers to sort by)."""
+    return key, sum(values)
+
+
+class Unpicklable:
+    """A reduced value that compares by its count and refuses to pickle."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __eq__(self, other):
+        return isinstance(other, Unpicklable) and self.n == other.n
+
+    def __reduce__(self):
+        raise TypeError("Unpicklable values do not pickle")
+
+
+def unpicklable_reduce(key, values, params):
+    return Unpicklable(sum(values))
 
 
 def fragment_runs(store):
@@ -98,24 +133,109 @@ def test_tier_without_a_job_key_is_refused(tmp_path):
 
 
 def test_warm_tier_skips_recompute(corpus, monkeypatch):
-    """A warm rerun reads the merged run: no map, no spill, one run."""
+    """A warm rerun reads the merged run: no map, no spill, one run, and
+    no ``reduce_fn`` call — the cold run reduced each key once."""
     import repro.exec.outofcore as outofcore
 
     monkeypatch.setattr(outofcore, "SPILL_BLOCK_ENTRIES", 64)  # many blocks
+    reduced: list = []
+    reduce_fn = counting(wc_reduce, reduced)
     with TieredStore(64 * 1024, 256 * 1024) as store:
         calls: list = []
-        first, n, cold = run_job(corpus, tier=store, calls=calls)
+        first, n, cold = run_job(corpus, tier=store, calls=calls, reduce_fn=reduce_fn)
         assert len(calls) == n
+        assert sorted(reduced) == sorted(k for k, _ in first)  # once per key
         # the merged run replaced the fragment runs in the tier
         assert cold.metrics.counters["localmr.spill_runs"] == n + 1
         assert store.contains(MERGED) and fragment_runs(store) == 0
         calls.clear()
-        second, _, obs = run_job(corpus, tier=store, calls=calls)
+        reduced.clear()
+        second, _, obs = run_job(corpus, tier=store, calls=calls, reduce_fn=reduce_fn)
         assert second == first
-        assert calls == []
+        assert calls == [] and reduced == []
         ctr = obs.metrics.counters
         assert ctr["tier.spill.reuse"] == 1
         assert ctr.get("localmr.spill_runs", 0) == 0
+
+
+@given(
+    lines=st.lists(
+        st.lists(st.sampled_from([b"a", b"bb", b"ccc", b"dd", b"e"]), max_size=12),
+        min_size=1, max_size=6,
+    ),
+    reduce_fn=st.sampled_from([None, wc_reduce, pair_reduce]),
+    sort_output=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_property_warm_answer_equals_cold_and_tierless(lines, reduce_fn, sort_output):
+    """The kept answer is the answer: a warm rerun's pickled output equals
+    the cold run's and a tier-less run's, over 1-6 fragments."""
+    # one equal-length line per chunk, one chunk per fragment
+    width = 1 + max(len(b" ".join(words)) for words in lines)
+    data = b"".join(b" ".join(words).ljust(width - 1) + b"\n" for words in lines)
+    with tempfile.TemporaryDirectory(prefix="tier-answer-") as d:
+        path = os.path.join(d, "corpus")
+        with open(path, "wb") as f:
+            f.write(data)
+        job = functools.partial(
+            run_job, path, reduce_fn=reduce_fn, sort_output=sort_output,
+            budget=width, chunk_bytes=width,
+        )
+        plain, n, _ = job()
+        with TieredStore(64 * 1024, 256 * 1024) as store:
+            cold, _, _ = job(tier=store)
+            warm, _, obs = job(tier=store)
+        drop_cached_handle(path)  # the corpus dir vanishes with this example
+    assert n == len(lines)
+    assert obs.metrics.counters["tier.spill.reuse"] == 1
+    assert pickle.dumps(warm) == pickle.dumps(cold) == pickle.dumps(plain)
+
+
+def test_unpicklable_answer_is_returned_and_not_kept(corpus):
+    """An answer that does not pickle cannot be kept: the job still
+    returns it, and the fragment runs stay for the next run."""
+    plain, n, _ = run_job(corpus, reduce_fn=unpicklable_reduce)
+    obs = Observability(enabled=False)
+    with TieredStore(64 * 1024, 256 * 1024) as store:
+        cold, _, _ = run_job(corpus, tier=store, obs=obs, reduce_fn=unpicklable_reduce)
+        assert obs.metrics.counters["tier.spill.unkept"] == 1
+        assert not store.contains(MERGED)
+        assert fragment_runs(store) == n
+        calls: list = []
+        again, _, obs2 = run_job(
+            corpus, tier=store, calls=calls, reduce_fn=unpicklable_reduce,
+        )
+        assert calls == []  # every fragment run reused
+        assert obs2.metrics.counters["tier.spill.reuse"] == n
+        assert not store.contains(MERGED)
+    assert cold == again == plain
+    assert isinstance(plain[0][1], Unpicklable)
+
+
+def test_failed_merged_write_still_answers(corpus):
+    """A merged write that fails past the spill retries loses only the
+    kept answer: the job returns, and the next run reuses the fragment
+    runs and keeps its answer then."""
+    plain, n, _ = run_job(corpus, reduce_fn=wc_reduce)
+    plan = FaultPlan(rules=(
+        FaultRule("spill.write", action="fail", count=RETRIES + 1,
+                  where={"run": MERGED_RUN}),
+    ), seed=2)
+    inj = FaultInjector(plan)
+    with TieredStore(64 * 1024, 256 * 1024) as store:
+        cold, _, obs = run_job(corpus, tier=store, faults=inj, reduce_fn=wc_reduce)
+        assert obs.metrics.counters["retry.spill_write"] == RETRIES
+        assert obs.metrics.counters["tier.spill.unkept"] == 1
+        assert not store.contains(MERGED)
+        assert fragment_runs(store) == n
+        calls: list = []
+        again, _, obs2 = run_job(
+            corpus, tier=store, faults=inj, calls=calls, reduce_fn=wc_reduce,
+        )
+        assert calls == []
+        assert obs2.metrics.counters["tier.spill.reuse"] == n
+        assert store.contains(MERGED) and fragment_runs(store) == 0
+    assert cold == again == plain
 
 
 def test_different_job_key_misses_the_warm_tier(corpus):

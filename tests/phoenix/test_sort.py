@@ -6,6 +6,7 @@ import operator
 import pickle
 import zlib
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.phoenix.sort import (
@@ -86,6 +87,24 @@ def test_sort_by_value_desc_non_numeric_values():
     pairs = [("a", "x"), ("b", 3)]
     out = sort_by_value_desc(pairs)
     assert out[0] == ("b", 3)
+
+
+def test_sort_by_value_desc_compares_big_ints_exactly():
+    """The partition merge and dbselect order as every engine does:
+    integers that round to one float still compare exactly."""
+    pairs = [("a", 2**60), ("b", 2**60 + 1)]
+    assert sort_by_value_desc(pairs) == [("b", 2**60 + 1), ("a", 2**60)]
+    assert finalize_folded_map(dict(pairs), None, True, {}) == sort_by_value_desc(pairs)
+
+
+@pytest.mark.parametrize("odd", [True, "x", None, "nan"])
+def test_non_numbers_take_the_permissive_order(odd):
+    """A bool, str or None value is no plain number: every value is then
+    coerced to float, so big ints that round to one float tie and keep
+    their key order."""
+    pairs = [("a", 2**60), ("b", 2**60 + 1), ("c", odd)]
+    for out in (sort_by_value_desc(pairs), finalize_folded_map(dict(pairs), None, True, {})):
+        assert [k for k, _ in out] == ["a", "b", "c"]
 
 
 # -- sort-once/merge-after pipeline ------------------------------------------
@@ -286,4 +305,8 @@ def test_property_output_order_matches_its_earlier_definition(
     entries = [(repr(k), k, v) for k, v in reversed(merged.items())]
     assert pickle.dumps(sort_decorated_by_value_desc(entries)) == pickle.dumps(
         _earlier_sort_decorated_by_value_desc(entries)
+    )
+    # the partition merge's order is the engines' order
+    assert pickle.dumps(sort_by_value_desc(list(merged.items()))) == pickle.dumps(
+        finalize_folded_map(dict(merged), None, True, {})
     )

@@ -89,10 +89,12 @@ MUTATIONS = [
     ("BENCH_tier.json", "warm speedup", ("real", "warm_speedup"), 1.29),
     # one spilled run cannot show warm reuse across fragments
     ("BENCH_tier.json", "real runs spilled", ("real", "n_runs"), 1),
-    # each warm pass reads the one merged run, and maps and spills nothing
+    # each warm pass reads the one merged run, and maps, spills and
+    # reduces nothing
     ("BENCH_tier.json", "warm runs reused", ("real", "runs_reused_warm"), 1),
     ("BENCH_tier.json", "warm runs reused", ("real", "warm_spill_runs"), 1),
     ("BENCH_tier.json", "warm runs reused", ("real", "warm_tasks"), 2),
+    ("BENCH_tier.json", "warm runs reused", ("real", "warm_reduce_calls"), 1),
     ("BENCH_tier.json", "no dirs leaked",
      ("real", "leaked_dirs"), ["/tmp/repro-tier-x"]),
     ("BENCH_tier.json", "readahead speedup",

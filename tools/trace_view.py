@@ -206,6 +206,7 @@ def tier_view(metrics: dict) -> str:
         ("tier.read.corrupted", "reads corrupted (crc-caught)"),
         ("tier.spill.reuse", "warm runs reused (merged or fragment)"),
         ("tier.spill.lost", "spill runs recomputed (lost)"),
+        ("tier.spill.unkept", "answers not kept (merged write failed)"),
     ]
     rows = [(label, c(name)) for name, label in lifecycle if c(name)]
     if rows:
