@@ -7,12 +7,14 @@ going through pytest:
     python -m repro fig8a             # single-app speedups
     python -m repro fig8b | fig8c     # growth curves (WC / SM)
     python -m repro fig9  | fig10     # multi-application pairs (WC / SM)
+    python -m repro network           # an ablation: multisd, network, partition,
+                                      #   sensitivity, smartfam or smb
     python -m repro single wordcount 1000 --platform quad --approach partitioned
     python -m repro pair mcsd wordcount 1250
     python -m repro cmd "wordcount /export/data/input 600M" --size 1000
 
-The ``fig*`` commands print the figure's EXPERIMENTS.md rows (defined in
-:mod:`repro.analysis.figures`).
+Each figure command prints that figure's EXPERIMENTS.md rows; there is
+one per entry of :data:`repro.analysis.figures.FIGURES`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.analysis.figures import FIGURES, render_text, sweep
 from repro.analysis.report import banner, render_table
 from repro.cluster.scenario import (
     PAIR_SCENARIOS,
@@ -45,9 +48,7 @@ def cmd_table1(_args) -> None:
 
 
 def cmd_figure(args) -> None:
-    """Print one paper figure's EXPERIMENTS.md rows."""
-    from repro.analysis.figures import render_text, sweep
-
+    """Print one figure's EXPERIMENTS.md rows."""
     print(render_text(args.figure, sweep([args.figure])))
 
 
@@ -109,8 +110,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("table1").set_defaults(fn=cmd_table1)
-    for name in ("fig8a", "fig8b", "fig8c", "fig9", "fig10"):
-        sub.add_parser(name).set_defaults(fn=cmd_figure, figure=name)
+    for name, fig in FIGURES.items():
+        sub.add_parser(name, help=fig.title).set_defaults(fn=cmd_figure, figure=name)
 
     p_single = sub.add_parser("single", help="one single-application run")
     p_single.add_argument("app", choices=["wordcount", "stringmatch"])

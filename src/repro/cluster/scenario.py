@@ -30,7 +30,7 @@ from repro.apps.matmul import make_matmul_spec, matmul_input
 from repro.apps.stringmatch import make_stringmatch_spec
 from repro.apps.wordcount import make_wordcount_spec
 from repro.cluster.testbed import Testbed
-from repro.config import CELERON_450, CPUSpec, DUO_E4400, QUAD_Q9400
+from repro.config import CELERON_450, CPUSpec, DUO_E4400, QUAD_Q9400, table1_cluster
 from repro.errors import ConfigError, PhoenixMemoryError
 from repro.phoenix.api import InputSpec, MapReduceSpec
 from repro.phoenix.runtime import PhoenixRuntime
@@ -90,6 +90,7 @@ class SingleResult:
     elapsed: float | None  # None => memory overflow (unsupported)
     fragments: int = 1
     failure: str = ""
+    peak_pressure: float = 0.0  # the SD's highest memory pressure (used/RAM)
 
     @property
     def supported(self) -> bool:
@@ -113,38 +114,39 @@ def run_single_app(
     fragment_bytes: int | None = None,
     with_smb: bool = False,
     seed: int = 0,
+    overrides: dict | None = None,
 ) -> SingleResult:
     """One single-application measurement on a fresh testbed.
 
     The data lives on the SD node's local disk and the app runs there —
-    this is the Fig 8 setting ("the two SD platforms").
+    this is the Fig 8 setting ("the two SD platforms").  ``overrides``
+    are keyword arguments for :func:`~repro.config.table1_cluster`, such
+    as a swept ``memory_policy``.
     """
     try:
         cpu = _PLATFORM_CPUS[platform]
     except KeyError:
         raise ConfigError(f"unknown platform {platform!r}") from None
-    bed = Testbed(sd_cpu=cpu, with_smb=with_smb, seed=seed)
+    config = table1_cluster(sd_cpu=cpu, seed=seed, **(overrides or {}))
+    bed = Testbed(config=config, with_smb=with_smb)
     spec, inp = make_data_app(app, size, seed=seed)
     sd_view, _host_view, _sd_path = bed.stage_on_sd("input", inp)
 
     def experiment() -> _t.Generator:
         t0 = bed.sim.now
-        if approach == "sequential":
+        if approach in ("sequential", "parallel"):
             rt = PhoenixRuntime(bed.sd, bed.config.phoenix)
-            res = yield rt.run(spec, sd_view, mode="sequential")
-            return res.stats.elapsed, 1
-        if approach == "parallel":
-            rt = PhoenixRuntime(bed.sd, bed.config.phoenix)
-            res = yield rt.run(spec, sd_view, mode="parallel")
-            return res.stats.elapsed, 1
+            res = yield rt.run(spec, sd_view, mode=approach)
+            return res.stats.elapsed, 1, res.stats.peak_pressure
         if approach == "partitioned":
             ext = ExtendedPhoenixRuntime(bed.sd, bed.config.phoenix)
             res = yield ext.run(spec, sd_view, fragment_bytes=fragment_bytes)
-            return bed.sim.now - t0, res.n_fragments
+            peak = max(s.peak_pressure for s in res.fragment_stats)
+            return bed.sim.now - t0, res.n_fragments, peak
         raise ConfigError(f"unknown approach {approach!r}")
 
     try:
-        elapsed, fragments = bed.run(experiment(), name=f"single:{app}")
+        elapsed, fragments, peak = bed.run(experiment(), name=f"single:{app}")
     except PhoenixMemoryError as exc:
         return SingleResult(
             app=app,
@@ -161,6 +163,7 @@ def run_single_app(
         approach=approach,
         elapsed=elapsed,
         fragments=fragments,
+        peak_pressure=peak,
     )
 
 
@@ -196,16 +199,20 @@ def run_pair_scenario(
     with_smb: bool = False,
     smb_params: dict | None = None,
     seed: int = 0,
+    overrides: dict | None = None,
 ) -> PairResult:
     """One Fig 9/10 cell: MM + data app under a scenario.
 
     The data-intensive input always lives on the SD node (that is the
     premise of smart storage); MM's matrices live on the host.
+    ``overrides`` are keyword arguments for
+    :func:`~repro.config.table1_cluster`, such as a swept ``network``.
     """
     if scenario not in PAIR_SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; pick from {PAIR_SCENARIOS}")
     sd_cpu = TRAD_SD_CPU if scenario == "trad-sd" else DUO_E4400
-    bed = Testbed(sd_cpu=sd_cpu, with_smb=with_smb, smb_params=smb_params, seed=seed)
+    config = table1_cluster(sd_cpu=sd_cpu, seed=seed, **(overrides or {}))
+    bed = Testbed(config=config, with_smb=with_smb, smb_params=smb_params)
 
     data_spec, data_inp = make_data_app(data_app, size, seed=seed)
     _sd_view, host_view, sd_path = bed.stage_on_sd("input", data_inp)

@@ -54,7 +54,7 @@ import typing as _t
 
 from repro.errors import RETRIES, WorkloadError
 from repro.exec.chunks import FileChunk, chunk_file
-from repro.exec.outofcore import plan_fragments, run_out_of_core
+from repro.exec.outofcore import run_out_of_core
 from repro.exec.pool import WorkerPool, run_batch, run_share
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import Observability
@@ -241,21 +241,13 @@ class LocalMapReduce:
                 tier_key = None
                 if self.tier is not None:
                     tier_key = self._job_key(path, st, chunk_bytes, params, budget)
-                prefetcher = None
-                if self.readahead > 0:
-                    from repro.tier.prefetch import ReadaheadPrefetcher
-
-                    prefetcher = ReadaheadPrefetcher(
-                        plan_fragments(chunks, budget),
-                        depth=self.readahead, obs=obs,
-                    )
                 out, n_fragments, spilled = run_out_of_core(
                     chunks, map_fragments, self.combine_fn, self.reduce_fn,
                     self.sort_output, params, budget, obs, self.spill_dir,
                     faults=self.faults,
                     max_retries=self.spill_retries,
                     tier=self.tier, tier_key=tier_key,
-                    prefetcher=prefetcher,
+                    readahead=self.readahead,
                 )
             else:
                 (merged,) = self._map_fragments([chunks], params, parallel, job_sp)

@@ -127,7 +127,6 @@ from repro.phoenix.sort import (
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
-    from repro.tier.prefetch import ReadaheadPrefetcher
     from repro.tier.store import TieredStore
 
 __all__ = [
@@ -590,7 +589,7 @@ def run_out_of_core(
     max_retries: int = RETRIES,
     tier: "TieredStore | None" = None,
     tier_key: str | None = None,
-    prefetcher: "ReadaheadPrefetcher | None" = None,
+    readahead: int = 0,
 ) -> tuple[list[tuple[object, object]], int, int]:
     """Streamed map and spill of every fragment, then merge and finalize.
 
@@ -635,9 +634,11 @@ def run_out_of_core(
     recomputed from the input file; a corrupted payload fails the crc
     check, is invalidated and recomputed (a merged run that fails is
     invalidated, and the job runs cold).  Loss costs time, never answers.
-    ``prefetcher`` is advised once per cold fragment, before its map is
-    awaited (never for a warm run), so the fragments after it warm the
-    page cache.
+    With ``readahead`` > 0, the first cold fragment builds one
+    :class:`~repro.tier.prefetch.ReadaheadPrefetcher` over this plan,
+    ``readahead`` fragments deep, and each cold fragment advises it before
+    its map is awaited, so the fragments after it warm the page cache; a
+    warm job builds none.
 
     Recovery: a transient spill-write failure re-spills the fragment; a
     durably corrupt block found during the merge recomputes *that*
@@ -676,6 +677,7 @@ def run_out_of_core(
     on_disk: set[int] = set()
     #: where each fragment's current run lives (tier key or file path)
     run_sources = [""] * len(fragments)
+    prefetcher = None
 
     def ensure_tmpdir() -> str:
         nonlocal tmpdir
@@ -753,6 +755,7 @@ def run_out_of_core(
         ``put`` can evict another run it is merging with) converges
         instead of burning every retry on capacity churn.
         """
+        nonlocal prefetcher
         cold = []
         for i in indices:
             if to_disk:
@@ -764,6 +767,10 @@ def run_out_of_core(
                 cold.append(i)
         if not cold:
             return
+        if prefetcher is None and readahead > 0:
+            from repro.tier.prefetch import ReadaheadPrefetcher
+
+            prefetcher = ReadaheadPrefetcher(fragments, depth=readahead, obs=obs)
         stream = iter(map_fragments([fragments[i] for i in cold]))
         try:
             for i in cold:

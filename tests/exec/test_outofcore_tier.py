@@ -460,6 +460,47 @@ def test_readahead_advises_only_mapped_fragments(corpus, monkeypatch):
     assert warm.output == cold.output
 
 
+def test_job_plans_fragments_once_and_a_warm_job_builds_no_prefetcher(corpus, monkeypatch):
+    """Each out-of-core job plans its fragments once; a cold one builds one
+    prefetcher over that plan and advises every fragment in order, and a
+    warm tiered job builds none."""
+    from repro.exec import outofcore
+    from repro.tier import ReadaheadPrefetcher
+
+    plans: list = []
+    built: list = []
+    advised: list = []
+    plan_fragments = outofcore.plan_fragments
+    init, advise = ReadaheadPrefetcher.__init__, ReadaheadPrefetcher.advise
+
+    def plan_spy(*args):
+        plans.append(plan_fragments(*args))
+        return plans[-1]
+
+    def init_spy(self, fragments, *args, **kwargs):
+        built.append(fragments)
+        init(self, fragments, *args, **kwargs)
+
+    def advise_spy(self, index):
+        advised.append(index)
+        advise(self, index)
+
+    monkeypatch.setattr(outofcore, "plan_fragments", plan_spy)
+    monkeypatch.setattr(ReadaheadPrefetcher, "__init__", init_spy)
+    monkeypatch.setattr(ReadaheadPrefetcher, "advise", advise_spy)
+    with TieredStore(64 * 1024, 256 * 1024) as store:
+        with LocalMapReduce(
+            _map, combine_fn=operator.add, n_workers=1,
+            memory_budget=4096, tier=store, readahead=1,
+        ) as eng:
+            cold = eng.run(corpus, chunk_bytes=1024)
+            assert len(plans) == 1 and len(built) == 1 and built[0] is plans[0]
+            assert advised == list(range(cold.n_fragments)) == list(range(len(plans[0])))
+            eng.run(corpus, chunk_bytes=1024)
+    assert len(plans) == 2  # the warm job planned once more
+    assert len(built) == 1 and advised == list(range(cold.n_fragments))
+
+
 def test_engine_rejects_bad_knobs():
     from repro.errors import WorkloadError
 

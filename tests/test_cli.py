@@ -56,3 +56,17 @@ def test_figure_command_prints_the_experiments_rows(capsys):
     assert cells("(+) Host with Partition") == ["1.24", "1.35", "1.22", "1.22"]
     assert cells("McSD makespan (s)") == ["10.9", "10.9", "14.0", "17.5"]
     assert "Measured vs paper" in out
+
+
+def test_ablation_command_prints_its_rows(capsys):
+    assert main(["network"]) == 0
+    out = capsys.readouterr().out
+
+    def cells(label):
+        line = next(ln for ln in out.splitlines() if ln.strip().startswith(label))
+        return line.split()[-3:]
+
+    # EXPERIMENTS.md's interconnect rows: at 1Gb, Fig 9's 1G cell
+    assert cells("speedup of McSD") == ["3.25", "2.84", "2.83"]
+    assert cells("McSD (s)") == ["31.2", "31.2", "31.2"]
+    assert "Measured vs paper" in out

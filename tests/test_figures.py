@@ -15,6 +15,7 @@ import pathlib
 import pytest
 
 from repro.analysis.figures import FIGURES, GATE, OUTPUT, checks
+from repro.units import MB
 
 EXPERIMENTS = pathlib.Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 
@@ -65,8 +66,30 @@ RECORDED = {
         "host-part": [1.24, 1.35, 1.22, 1.22],
         "mcsd": [10.9, 10.9, 14.0, 17.5],
     },
-    # the multi-McSD row records speedups: 1.95x / 3.78x on 2 / 4 SDs
-    "multisd": {"elapsed": {1: 1.0, 2: 1 / 1.95, 4: 1 / 3.78}, "exact": True},
+    "multisd": {"elapsed": {1: 62.89, 2: 32.26, 4: 16.65}, "exact": True},
+    "network": {
+        "host-only": [101.5, 88.5, 88.2],
+        "mcsd": [31.2, 31.2, 31.2],
+        "speedup": [3.25, 2.84, 2.83],
+    },
+    "partition": {
+        "fragments": [27, 14, 7, 5, 4, 3, 2, 6],
+        "elapsed": [63.1, 62.6, 62.3, 62.3, 62.2, 117.9, 225.8, 62.3],
+        "peak": [0.10, 0.21, 0.42, 0.63, 0.84, 1.26, 1.68, 0.50],
+    },
+    "sensitivity": {
+        "ratio": {0.75: [2.89, 6.91, 12.47], 0.85: [2.52, 5.78, 10.28], 0.95: [2.20, 4.77, 8.32]},
+        "partitioned": {0.75: [38.9] * 3, 0.85: [38.9] * 3, 0.95: [38.9] * 3},
+    },
+    "smartfam": {
+        "direct": [0.3, 3.0, 15.1],
+        "overhead": {
+            MB(10): [0.05, 0.06, 0.11],
+            MB(100): [0.05, 0.05, 0.19],
+            MB(500): [0.05, 0.06, 0.11],
+        },
+    },
+    "smb": {"mcsd": [23.42, 23.43, 23.47], "host-only": [33.66, 33.66, 33.66]},
 }
 
 #: (row, figure, key path into its results, value that breaks the row)
@@ -94,8 +117,26 @@ MUTATIONS = [
     # exactly on the band's inclusive edge: only the strict max row fails
     ("fig10.no_blowup", "fig10", ("host-only", 0), 2.6),
     ("multisd.exact_output", "multisd", ("exact",), False),
-    ("multisd.speedup_2sd", "multisd", ("elapsed", 2), 1 / 1.5),
-    ("multisd.speedup_4sd", "multisd", ("elapsed", 4), 1 / 5.0),
+    ("multisd.speedup_2sd", "multisd", ("elapsed", 2), 40.0),
+    ("multisd.speedup_4sd", "multisd", ("elapsed", 4), 12.0),
+    ("network.host_only_speeds_up", "network", ("host-only", 2), 90.0),
+    ("network.mcsd_insensitive", "network", ("mcsd", 0), 40.0),
+    ("network.advantage_survives", "network", ("speedup", 2), 1.4),
+    ("partition.auto_in_valley", "partition", ("elapsed", 7), 70.0),
+    ("partition.oversized_pays_paging", "partition", ("elapsed", 6), 150.0),
+    ("partition.oversized_swaps", "partition", ("peak", 6), 0.9),
+    ("partition.small_stays_clean", "partition", ("peak", 0), 0.35),
+    # a 75M point that beats 300M is also the new best: the valley rows hold
+    ("partition.small_pays_overhead", "partition", ("elapsed", 0), 62.0),
+    ("sensitivity.partitioned_wins", "sensitivity", ("ratio", 0.95, 0), 1.4),
+    ("sensitivity.partitioned_insensitive", "sensitivity", ("partitioned", 0.75, 0), 60.0),
+    ("sensitivity.ratio_monotone", "sensitivity", ("ratio", 0.85, 1), 11.0),
+    ("smartfam.overhead_sub_second", "smartfam", ("overhead", MB(10), 0), 0.0),
+    ("smartfam.size_independent", "smartfam", ("overhead", MB(500), 2), 0.5),
+    # lifts the 10ms mean past the 200ms one, yet keeps that column's spread
+    ("smartfam.grows_with_poll", "smartfam", ("overhead", MB(100), 0), 0.35),
+    ("smb.paper_level_is_noise", "smb", ("mcsd", 1), 23.7),
+    ("smb.storm_under_10pct", "smb", ("host-only", 2), 40.0),
 ]
 for _fig in ("fig8b", "fig8c"):
     for _p in ("duo", "quad"):
@@ -112,8 +153,6 @@ for _fig in ("fig8b", "fig8c"):
 def test_recorded_tables_are_the_experiments_md_rows():
     text = EXPERIMENTS.read_text()
     for name, fig in FIGURES.items():
-        if name == "multisd":
-            continue  # EXPERIMENTS.md records only its note
         for table in fig.tables(RECORDED[name]):
             assert "| " + " | ".join(table.header) + " |" in text
             for cells in table.cells():
