@@ -19,9 +19,10 @@ Two cases, both in simulated time (deterministic, seconds of wall clock):
   shards.  The output must be byte-identical, the job must recover by
   partial restart, and the time from the kill to the job's end, less
   the one invoke deadline that detects the death, must be <= 0.5x the
-  clean run.  A second scenario kills and revives an SD daemon under a
-  heartbeat-enabled ``ClusterScheduler`` and proves the node rejoins
-  through probation and serves a canary job again.
+  clean run.  A second scenario kills an SD daemon mid-attempt under a
+  heartbeat-enabled ``ClusterScheduler`` and revives it: the attempt must
+  re-queue at detection, not at its deadline, and the node must rejoin
+  through probation and serve a canary job again.
 
 ``run_suite`` returns the JSON payload for ``tools/perf_gate.py
 --distributed`` and ``checks`` judges it (gates architectural, so they
@@ -38,7 +39,7 @@ from repro.cluster.testbed import Testbed
 from repro.config import table1_cluster
 from repro.core import DataJob, DistributedEngine, DistributedJob, OffloadEngine
 from repro.core.loadbalance import Placement
-from repro.sched.health import HEALTHY
+from repro.sched.health import HEALTHY, HeartbeatConfig
 from repro.units import MB
 from repro.workloads import text_input
 
@@ -63,6 +64,8 @@ RECOVERY_GATE = 0.5
 _TIMEOUT = 3600.0
 #: invoke deadline when a daemon is killed: the death's only signal
 _KILL_DEADLINE = 5.0
+#: sim time at which the rejoin demo kills sd0, mid-attempt
+_REJOIN_KILL_AT = 2.0
 
 
 def _inputs(app: str, quick: bool):
@@ -188,8 +191,10 @@ def identity_case(quick: bool = False) -> dict:
 
 
 def _rejoin_demo() -> dict:
-    """Kill a daemon under a heartbeat scheduler, revive it, and prove it
-    rejoins through probation and serves a canary job again."""
+    """Kill a daemon under a heartbeat scheduler while it runs an attempt,
+    revive it, and prove the attempt re-queues at detection (not at its
+    30 s deadline) and the node rejoins through probation and serves a
+    canary job again."""
     from repro.core.loadbalance import AlwaysOffloadPolicy
     from repro.sched import ClusterScheduler
     from repro.sched.health import PROBATION, QUARANTINED
@@ -202,9 +207,17 @@ def _rejoin_demo() -> dict:
         attempt_timeout=30.0, heartbeat=True,
     )
     timeline: dict[str, float] = {}
+    # the attempt in flight at the kill: ten times the canary's input, so
+    # it runs well past the kill (the least loaded tie goes to sd0)
+    attempt = DataJob(
+        app="wordcount", input_path=sd_path, input_size=inp.size * 10,
+        mode="parallel",
+    )
 
     def driver():
-        yield bed.sim.timeout(2.0)
+        yield bed.sim.timeout(1.5)
+        in_flight = sched.submit(attempt)
+        yield bed.sim.timeout(_REJOIN_KILL_AT - 1.5)
         bed.cluster.sd_daemons["sd0"].kill()
         for _ in range(200):
             if sched.health.state["sd0"] == QUARANTINED:
@@ -228,12 +241,20 @@ def _rejoin_demo() -> dict:
         )
         res = yield sched.submit(job)
         timeline["canary_done_at"] = bed.sim.now
+        yield in_flight
         return res
 
     res = bed.run(driver())
     counters = bed.sim.obs.metrics.snapshot()["counters"]
+    # the in-flight attempt's record: its last dispatch is the re-queued one
+    rec = next(r for r in sched.completed if r.job.input_size == attempt.input_size)
     return {
         "node": "sd0",
+        "killed_at_s": _REJOIN_KILL_AT,
+        "attempt_dispatches": rec.attempts,
+        "attempt_redispatched_at_s": round(rec.dispatched_at, 3),
+        "attempt_node": rec.where,
+        "heartbeat_interval_s": HeartbeatConfig().interval,
         "quarantined_at_s": round(timeline.get("quarantined_at", -1.0), 3),
         "probation_at_s": round(timeline.get("probation_at", -1.0), 3),
         "canary_done_at_s": round(timeline.get("canary_done_at", -1.0), 3),
@@ -247,8 +268,8 @@ def _rejoin_demo() -> dict:
 def recovery_case(quick: bool = False) -> dict:
     """One node dies mid-exchange at 4 shards: byte-identical output by
     partial restart, with kill -> done less the detecting deadline <=
-    ``RECOVERY_GATE`` of the clean run; plus the heartbeat quarantine ->
-    probation -> rejoin demonstration."""
+    ``RECOVERY_GATE`` of the clean run; plus the heartbeat demonstration:
+    kill mid-attempt -> re-queue at detection -> probation -> rejoin."""
     clean, _ = _run_dist("wordcount", quick, 4)
     canon = canonical_output("wordcount", clean.output)
     # a reduce owner that is not the merge node: its partition must be
@@ -334,6 +355,15 @@ def checks(payload: dict) -> list[tuple]:
          f"{part['recovery_s']}s after detection"),
         ("recovery contract", GATE, part["partial_restarts"] >= 1,
          f"{part['partial_restarts']} partial restart(s)"),
+        ("in-flight attempt ends at detection", GATE,
+         rj["attempt_dispatches"] == 2 and rj["attempt_node"] != rj["node"]
+         and rj["attempt_redispatched_at_s"]
+         <= rj["quarantined_at_s"] + rj["heartbeat_interval_s"],
+         f"killed {rj['node']} at t={rj['killed_at_s']}s mid-attempt; "
+         f"re-dispatched to {rj['attempt_node']} at "
+         f"t={rj['attempt_redispatched_at_s']}s (gate <= quarantine "
+         f"t={rj['quarantined_at_s']}s + {rj['heartbeat_interval_s']}s "
+         f"heartbeat)"),
         ("node rejoins", GATE,
          rj["canary_node"] == rj["node"] and rj["final_state"] == HEALTHY
          and rj["quarantines"] >= 1 and rj["rejoins"] >= 1,

@@ -107,7 +107,11 @@ def cmd_cmd(args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("table1").set_defaults(fn=cmd_table1)
     for name, fig in FIGURES.items():

@@ -37,9 +37,11 @@ extended runtime by construction, because the fragment plan is the same.
 Fault tolerance is one recovery loop of passes over an artifact
 manifest: every durable intermediate is registered in a
 per-job :class:`~repro.core.artifacts.AttemptManifest`, and each failure
-is decided once.  A missed invoke deadline evicts the shard node — the
-engine invalidates only what that node held, reassigns its shards to
-survivors, and re-runs exactly the missing work; exchange transfers
+is decided once.  A call that ends in the node's quarantine
+(:class:`~repro.errors.NodeDownError`, when a scheduler's failure
+detector watches the nodes) or a missed invoke deadline evicts the shard
+node — the engine invalidates only what that node held, reassigns its
+shards to survivors, and re-runs exactly the missing work; exchange transfers
 already received at their owners are deduplicated by
 ``(owner, shard, partition)`` id.  Any other transient failure (a
 corrupt artifact, a module crash, a transfer that used up its in-place
@@ -69,6 +71,7 @@ from repro.errors import (
     DistributedJobError,
     InterruptError,
     NetworkError,
+    NodeDownError,
     OffloadError,
     OffloadTimeoutError,
     ShuffleArtifactError,
@@ -384,8 +387,10 @@ class DistributedEngine:
 
         ``nodes`` restricts the candidate replica set (default: every SD
         node holding the input).  ``timeout`` bounds each smartFAM
-        invocation — the liveness signal that turns a dead shard daemon
-        into an evicted node and a recovery pass on the survivors.
+        invocation.  A call that ends in its node's quarantine or misses
+        that deadline turns the shard node into an evicted node and a
+        recovery pass on the survivors; the deadline is the only such
+        signal when no failure detector watches the nodes.
         """
         return self.sim.spawn(self._run(job, nodes, timeout), name=f"dist:{job.app}")
 
@@ -456,7 +461,7 @@ class DistributedEngine:
                 self._remove_shuffle_dir(job_id)
                 if not is_retryable(exc):
                     raise
-                # every evicted node missed a deadline: the quarantine signal
+                # every evicted node was quarantined or missed a deadline
                 raise DistributedJobError(
                     job.app,
                     excluded=recovery["evicted"],
@@ -575,8 +580,9 @@ class DistributedEngine:
                 if not is_retryable(cause):
                     raise cause
                 self._record_failure(recovery, fail.node, fail.phase, cause)
-                if isinstance(cause, OffloadTimeoutError):
-                    # a dead daemon's only signal: evict it, move its work
+                if isinstance(cause, (NodeDownError, OffloadTimeoutError)):
+                    # quarantined, or silent past its deadline: evict the
+                    # node and move its work to the survivors
                     recovery["evicted"].add(fail.node)
                     alive.discard(fail.node)
                     if not alive:

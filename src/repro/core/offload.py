@@ -43,10 +43,11 @@ class OffloadEngine:
 
         ``timeout`` bounds the attempt wherever it runs; expiry raises
         :class:`~repro.errors.OffloadTimeoutError`.  Offloaded, it covers
-        queueing + execution on the SD node — the liveness signal a
-        silently dead SD daemon requires.  On the host it ends a run
-        whose NFS message was lost: the run is aborted, handing back its
-        memory and withdrawing its CPU tasks.
+        queueing + execution on the SD node — the backstop for a daemon
+        that is alive but hung (a quarantine of the node ends the call
+        sooner, with :class:`~repro.errors.NodeDownError`).  On the host
+        it ends a run whose NFS message was lost: the run is aborted,
+        handing back its memory and withdrawing its CPU tasks.
         """
         if placement.offload:
             gen = self._run_offloaded(job, placement, timeout)
@@ -124,7 +125,7 @@ class OffloadEngine:
         try:
             result = yield run
         except InterruptError:
-            raise OffloadTimeoutError(job.app, timeout) from None
+            raise OffloadTimeoutError(job.app, timeout, node=host.name) from None
         output = result.output
         self.host_runs += 1
         return JobResult(

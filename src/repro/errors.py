@@ -39,6 +39,7 @@ __all__ = [
     "IntegrityError",
     "OffloadError",
     "OffloadTimeoutError",
+    "NodeDownError",
     "ShuffleArtifactError",
     "DistributedJobError",
     "PlacementError",
@@ -68,6 +69,9 @@ class McSDError(Exception):
 
     #: default transient/permanent classification for this error type
     retryable: bool = False
+    #: the node the failure happened on, when the raiser knows it; a
+    #: retry excludes that node only (None: the node the attempt ran on)
+    node: str | None = None
 
     def __reduce__(self):
         # Module errors cross the smartFAM log file as pickles.  The
@@ -206,10 +210,16 @@ class NFSError(FileSystemError):
     """NFS client/server protocol error.
 
     Transient by default — NFS is a soft-mount-style RPC protocol here and
-    a failed round trip says nothing about the next one.
+    a failed round trip says nothing about the next one.  ``node`` names
+    the client when its own RPC layer failed the call.
     """
 
     retryable = True
+
+    def __init__(self, message: str = "", node: str | None = None):
+        super().__init__(message)
+        if node is not None:
+            self.node = node
 
 
 # --------------------------------------------------------------------------
@@ -288,17 +298,39 @@ class OffloadError(McSDError):
 class OffloadTimeoutError(OffloadError):
     """An offloaded call produced no result within its deadline.
 
-    The smartFAM channel has no connection to break: a dead SD daemon just
-    never writes the result record, so liveness comes from host-side
-    deadlines (the fault-tolerance mechanism of Section VI's future work).
+    The smartFAM channel has no connection to break: a daemon that is
+    alive but hung just never writes the result record, so the host-side
+    deadline is the backstop; a dead daemon is normally caught sooner by
+    the failure detector (:class:`NodeDownError`).  ``node`` is where the
+    call ran: the SD node, or the host for a host run.
     """
 
     retryable = True
 
-    def __init__(self, module: str, timeout: float):
-        super().__init__(f"module {module!r} produced no result within {timeout}s")
+    def __init__(self, module: str, timeout: float, node: str | None = None):
+        where = f" on {node}" if node is not None else ""
+        super().__init__(
+            f"module {module!r}{where} produced no result within {timeout}s"
+        )
         self.module = module
         self.timeout = timeout
+        self.node = node
+
+
+class NodeDownError(OffloadError):
+    """The failure detector quarantined the SD node a call was waiting on.
+
+    A quarantined node's daemon is presumed dead, so every smartFAM call
+    in flight to it ends at once instead of waiting out its deadline.
+    Transient: the work can run on another node.
+    """
+
+    retryable = True
+
+    def __init__(self, node: str, module: str):
+        super().__init__(f"SD node {node!r} went down during a call to {module!r}")
+        self.node = node
+        self.module = module
 
 
 class ShuffleArtifactError(OffloadError):
@@ -342,8 +374,10 @@ class DistributedJobError(OffloadError):
     Transient from the control plane's point of view: the scheduler may
     retry the job on the surviving replicas or fall back to a single-node
     run on the host.  ``excluded`` names the shard nodes the engine
-    evicted — it evicts a node only when its daemon missed a deadline, so
-    these are the nodes to quarantine; ``failures`` is the structured
+    evicted — it evicts a node only when a call to it ended in a
+    quarantine (:class:`NodeDownError`) or a deadline miss
+    (:class:`OffloadTimeoutError`), so these are the nodes to keep out of
+    the job's next placement; ``failures`` is the structured
     per-shard history — one ``{"node", "phase", "cause", "at"}`` dict per
     observed failure.
     """

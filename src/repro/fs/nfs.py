@@ -214,7 +214,10 @@ class NFSClient:
             if decision.action == "fail":
                 yield self.sim.timeout(0.0)
                 self._pending.pop(xid, None)
-                done.fail(NFSError(f"injected RPC failure ({req['op']} -> {server})"))
+                done.fail(NFSError(
+                    f"injected RPC failure ({req['op']} -> {server})",
+                    node=self.node.name,
+                ))
                 return
             if decision.action == "drop":
                 return  # the request is lost; the event never resolves

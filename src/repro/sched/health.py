@@ -14,7 +14,9 @@ States per node::
 * **suspected** (``phi >= phi_suspect``): dispatch avoids the node but
   nothing is torn down — a transient stall recovers for free.
 * **quarantined** (``phi >= phi_quarantine``, or a forced quarantine from
-  an attempt timeout): the node leaves the eligible set.
+  an attempt timeout): the node leaves the eligible set, and the
+  ``on_quarantine`` hook ends the work in flight there (the scheduler's
+  hook fails every smartFAM call in flight to the node).
 * **probation**: a quarantined node whose beats resume is trusted with a
   limited dispatch share (one canary job at a time); its first success
   restores it to healthy, a failure re-quarantines it.
@@ -120,7 +122,8 @@ class NodeHealthTracker:
 
     ``unhealthy`` is shared with the scheduler (the same set its
     placement filters consult), so quarantine/probation transitions are
-    visible to dispatch without any extra plumbing.
+    visible to dispatch without any extra plumbing.  ``on_quarantine`` is
+    called with the node's name on every quarantine, phi or forced.
     """
 
     def __init__(
@@ -129,12 +132,14 @@ class NodeHealthTracker:
         node_names: _t.Iterable[str],
         cfg: HeartbeatConfig | None = None,
         unhealthy: set | None = None,
+        on_quarantine: _t.Callable[[str], object] | None = None,
     ):
         self.sim = sim
         self.cfg = cfg or HeartbeatConfig()
         self.detector = PhiAccrualDetector(self.cfg)
         self.state: dict[str, str] = {name: HEALTHY for name in node_names}
         self.unhealthy: set = unhealthy if unhealthy is not None else set()
+        self.on_quarantine = on_quarantine
         #: transition stats
         self.quarantines = 0
         self.rejoins = 0
@@ -233,3 +238,5 @@ class NodeHealthTracker:
         self.unhealthy.add(node)
         self.quarantines += 1
         self.sim.obs.count("node.quarantined")
+        if self.on_quarantine is not None:
+            self.on_quarantine(node)

@@ -19,9 +19,11 @@ Guarantees:
 * **Backpressure, not collapse** — a full queue rejects at admission with
   :class:`~repro.errors.AdmissionError`; an *admitted* job is never
   dropped.
-* **Completion within one budget** — a retryable failure (a missed
-  deadline, an injected fault) re-queues the job with the failed SD node
-  excluded; after ``max_retries`` re-dispatches, or once no trusted SD
+* **Completion within one budget** — a retryable failure (a quarantine,
+  a missed deadline, an injected fault) re-queues the job with the node
+  it happened on excluded — the SD node, unless the error names the host
+  (its own NFS client failed), which leaves the candidates as they were;
+  after ``max_retries`` re-dispatches, or once no trusted SD
   node is left, the job is pinned to the host.  The host is never
   excluded or quarantined: a retryable failure there re-queues the job
   on the host until its host attempts exceed ``max_retries``.  A job so
@@ -144,9 +146,12 @@ class ClusterScheduler:
         Max jobs concurrently placed on any one node (SD or host).
     attempt_timeout:
         Deadline for every attempt, offloaded or on the host; expiry
-        re-queues the job, and an SD node that missed it is marked
-        unhealthy.  ``None`` disables deadlines (a dead daemon or a lost
-        NFS message then hangs its job — benchmarks always set one).
+        re-queues the job, and an SD node that missed it is quarantined.
+        With ``heartbeat`` on, a dead daemon's attempts end at detection,
+        so the deadline is the backstop for a daemon that is alive but
+        hung, and for a host run whose NFS message was lost.  ``None``
+        disables deadlines (such a hang then holds its job — benchmarks
+        always set one).
     max_retries:
         Re-dispatches (>= 0) before the job is pinned to the host, and
         again on the host before the job fails.
@@ -167,10 +172,13 @@ class ClusterScheduler:
         fabric, and the host's heartbeat endpoint hands each ping, as it
         arrives, to a :class:`~repro.sched.health.NodeHealthTracker`,
         which turns inter-arrival gaps into phi-accrual suspicion.
-        Suspected nodes are avoided (not torn down), quarantined nodes
-        leave the eligible set, and a quarantined node whose beats resume
-        re-enters through probation — one canary job at a time until a
-        success restores it.
+        Suspected nodes are avoided (not torn down).  A quarantined node
+        leaves the eligible set, and every deadline-bounded smartFAM call
+        in flight to it fails at once with
+        :class:`~repro.errors.NodeDownError`, so its attempts re-queue and
+        its distributed shards restart on the survivors at detection.  A
+        quarantined node whose beats resume re-enters through probation —
+        one canary job at a time until a success restores it.
         ``None`` (default) keeps the PR-8 behavior: quarantine only on
         attempt timeout, rejoin only via :meth:`mark_healthy`.
     """
@@ -242,6 +250,8 @@ class ClusterScheduler:
                 [n.name for n in cluster.sd_nodes],
                 cfg,
                 unhealthy=self.unhealthy,
+                # a quarantined daemon is presumed dead: its calls end now
+                on_quarantine=lambda node: cluster.host_channels[node].node_down(),
             )
             # the detector records each daemon's beat as it arrives
             endpoint = f"hb:{cluster.host.name}"
@@ -586,8 +596,8 @@ class ClusterScheduler:
                 for node in exc.excluded:
                     self.health.job_failed(node)
         if isinstance(exc, OffloadTimeoutError) and placement.offload:
-            # A deadline miss is the only liveness signal a dead daemon
-            # gives: quarantine the node so the queue drains elsewhere.
+            # a deadline miss: the daemon is hung, or dead with no detector
+            # to say so; quarantine the node so the queue drains elsewhere
             self._quarantine(placement.node)
         retry = is_retryable(exc)
         if retry and not isinstance(exc, DistributedJobError):
@@ -599,9 +609,14 @@ class ClusterScheduler:
                 "at": self.sim.now,
             })
         if retry and placement.offload:
-            entry.excluded.add(placement.node)
-            if self.health is not None and not isinstance(exc, DistributedJobError):
-                self.health.job_failed(placement.node)
+            # exclude the node the failure happened on, if it is the SD: a
+            # failure of the host's own NFS client leaves the SD eligible
+            if (getattr(exc, "node", None) or placement.node) == placement.node:
+                entry.excluded.add(placement.node)
+                if self.health is not None and not isinstance(
+                    exc, DistributedJobError
+                ):
+                    self.health.job_failed(placement.node)
             if entry.attempts > self.max_retries:
                 entry.force_host = True
         elif retry:

@@ -22,6 +22,7 @@ from repro.errors import (
     RETRIES,
     RETRY_BACKOFF,
     InterruptError,
+    NodeDownError,
     OffloadTimeoutError,
     ProtocolError,
     SmartFAMError,
@@ -38,6 +39,7 @@ from repro.smartfam.registry import ModuleRegistry
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.node.node import Node
+    from repro.sim.process import Process
 
 __all__ = ["SDSmartFAM", "HostSmartFAM", "LOG_DIR"]
 
@@ -46,6 +48,9 @@ __all__ = ["SDSmartFAM", "HostSmartFAM", "LOG_DIR"]
 LOG_DIR = "/export/sdlog"
 
 _seqs = itertools.count(1)
+
+#: interrupt cause with which :meth:`HostSmartFAM.node_down` ends a call
+_NODE_DOWN = "smartfam node down"
 
 
 class SDSmartFAM:
@@ -69,14 +74,15 @@ class SDSmartFAM:
         self.phoenix_cfg = phoenix_cfg or PhoenixConfig()
         #: module invocations served (stats)
         self.invocations = 0
-        #: results silently lost (injected daemon deaths; stats)
+        #: results lost to injected ``fam.result`` drops (stats)
         self.results_dropped = 0
         #: a killed daemon stops dispatching and never answers (see kill())
         self.dead = False
         #: liveness ping loop (started on demand by the scheduler)
         self._hb_proc = None
-        #: sequence numbers currently being executed (idempotency guard)
-        self._in_flight: set[int] = set()
+        #: module runs in flight by sequence number (the idempotency guard,
+        #: and what kill() aborts)
+        self._runs: dict[int, Process] = {}
         node.fs.vfs.mkdir(self.log_dir, parents=True)
         for name in registry.names():
             path = self.log_path(name)
@@ -96,13 +102,19 @@ class SDSmartFAM:
     def kill(self) -> None:
         """Kill the daemon: it stops dispatching and never answers again.
 
-        The smartFAM channel gives no failure notification — the log files
-        stay on disk, the host's INVOKE writes land, and nothing ever
-        replies — so the host only learns of the death through its own
-        deadlines.  In-flight module runs complete (the node is alive, the
-        daemon process died) but their results are dropped.
+        Module runs die with the daemon: every run in flight is aborted,
+        its CPU tasks withdrawn and its memory handed back, and writes no
+        result, so a revived daemon starts idle.  The smartFAM channel
+        gives no failure notification — the log files stay on disk, the
+        host's INVOKE writes land, and nothing ever replies — so the host
+        learns of the death from its failure detector (which fails the
+        calls in flight, :meth:`HostSmartFAM.node_down`) or, without one,
+        from its deadlines.
         """
         self.dead = True
+        for run in list(self._runs.values()):
+            if run.is_alive:
+                run.abort("smartfam daemon killed", cancel=self.node.cpu.cancel)
 
     def revive(self) -> None:
         """Restart a killed daemon (it resumes dispatching new writes)."""
@@ -200,15 +212,16 @@ class SDSmartFAM:
                     continue
                 if (
                     record is None
-                    or record.seq in self._in_flight
+                    or record.seq in self._runs
                     or LogFileCodec.find(payload, RESULT, record.seq) is not None
                 ):
                     continue  # running, already answered, or our own write
-                self._in_flight.add(record.seq)
                 sp.set(seq=record.seq)
+                # only this loop checks the guard, so registering the run
+                # after the overhead leaves no gap
                 yield self.sim.timeout(self.cfg.daemon_dispatch_overhead)
                 # Step 4: invoke the data-intensive module.
-                self.sim.spawn(
+                self._runs[record.seq] = self.sim.spawn(
                     self._run_module(module, path, record),
                     name=f"smartfam:{self.node.name}:{module}#{record.seq}",
                 )
@@ -231,11 +244,14 @@ class SDSmartFAM:
 
     def _run_module(self, module: str, path: str, record: LogRecord) -> _t.Generator:
         try:
-            yield from self._run_module_inner(module, path, record)
+            # a kill between dispatch and this first step finds no wait
+            # point to interrupt: the run ends here instead
+            if not self.dead:
+                yield from self._run_module_inner(module, path, record)
         finally:
             # whatever happened — result written, result dropped, module
-            # crashed — the seq is no longer executing
-            self._in_flight.discard(record.seq)
+            # crashed, run aborted — the seq is no longer executing
+            self._runs.pop(record.seq, None)
 
     def _run_module_inner(
         self, module: str, path: str, record: LogRecord
@@ -267,10 +283,14 @@ class SDSmartFAM:
                     name=f"module:{module}#{record.seq}",
                 )
                 reply = LogRecord(RESULT, record.seq, module, body=result, ok=True)
+            except InterruptError:
+                raise  # kill() aborted the run: nothing answers
             except Exception as exc:
                 reply = LogRecord(RESULT, record.seq, module, body=exc, ok=False)
                 run_sp.set(error=type(exc).__name__)
-        if self.dead or self._should_drop_result(module):
+        if self.dead:
+            return  # killed in the instant the run ended
+        if self._should_drop_result(module):
             self.results_dropped += 1
             return  # the daemon died before persisting the result
         # Return Step 1: results are written to the module's log file.
@@ -324,6 +344,9 @@ class HostSmartFAM:
         self._locks: dict[str, Semaphore] = {}
         #: completed invocations (stats)
         self.calls = 0
+        #: inner invokes of the deadline-bounded calls in flight, in call
+        #: order (what node_down() ends)
+        self._calls: list[Process] = []
 
     def log_path(self, module: str) -> str:
         """Mount-relative path of a module's log file."""
@@ -352,9 +375,13 @@ class HostSmartFAM:
         module from this host serialize (FIFO) on a per-module lock.
 
         ``timeout`` bounds the wait for the *result* (measured from the
-        call, covering queueing + execution); on expiry the call is
-        abandoned and :class:`~repro.errors.OffloadTimeoutError` raised —
-        the liveness mechanism a dead SD daemon requires.
+        call, covering queueing + execution).  Such a call also ends when
+        the failure detector quarantines the SD node (:meth:`node_down`):
+        it raises :class:`~repro.errors.NodeDownError` at detection, so
+        the deadline is only the backstop for a daemon that is alive but
+        hung, whose expiry raises
+        :class:`~repro.errors.OffloadTimeoutError`.  Either way the call
+        is withdrawn and its module lock released.
         """
         if timeout is None:
             return self.sim.spawn(
@@ -365,14 +392,33 @@ class HostSmartFAM:
             name=f"smartfam-call:{module}",
         )
 
+    def node_down(self) -> None:
+        """The SD node was quarantined: end every call in flight to it.
+
+        Each deadline-bounded call's inner invoke is interrupted, which
+        withdraws it and releases its module lock, and the call raises
+        :class:`~repro.errors.NodeDownError`.  Later calls are unaffected.
+        """
+        for inner in list(self._calls):
+            if inner.is_alive:
+                inner.interrupt(_NODE_DOWN)
+
     def _invoke_with_timeout(
         self, module: str, params: dict, timeout: float
     ) -> _t.Generator:
         inner = self.sim.spawn(
             self._invoke(module, params), name=f"smartfam-inner:{module}"
         )
+        self._calls.append(inner)
         timer = self.sim.timeout(timeout)
-        yield self.sim.any_of([inner, timer])
+        try:
+            yield self.sim.any_of([inner, timer])
+        except InterruptError as exc:
+            if exc.cause != _NODE_DOWN:
+                raise
+            raise NodeDownError(self.mount.server, module) from None
+        finally:
+            self._calls.remove(inner)
         if inner.triggered:
             if not inner.ok:
                 raise _t.cast(BaseException, inner.value)
@@ -383,7 +429,7 @@ class HostSmartFAM:
             yield inner
         except Exception:
             pass
-        raise OffloadTimeoutError(module, timeout)
+        raise OffloadTimeoutError(module, timeout, node=self.mount.server)
 
     def _lock(self, module: str) -> Semaphore:
         lock = self._locks.get(module)

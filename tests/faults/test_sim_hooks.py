@@ -145,8 +145,9 @@ def test_standard_plan_preserves_job_output(app):
 
 
 def test_standard_plan_one_job_gets_the_reference_answer():
-    """Two NFS errors pin the job to the host, whose first request is then
-    lost: the host attempt's deadline ends it and the host runs it again."""
+    """Two NFS errors of the host's own client leave sd0 eligible; the
+    third sd0 attempt's request is then lost, its deadline quarantines
+    sd0, and with the retries spent the host runs the job."""
     bed = Testbed(config=table1_cluster(n_sd=2, seed=7), seed=7)
     inp = text_input("/data/f", MB(50), payload_bytes=6_000, seed=7)
     _view, sd_path = bed.stage_replicated("f", inp)
@@ -164,10 +165,11 @@ def test_standard_plan_one_job_gets_the_reference_answer():
 
 
 def test_standard_plan_injection_is_reproducible():
-    # three jobs: the first is pinned to the host by the two NFS errors,
-    # the later ones carry the module and result faults to the SD daemons
+    # four jobs: the first meets the two NFS errors (its SD stays eligible)
+    # and the lost message, whose deadline quarantines that SD; the others
+    # meet the disk, module and result faults on the other SD, one a job
     def run_once():
-        _, injector, sched = _standard_plan_run("wordcount", 8, n_jobs=3)
+        _, injector, sched = _standard_plan_run("wordcount", 8, n_jobs=4)
         assert all(rec.attempts <= BOUND for rec in sched.completed)
         return injector
 

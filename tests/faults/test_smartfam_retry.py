@@ -78,7 +78,7 @@ def test_permanent_module_failure_is_not_retried():
 
 
 def test_retry_budget_exhaustion_raises_the_last_error():
-    # every NFS round trip fails: the SD attempt, then each host attempt
+    # every NFS round trip fails: each SD attempt, then each host attempt
     bed, _inp, job = _env(FaultRule("nfs.call", action="fail"))
     sched = ClusterScheduler(
         bed.cluster, attempt_timeout=60.0, max_retries=1, cache=None
@@ -86,9 +86,11 @@ def test_retry_budget_exhaustion_raises_the_last_error():
     exc = _outcome(bed, sched.submit(job))
     assert isinstance(exc, NFSError)
     counters = bed.sim.obs.metrics.counters
-    # one SD attempt (the only SD is excluded after it), then
-    # max_retries + 1 host attempts: inside 2 x (max_retries + 1)
-    assert counters["sched.attempt_failures"] == 1 + 2
+    # the host's own NFS client fails, so the SD stays eligible for
+    # max_retries + 1 attempts, then max_retries + 1 host attempts: the
+    # whole budget of 2 x (max_retries + 1)
+    assert counters["sched.attempt_failures"] == 2 + 2
+    assert not sched.unhealthy
     assert counters["sched.failed"] == 1
     assert bed.sim.now < 1.0  # spent, not livelocked
 

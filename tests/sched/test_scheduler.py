@@ -135,6 +135,25 @@ def test_dead_node_quarantined_and_jobs_requeued():
         assert sum(v for _, v in res.output) == expected_total(inp)
 
 
+def test_host_nfs_failure_keeps_the_sd_eligible():
+    """The host's own NFS client fails twice: that blames the host, so
+    both SD nodes stay eligible and the job completes offloaded."""
+    bed, inp, sd_path = make_bed(n_sd=2)
+    bed.sim.install_faults(
+        FaultPlan(rules=(FaultRule("nfs.call", action="fail", count=2),), seed=7)
+    )
+    sched = ClusterScheduler(
+        bed.cluster, policy=AlwaysOffloadPolicy(), attempt_timeout=60.0,
+        cache=None,
+    )
+    res = bed.run(sched.submit(make_job(sd_path)))
+    rec = sched.completed[0]
+    assert bed.sim.obs.metrics.counters["sched.attempt_failures"] == 2
+    assert rec.attempts == 3 and rec.offloaded and rec.where == "sd0"
+    assert not sched.unhealthy
+    assert sum(v for _, v in res.output) == expected_total(inp)
+
+
 def test_mark_healthy_readmits_a_revived_node():
     bed, _, sd_path = make_bed(n_sd=2)
     daemon = bed.cluster.sd_daemons["sd0"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import main
 
 
@@ -70,3 +71,17 @@ def test_ablation_command_prints_its_rows(capsys):
     assert cells("speedup of McSD") == ["3.25", "2.84", "2.83"]
     assert cells("McSD (s)") == ["31.2", "31.2", "31.2"]
     assert "Measured vs paper" in out
+
+
+def test_help_prints_each_example_on_its_own_line(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    lines = [ln.strip() for ln in capsys.readouterr().out.splitlines()]
+    examples = [
+        ln.strip() for ln in cli.__doc__.splitlines()
+        if ln.strip().startswith("python -m repro ")
+    ]
+    assert len(examples) == 8
+    for example in examples:
+        assert example in lines

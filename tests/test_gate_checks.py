@@ -79,6 +79,12 @@ MUTATIONS = [
      ("recovery", "recovery_ratio"), 0.51),
     ("BENCH_distributed.json", "recovery contract",
      ("recovery", "partial", "partial_restarts"), 0),
+    # the attempt in flight on the killed node re-queues at detection:
+    # past quarantine + one heartbeat, or answered by the revived node
+    ("BENCH_distributed.json", "in-flight attempt ends at detection",
+     ("recovery", "rejoin", "attempt_redispatched_at_s"), 5.26),
+    ("BENCH_distributed.json", "in-flight attempt ends at detection",
+     ("recovery", "rejoin", "attempt_dispatches"), 1),
     ("BENCH_distributed.json", "node rejoins",
      ("recovery", "rejoin", "final_state"), "quarantined"),
     ("BENCH_distributed.json", "node rejoins",

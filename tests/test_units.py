@@ -94,7 +94,8 @@ _ERROR_ARGS = {
     "InterruptError": ({"reason": "test"},),
     "OutOfMemoryError": (100, 50, "sd0"),
     "PhoenixMemoryError": (300, 200, "wordcount"),
-    "OffloadTimeoutError": ("wordcount", 5.0),
+    "OffloadTimeoutError": ("wordcount", 5.0, "sd0"),
+    "NodeDownError": ("sd0", "wordcount"),
     "ShuffleArtifactError": ("/shuffle/m0", 1, 2, "short read"),
     "DistributedJobError": (
         "wordcount", {"sd1"},

@@ -150,9 +150,11 @@ SIM_TIMEOUT = 60.0
 #: scheduler re-dispatches before a job is pinned to the host, and on it
 SIM_RETRIES = 2
 #: jobs per simulated case, one after another: the plan's two NFS errors
-#: pin the first job to the host, so its module and result faults need
-#: the later jobs to reach an SD daemon
-SIM_JOBS = 3
+#: fail the host's own NFS client, so the first job stays on an SD, where
+#: the plan's lost message makes it miss its deadline and quarantines
+#: that SD; the disk, module and result faults then each cost one later
+#: job its offload to the other SD, so every rule fires within four jobs
+SIM_JOBS = 4
 
 
 def _run_sim_once(args: argparse.Namespace, app: str, chaos: bool):
