@@ -17,12 +17,14 @@ Two cases, both in simulated time (deterministic, seconds of wall clock):
   by construction).
 * **recovery** — a reduce-owning node is killed mid-exchange at 4
   shards.  The output must be byte-identical, the job must recover by
-  partial restart, and the time from the kill to the job's end, less
-  the one invoke deadline that detects the death, must be <= 0.5x the
-  clean run.  A second scenario kills an SD daemon mid-attempt under a
-  heartbeat-enabled ``ClusterScheduler`` and revives it: the attempt must
-  re-queue at detection, not at its deadline, and the node must rejoin
-  through probation and serve a canary job again.
+  partial restart, the first failure must be the failure detector's
+  ``NodeDownError`` within its bound of the kill
+  (:data:`~repro.sched.health.DETECTION_BOUND`), and the time from the
+  kill to the job's end, less that bound, must be <= 0.5x the clean run.
+  A second scenario kills an SD daemon mid-attempt under a
+  ``ClusterScheduler`` and revives it: the attempt must re-queue at
+  detection, not at its deadline, and the node must rejoin through
+  probation and serve a canary job again.
 
 ``run_suite`` returns the JSON payload for ``tools/perf_gate.py
 --distributed`` and ``checks`` judges it (gates architectural, so they
@@ -39,7 +41,7 @@ from repro.cluster.testbed import Testbed
 from repro.config import table1_cluster
 from repro.core import DataJob, DistributedEngine, DistributedJob, OffloadEngine
 from repro.core.loadbalance import Placement
-from repro.sched.health import HEALTHY, HeartbeatConfig
+from repro.sched.health import DETECTION_BOUND, HEALTHY, INTERVAL
 from repro.units import MB
 from repro.workloads import text_input
 
@@ -57,12 +59,13 @@ SCALE_GATES = {2: 1.6, 4: 2.5}
 #: plain single-node partitioned engine (the plane's fixed overhead)
 WIDTH1_OVERHEAD_GATE = 0.05
 #: after one mid-exchange node kill at 4 shards, kill -> done minus the
-#: detecting deadline may be at most this fraction of the clean run
+#: detector's bound may be at most this fraction of the clean run
 RECOVERY_GATE = 0.5
 
 #: generous per-job deadline for runs where nothing dies
 _TIMEOUT = 3600.0
-#: invoke deadline when a daemon is killed: the death's only signal
+#: invoke deadline when a daemon is killed: the backstop, should the
+#: failure detector miss the death
 _KILL_DEADLINE = 5.0
 #: sim time at which the rejoin demo kills sd0, mid-attempt
 _REJOIN_KILL_AT = 2.0
@@ -106,8 +109,8 @@ def _run_dist(app: str, quick: bool, n_shards: int, kill=None, **engine_kw):
     """One distributed run at the given width on a fresh 4-SD cluster.
 
     ``kill`` is ``(node, at)``: that node's daemon dies at simulated time
-    ``at``, and the invoke deadline drops to ``_KILL_DEADLINE`` so the
-    death is detected.  Returns ``(result, engine)``.
+    ``at``, and the invoke deadline drops to ``_KILL_DEADLINE``.  Returns
+    ``(result, engine)``.
     """
     bed, inp, sd_path, frag, _, params = _staged(app, quick, 4)
     job = DistributedJob(
@@ -191,10 +194,10 @@ def identity_case(quick: bool = False) -> dict:
 
 
 def _rejoin_demo() -> dict:
-    """Kill a daemon under a heartbeat scheduler while it runs an attempt,
-    revive it, and prove the attempt re-queues at detection (not at its
-    30 s deadline) and the node rejoins through probation and serves a
-    canary job again."""
+    """Kill a daemon under a scheduler while it runs an attempt, revive
+    it, and prove the attempt re-queues at detection (not at its 30 s
+    deadline) and the node rejoins through probation and serves a canary
+    job again."""
     from repro.core.loadbalance import AlwaysOffloadPolicy
     from repro.sched import ClusterScheduler
     from repro.sched.health import PROBATION, QUARANTINED
@@ -204,7 +207,7 @@ def _rejoin_demo() -> dict:
     _, sd_path = bed.stage_replicated("rejoin", inp)
     sched = ClusterScheduler(
         bed.cluster, policy=AlwaysOffloadPolicy(), cache=None,
-        attempt_timeout=30.0, heartbeat=True,
+        attempt_timeout=30.0,
     )
     timeline: dict[str, float] = {}
     # the attempt in flight at the kill: ten times the canary's input, so
@@ -254,7 +257,7 @@ def _rejoin_demo() -> dict:
         "attempt_dispatches": rec.attempts,
         "attempt_redispatched_at_s": round(rec.dispatched_at, 3),
         "attempt_node": rec.where,
-        "heartbeat_interval_s": HeartbeatConfig().interval,
+        "heartbeat_interval_s": INTERVAL,
         "quarantined_at_s": round(timeline.get("quarantined_at", -1.0), 3),
         "probation_at_s": round(timeline.get("probation_at", -1.0), 3),
         "canary_done_at_s": round(timeline.get("canary_done_at", -1.0), 3),
@@ -267,9 +270,10 @@ def _rejoin_demo() -> dict:
 
 def recovery_case(quick: bool = False) -> dict:
     """One node dies mid-exchange at 4 shards: byte-identical output by
-    partial restart, with kill -> done less the detecting deadline <=
-    ``RECOVERY_GATE`` of the clean run; plus the heartbeat demonstration:
-    kill mid-attempt -> re-queue at detection -> probation -> rejoin."""
+    partial restart, detected by the failure detector, with kill -> done
+    less the detector's bound <= ``RECOVERY_GATE`` of the clean run; plus
+    the rejoin demonstration: kill mid-attempt -> re-queue at detection ->
+    probation -> rejoin."""
     clean, _ = _run_dist("wordcount", quick, 4)
     canon = canonical_output("wordcount", clean.output)
     # a reduce owner that is not the merge node: its partition must be
@@ -278,15 +282,18 @@ def recovery_case(quick: bool = False) -> dict:
     victim = owners[0] if owners else clean.merge_node
     kill_at = (clean.timeline["map_done"] + clean.timeline["exchange_done"]) / 2
     res, eng = _run_dist("wordcount", quick, 4, (victim, kill_at))
-    detect = min(f["at"] for f in res.recovery["failures"])
+    first = min(res.recovery["failures"], key=lambda f: f["at"])
+    detect = first["at"]
     done = res.timeline["merge_done"]
     kill_to_done = done - kill_at
-    ratio = (kill_to_done - _KILL_DEADLINE) / clean.elapsed
+    ratio = (kill_to_done - DETECTION_BOUND) / clean.elapsed
     return {
         "killed": victim,
         "kill_at_s": round(kill_at, 4),
         "clean_s": round(clean.elapsed, 4),
         "deadline_s": _KILL_DEADLINE,
+        "detect_bound_s": round(DETECTION_BOUND, 4),
+        "first_failure": first["cause"],
         "detected_at_s": round(detect, 4),
         "partial": {
             "elapsed_s": round(res.elapsed, 4),
@@ -348,9 +355,15 @@ def checks(payload: dict) -> list[tuple]:
          f"{scaling['width1_overhead']:.1%} over single-node "
          f"{scaling['single_node_s']:.3f}s (gate <= "
          f"{WIDTH1_OVERHEAD_GATE:.0%})"),
+        ("detected by the failure detector", GATE,
+         rec["first_failure"] == "NodeDownError"
+         and rec["detected_at_s"] <= rec["kill_at_s"] + rec["detect_bound_s"],
+         f"first failure {rec['first_failure']} at "
+         f"t={rec['detected_at_s']}s (gate: NodeDownError <= kill "
+         f"t={rec['kill_at_s']}s + {rec['detect_bound_s']}s bound)"),
         ("recovery ratio", GATE, rec["recovery_ratio"] <= RECOVERY_GATE,
-         f"kill->done {part['kill_to_done_s']}s - {rec['deadline_s']}s "
-         f"deadline over clean {rec['clean_s']}s => "
+         f"kill->done {part['kill_to_done_s']}s - {rec['detect_bound_s']}s "
+         f"detection bound over clean {rec['clean_s']}s => "
          f"{rec['recovery_ratio']:.2f}x (gate <= {RECOVERY_GATE}x); "
          f"{part['recovery_s']}s after detection"),
         ("recovery contract", GATE, part["partial_restarts"] >= 1,

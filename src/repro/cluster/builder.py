@@ -10,7 +10,9 @@ Wiring follows Fig 3 / Section V-A:
 * the compute nodes mount the host's export (the paper: "all the general
   purpose computing nodes share disk space on the host node through NFS");
 * SMB background traffic runs among host + compute nodes ("all the nodes
-  except the McSD smart-storage node") when enabled.
+  except the McSD smart-storage node") when enabled;
+* the cluster's one failure detector starts with its first scheduler or
+  distributed run (:meth:`BuiltCluster.start_detector`).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.config import ClusterConfig, NodeRole
 from repro.fs.nfs import NFSClient, NFSMount, NFSServer
 from repro.net.fabric import Fabric
 from repro.node.node import Node
+from repro.sched.health import INTERVAL, NodeHealthTracker
 from repro.sim.kernel import Simulator
 from repro.smartfam.daemon import HostSmartFAM, SDSmartFAM
 from repro.smartfam.registry import ModuleRegistry, standard_registry
@@ -45,6 +48,8 @@ class BuiltCluster:
     host_channels: dict[str, HostSmartFAM]
     host_mounts: dict[str, NFSMount]
     smb: SMBTraffic | None
+    #: the failure detector (None until :meth:`start_detector`)
+    health: NodeHealthTracker | None = None
 
     def node(self, name: str) -> Node:
         """Node by name."""
@@ -80,6 +85,27 @@ class BuiltCluster:
         if not sd_name:
             sd_name = self.sd_nodes[0].name
         return self.host_mounts[sd_name]
+
+    def start_detector(self) -> NodeHealthTracker:
+        """Start the failure detector, once; returns it.
+
+        Every SD daemon pings the host's heartbeat endpoint, which feeds
+        each ping to the tracker as it arrives; a quarantine ends the
+        node's smartFAM calls in flight (``HostSmartFAM.node_down``).
+        """
+        if self.health:
+            return self.health
+        health = self.health = NodeHealthTracker(
+            self.sim,
+            self.sd_names,
+            on_quarantine=lambda node: self.host_channels[node].node_down(),
+        )
+        endpoint = f"hb:{self.host.name}"
+        self.fabric.attach(endpoint, lambda m: health.beat(m.src, self.sim.now))
+        for daemon in self.sd_daemons.values():
+            daemon.start_heartbeat(self.fabric, endpoint, INTERVAL)
+        self.sim.spawn(health.monitor(), name="cluster.hb.monitor")
+        return health
 
 
 def build_cluster(

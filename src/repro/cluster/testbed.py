@@ -12,7 +12,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.cluster.builder import BuiltCluster, build_cluster
-from repro.config import ClusterConfig, CPUSpec, DUO_E4400, table1_cluster
+from repro.config import ClusterConfig, table1_cluster
 from repro.fs import path as _p
 from repro.node.node import Node
 from repro.phoenix.api import InputSpec
@@ -34,7 +34,6 @@ class Testbed:
     def __init__(
         self,
         config: ClusterConfig | None = None,
-        sd_cpu: CPUSpec = DUO_E4400,
         n_sd: int = 1,
         with_smb: bool = False,
         smb_params: dict | None = None,
@@ -42,7 +41,7 @@ class Testbed:
         seed: int = 0,
         trace: bool = False,
     ):
-        self.config = config or table1_cluster(sd_cpu=sd_cpu, n_sd=n_sd, seed=seed)
+        self.config = config or table1_cluster(n_sd=n_sd, seed=seed)
         self.cluster: BuiltCluster = build_cluster(
             self.config, registry=registry, with_smb=with_smb,
             smb_params=smb_params, trace=trace,

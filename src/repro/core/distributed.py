@@ -37,12 +37,12 @@ extended runtime by construction, because the fragment plan is the same.
 Fault tolerance is one recovery loop of passes over an artifact
 manifest: every durable intermediate is registered in a
 per-job :class:`~repro.core.artifacts.AttemptManifest`, and each failure
-is decided once.  A call that ends in the node's quarantine
-(:class:`~repro.errors.NodeDownError`, when a scheduler's failure
-detector watches the nodes) or a missed invoke deadline evicts the shard
-node — the engine invalidates only what that node held, reassigns its
-shards to survivors, and re-runs exactly the missing work; exchange transfers
-already received at their owners are deduplicated by
+is decided once.  A call that ends in its node's quarantine by the
+cluster's failure detector, or would start on a quarantined node
+(:class:`~repro.errors.NodeDownError`), or misses its invoke deadline
+evicts the shard node — the engine invalidates only what that node held,
+reassigns its shards to survivors, and re-runs exactly the missing work;
+exchange transfers already received at their owners are deduplicated by
 ``(owner, shard, partition)`` id.  Any other transient failure (a
 corrupt artifact, a module crash, a transfer that used up its in-place
 retries) re-runs the missing work where it was.  A straggling map shard
@@ -387,11 +387,13 @@ class DistributedEngine:
 
         ``nodes`` restricts the candidate replica set (default: every SD
         node holding the input).  ``timeout`` bounds each smartFAM
-        invocation.  A call that ends in its node's quarantine or misses
-        that deadline turns the shard node into an evicted node and a
-        recovery pass on the survivors; the deadline is the only such
-        signal when no failure detector watches the nodes.
+        invocation.  The run starts the cluster's failure detector; a call
+        that ends in its node's quarantine, would start on a quarantined
+        node, or misses that deadline (a daemon alive but hung) turns the
+        shard node into an evicted node and a recovery pass on the
+        survivors.
         """
+        self.cluster.start_detector()
         return self.sim.spawn(self._run(job, nodes, timeout), name=f"dist:{job.app}")
 
     # -- one job ------------------------------------------------------------
@@ -516,10 +518,11 @@ class DistributedEngine:
         """The job's one attempt: a fixpoint loop of recovery passes.
 
         Each pass runs exactly the work whose artifacts are missing from
-        the manifest, and each failure is decided once.  A missed deadline
-        evicts the node: what it held is invalidated and its shards move
-        to survivors.  A corrupt artifact is invalidated and rebuilt; any
-        other transient failure reruns the missing work where it was.
+        the manifest, and each failure is decided once.  A quarantine or a
+        missed deadline evicts the node: what it held is invalidated and
+        its shards move to survivors.  A corrupt artifact is invalidated
+        and rebuilt; any other transient failure reruns the missing work
+        where it was.
         Every pass draws on one budget; when it runs out, or no survivors
         remain, the failure propagates to :meth:`_run`.
         """
@@ -1078,6 +1081,9 @@ class DistributedEngine:
                 False,
                 OffloadError(f"no smartFAM channel to {node_name!r}"),
             )
+        if node_name in self.cluster.health.unhealthy:
+            # presumed dead: a call there would only wait out its deadline
+            return (node_name, False, NodeDownError(node_name, module))
         self.inflight[node_name] = self.inflight.get(node_name, 0) + 1
         obs.count(f"dist.invoke.{phase}")
         try:

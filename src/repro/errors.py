@@ -321,8 +321,9 @@ class NodeDownError(OffloadError):
     """The failure detector quarantined the SD node a call was waiting on.
 
     A quarantined node's daemon is presumed dead, so every smartFAM call
-    in flight to it ends at once instead of waiting out its deadline.
-    Transient: the work can run on another node.
+    in flight to it ends at once instead of waiting out its deadline (and
+    a distributed call to it fails before it starts).  Transient: the
+    work can run on another node.
     """
 
     retryable = True

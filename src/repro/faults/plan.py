@@ -195,7 +195,8 @@ def standard_plan(seed: int = 0) -> FaultPlan:
             FaultRule("fam.module", action="fail", count=1),
             FaultRule("fam.result", action="drop", count=1),
             FaultRule("nfs.call", action="fail", count=2, after=4),
-            FaultRule("net.deliver", action="drop", count=1, after=8),
+            FaultRule("net.deliver", action="drop", count=1, after=8,
+                      where={"kind": "data"}),
             FaultRule("disk.read", action="fail", count=1, after=2),
         ),
         seed=seed,

@@ -10,11 +10,7 @@ See ``DESIGN.md`` §11 for the lifecycle and policy table.
 """
 
 from repro.sched.cache import ResultCache
-from repro.sched.health import (
-    HeartbeatConfig,
-    NodeHealthTracker,
-    PhiAccrualDetector,
-)
+from repro.sched.health import NodeHealthTracker, PhiAccrualDetector
 from repro.sched.policies import (
     FairShareOrdering,
     FIFOOrdering,
@@ -36,7 +32,6 @@ __all__ = [
     "QueuedJob",
     "ClusterScheduler",
     "CompletedJob",
-    "HeartbeatConfig",
     "NodeHealthTracker",
     "PhiAccrualDetector",
 ]

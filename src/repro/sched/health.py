@@ -1,21 +1,21 @@
 """Heartbeat failure detection and the node-health state machine (§15).
 
-The scheduler's PR-8 health model was binary: an attempt timeout
-quarantined a node forever.  This module replaces it with a *suspicion
-score* fed by daemon heartbeats over the fabric — a simplified
-phi-accrual detector (Hayashibara et al.): the longer a node stays
-silent relative to its recent inter-arrival mean, the higher its phi.
+A cluster's one :class:`NodeHealthTracker`, started by its first
+scheduler or distributed run, gives each SD node a *suspicion score*
+fed by daemon heartbeats over the fabric — a simplified phi-accrual
+detector (Hayashibara et al.): the longer a node stays silent relative
+to its recent inter-arrival mean, the higher its phi.
 
 States per node::
 
     healthy -> suspected -> quarantined -> probation -> healthy
                   \\______________________________________/
 
-* **suspected** (``phi >= phi_suspect``): dispatch avoids the node but
+* **suspected** (``phi >= PHI_SUSPECT``): dispatch avoids the node but
   nothing is torn down — a transient stall recovers for free.
-* **quarantined** (``phi >= phi_quarantine``, or a forced quarantine from
-  an attempt timeout): the node leaves the eligible set, and the
-  ``on_quarantine`` hook ends the work in flight there (the scheduler's
+* **quarantined** (``phi >= PHI_QUARANTINE``, or a forced quarantine
+  from an attempt timeout): the node leaves the eligible set, and the
+  ``on_quarantine`` hook ends the work in flight there (the cluster's
   hook fails every smartFAM call in flight to the node).
 * **probation**: a quarantined node whose beats resume is trusted with a
   limited dispatch share (one canary job at a time); its first success
@@ -29,17 +29,19 @@ silence is ~10x less likely than expected, 2 means ~100x, and so on.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import typing as _t
 
 __all__ = [
-    "HeartbeatConfig",
     "PhiAccrualDetector",
     "NodeHealthTracker",
     "HEALTHY",
     "SUSPECTED",
     "QUARANTINED",
     "PROBATION",
+    "INTERVAL",
+    "PHI_SUSPECT",
+    "PHI_QUARANTINE",
+    "DETECTION_BOUND",
 ]
 
 #: log10(e): converts the exponential-model exceedance to a phi scale
@@ -50,30 +52,30 @@ SUSPECTED = "suspected"
 QUARANTINED = "quarantined"
 PROBATION = "probation"
 
-
-@dataclasses.dataclass(frozen=True)
-class HeartbeatConfig:
-    """Tuning for the heartbeat loop and the suspicion thresholds."""
-
-    #: daemon ping period (sim seconds); also the monitor tick
-    interval: float = 0.25
-    #: sliding window of inter-arrival samples per node
-    window: int = 16
-    #: before this many samples, the configured interval is the mean
-    min_samples: int = 3
-    #: phi at which dispatch starts avoiding the node (~10^-2 likelihood)
-    phi_suspect: float = 2.0
-    #: phi at which the node is quarantined (~10^-5 likelihood)
-    phi_quarantine: float = 5.0
+#: daemon ping period (sim seconds); also the monitor tick
+INTERVAL = 0.25
+#: sliding window of inter-arrival samples per node
+WINDOW = 16
+#: before this many samples, INTERVAL is the mean
+MIN_SAMPLES = 3
+#: phi at which dispatch starts avoiding the node (~10^-2 likelihood)
+PHI_SUSPECT = 2.0
+#: phi at which the node is quarantined (~10^-5 likelihood)
+PHI_QUARANTINE = 5.0
+#: longest a dead daemon stays unquarantined when its beats came every
+#: INTERVAL: the silence at which phi reaches PHI_QUARANTINE, plus one
+#: monitor tick (about 3.13 sim-s)
+DETECTION_BOUND = PHI_QUARANTINE * INTERVAL / _LOG10_E + INTERVAL
 
 
 class PhiAccrualDetector:
     """Suspicion scores from heartbeat inter-arrival times."""
 
-    def __init__(self, cfg: HeartbeatConfig | None = None):
-        self.cfg = cfg or HeartbeatConfig()
+    def __init__(self):
         self._last: dict[str, float] = {}
         self._intervals: dict[str, collections.deque] = {}
+        #: where each watched node's silence counts from before it beats
+        self._since: dict[str, float] = {}
 
     def beat(self, node: str, t: float) -> None:
         """Record a heartbeat from ``node`` at sim time ``t``."""
@@ -81,9 +83,7 @@ class PhiAccrualDetector:
         if last is not None:
             window = self._intervals.get(node)
             if window is None:
-                window = self._intervals[node] = collections.deque(
-                    maxlen=self.cfg.window
-                )
+                window = self._intervals[node] = collections.deque(maxlen=WINDOW)
             window.append(max(1e-9, t - last))
         self._last[node] = t
 
@@ -91,60 +91,65 @@ class PhiAccrualDetector:
         """Sim time of the node's most recent beat (None: never beat)."""
         return self._last.get(node)
 
-    def reset(self, node: str) -> None:
-        """Forget a node's beat history entirely.
+    def watch(self, node: str, t: float) -> None:
+        """Watch ``node`` afresh: until its next beat, its silence counts
+        from sim time ``t``, so a daemon that dies before it ever beats is
+        still suspected.
 
-        Called when a quarantined node's beats resume: both the window
-        and the last-beat time must go, or the huge dead-gap interval
-        would enter the (fresh) window on the very next beat, inflating
-        the mean and desensitizing the detector exactly when it must
-        stay sharp.  The next beat re-arms ``last_beat`` without
-        recording an interval.
+        Its beat history goes too.  When a quarantined node's beats
+        resume, both the window and the last-beat time must go, or the
+        huge dead-gap interval would enter the (fresh) window on the very
+        next beat, inflating the mean and desensitizing the detector
+        exactly when it must stay sharp.  The next beat re-arms
+        ``last_beat`` without recording an interval.
         """
         self._intervals.pop(node, None)
         self._last.pop(node, None)
+        self._since[node] = t
 
     def phi(self, node: str, now: float) -> float:
-        """Current suspicion of ``node`` (0.0 during startup grace)."""
-        last = self._last.get(node)
+        """Current suspicion of ``node`` (0.0 for a node never watched
+        nor heard from)."""
+        last = self._last.get(node, self._since.get(node))
         if last is None:
-            return 0.0  # grace until the first beat arrives
+            return 0.0
         window = self._intervals.get(node)
-        if window is not None and len(window) >= self.cfg.min_samples:
+        if window is not None and len(window) >= MIN_SAMPLES:
             mean = sum(window) / len(window)
         else:
-            mean = self.cfg.interval
+            mean = INTERVAL
         return _LOG10_E * (now - last) / max(mean, 1e-9)
 
 
 class NodeHealthTracker:
     """The per-node recovery state machine over a phi-accrual detector.
 
-    ``unhealthy`` is shared with the scheduler (the same set its
-    placement filters consult), so quarantine/probation transitions are
-    visible to dispatch without any extra plumbing.  ``on_quarantine`` is
-    called with the node's name on every quarantine, phi or forced.
+    ``on_quarantine`` is called with the node's name on every quarantine,
+    phi or forced.  :meth:`monitor` re-scores the nodes every
+    ``INTERVAL`` and calls each of ``on_change`` after a tick that moved
+    any node (a scheduler registers its wake-up there).
     """
 
     def __init__(
         self,
         sim,
         node_names: _t.Iterable[str],
-        cfg: HeartbeatConfig | None = None,
-        unhealthy: set | None = None,
         on_quarantine: _t.Callable[[str], object] | None = None,
     ):
         self.sim = sim
-        self.cfg = cfg or HeartbeatConfig()
-        self.detector = PhiAccrualDetector(self.cfg)
+        self.detector = PhiAccrualDetector()
         self.state: dict[str, str] = {name: HEALTHY for name in node_names}
-        self.unhealthy: set = unhealthy if unhealthy is not None else set()
+        for name in self.state:
+            self.detector.watch(name, sim.now)
         self.on_quarantine = on_quarantine
-        #: transition stats
-        self.quarantines = 0
-        self.rejoins = 0
+        self.on_change: list[_t.Callable[[], object]] = []
 
     # -- views -------------------------------------------------------------
+
+    @property
+    def unhealthy(self) -> set:
+        """Quarantined nodes: out of the eligible set."""
+        return {n for n, s in self.state.items() if s == QUARANTINED}
 
     @property
     def suspected(self) -> set:
@@ -160,11 +165,9 @@ class NodeHealthTracker:
 
     def beat(self, node: str, t: float) -> None:
         """Feed one heartbeat into the detector."""
-        if node not in self.state:
-            self.state[node] = HEALTHY
         if self.state[node] == QUARANTINED:
             # beats resuming after a dead gap: drop the gap from the window
-            self.detector.reset(node)
+            self.detector.watch(node, t)
         self.detector.beat(node, t)
 
     def force_quarantine(self, node: str) -> None:
@@ -176,7 +179,6 @@ class NodeHealthTracker:
         """A probation node served its canary: restore full trust."""
         if self.state.get(node) == PROBATION:
             self.state[node] = HEALTHY
-            self.rejoins += 1
             self.sim.obs.count("node.rejoined")
 
     def job_failed(self, node: str) -> None:
@@ -185,12 +187,22 @@ class NodeHealthTracker:
             self._quarantine(node)
 
     def restore(self, node: str) -> None:
-        """Operator override (``mark_healthy``): full trust immediately."""
+        """Operator override (``mark_healthy``): full trust immediately,
+        watched afresh from now (the gap before it is forgotten)."""
         if node in self.state:
             self.state[node] = HEALTHY
-        self.unhealthy.discard(node)
+            self.detector.watch(node, self.sim.now)
 
     # -- evaluation --------------------------------------------------------
+
+    def monitor(self) -> _t.Generator:
+        """Re-score every node each ``INTERVAL``; wake ``on_change`` on a
+        transition."""
+        while True:
+            yield self.sim.timeout(INTERVAL)
+            if self.evaluate(self.sim.now):
+                for wake in self.on_change:
+                    wake()
 
     def evaluate(self, now: float) -> bool:
         """Advance every node's state; True when anything changed.
@@ -206,10 +218,10 @@ class NodeHealthTracker:
             obs.sample(f"node.suspicion.{node}", now, phi)
             state = self.state[node]
             if state in (HEALTHY, SUSPECTED):
-                if phi >= self.cfg.phi_quarantine:
+                if phi >= PHI_QUARANTINE:
                     self._quarantine(node)
                     changed = True
-                elif phi >= self.cfg.phi_suspect:
+                elif phi >= PHI_SUSPECT:
                     if state != SUSPECTED:
                         self.state[node] = SUSPECTED
                         obs.count("node.suspected")
@@ -219,24 +231,21 @@ class NodeHealthTracker:
                     changed = True
             elif state == QUARANTINED:
                 if (
-                    phi < self.cfg.phi_suspect
+                    phi < PHI_SUSPECT
                     and self.detector.last_beat(node) is not None
                 ):
                     # beats are flowing again: limited re-entry
                     self.state[node] = PROBATION
-                    self.unhealthy.discard(node)
                     obs.count("node.probation")
                     changed = True
             elif state == PROBATION:
-                if phi >= self.cfg.phi_quarantine:
+                if phi >= PHI_QUARANTINE:
                     self._quarantine(node)
                     changed = True
         return changed
 
     def _quarantine(self, node: str) -> None:
         self.state[node] = QUARANTINED
-        self.unhealthy.add(node)
-        self.quarantines += 1
         self.sim.obs.count("node.quarantined")
         if self.on_quarantine is not None:
             self.on_quarantine(node)

@@ -65,7 +65,7 @@ from repro.errors import (
 )
 from repro.obs.slo import HealthReport, SLOPolicy, SLOTracker, build_health_report
 from repro.sched.cache import ResultCache
-from repro.sched.health import HeartbeatConfig, NodeHealthTracker
+from repro.sched.health import NodeHealthTracker
 from repro.sched.policies import OrderingPolicy, make_ordering
 from repro.sched.queue import JobQueue, QueuedJob
 from repro.sim.events import Event
@@ -147,11 +147,10 @@ class ClusterScheduler:
     attempt_timeout:
         Deadline for every attempt, offloaded or on the host; expiry
         re-queues the job, and an SD node that missed it is quarantined.
-        With ``heartbeat`` on, a dead daemon's attempts end at detection,
-        so the deadline is the backstop for a daemon that is alive but
-        hung, and for a host run whose NFS message was lost.  ``None``
-        disables deadlines (such a hang then holds its job — benchmarks
-        always set one).
+        A dead daemon's attempts end at detection, so the deadline is the
+        backstop for a daemon that is alive but hung, and for a host run
+        whose NFS message was lost.  ``None`` disables deadlines (such a
+        hang then holds its job — benchmarks always set one).
     max_retries:
         Re-dispatches (>= 0) before the job is pinned to the host, and
         again on the host before the job fails.
@@ -167,20 +166,14 @@ class ClusterScheduler:
         tracker; :meth:`health_report` snapshots it.  ``None`` (default)
         still tracks latencies, just with no objective to verdict against.
     heartbeat:
-        ``True`` or a :class:`~repro.sched.health.HeartbeatConfig` starts
-        the failure detector: every SD daemon pings the host over the
-        fabric, and the host's heartbeat endpoint hands each ping, as it
-        arrives, to a :class:`~repro.sched.health.NodeHealthTracker`,
-        which turns inter-arrival gaps into phi-accrual suspicion.
-        Suspected nodes are avoided (not torn down).  A quarantined node
-        leaves the eligible set, and every deadline-bounded smartFAM call
-        in flight to it fails at once with
-        :class:`~repro.errors.NodeDownError`, so its attempts re-queue and
-        its distributed shards restart on the survivors at detection.  A
-        quarantined node whose beats resume re-enters through probation —
-        one canary job at a time until a success restores it.
-        ``None`` (default) keeps the PR-8 behavior: quarantine only on
-        attempt timeout, rejoin only via :meth:`mark_healthy`.
+        Only ``True`` (the default): the scheduler always starts and
+        places by the cluster's failure detector.  Suspected nodes are
+        avoided (not torn down).  A quarantined node leaves the eligible
+        set, and its attempts and distributed shards in flight fail at
+        once with :class:`~repro.errors.NodeDownError`, so they re-queue
+        or restart on the survivors at detection.  A quarantined node
+        whose beats resume re-enters through probation — one canary job
+        at a time until a success restores it.
     """
 
     def __init__(
@@ -195,10 +188,14 @@ class ClusterScheduler:
         cache: ResultCache | bool | None = True,
         slo: SLOTracker | SLOPolicy | _t.Mapping[str, SLOPolicy]
         | _t.Iterable[SLOPolicy] | None = None,
-        heartbeat: HeartbeatConfig | bool | None = None,
+        heartbeat: bool = True,
     ):
         if max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
+        if heartbeat is not True:
+            raise ConfigError(
+                f"the failure detector is always on, got heartbeat={heartbeat!r}"
+            )
         self.cluster = cluster
         self.sim = cluster.sim
         self.engine = OffloadEngine(cluster)
@@ -225,8 +222,6 @@ class ClusterScheduler:
         self.slo: SLOTracker = (
             slo if isinstance(slo, SLOTracker) else SLOTracker(slo)
         )
-        #: nodes whose daemon missed a deadline (skipped until marked healthy)
-        self.unhealthy: set[str] = set()
         #: dispatched jobs whose runner process has not started yet — the
         #: engine's ``inflight`` only sees a job once the runner calls it,
         #: so capacity checks within one pump pass need this bridge count
@@ -238,27 +233,9 @@ class ClusterScheduler:
         self._seq = itertools.count()
         self._wake = Signal(self.sim, name="sched.wake")
         self._dispatcher = self.sim.spawn(self._dispatch_loop(), name="sched.dispatcher")
-        #: phi-accrual failure detector (None: timeout-only health model)
-        self.health: NodeHealthTracker | None = None
-        if heartbeat:
-            cfg = (
-                heartbeat if isinstance(heartbeat, HeartbeatConfig)
-                else HeartbeatConfig()
-            )
-            health = self.health = NodeHealthTracker(
-                self.sim,
-                [n.name for n in cluster.sd_nodes],
-                cfg,
-                unhealthy=self.unhealthy,
-                # a quarantined daemon is presumed dead: its calls end now
-                on_quarantine=lambda node: cluster.host_channels[node].node_down(),
-            )
-            # the detector records each daemon's beat as it arrives
-            endpoint = f"hb:{cluster.host.name}"
-            cluster.fabric.attach(endpoint, lambda m: health.beat(m.src, self.sim.now))
-            for daemon in cluster.sd_daemons.values():
-                daemon.start_heartbeat(cluster.fabric, endpoint, cfg.interval)
-            self.sim.spawn(self._health_monitor(cfg), name="sched.hb.monitor")
+        #: the cluster's phi-accrual failure detector
+        self.health: NodeHealthTracker = cluster.start_detector()
+        self.health.on_change.append(self._wake.fire)
 
     # -- submission --------------------------------------------------------
 
@@ -489,12 +466,11 @@ class ClusterScheduler:
         ]
         if not eligible:
             return None
-        if self.health is not None:
-            # a rejoining node earns trust through single canary jobs, not
-            # by carrying shards of a fan-out job
-            settled = [c for c in eligible if c not in self.health.probation]
-            if settled:
-                eligible = settled
+        # a rejoining node earns trust through single canary jobs, not by
+        # carrying shards of a fan-out job
+        settled = [c for c in eligible if c not in self.health.probation]
+        if settled:
+            eligible = settled
         entry.shard_nodes = tuple(eligible)
         return entry.job, Placement(
             node=eligible[0], offload=True,
@@ -513,11 +489,12 @@ class ClusterScheduler:
         alternative exists, so a transient stall of the whole fleet never
         pins jobs to the host.
         """
+        unhealthy = self.unhealthy
         names = [
             c for c in entry.candidates
-            if c not in entry.excluded and c not in self.unhealthy
+            if c not in entry.excluded and c not in unhealthy
         ]
-        if names and self.health is not None:
+        if names:
             calm = [c for c in names if c not in self.health.suspected]
             if calm:
                 names = calm
@@ -525,7 +502,7 @@ class ClusterScheduler:
 
     def _node_limit(self, node: str) -> int:
         """Concurrent-placement cap for ``node`` (probation gets a canary)."""
-        if self.health is not None and node in self.health.probation:
+        if node in self.health.probation:
             return 1
         return self.per_node_limit
 
@@ -586,18 +563,15 @@ class ClusterScheduler:
         obs = self.sim.obs
         obs.count("sched.attempt_failures")
         if isinstance(exc, DistributedJobError):
-            # the engine burned through these replicas, each by missing a
-            # deadline: keep them out of the next placement and quarantine
+            # the engine burned through these replicas, each quarantined or
+            # past a deadline: keep them out of the next placement
             entry.last_failures = list(exc.failures)
             entry.excluded |= exc.excluded
             for node in exc.excluded:
                 self._quarantine(node)
-            if self.health is not None:
-                for node in exc.excluded:
-                    self.health.job_failed(node)
         if isinstance(exc, OffloadTimeoutError) and placement.offload:
-            # a deadline miss: the daemon is hung, or dead with no detector
-            # to say so; quarantine the node so the queue drains elsewhere
+            # a deadline miss: the daemon is hung, or died before its first
+            # beat; quarantine the node so the queue drains elsewhere
             self._quarantine(placement.node)
         retry = is_retryable(exc)
         if retry and not isinstance(exc, DistributedJobError):
@@ -613,9 +587,7 @@ class ClusterScheduler:
             # failure of the host's own NFS client leaves the SD eligible
             if (getattr(exc, "node", None) or placement.node) == placement.node:
                 entry.excluded.add(placement.node)
-                if self.health is not None and not isinstance(
-                    exc, DistributedJobError
-                ):
+                if not isinstance(exc, DistributedJobError):
                     self.health.job_failed(placement.node)
             if entry.attempts > self.max_retries:
                 entry.force_host = True
@@ -678,7 +650,7 @@ class ClusterScheduler:
             obs.count("sched.dist.completed")
             obs.count("sched.dist.shards", getattr(result, "n_shards", 1))
         self.slo.observe(job.tenant, now, record.total)
-        if self.health is not None and result.offloaded:
+        if result.offloaded:
             # probation credit: the nodes that carried this job earned it
             served = {result.where}
             served.update(getattr(result, "shard_nodes", ()) or ())
@@ -692,31 +664,22 @@ class ClusterScheduler:
 
     # -- health / introspection -------------------------------------------
 
+    @property
+    def unhealthy(self) -> set[str]:
+        """Quarantined nodes (skipped until probation or marked healthy)."""
+        return self.health.unhealthy
+
     def mark_healthy(self, node: str) -> None:
         """Readmit a quarantined node (e.g. after its daemon revives)."""
-        if self.health is not None:
-            self.health.restore(node)
-        else:
-            self.unhealthy.discard(node)
+        self.health.restore(node)
         self._wake.fire()
 
     def _quarantine(self, node: str) -> None:
         """Pull ``node`` from the eligible set on hard failure evidence."""
         if node in self.unhealthy:
             return
-        if self.health is not None:
-            self.health.force_quarantine(node)
-        else:
-            self.unhealthy.add(node)
+        self.health.force_quarantine(node)
         self.sim.obs.count("sched.node_unhealthy")
-
-    def _health_monitor(self, cfg: HeartbeatConfig) -> _t.Generator:
-        """Periodically re-score every node; wake dispatch on transitions."""
-        assert self.health is not None
-        while True:
-            yield self.sim.timeout(cfg.interval)
-            if self.health.evaluate(self.sim.now):
-                self._wake.fire()
 
     def _sample_depth(self) -> None:
         self.sim.obs.sample("sched.queue_depth", self.sim.now, len(self.queue))
@@ -754,9 +717,8 @@ class ClusterScheduler:
             "host_runs": self.engine.host_runs,
             "tenant_completed": per_tenant_done,
             "tenant_work": per_tenant_work,
+            "node_states": dict(sorted(self.health.state.items())),
         }
-        if self.health is not None:
-            out["node_states"] = dict(sorted(self.health.state.items()))
         if self.cache is not None:
             out["cache"] = {
                 "hits": self.cache.hits,

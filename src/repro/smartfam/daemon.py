@@ -78,8 +78,6 @@ class SDSmartFAM:
         self.results_dropped = 0
         #: a killed daemon stops dispatching and never answers (see kill())
         self.dead = False
-        #: liveness ping loop (started on demand by the scheduler)
-        self._hb_proc = None
         #: module runs in flight by sequence number (the idempotency guard,
         #: and what kill() aborts)
         self._runs: dict[int, Process] = {}
@@ -107,9 +105,9 @@ class SDSmartFAM:
         result, so a revived daemon starts idle.  The smartFAM channel
         gives no failure notification — the log files stay on disk, the
         host's INVOKE writes land, and nothing ever replies — so the host
-        learns of the death from its failure detector (which fails the
-        calls in flight, :meth:`HostSmartFAM.node_down`) or, without one,
-        from its deadlines.
+        learns of the death from the cluster's failure detector (which
+        fails the calls in flight, :meth:`HostSmartFAM.node_down`) or, if
+        that is not running, from its deadlines.
         """
         self.dead = True
         for run in list(self._runs.values()):
@@ -125,14 +123,13 @@ class SDSmartFAM:
     def start_heartbeat(self, fabric, dst: str, interval: float) -> None:
         """Ping ``dst`` every ``interval`` sim-seconds over the fabric.
 
-        Idempotent.  A dead daemon skips its pings (the process that
-        would send them is gone) but the loop survives, so a
-        :meth:`revive` resumes beating — that resumption is what moves a
-        quarantined node into probation at the failure detector.
+        The cluster's failure detector starts this once per daemon.  A
+        dead daemon skips its pings (the process that would send them is
+        gone) but the loop survives, so a :meth:`revive` resumes beating
+        — that resumption is what moves a quarantined node into probation
+        at the failure detector.
         """
-        if self._hb_proc is not None:
-            return
-        self._hb_proc = self.sim.spawn(
+        self.sim.spawn(
             self._heartbeat_loop(fabric, dst, interval),
             name=f"smartfam-hb:{self.node.name}",
         )

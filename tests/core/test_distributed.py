@@ -20,6 +20,7 @@ from repro.core.loadbalance import Placement
 from repro.errors import DistributedJobError, OffloadError
 from repro.faults import distributed_chaos_plan
 from repro.phoenix import InputSpec
+from repro.sched.health import DETECTION_BOUND
 from repro.units import MB
 from repro.workloads import text_input
 
@@ -266,13 +267,14 @@ def _kill_after_map(victims, size=MB(20)):
     return bed2, kill_at, clean, bed2.run(go())
 
 
-def test_dead_shard_detected_within_one_deadline():
-    # the missed deadline is the eviction signal: no hidden same-node
-    # retry doubles it before the recovery pass starts
+def test_dead_shard_detected_by_the_failure_detector():
+    # the run's own failure detector ends the dead node's call, well
+    # inside the 5 s deadline, and starts the recovery pass
     _, kill_at, clean, res = _kill_after_map(lambda c: [c.merge_node])
     assert pickle.dumps(res.output) == pickle.dumps(clean.output)
-    first = min(f["at"] for f in res.recovery["failures"])
-    assert first <= kill_at + 5.0 + 0.5
+    first = min(res.recovery["failures"], key=lambda f: f["at"])
+    assert first["cause"] == "NodeDownError"
+    assert first["at"] <= kill_at + DETECTION_BOUND
 
 
 def test_failed_job_leaves_no_shuffle_dir():
@@ -301,4 +303,4 @@ def test_whole_fleet_dead_raises_distributed_job_error():
 
     exc = bed.run(go())
     assert isinstance(exc, DistributedJobError)
-    assert exc.excluded  # dead daemons are only detectable by deadline
+    assert exc.excluded  # the 1 s deadline fires before the detector could

@@ -74,7 +74,9 @@ def test_dropped_result_times_out_and_retries(env):
     # the first try waited out its whole deadline, then the job moved
     assert rec.attempts == 2 and rec.dispatched_at >= 20.0
     assert res.where == "sd1"
-    assert "sd0" in sched.unhealthy  # a missed deadline quarantines the SD
+    # a missed deadline quarantines the SD; its beats go on, so it is
+    # back on probation by the end of the job
+    assert bed.sim.obs.metrics.counters["node.quarantined"] == 1
     assert sum(v for _, v in res.output) == expected_total(inp)
 
 

@@ -109,12 +109,14 @@ def test_host_fallback_runs_under_the_attempt_deadline():
     )
     for name in list(bed.cluster.sd_daemons):
         bed.cluster.sd_daemons[name].kill()
-    # the dead fleet costs the job until t = 8 s, when the fallback starts
+    # the dead fleet costs the job until t = 3 s, when the failure detector
+    # quarantines the three daemons still unheard from and the fallback
+    # starts
     bed.sim.install_faults(FaultPlan(rules=(
-        FaultRule("nfs.call", action="drop", count=1, window=(8.0, 9.0)),
+        FaultRule("nfs.call", action="drop", count=1, window=(3.0, 4.0)),
     )))
     res = bed.run(sched.submit_distributed(_job(sd_path)))
     assert pickle.dumps(res.output) == pickle.dumps(ref.output)
     rec = sched.completed[0]
     assert res.where == "host" and rec.attempts == 3
-    assert rec.dispatched_at == pytest.approx(10.0)
+    assert rec.dispatched_at == pytest.approx(5.0)

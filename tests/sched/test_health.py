@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cluster import Testbed
 from repro.config import table1_cluster
-from repro.core import DataJob
-from repro.core.loadbalance import AlwaysOffloadPolicy
-from repro.sched import ClusterScheduler, HeartbeatConfig, PhiAccrualDetector
+from repro.core import DataJob, OffloadEngine
+from repro.core.loadbalance import AlwaysOffloadPolicy, Placement
+from repro.errors import ConfigError
+from repro.sched import ClusterScheduler, PhiAccrualDetector
 from repro.sched.health import (
+    DETECTION_BOUND,
     HEALTHY,
+    INTERVAL,
+    PHI_QUARANTINE,
+    PHI_SUSPECT,
     PROBATION,
     QUARANTINED,
     SUSPECTED,
@@ -29,12 +36,12 @@ def make_bed(n_sd: int = 2, seed: int = 7):
 
 
 def test_phi_grace_before_first_beat():
-    det = PhiAccrualDetector(HeartbeatConfig(interval=0.25))
+    det = PhiAccrualDetector()
     assert det.phi("n", now=100.0) == 0.0
 
 
 def test_phi_rises_with_silence():
-    det = PhiAccrualDetector(HeartbeatConfig(interval=0.25))
+    det = PhiAccrualDetector()
     for k in range(8):
         det.beat("n", 0.25 * k)
     t_last = 0.25 * 7
@@ -46,17 +53,26 @@ def test_phi_rises_with_silence():
 
 
 def test_reset_drops_dead_gap_from_window():
-    det = PhiAccrualDetector(HeartbeatConfig(interval=0.25, min_samples=3))
+    det = PhiAccrualDetector()
     for k in range(8):
         det.beat("n", 0.25 * k)
     # a 100 s dead gap, then beats resume
-    det.reset("n")
+    det.watch("n", 101.75)
     det.beat("n", 101.75)
     for k in range(1, 4):
         det.beat("n", 101.75 + 0.25 * k)
-    # without the reset the gap would sit in the window and the mean
-    # would be ~25 s, flattening phi to uselessness
+    # without watching afresh the gap would sit in the window and the
+    # mean would be ~25 s, flattening phi to uselessness
     assert det.phi("n", 102.5 + 3.0) > 5.0
+
+
+def test_silence_counts_from_watch_before_the_first_beat():
+    """A daemon that dies before it ever beats is quarantined within the
+    detector's bound of the watch, not spared by a startup grace."""
+    det = PhiAccrualDetector()
+    det.watch("n", 10.0)
+    assert det.phi("n", 10.0 + INTERVAL) < PHI_SUSPECT
+    assert det.phi("n", 10.0 + DETECTION_BOUND - INTERVAL) >= PHI_QUARANTINE
 
 
 # -- tracker state machine ---------------------------------------------------
@@ -64,9 +80,7 @@ def test_reset_drops_dead_gap_from_window():
 
 def test_tracker_transitions_through_probation():
     bed, _, _ = make_bed()
-    cfg = HeartbeatConfig(interval=0.25)
-    unhealthy: set = set()
-    trk = NodeHealthTracker(bed.sim, ["a", "b"], cfg, unhealthy=unhealthy)
+    trk = NodeHealthTracker(bed.sim, ["a", "b"])
     for k in range(8):
         trk.beat("a", 0.25 * k)
         trk.beat("b", 0.25 * k)
@@ -76,25 +90,26 @@ def test_tracker_transitions_through_probation():
     # node a goes silent: suspected first, then quarantined
     trk.beat("b", t_last + 1.5)
     assert trk.evaluate(t_last + 1.5)
-    assert trk.state["a"] == SUSPECTED and "a" not in unhealthy
+    assert trk.state["a"] == SUSPECTED and "a" not in trk.unhealthy
     trk.beat("b", t_last + 4.0)
     assert trk.evaluate(t_last + 4.0)
-    assert trk.state["a"] == QUARANTINED and "a" in unhealthy
+    assert trk.state["a"] == QUARANTINED and "a" in trk.unhealthy
 
     # beats resume: probation (limited trust), not straight to healthy
     trk.beat("a", t_last + 6.0)
     trk.beat("a", t_last + 6.25)
     assert trk.evaluate(t_last + 6.3)
-    assert trk.state["a"] == PROBATION and "a" not in unhealthy
+    assert trk.state["a"] == PROBATION and "a" not in trk.unhealthy
 
     # the canary job decides: success restores, failure re-quarantines
     trk.job_succeeded("a")
-    assert trk.state["a"] == HEALTHY and trk.rejoins == 1
+    counters = bed.sim.obs.metrics.counters
+    assert trk.state["a"] == HEALTHY and counters["node.rejoined"] == 1
 
 
 def test_probation_failure_requarantines():
     bed, _, _ = make_bed()
-    trk = NodeHealthTracker(bed.sim, ["a"], HeartbeatConfig())
+    trk = NodeHealthTracker(bed.sim, ["a"])
     trk.force_quarantine("a")
     assert trk.state["a"] == QUARANTINED and "a" in trk.unhealthy
     trk.beat("a", 10.0)
@@ -107,7 +122,7 @@ def test_probation_failure_requarantines():
 
 def test_suspected_recovers_for_free():
     bed, _, _ = make_bed()
-    trk = NodeHealthTracker(bed.sim, ["a"], HeartbeatConfig(interval=0.25))
+    trk = NodeHealthTracker(bed.sim, ["a"])
     for k in range(8):
         trk.beat("a", 0.25 * k)
     t_last = 0.25 * 7
@@ -115,7 +130,8 @@ def test_suspected_recovers_for_free():
     assert trk.state["a"] == SUSPECTED
     trk.beat("a", t_last + 1.6)
     assert trk.evaluate(t_last + 1.7)
-    assert trk.state["a"] == HEALTHY and trk.quarantines == 0
+    counters = bed.sim.obs.metrics.counters
+    assert trk.state["a"] == HEALTHY and counters["node.quarantined"] == 0
 
 
 # -- scheduler integration ---------------------------------------------------
@@ -128,9 +144,9 @@ def test_scheduler_quarantines_and_rejoins_dead_node():
     bed, inp, sd_path = make_bed(n_sd=2)
     sched = ClusterScheduler(
         bed.cluster, policy=AlwaysOffloadPolicy(), cache=None,
-        attempt_timeout=30.0, heartbeat=True,
+        attempt_timeout=30.0,
     )
-    assert sched.health is not None
+    assert sched.health is bed.cluster.health
 
     def driver():
         yield bed.sim.timeout(2.0)
@@ -164,10 +180,40 @@ def test_scheduler_quarantines_and_rejoins_dead_node():
     assert sched.stats()["node_states"]["sd0"] == HEALTHY
 
 
-def test_heartbeat_off_keeps_legacy_model():
-    bed, _, sd_path = make_bed(n_sd=2)
+# -- one detector per cluster ------------------------------------------------
+
+
+def heartbeats(bed) -> int:
+    """Messages delivered to the host's heartbeat endpoint so far."""
+    return sum(
+        n for (_src, dst), n in bed.cluster.fabric.pair_messages.items()
+        if dst.startswith("hb:")
+    )
+
+
+def test_offload_engine_alone_sends_no_heartbeat():
+    """Only a scheduler or a distributed run starts the detector: a
+    cluster that just offloads jobs carries no heartbeat traffic."""
+    bed, inp, sd_path = make_bed(n_sd=2)
+    job = DataJob(
+        app="wordcount", input_path=sd_path, input_size=MB(20), mode="parallel",
+    )
+    res = bed.run(OffloadEngine(bed.cluster).run(
+        job, Placement(node="sd0", offload=True, reason="test"),
+    ))
+    # long enough for a daemon to have pinged twice, had it been asked to
+    assert res.where == "sd0" and bed.sim.now > 2 * INTERVAL
+    assert bed.cluster.health is None and heartbeats(bed) == 0
+
     sched = ClusterScheduler(bed.cluster, cache=None)
-    assert sched.health is None
-    sched.unhealthy.add("sd0")
-    sched.mark_healthy("sd0")
-    assert "sd0" not in sched.unhealthy
+    assert sched.health is bed.cluster.health is not None
+    bed.run(sched.submit(job))
+    assert heartbeats(bed) > 0
+
+
+def test_heartbeat_keyword_accepts_only_true():
+    bed, _, _ = make_bed()
+    assert ClusterScheduler(bed.cluster, heartbeat=True).health is not None
+    for value in (None, False, 0.25):
+        with pytest.raises(ConfigError):
+            ClusterScheduler(bed.cluster, heartbeat=value)

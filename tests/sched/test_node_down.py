@@ -17,12 +17,12 @@ import pytest
 
 from repro.cluster import Testbed
 from repro.config import table1_cluster
-from repro.core import DataJob, DistributedEngine, DistributedJob
+from repro.core import DataJob, DistributedEngine, DistributedJob, SpeculationPolicy
 from repro.core.loadbalance import AlwaysOffloadPolicy
 from repro.errors import NodeDownError, OffloadTimeoutError
 from repro.faults import FaultPlan, FaultRule
 from repro.sched import ClusterScheduler
-from repro.sched.health import HEALTHY, PROBATION
+from repro.sched.health import DETECTION_BOUND, HEALTHY, PROBATION, QUARANTINED
 from repro.smartfam.logfile import RESULT, LogFileCodec
 from repro.units import MB
 from repro.workloads import text_input
@@ -50,11 +50,11 @@ def expected_total(inp) -> int:
     return len(inp.payload_bytes.split())
 
 
-def heartbeat_scheduler(bed) -> tuple[ClusterScheduler, list]:
-    """A heartbeat scheduler and the (node, sim time) of each quarantine."""
+def recording_scheduler(bed) -> tuple[ClusterScheduler, list]:
+    """A scheduler and the (node, sim time) of each quarantine."""
     sched = ClusterScheduler(
         bed.cluster, policy=AlwaysOffloadPolicy(), cache=None,
-        attempt_timeout=DEADLINE, heartbeat=True,
+        attempt_timeout=DEADLINE,
     )
     quarantines: list = []
     hook = sched.health.on_quarantine
@@ -92,7 +92,7 @@ def test_attempt_on_killed_sd_completes_elsewhere_at_detection():
     deadline; the revived victim's canary runs at once and restores it."""
     service = clean_service()
     bed, inp, sd_path = make_bed()
-    sched, quarantines = heartbeat_scheduler(bed)
+    sched, quarantines = recording_scheduler(bed)
     kill_at = service / 4
 
     def driver():
@@ -121,7 +121,7 @@ def test_quarantine_fails_no_call_to_another_node():
     """Two attempts, one per SD: killing sd0 ends its attempt only."""
     service = clean_service()
     bed, inp, sd_path = make_bed()
-    sched, quarantines = heartbeat_scheduler(bed)
+    sched, quarantines = recording_scheduler(bed)
 
     def driver():
         done = [sched.submit(make_job(sd_path)) for _ in range(2)]
@@ -141,27 +141,28 @@ def test_quarantine_fails_no_call_to_another_node():
     assert requeued.dispatched_at == detected_at
 
 
+def bed4():
+    """A 4-SD testbed and a distributed wordcount over its replicas."""
+    bed = Testbed(config=table1_cluster(n_sd=4, seed=0), seed=0)
+    inp = text_input("/data/s", SIZE, payload_bytes=6_000, seed=9)
+    _, sd_path = bed.stage_replicated("s", inp)
+    job = DistributedJob(
+        app="wordcount", input_path=sd_path, input_size=SIZE,
+        fragment_bytes=(SIZE + 3) // 4,
+    )
+    return bed, job
+
+
 def test_distributed_shard_on_killed_node_restarts_at_detection():
     """A reduce owner dies: one partial restart, at detection, and the
     answer is byte-identical to an undisturbed run."""
-
-    def bed4():
-        bed = Testbed(config=table1_cluster(n_sd=4, seed=0), seed=0)
-        inp = text_input("/data/s", SIZE, payload_bytes=6_000, seed=9)
-        _, sd_path = bed.stage_replicated("s", inp)
-        job = DistributedJob(
-            app="wordcount", input_path=sd_path, input_size=SIZE,
-            fragment_bytes=(SIZE + 3) // 4,
-        )
-        return bed, job
-
     bed, job = bed4()
     ref = bed.run(DistributedEngine(bed.cluster).run(job, timeout=DEADLINE))
     victim = next(n for n in ref.reduce_nodes.values() if n != ref.merge_node)
     kill_at = (ref.timeline["exchange_done"] + ref.timeline["reduce_done"]) / 2
 
     bed, job = bed4()
-    sched, quarantines = heartbeat_scheduler(bed)
+    sched, quarantines = recording_scheduler(bed)
 
     def killer():
         yield bed.sim.timeout(kill_at)
@@ -178,6 +179,57 @@ def test_distributed_shard_on_killed_node_restarts_at_detection():
     assert victim not in res.reduce_nodes.values()
     assert pickle.dumps(res.output) == pickle.dumps(ref.output)
     assert sched.completed[0].attempts == 1
+
+
+def test_standalone_distributed_run_detects_a_killed_shard_node():
+    """Without a scheduler, the run's own failure detector ends the dead
+    mapper's call within its bound of the kill, long before the 240 s
+    deadline, and the shard re-maps on a survivor."""
+    bed, job = bed4()
+    ref = bed.run(DistributedEngine(bed.cluster).run(job, timeout=DEADLINE))
+    kill_at = ref.timeline["map_done"] / 2
+
+    bed, job = bed4()
+    # speculation off: a duplicate map would absorb the kill undetected
+    eng = DistributedEngine(bed.cluster, speculation=SpeculationPolicy(enabled=False))
+
+    def killer():
+        yield bed.sim.timeout(kill_at)
+        bed.cluster.sd_daemons["sd1"].kill()
+
+    bed.sim.spawn(killer(), name="killer")
+    res = bed.run(eng.run(job, timeout=DEADLINE))
+    [failure] = res.recovery["failures"]
+    assert (failure["node"], failure["phase"], failure["cause"]) == (
+        "sd1", "map", "NodeDownError",
+    )
+    assert kill_at < failure["at"] <= kill_at + DETECTION_BOUND
+    assert bed.cluster.health.state["sd1"] == QUARANTINED
+    assert "sd1" not in res.shard_nodes
+    assert pickle.dumps(res.output) == pickle.dumps(ref.output)
+
+
+def test_call_to_a_quarantined_node_fails_at_once():
+    """A run that starts after a node's quarantine waits for nothing
+    there: its call to the node fails with NodeDownError in the instant
+    it would start, and the shard runs on a survivor."""
+    bed, job = bed4()
+    eng = DistributedEngine(bed.cluster)
+
+    def driver():
+        ref = yield eng.run(job, timeout=DEADLINE)
+        bed.cluster.sd_daemons["sd3"].kill()
+        yield from wait_until(bed, lambda: "sd3" in bed.cluster.health.unhealthy)
+        start = bed.sim.now
+        return ref, start, (yield eng.run(job, timeout=DEADLINE))
+
+    ref, start, res = bed.run(driver())
+    [failure] = res.recovery["failures"]
+    assert (failure["node"], failure["cause"], failure["at"]) == (
+        "sd3", "NodeDownError", round(start, 6),
+    )
+    assert "sd3" not in res.shard_nodes
+    assert pickle.dumps(res.output) == pickle.dumps(ref.output)
 
 
 # -- the channel and the daemon ------------------------------------------------

@@ -85,7 +85,7 @@ def run_stream() -> tuple[list[tuple[str, str]], int, int, list]:
             )
             spec = InputSpec(path=spec.path, size=spec.size, payload=spec.payload)
         _, paths[(app, size)] = bed.stage_replicated(f"{app}{size}", spec)
-    sched = ClusterScheduler(bed.cluster, heartbeat=True, attempt_timeout=60.0)
+    sched = ClusterScheduler(bed.cluster, attempt_timeout=60.0)
     sim = bed.sim
     finished: dict[int, float] = {}
 
