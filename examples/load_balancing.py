@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Load balancing between host and smart storage (the framework's knob).
+"""Load balancing between host and smart storage (the placement policies).
 
 The McSD framework "automatically handles computation offload, data
 partitioning, and load balancing".  This example submits a burst of
-data-intensive jobs under three placement policies and shows how the
-adaptive policy sheds work back to the host once the SD node saturates.
+data-intensive jobs under three placement policies and shows the adaptive
+policy moving a job to the host only when the host, reading the input
+over NFS, would finish it before the SD node clears the work already
+placed there.
 
 Run:  python examples/load_balancing.py
 """
@@ -55,7 +57,7 @@ def burst(bed: Testbed, runtime: McSDRuntime, sd_path: str):
 
 def main() -> None:
     print(f"burst of {N_JOBS} x WordCount({SIZE / 1e6:.0f}MB), per policy:\n")
-    for policy in (AlwaysOffloadPolicy(), HostOnlyPolicy(), AdaptivePolicy(tolerance=1.0)):
+    for policy in (AlwaysOffloadPolicy(), HostOnlyPolicy(), AdaptivePolicy()):
         bed = Testbed(seed=5)
         dataset = text_input("/data/burst.txt", SIZE, seed=5)
         _sd, _host, sd_path = bed.stage_on_sd("burst.txt", dataset)

@@ -34,7 +34,7 @@ per-fragment outputs gather directly at the minimum-transfer node and
 concatenate in global fragment order — byte-identical to the single-node
 extended runtime by construction, because the fragment plan is the same.
 
-Fault tolerance is one recovery loop of passes over an artifact
+Recovery from faults is one loop of passes over an artifact
 manifest: every durable intermediate is registered in a
 per-job :class:`~repro.core.artifacts.AttemptManifest`, and each failure
 is decided once.  A call that ends in its node's quarantine by the
@@ -65,6 +65,7 @@ import typing as _t
 
 from repro.apps import spec_for_app
 from repro.core.artifacts import AttemptManifest
+from repro.core.loadbalance import predicted_ops
 from repro.errors import (
     RETRIES,
     RETRY_BACKOFF,
@@ -345,9 +346,11 @@ class DistributedEngine:
     ----------
     cluster:
         The built cluster whose SD nodes hold replicas of the input.
-    inflight:
-        Optional shared per-node load dict (the scheduler passes the
-        offload engine's, so shard load shows up in placement decisions).
+    inflight, inflight_ops:
+        Optional shared per-node ledgers of calls in flight and of the
+        predicted ops of the ``dist_map`` shards among them (the scheduler
+        passes the offload engine's, so shard load shows up in placement
+        decisions).
     speculation:
         :class:`SpeculationPolicy` for straggling map shards (None uses
         the defaults; ``SpeculationPolicy(enabled=False)`` turns it off).
@@ -357,11 +360,15 @@ class DistributedEngine:
         self,
         cluster: "BuiltCluster",
         inflight: dict | None = None,
+        inflight_ops: dict | None = None,
         speculation: SpeculationPolicy | None = None,
     ):
         self.cluster = cluster
         self.sim = cluster.sim
         self.inflight: dict[str, int] = inflight if inflight is not None else {}
+        self.inflight_ops: dict[str, int] = (
+            inflight_ops if inflight_ops is not None else {}
+        )
         self.speculation = speculation if speculation is not None else SpeculationPolicy()
         #: distributed jobs started (stats)
         self.jobs = 0
@@ -1084,7 +1091,13 @@ class DistributedEngine:
         if node_name in self.cluster.health.unhealthy:
             # presumed dead: a call there would only wait out its deadline
             return (node_name, False, NodeDownError(node_name, module))
+        # a map shard's work is its slice of the job's predicted ops
+        ops = (
+            predicted_ops(params["app"], params["app_params"], params["shard_size"])
+            if module == "dist_map" else 0
+        )
         self.inflight[node_name] = self.inflight.get(node_name, 0) + 1
+        self.inflight_ops[node_name] = self.inflight_ops.get(node_name, 0) + ops
         obs.count(f"dist.invoke.{phase}")
         try:
             with obs.span(
@@ -1099,6 +1112,7 @@ class DistributedEngine:
             return (node_name, True, value)
         finally:
             self.inflight[node_name] -= 1
+            self.inflight_ops[node_name] -= ops
 
     def _run_transfers(
         self, transfers: list[tuple], landed: dict, acc: dict, phase: str

@@ -9,9 +9,16 @@ and multicore-enabled smart storage nodes" (Abstract).  A policy maps a
   goes where the data is.
 * :class:`HostOnlyPolicy` — the paper's "Host only" baseline: everything
   on the host, data pulled over NFS.
-* :class:`AdaptivePolicy` — offload unless the SD node is already busier
-  than the host by a configurable margin (queue-depth heuristic); the
-  "load balancing" knob the framework exposes.
+* :class:`AdaptivePolicy` — placement by predicted cost: a job stays on
+  the SD holding its data unless the host, paying the input's trip over
+  the wire, would finish it before the SD clears the work already placed
+  there.
+
+The predictor reads models the simulator already has: each app's
+:class:`~repro.phoenix.api.CostProfile` ops (:func:`predicted_ops`), each
+node's CPU rate, the original Phoenix memory rule and the GbE link
+bandwidth.  A node's backlog (:func:`backlog_s`) is the predicted work on
+it, from the engines' per-node ledger of predicted ops.
 """
 
 from __future__ import annotations
@@ -19,11 +26,14 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.errors import PlacementError
+from repro.apps import spec_for_app
+from repro.errors import McSDError, PlacementError
+from repro.phoenix.memory import max_supported_input
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.builder import BuiltCluster
     from repro.core.job import DataJob
+    from repro.phoenix.api import CostProfile
 
 __all__ = [
     "Placement",
@@ -33,6 +43,8 @@ __all__ = [
     "AdaptivePolicy",
     "node_load",
     "least_loaded",
+    "predicted_ops",
+    "backlog_s",
 ]
 
 
@@ -42,7 +54,7 @@ def node_load(
     node,
     depths: _t.Mapping[str, int] | None = None,
 ) -> float:
-    """The live load of a node, as every placement decision sees it.
+    """The live load of a node in jobs, as :func:`least_loaded` sees it.
 
     Three stacked signals:
 
@@ -86,6 +98,63 @@ def least_loaded(
     return best
 
 
+def _profile(app: str, params: _t.Mapping | None) -> "CostProfile | None":
+    """The app's cost profile, or None when no spec can be built: an app
+    with no built-in spec (a custom SD module), or params its spec
+    rejects (the run itself then reports the error, not the placement)."""
+    try:
+        return spec_for_app(app, dict(params or {})).profile
+    except (McSDError, ValueError, TypeError):
+        return None
+
+
+def predicted_ops(app: str, params: _t.Mapping | None, input_size: int) -> int:
+    """Predicted CPU ops of one run of ``app`` over ``input_size`` bytes.
+
+    Its cost profile's ``total_ops``, as an integer so a ledger that adds
+    and later subtracts it returns exactly to zero; 0 when no profile can
+    be built (see :func:`_profile`).
+    """
+    profile = _profile(app, params)
+    return 0 if profile is None else int(profile.total_ops(input_size))
+
+
+def _rate(node) -> float:
+    """A node's CPU rate in ops per second, every core busy."""
+    return node.cpu.cores * node.cpu.spec.ops_per_sec_per_core
+
+
+def _backlog_ops(
+    node, engine, pending: _t.Mapping[str, int] | None
+) -> float:
+    ops = 0
+    if engine is not None:
+        ops += engine.inflight_ops.get(node.name, 0)
+    if pending:
+        ops += pending.get(node.name, 0)
+    # work no placed job accounts for still holds the CPU
+    return max(ops, node.cpu.remaining_ops())
+
+
+def backlog_s(
+    cluster: "BuiltCluster",
+    engine,
+    node,
+    pending: _t.Mapping[str, int] | None = None,
+) -> float:
+    """Predicted CPU-seconds of the work already on ``node``.
+
+    The engines' ledger of predicted ops (``engine.inflight_ops``: every
+    job placed there and not finished, and every ``dist_map`` shard in
+    flight there) plus ``pending`` (ops dispatched to the node but not yet
+    in the ledger — the scheduler's pending bridge), never less than the
+    remaining ops of the node's runnable CPU tasks, over the node's rate
+    with every core busy.  ``node`` may be a Node or a name.
+    """
+    n = cluster.node(node) if isinstance(node, str) else node
+    return _backlog_ops(n, engine, pending) / _rate(n)
+
+
 @dataclasses.dataclass(frozen=True)
 class Placement:
     """Where a data job should run."""
@@ -101,13 +170,20 @@ class PlacementPolicy:
     name = "base"
 
     def place(
-        self, job: "DataJob", cluster: "BuiltCluster", engine=None
+        self,
+        job: "DataJob",
+        cluster: "BuiltCluster",
+        engine=None,
+        pending: _t.Mapping[str, int] | None = None,
     ) -> Placement:
         """Return the placement for ``job`` given live cluster state.
 
         ``engine`` (an :class:`~repro.core.offload.OffloadEngine`, when the
-        runtime provides one) exposes placement-time signals such as jobs
-        already assigned but not yet running (``engine.inflight``).
+        runtime provides one) exposes the work already placed on each node
+        (``engine.inflight`` jobs, ``engine.inflight_ops`` predicted ops).
+        ``pending`` adds the predicted ops of jobs dispatched toward a node
+        that the engine has not registered yet (the scheduler's pending
+        bridge).
         """
         raise NotImplementedError
 
@@ -123,7 +199,7 @@ class AlwaysOffloadPolicy(PlacementPolicy):
 
     name = "always-offload"
 
-    def place(self, job: "DataJob", cluster: "BuiltCluster", engine=None) -> Placement:
+    def place(self, job, cluster, engine=None, pending=None) -> Placement:
         """Always offload to the SD node named by the job (or the first)."""
         sd = self._sd_name(job, cluster)
         return Placement(node=sd, offload=True, reason="data locality")
@@ -134,62 +210,58 @@ class HostOnlyPolicy(PlacementPolicy):
 
     name = "host-only"
 
-    def place(self, job: "DataJob", cluster: "BuiltCluster", engine=None) -> Placement:
+    def place(self, job, cluster, engine=None, pending=None) -> Placement:
         """Always run on the host (the Fig 9 'Host only' baseline)."""
         return Placement(node=cluster.host.name, offload=False, reason="host-only policy")
 
 
 class AdaptivePolicy(PlacementPolicy):
-    """Offload unless the SD node is overloaded relative to the host.
+    """Place by predicted cost: the input crosses NFS only when that pays.
 
-    Load metric: runnable tasks per core (the PS-CPU's multiprogramming
-    level) plus jobs already *placed* on the node but not yet running
-    (so a burst submitted at one instant still spreads out).  The job
-    offloads when
+    A job stays on the SD node holding its data.  It moves to the host
+    only when both hold:
 
-        sd_load <= host_load + tolerance
+    * its input fits the host's original Phoenix
+      (``input_size <= max_supported_input(host memory)``, 1.61 GB on
+      Table I nodes) — a larger input needs the partition extension on
+      either node, so it stays where it lives;
+    * the host's predicted finish, ``(host backlog ops + job ops) / host
+      rate + input_size / link bandwidth``, comes no later than the SD's
+      :func:`backlog_s`.
 
-    so a saturated storage node sheds work back to the host — the simple,
-    effective heuristic the paper's "load balancing" feature describes.
+    Each byte a host run reads crosses the wire twice (the SD's uplink and
+    the host's downlink), so a large job stays on its SD and the fast host
+    takes small jobs off a busy SD.  An app with no cost profile never
+    leaves its SD.
     """
 
     name = "adaptive"
 
-    def __init__(
-        self,
-        tolerance: float = 1.0,
-        depth_source: _t.Callable[[], _t.Mapping[str, int]] | None = None,
-    ):
-        if tolerance < 0:
-            raise PlacementError("tolerance must be >= 0")
-        self.tolerance = tolerance
-        #: optional live per-node queue depths (the scheduler binds its own
-        #: via :meth:`bind_depths`, folding queued-but-undispatched work
-        #: into the load signal)
-        self.depth_source = depth_source
-
-    def bind_depths(
-        self, source: _t.Callable[[], _t.Mapping[str, int]] | None
-    ) -> None:
-        """Point the policy at a live per-node queue-depth source."""
-        self.depth_source = source
-
-    def place(self, job: "DataJob", cluster: "BuiltCluster", engine=None) -> Placement:
-        """Offload unless the SD is busier than the host by > tolerance."""
+    def place(self, job, cluster, engine=None, pending=None) -> Placement:
+        """Offload unless the host would finish the job first."""
         sd_name = self._sd_name(job, cluster)
-        sd = cluster.node(sd_name)
+        profile = _profile(job.app, job.params)
+        if profile is None:
+            return Placement(sd_name, True, f"no cost profile for {job.app!r}")
         host = cluster.host
-        depths = self.depth_source() if self.depth_source is not None else None
-        sd_load = node_load(cluster, engine, sd, depths)
-        host_load = node_load(cluster, engine, host, depths)
-        if sd_load <= host_load + self.tolerance:
+        limit = max_supported_input(host.memory.capacity, cluster.config.phoenix)
+        if job.input_size > limit:
             return Placement(
-                node=sd_name,
-                offload=True,
-                reason=f"sd_load={sd_load:.2f} <= host_load={host_load:.2f}+{self.tolerance}",
+                sd_name, True,
+                f"input {job.input_size / 1e9:.2f} GB > host Phoenix limit "
+                f"{limit / 1e9:.2f} GB",
+            )
+        sd_s = backlog_s(cluster, engine, sd_name, pending)
+        ops = int(profile.total_ops(job.input_size))
+        host_s = (
+            (_backlog_ops(host, engine, pending) + ops) / _rate(host)
+            + job.input_size / cluster.config.network.link_bandwidth
+        )
+        if host_s <= sd_s:
+            return Placement(
+                host.name, False,
+                f"host finish {host_s:.1f} s <= sd backlog {sd_s:.1f} s",
             )
         return Placement(
-            node=host.name,
-            offload=False,
-            reason=f"sd overloaded ({sd_load:.2f} > {host_load:.2f}+{self.tolerance})",
+            sd_name, True, f"sd backlog {sd_s:.1f} s < host finish {host_s:.1f} s"
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.core.job import DataJob, JobResult
-from repro.core.loadbalance import Placement
+from repro.core.loadbalance import Placement, predicted_ops
 from repro.errors import InterruptError, OffloadError, OffloadTimeoutError
 from repro.fs import path as _p
 from repro.phoenix.api import InputSpec
@@ -35,6 +35,8 @@ class OffloadEngine:
         self.host_runs = 0
         #: jobs currently placed on each node (placement-time load signal)
         self.inflight: dict[str, int] = {}
+        #: their predicted CPU ops per node (the adaptive policy's backlog)
+        self.inflight_ops: dict[str, int] = {}
 
     def run(
         self, job: DataJob, placement: Placement, timeout: float | None = None
@@ -54,7 +56,9 @@ class OffloadEngine:
         else:
             gen = self._run_on_host(job, timeout)
         target = placement.node if placement.offload else self.cluster.host.name
+        ops = predicted_ops(job.app, job.params, job.input_size)
         self.inflight[target] = self.inflight.get(target, 0) + 1
+        self.inflight_ops[target] = self.inflight_ops.get(target, 0) + ops
 
         def _tracked() -> _t.Generator:
             try:
@@ -62,6 +66,7 @@ class OffloadEngine:
                 return result
             finally:
                 self.inflight[target] -= 1
+                self.inflight_ops[target] -= ops
 
         return self.sim.spawn(_tracked(), name=f"offload-track:{job.app}")
 

@@ -149,12 +149,14 @@ class NFSServer:
                 reply["value"] = {"data": data, "size": size}
                 reply_bytes += charged
             elif op == "write":
-                yield fs.write(
+                inode = yield fs.write(
                     path,
                     data=req.get("data"),
                     size=req.get("size"),
                     append=req.get("append", False),
                 )
+                # post-op attributes, as an NFSv3 WRITE reply carries them
+                reply["value"] = {"size": inode.size, "mtime": inode.mtime}
             elif op == "create":
                 yield fs.create(path, exist_ok=req.get("exist_ok", False))
             elif op == "mkdir":
@@ -276,7 +278,12 @@ class NFSMount:
         size: int | None = None,
         append: bool = False,
     ) -> Event:
-        """Write a remote file; request carries the payload bytes."""
+        """Write a remote file; request carries the payload bytes.
+
+        The event's value is the file's post-op attributes, a dict(size,
+        mtime) taken by the server right after its write: a baseline no
+        later write can slip into, as a getattr sent after the reply can.
+        """
         nbytes = len(data) if size is None and data is not None else int(size or 0)
 
         def _proc() -> _t.Generator:
@@ -290,12 +297,12 @@ class NFSMount:
             with self.sim.obs.span(
                 "nfs.write", cat="nfs", track=self.name, path=path, bytes=nbytes
             ):
-                yield self.client.call(
+                attrs = yield self.client.call(
                     self.server, req, request_bytes=RPC_HEADER_BYTES + nbytes
                 )
             self.bytes_written += nbytes
             self.sim.obs.count("nfs.bytes_written", nbytes)
-            return True
+            return attrs
 
         return self.sim.spawn(_proc(), name=f"{self.name}.write")
 

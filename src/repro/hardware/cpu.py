@@ -105,6 +105,17 @@ class ProcessorSharingCPU:
         share = min(1.0, self.spec.cores / n)
         return self.spec.ops_per_sec_per_core * share / self._slowdown
 
+    def remaining_ops(self) -> float:
+        """Ops the runnable tasks still need as of now.
+
+        A pure read: progress since the last update is computed, not
+        applied, so asking changes no task and schedules no event.
+        """
+        if not self._tasks:
+            return 0.0
+        delivered = self.per_task_rate() * (self.sim.now - self._last_update)
+        return sum(max(0.0, t.remaining - delivered) for t in self._tasks)
+
     # -- public operations ----------------------------------------------------
 
     def submit(self, ops: float, name: str = "task") -> Event:

@@ -35,9 +35,13 @@ Guarantees:
   ``per_node_limit``, so a blocked head never idles a free node.
 * **Load spreading** — jobs free to run on several SD nodes (replicated
   input, no explicit ``sd_node``) go to the least loaded via
-  :func:`~repro.core.loadbalance.least_loaded`, and an
-  :class:`~repro.core.loadbalance.AdaptivePolicy` sees the scheduler's
-  per-node queue depths through :meth:`~...AdaptivePolicy.bind_depths`.
+  :func:`~repro.core.loadbalance.least_loaded` (jobs placed, dispatched
+  and queued per node), and the placement policy then decides SD or host
+  — by default :class:`~repro.core.loadbalance.AdaptivePolicy`, by
+  predicted cost: the job moves to the host only when the host would
+  finish it, input transfer included, before the SD clears its backlog.
+  The backlog counts the jobs this pump pass already dispatched through
+  the pending bridge, so a burst in one instant sees its own placements.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from repro.core.loadbalance import (
     Placement,
     PlacementPolicy,
     least_loaded,
+    predicted_ops,
 )
 from repro.core.offload import OffloadEngine
 from repro.errors import (
@@ -134,8 +139,9 @@ class ClusterScheduler:
     cluster:
         The :class:`~repro.cluster.builder.BuiltCluster` to serve.
     policy:
-        Placement policy (default: :class:`AdaptivePolicy` with the
-        scheduler's queue depths bound as its load signal).
+        Placement policy (default: :class:`AdaptivePolicy`, placement by
+        predicted cost; it reads the offload engine's ledger of predicted
+        ops plus the scheduler's pending bridge).
     ordering:
         Queue ordering — ``"fifo"`` (default), ``"sjf"``, ``"fair"``, or
         an :class:`~repro.sched.policies.OrderingPolicy` instance.
@@ -199,13 +205,14 @@ class ClusterScheduler:
         self.cluster = cluster
         self.sim = cluster.sim
         self.engine = OffloadEngine(cluster)
-        # shares the offload engine's inflight map so shard load is visible
-        # to every placement decision
-        self.dist_engine = DistributedEngine(cluster, inflight=self.engine.inflight)
+        # shares the offload engine's ledgers so shard load is visible to
+        # every placement decision
+        self.dist_engine = DistributedEngine(
+            cluster, inflight=self.engine.inflight,
+            inflight_ops=self.engine.inflight_ops,
+        )
         self.queue = JobQueue(make_ordering(ordering), limit=max_queue)
         self.policy = policy or AdaptivePolicy()
-        if isinstance(self.policy, AdaptivePolicy) and self.policy.depth_source is None:
-            self.policy.bind_depths(self.queue.depths)
         if cache is True:
             cache = ResultCache()
         elif cache is False:
@@ -224,8 +231,10 @@ class ClusterScheduler:
         )
         #: dispatched jobs whose runner process has not started yet — the
         #: engine's ``inflight`` only sees a job once the runner calls it,
-        #: so capacity checks within one pump pass need this bridge count
+        #: so capacity checks within one pump pass need this bridge count,
+        #: and the placement policy their predicted ops
         self._pending: dict[str, int] = {}
+        self._pending_ops: dict[str, int] = {}
         #: finished jobs, completion order
         self.completed: list[CompletedJob] = []
         #: jobs refused at admission
@@ -385,16 +394,20 @@ class ClusterScheduler:
                 entry.queue_span.close()
                 entry.queue_span = None
             obs.count("sched.dispatched")
+            if not placement.offload:
+                obs.count("sched.host_attempts")
+                obs.count("sched.host_bytes", job.input_size)
             with obs.span(
                 "sched.dispatch", cat="sched", track=f"sched:j{entry.seq}"
             ) as sp:
                 sp.set(node=placement.node, offload=placement.offload,
                        reason=placement.reason, attempt=entry.attempts)
-            self._pending[placement.node] = (
-                self._pending.get(placement.node, 0) + 1
-            )
+            node = placement.node
+            ops = predicted_ops(job.app, job.params, job.input_size)
+            self._pending[node] = self._pending.get(node, 0) + 1
+            self._pending_ops[node] = self._pending_ops.get(node, 0) + ops
             self.sim.spawn(
-                self._run_entry(entry, job, placement),
+                self._run_entry(entry, job, placement, ops),
                 name=f"sched.run:j{entry.seq}",
             )
             self._sample_depth()
@@ -432,7 +445,9 @@ class ClusterScheduler:
         job = entry.job
         if job.sd_node != best:
             job = dataclasses.replace(job, sd_node=best)
-        placement = self.policy.place(job, self.cluster, self.engine)
+        placement = self.policy.place(
+            job, self.cluster, self.engine, self._pending_ops
+        )
         if not placement.offload:
             if self._occupancy(host) >= self.per_node_limit:
                 return None
@@ -509,7 +524,7 @@ class ClusterScheduler:
     # -- running -----------------------------------------------------------
 
     def _run_entry(
-        self, entry: QueuedJob, job: DataJob, placement: Placement
+        self, entry: QueuedJob, job: DataJob, placement: Placement, ops: int
     ) -> _t.Generator:
         obs = self.sim.obs
         span = obs.span(
@@ -518,12 +533,13 @@ class ClusterScheduler:
         )
         try:
             try:
-                # engine.run registers the job in ``inflight`` synchronously,
-                # so the pending bridge count can drop in the same instant
+                # engine.run registers the job in its ledgers synchronously,
+                # so the pending bridge can drop it in the same instant
                 try:
                     running = self._launch(entry, job, placement)
                 finally:
                     self._pending[placement.node] -= 1
+                    self._pending_ops[placement.node] -= ops
                 result = yield running
             finally:
                 span.close()

@@ -9,7 +9,10 @@ parameters, writing the result back into the log.
 paper's five invoke steps and four return steps through the NFS mount,
 returning an event carrying the module's result.  The host-side "inotify"
 is NFS mtime polling (kernel inotify does not see server-side writes),
-with the interval from :class:`~repro.config.SmartFAMConfig`.
+with the interval from :class:`~repro.config.SmartFAMConfig`, against the
+post-op mtime the INVOKE write's own reply carries: the daemon may write
+the RESULT before a late reply arrives, and a getattr sent after the reply
+would then take the RESULT's mtime as the baseline and never see it.
 """
 
 from __future__ import annotations
@@ -341,8 +344,8 @@ class HostSmartFAM:
         self._locks: dict[str, Semaphore] = {}
         #: completed invocations (stats)
         self.calls = 0
-        #: inner invokes of the deadline-bounded calls in flight, in call
-        #: order (what node_down() ends)
+        #: inner invokes of the calls in flight, in call order (what
+        #: node_down() ends)
         self._calls: list[Process] = []
 
     def log_path(self, module: str) -> str:
@@ -372,44 +375,40 @@ class HostSmartFAM:
         module from this host serialize (FIFO) on a per-module lock.
 
         ``timeout`` bounds the wait for the *result* (measured from the
-        call, covering queueing + execution).  Such a call also ends when
-        the failure detector quarantines the SD node (:meth:`node_down`):
-        it raises :class:`~repro.errors.NodeDownError` at detection, so
-        the deadline is only the backstop for a daemon that is alive but
-        hung, whose expiry raises
-        :class:`~repro.errors.OffloadTimeoutError`.  Either way the call
-        is withdrawn and its module lock released.
+        call, covering queueing + execution); ``None`` sets no deadline.
+        Every call ends when the failure detector quarantines the SD node
+        (:meth:`node_down`): it raises
+        :class:`~repro.errors.NodeDownError` at detection, so the deadline
+        is only the backstop for a daemon that is alive but hung, whose
+        expiry raises :class:`~repro.errors.OffloadTimeoutError`.  Either
+        way the call is withdrawn and its module lock released.
         """
-        if timeout is None:
-            return self.sim.spawn(
-                self._invoke(module, params), name=f"smartfam-call:{module}"
-            )
         return self.sim.spawn(
-            self._invoke_with_timeout(module, params, timeout),
-            name=f"smartfam-call:{module}",
+            self._call(module, params, timeout), name=f"smartfam-call:{module}"
         )
 
     def node_down(self) -> None:
         """The SD node was quarantined: end every call in flight to it.
 
-        Each deadline-bounded call's inner invoke is interrupted, which
-        withdraws it and releases its module lock, and the call raises
+        Each call's inner invoke is interrupted, which withdraws it and
+        releases its module lock, and the call raises
         :class:`~repro.errors.NodeDownError`.  Later calls are unaffected.
         """
         for inner in list(self._calls):
             if inner.is_alive:
                 inner.interrupt(_NODE_DOWN)
 
-    def _invoke_with_timeout(
-        self, module: str, params: dict, timeout: float
+    def _call(
+        self, module: str, params: dict, timeout: float | None
     ) -> _t.Generator:
         inner = self.sim.spawn(
             self._invoke(module, params), name=f"smartfam-inner:{module}"
         )
         self._calls.append(inner)
-        timer = self.sim.timeout(timeout)
         try:
-            yield self.sim.any_of([inner, timer])
+            if timeout is None:
+                return (yield inner)
+            yield self.sim.any_of([inner, self.sim.timeout(timeout)])
         except InterruptError as exc:
             if exc.cause != _NODE_DOWN:
                 raise
@@ -469,10 +468,11 @@ class HostSmartFAM:
                         current,
                         LogRecord(INVOKE, seq, module, body=dict(params)),
                     )
-                    yield self.mount.write(
+                    # the reply's post-op mtime is the baseline: a getattr
+                    # after a late reply could already see the RESULT
+                    baseline = yield self.mount.write(
                         path, data=payload, size=self.cfg.logfile_bytes
                     )
-                    baseline = yield self.mount.stat(path)
                 # Return Steps 2-4: the host-side monitor polls the log's
                 # attributes over NFS (cheap getattr round trips) and only
                 # re-reads the log when it has actually changed.

@@ -144,7 +144,7 @@ def test_offload_vs_host_elapsed_ranks_correctly(bed):
 
 def test_adaptive_policy_prefers_idle_sd(bed):
     inp, sd_path = stage_wc(bed)
-    policy = AdaptivePolicy(tolerance=0.5)
+    policy = AdaptivePolicy()
     job = DataJob(app="wordcount", input_path=sd_path, input_size=inp.size)
     placement = policy.place(job, bed.cluster)
     assert placement.offload
@@ -152,7 +152,7 @@ def test_adaptive_policy_prefers_idle_sd(bed):
 
 def test_adaptive_policy_sheds_to_host_when_sd_busy(bed):
     inp, sd_path = stage_wc(bed)
-    policy = AdaptivePolicy(tolerance=0.5)
+    policy = AdaptivePolicy()
     # saturate the SD CPU with synthetic load
     for i in range(8):
         bed.sd.cpu.submit(1e12, name=f"hog{i}")
@@ -160,11 +160,6 @@ def test_adaptive_policy_sheds_to_host_when_sd_busy(bed):
     placement = policy.place(job, bed.cluster)
     assert not placement.offload
     assert placement.node == "host"
-
-
-def test_adaptive_policy_validation():
-    with pytest.raises(PlacementError):
-        AdaptivePolicy(tolerance=-1)
 
 
 def test_unknown_sd_node_rejected(bed):

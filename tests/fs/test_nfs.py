@@ -66,6 +66,22 @@ def test_remote_write_appears_on_server(nfs):
     assert sd.fs.size_of("/export/data/new.txt") == MB(10)
 
 
+def test_write_reply_carries_post_op_attributes(nfs):
+    """A write's reply holds the file's size and mtime right after it, as
+    an NFSv3 WRITE reply does: no getattr is needed for a baseline."""
+    sim, host, sd, mount = nfs
+
+    def proc():
+        attrs = yield mount.write("/data/new.txt", data=b"written", size=MB(10))
+        written_at = sd.fs.vfs.stat("/export/data/new.txt").mtime
+        yield sim.timeout(1.0)
+        return attrs, written_at
+
+    attrs, written_at = run_proc(sim, proc())
+    assert attrs == {"size": MB(10), "mtime": written_at}
+    assert 0.0 < written_at < sim.now
+
+
 def test_stat_and_listdir(nfs):
     sim, host, sd, mount = nfs
 

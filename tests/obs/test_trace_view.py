@@ -139,6 +139,35 @@ def test_recovery_view_golden(trace_view, tmp_path, capsys):
     assert "recovery" not in capsys.readouterr().out.splitlines()
 
 
+def test_scheduler_view_golden(trace_view, tmp_path, capsys):
+    from tests.obs.test_export import build_trace as _build
+
+    obs = _build()
+    obs.count("sched.admitted", 5)
+    obs.count("sched.dispatched", 6)
+    obs.count("sched.completed", 5)
+    obs.count("sched.requeued", 1)
+    obs.count("sched.host_attempts", 2)
+    obs.count("sched.host_bytes", 192_000_000)
+    path = write_jsonl(obs, str(tmp_path / "sched.jsonl"))
+    assert trace_view.main([path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "scheduler" in lines
+    assert (
+        "admitted 5  rejected 0  dispatched 6  completed 5  requeued 1  failed 0"
+        in lines
+    )
+    assert "host placements 2: 0.19 GB of input read over NFS" in lines
+    # a run that placed nothing on the host prints no host line
+    obs = _build()
+    obs.count("sched.admitted", 1)
+    path = write_jsonl(obs, str(tmp_path / "sd.jsonl"))
+    assert trace_view.main([path]) == 0
+    out = capsys.readouterr().out
+    assert "scheduler" in out.splitlines()
+    assert "host placements" not in out
+
+
 def test_empty_trace_fails(trace_view, tmp_path, capsys):
     path = tmp_path / "empty.jsonl"
     path.write_text('{"type": "meta"}\n')

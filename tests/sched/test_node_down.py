@@ -117,6 +117,31 @@ def test_attempt_on_killed_sd_completes_elsewhere_at_detection():
     assert sched.health.state["sd0"] == HEALTHY
 
 
+def test_attempt_without_deadline_ends_at_detection():
+    """A call with no deadline still ends at its node's quarantine: with
+    ``attempt_timeout=None`` only detection can free the job from a dead
+    daemon, and it completes on the survivor on its second attempt."""
+    bed, inp, sd_path = make_bed(n_sd=2, seed=3)
+    sched = ClusterScheduler(
+        bed.cluster, policy=AlwaysOffloadPolicy(), attempt_timeout=None,
+        cache=None,
+    )
+    done = sched.submit(make_job(sd_path))
+
+    def killer():
+        yield bed.sim.timeout(2.0)
+        bed.cluster.sd_daemons["sd0"].kill()
+
+    bed.sim.spawn(killer(), name="killer")
+    bed.sim.run(until=30.0)
+    assert done.ok
+    assert sum(v for _, v in done.value.output) == expected_total(inp)
+    (rec,) = sched.completed
+    assert (rec.where, rec.attempts) == ("sd1", 2)
+    assert rec.finished_at < 2.0 + DETECTION_BOUND + clean_service() + 1.0
+    assert sched.unhealthy == {"sd0"}
+
+
 def test_quarantine_fails_no_call_to_another_node():
     """Two attempts, one per SD: killing sd0 ends its attempt only."""
     service = clean_service()

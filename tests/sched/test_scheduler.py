@@ -297,8 +297,11 @@ def test_latency_accounting_on_completed_records():
         assert rec.service > 0
 
 
-def test_default_policy_is_adaptive_with_bound_depths():
+def test_default_policy_is_adaptive_over_shared_ledgers():
+    """Placement reads one ledger: distributed shards land in the offload
+    engine's per-node job counts and predicted ops."""
     bed, _, _ = make_bed(n_sd=1)
     sched = ClusterScheduler(bed.cluster)
     assert isinstance(sched.policy, AdaptivePolicy)
-    assert sched.policy.depth_source == sched.queue.depths
+    assert sched.dist_engine.inflight is sched.engine.inflight
+    assert sched.dist_engine.inflight_ops is sched.engine.inflight_ops

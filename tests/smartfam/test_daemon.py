@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.testbed import Testbed
+from repro.config import table1_cluster
 from repro.errors import ModuleNotRegisteredError, SmartFAMError
 from repro.smartfam.registry import ModuleRegistry, standard_registry
-from repro.units import MB
+from repro.phoenix.api import InputSpec
+from repro.units import KB, MB
 from repro.workloads import text_input
 
 
@@ -177,3 +179,48 @@ def test_standard_registry_contents():
         "dist_map", "dist_reduce", "dist_merge",
     }
     assert "wordcount" in reg
+
+
+def test_late_write_reply_cannot_hide_the_result():
+    """The INVOKE write's own reply is the result wait's baseline.
+
+    A 1.7 GB NFS read fills the host's downlink, so the reply to each
+    call's INVOKE write comes late.  The daemon, watching the log on its
+    own disk, may have written the RESULT by then: a getattr sent after
+    the reply took the RESULT's mtime as the baseline, saw no change, and
+    polled until the 60 s deadline (and calls queued behind it on the
+    module's log waited 48-60 s).  The write reply's post-op mtime predates
+    the RESULT, so every call returns once the read drains.
+    """
+    bed = Testbed(config=table1_cluster(n_sd=1, seed=3), seed=3)
+    _sd, _host, big_path = bed.stage_on_sd("big", InputSpec(path="/big", size=MB(1700)))
+    inp = text_input("/data/s", KB(20), payload_bytes=KB(20), seed=3)
+    _sd, _host, sd_path = bed.stage_on_sd("s", inp)
+    channel = bed.cluster.channel()
+    sim = bed.sim
+    waits: list[float] = []
+    totals: list[int] = []
+
+    def call():
+        t0 = sim.now
+        result = yield channel.invoke(
+            "wordcount",
+            {"input_path": sd_path, "input_size": KB(20), "mode": "parallel",
+             "app": {}},
+            timeout=60.0,
+        )
+        waits.append(sim.now - t0)
+        totals.append(sum(v for _, v in result.output))
+
+    def driver():
+        calls = [bed.cluster.mount().read(big_path[len("/export"):])]
+        yield sim.timeout(0.3)
+        for _ in range(40):
+            calls.append(sim.spawn(call(), name="call"))
+            yield sim.timeout(0.37)
+        yield sim.all_of(calls)
+
+    bed.run(driver())
+    assert len(waits) == 40
+    assert max(waits) < 30.0
+    assert totals == [len(inp.payload_bytes.split())] * 40

@@ -42,29 +42,44 @@ KILL_AT = 6.5
 REVIVE_AT = 16.0
 
 #: (finish time repr, sha256 of the output repr) per job, in STREAM order.
-#: The detector quarantines sd0 at 9.25 s, which ends the two calls in
-#: flight there: job 2 re-runs on the host, and job 3's map shard on sd0
-#: restarts on sd1, where the job's merge later misses its 60 s deadline,
-#: so job 3 ends on the host.
+#: The adaptive policy places by predicted cost, and the detector
+#: quarantines the killed sd0 at 9.25 s, ending the two calls in flight
+#: there.  Job by job:
+#:
+#: 0. 64 MB wordcount: sd0 is idle, so it runs there.
+#: 1. 128 MB stringmatch: runs on sd1, the less loaded replica.
+#: 2. 1.7 GB wordcount: past the host's Phoenix limit (1.61 GB), so it
+#:    stays on sd0.  The quarantine ends it there, and it moves to sd1,
+#:    which was predicted to clear it in 54.4 s but needs 61.7 s.  That
+#:    misses the 60 s deadline at 69.25 s, quarantines sd1 and pins the
+#:    job to the host, where it ends at 106.3 s.
+#: 3. Distributed 256 MB wordcount: its map shard on sd0 restarts on sd1
+#:    at the quarantine; the job ends on sd1 at 20.4 s.
+#: 4. 64 MB stringmatch: the host finishes it, wire included, in 0.8 s,
+#:    before sd0 clears its 3.8 s backlog, so it runs on the host.
+#: 5. 128 MB wordcount: runs on sd1, since sd0 still holds job 2.
+#: 6. 1.7 GB stringmatch: stays on the SDs; sd1 is full until sd0
+#:    rejoins, and the job runs on sd0 as its probation canary.
+#: 7. A repeat of job 0: a result-cache hit at its arrival.
 GOLDEN = [
-    ("2.533459455999997", "2eb533b239b508f0342793f0237b43831f9e4bc2cc53778bc4cc8e6e6b559ada"),
+    ("2.533251263999997", "2eb533b239b508f0342793f0237b43831f9e4bc2cc53778bc4cc8e6e6b559ada"),
     ("2.884957531247312", "d9daafde5ea2662e58152ce811ebb3fa75fe71ed4fa9c7346e0a3970aca99afe"),
-    ("52.20338661383886", "169b838522e29281d981138e042e4e6d6c35639204db6a91be1d4912e2d7ee74"),
-    ("103.18528467581714", "2cc84311a404b8907bb495d5a73201a829c06fd9fb1daa344a29f1f33033b3ec"),
+    ("106.30736049977827", "169b838522e29281d981138e042e4e6d6c35639204db6a91be1d4912e2d7ee74"),
+    ("20.369009873333844", "2cc84311a404b8907bb495d5a73201a829c06fd9fb1daa344a29f1f33033b3ec"),
     ("7.234150452724215", "696e620d1a21341181c30428636397c2f4d189c0eb79d0ede23f089a80b3bcf4"),
-    ("16.10572851633333", "9480045a2ceca830a68aeabf7e3cea18c9ce0365543c2e272dfb479187e41d10"),
-    ("42.764713127926335", "c22050f63aa49b8e192c09cea9f5b2dbe27d0afce97d421de8f2da5519f14746"),
+    ("15.652404928000403", "9480045a2ceca830a68aeabf7e3cea18c9ce0365543c2e272dfb479187e41d10"),
+    ("41.88110150400087", "c22050f63aa49b8e192c09cea9f5b2dbe27d0afce97d421de8f2da5519f14746"),
     ("20.0", "2eb533b239b508f0342793f0237b43831f9e4bc2cc53778bc4cc8e6e6b559ada"),
 ]
-#: job 6 (stringmatch, partitioned) runs on sd1: its matches group by the
+#: job 6 (stringmatch, partitioned) runs on sd0: its matches group by the
 #: node's core count, so its digest is pinned beside these per-key totals
 GOLDEN_JOB6_KEY_TOTALS = {
     b"EXZRBBPH": 1, b"LKVXNZUG": 3, b"QUHBVPTS": 1, b"SZIWNJZN": 2,
 }
 #: the stream's ``sim.processed_events`` and ``net.bytes`` counter at its end
 #: (the events include the deadline timers that fire inside the stream)
-GOLDEN_EVENTS = 19277
-GOLDEN_NET_BYTES = 4277892848
+GOLDEN_EVENTS = 20446
+GOLDEN_NET_BYTES = 3735371760
 
 
 def digest(output: object) -> str:

@@ -67,7 +67,7 @@ def world():
                   where={"node": "sd0", "module": "wordcount"}),
     )))
 
-    runtime = McSDRuntime(bed.cluster, policy=AdaptivePolicy(tolerance=1.0))
+    runtime = McSDRuntime(bed.cluster, policy=AdaptivePolicy())
     sched = ClusterScheduler(
         bed.cluster, policy=AlwaysOffloadPolicy(), attempt_timeout=90.0,
         cache=None,

@@ -113,7 +113,12 @@ FOOTER = """## Known deviations from the paper
    property of the architecture — offload pays when the host is busy or
    the wire is slow — and is why the framework ships an adaptive
    placement policy (`repro.core.AdaptivePolicy`); see also the network
-   ablation.
+   ablation.  That policy still keeps an input beyond the host's
+   original-Phoenix limit (1.61 GB on Table I nodes) on its SD: it gives
+   up the idle quad host's speed on such a job to keep its bytes off the
+   wire, where each byte a host run reads crosses two GbE links.  A
+   smaller job moves to the host only when the host, transfer included,
+   would finish it before the SD clears the work already placed there.
 
 ## Future-work experiments (Section VI)
 

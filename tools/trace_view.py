@@ -36,8 +36,9 @@ Reads either export format (Chrome-trace/Perfetto JSON or JSONL, see
   node quarantine/probation/rejoin transitions, and per-node suspicion
   sparklines from the ``node.suspicion.<name>`` series);
 * a scheduler section (queue depth over time from the
-  ``sched.queue_depth`` series, admissions/rejections, per-tenant
-  completions, cache hit rate, and latency percentiles from the
+  ``sched.queue_depth`` series, admissions/rejections, host placements
+  and the input bytes they pull over NFS, per-tenant completions, cache
+  hit rate, and latency percentiles from the
   ``sched.*`` counters and histograms) whenever the trace came from a
   run served through ``ClusterScheduler``;
 * a tier section (burst-buffer hit-rate table across the mem and SSD
@@ -282,6 +283,12 @@ def scheduler_view(metrics: dict, series: dict) -> str:
         f"dispatched {c('sched.dispatched')}  completed {c('sched.completed')}  "
         f"requeued {c('sched.requeued')}  failed {c('sched.failed')}"
     )
+    host = c("sched.host_attempts")
+    if host:
+        lines.append(
+            f"host placements {host}: {c('sched.host_bytes') / 1e9:.2f} GB "
+            "of input read over NFS"
+        )
     hits, misses = c("sched.cache.hit"), c("sched.cache.miss")
     if hits or misses:
         rate = hits / max(1, hits + misses)
