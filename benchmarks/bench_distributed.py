@@ -12,9 +12,10 @@ Two cases, both in simulated time (deterministic, seconds of wall clock):
   width 1 must stay under 5%.
 * **identity** — wordcount, stringmatch and matmul run distributed at
   1, 2 and 4 shards; every output must be byte-identical to the
-  single-node partitioned run of the same job (matmul compared on the
-  assembled product matrix, whose blocking is the same global task grid
-  by construction).
+  single-node partitioned run of the same job, and not empty (matmul
+  compared on the assembled product matrix, whose blocking is the same
+  global task grid by construction, and stringmatch, searching for four
+  planted keys, on its per-key match totals).
 * **recovery** — a reduce-owning node is killed mid-exchange at 4
   shards.  The output must be byte-identical, the job must recover by
   partial restart, the first failure must be the failure detector's
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 
-from benchmarks.checks import GATE, OUTPUT, canonical_output
+from benchmarks.checks import GATE, OUTPUT, canonical_output, nonempty
 from repro.apps.matmul import matmul_input
 from repro.cluster.testbed import Testbed
 from repro.config import table1_cluster
@@ -44,6 +45,7 @@ from repro.core.loadbalance import Placement
 from repro.sched.health import DETECTION_BOUND, HEALTHY, INTERVAL
 from repro.units import MB
 from repro.workloads import text_input
+from repro.workloads.keys import encrypted_input, keys_for
 
 __all__ = [
     "SCALE_GATES",
@@ -78,9 +80,17 @@ def _inputs(app: str, quick: bool):
         factory = lambda: matmul_input("/data/dist", n, payload_n=32, seed=3)
         return factory, factory().size, None, "parallel", {"n": n}
     size = MB(100) if quick else MB(200)
-    factory = lambda: text_input("/data/dist", size, payload_bytes=6_000, seed=7)
+    params = {}
+    if app == "stringmatch":
+        keys = tuple(keys_for(4, seed=7))
+        factory = lambda: encrypted_input(
+            "/data/dist", size, payload_bytes=6_000, keys=list(keys), seed=7,
+        )[0]
+        params = {"keys": keys}
+    else:
+        factory = lambda: text_input("/data/dist", size, payload_bytes=6_000, seed=7)
     # fixed fragment plan: the 4-shard grid, identical in every run
-    return factory, size, math.ceil(size / 4), "partitioned", {}
+    return factory, size, math.ceil(size / 4), "partitioned", params
 
 
 def _staged(app: str, quick: bool, n_sd: int):
@@ -105,19 +115,18 @@ def _run_single(app: str, quick: bool):
     return bed.run(eng.run(job, placement))
 
 
-def _run_dist(app: str, quick: bool, n_shards: int, kill=None, **engine_kw):
+def _run_dist(app: str, quick: bool, n_shards: int, kill=None):
     """One distributed run at the given width on a fresh 4-SD cluster.
 
     ``kill`` is ``(node, at)``: that node's daemon dies at simulated time
-    ``at``, and the invoke deadline drops to ``_KILL_DEADLINE``.  Returns
-    ``(result, engine)``.
+    ``at``, and the invoke deadline drops to ``_KILL_DEADLINE``.
     """
     bed, inp, sd_path, frag, _, params = _staged(app, quick, 4)
     job = DistributedJob(
         app=app, input_path=sd_path, input_size=inp.size,
         n_shards=n_shards, fragment_bytes=frag, params=params,
     )
-    eng = DistributedEngine(bed.cluster, **engine_kw)
+    eng = DistributedEngine(bed.cluster)
     if kill is not None:
         node, at = kill
 
@@ -127,7 +136,7 @@ def _run_dist(app: str, quick: bool, n_shards: int, kill=None, **engine_kw):
 
         bed.sim.spawn(killer(), name=f"bench.kill-{node}")
     timeout = _TIMEOUT if kill is None else _KILL_DEADLINE
-    return bed.run(eng.run(job, timeout=timeout)), eng
+    return bed.run(eng.run(job, timeout=timeout))
 
 
 # -- scaling ------------------------------------------------------------------
@@ -142,7 +151,7 @@ def scaling_case(quick: bool = False) -> dict:
     runs = []
     base_s = None
     for n in (1, 2, 4):
-        res, _ = _run_dist("wordcount", quick, n)
+        res = _run_dist("wordcount", quick, n)
         if base_s is None:
             base_s = res.elapsed
         speedup = base_s / res.elapsed if res.elapsed > 0 else 0.0
@@ -179,13 +188,14 @@ def identity_case(quick: bool = False) -> dict:
         single = _run_single(app, quick)
         canon = canonical_output(app, single.output)
         for n in (1, 2, 4):
-            res, _ = _run_dist(app, quick, n)
+            res = _run_dist(app, quick, n)
             rows.append({
                 "app": app,
                 "n_shards": n,
                 "elapsed_s": round(res.elapsed, 4),
                 "shuffle_bytes": res.shuffle_bytes,
-                "identical": canonical_output(app, res.output) == canon,
+                "identical": nonempty(canon)
+                and canonical_output(app, res.output) == canon,
             })
     return {"rows": rows}
 
@@ -274,14 +284,14 @@ def recovery_case(quick: bool = False) -> dict:
     less the detector's bound <= ``RECOVERY_GATE`` of the clean run; plus
     the rejoin demonstration: kill mid-attempt -> re-queue at detection ->
     probation -> rejoin."""
-    clean, _ = _run_dist("wordcount", quick, 4)
+    clean = _run_dist("wordcount", quick, 4)
     canon = canonical_output("wordcount", clean.output)
     # a reduce owner that is not the merge node: its partition must be
     # re-reduced on a survivor, so the engine does real recovery work
     owners = [n for n in clean.reduce_nodes.values() if n != clean.merge_node]
     victim = owners[0] if owners else clean.merge_node
     kill_at = (clean.timeline["map_done"] + clean.timeline["exchange_done"]) / 2
-    res, eng = _run_dist("wordcount", quick, 4, (victim, kill_at))
+    res = _run_dist("wordcount", quick, 4, (victim, kill_at))
     first = min(res.recovery["failures"], key=lambda f: f["at"])
     detect = first["at"]
     done = res.timeline["merge_done"]
@@ -300,7 +310,7 @@ def recovery_case(quick: bool = False) -> dict:
             "kill_to_done_s": round(kill_to_done, 4),
             # detection -> job done: the re-derivation work alone
             "recovery_s": round(max(done - detect, 0.0), 4),
-            "partial_restarts": eng.partial_restarts,
+            "partial_restarts": res.recovery["partial_restarts"],
             "identical": canonical_output("wordcount", res.output) == canon,
         },
         "recovery_ratio": round(ratio, 4),

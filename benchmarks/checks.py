@@ -17,6 +17,7 @@ byte-comparable form, and scanning for leaked spill and tier directories.
 
 from __future__ import annotations
 
+import collections
 import glob
 import os
 import pickle
@@ -62,8 +63,16 @@ def canonical_output(app: str, output: object) -> bytes:
     distributed merge nests per-shard identity merges one list level
     deeper, so blocking legitimately differs between runs.  The *answer*
     is the assembled product matrix, so byte identity is asserted on
-    that.  The text apps' outputs are already canonical.
+    that.  stringmatch lists one ``(key, count)`` pair per key and map
+    task, grouped by the executing node's core count too, so its answer
+    is the sorted per-key totals.  wordcount's output is already
+    canonical.  Any empty answer canonicalizes to :data:`EMPTY_OUTPUT`.
     """
+    if app == "stringmatch":
+        totals: collections.Counter = collections.Counter()
+        for key, count in output:
+            totals[key] += count
+        return pickle.dumps(sorted(totals.items()))
     if app != "matmul":
         return pickle.dumps(output)
     pairs: list = []
@@ -76,7 +85,23 @@ def canonical_output(app: str, output: object) -> bytes:
                 walk(y)
 
     walk(output)
-    return pickle.dumps(assemble_product(pairs))
+    product = assemble_product(pairs)
+    return pickle.dumps(product if product.size else [])
+
+
+#: the canonical form of an empty answer
+EMPTY_OUTPUT = pickle.dumps([])
+
+
+def nonempty(canon: bytes | list) -> bool:
+    """Whether a canonical answer, or each of a list of them, holds anything.
+
+    Two empty answers are equal and prove nothing: a string match staged
+    without keys answers ``[]`` on every node, right or wrong.
+    """
+    if isinstance(canon, list):
+        return bool(canon) and all(map(nonempty, canon))
+    return canon != EMPTY_OUTPUT
 
 
 def leak_scan(spill_root: str, *tier_dirs: str) -> dict[str, list[str]]:

@@ -41,7 +41,6 @@ from repro.core.distributed import (
     DistributedResult,
     ShardAssignment,
     ShardFragment,
-    SpeculationPolicy,
     plan_distribution,
 )
 from repro.core.offload import OffloadEngine
@@ -66,7 +65,6 @@ __all__ = [
     "DistPlan",
     "ShardAssignment",
     "ShardFragment",
-    "SpeculationPolicy",
     "AttemptManifest",
     "MapArtifact",
     "plan_distribution",

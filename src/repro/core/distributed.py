@@ -45,12 +45,9 @@ reassigns its shards to survivors, and re-runs exactly the missing work;
 exchange transfers already received at their owners are deduplicated by
 ``(owner, shard, partition)`` id.  Any other transient failure (a
 corrupt artifact, a module crash, a transfer that used up its in-place
-retries) re-runs the missing work where it was.  A straggling map shard
-gets a *speculative duplicate* on a spare replica
-(:class:`SpeculationPolicy`); first result wins, the loser is cancelled,
-and duplicates are safe because reduce inputs are keyed by partition id,
-not arrival.  When the pass budget runs out or no replicas remain, the
-engine removes the job's shuffle dir and raises
+retries) re-runs the missing work where it was.  When the pass budget
+runs out or no replicas remain, the engine removes the job's shuffle dir
+and raises
 :class:`~repro.errors.DistributedJobError` — retryable, so the cluster
 scheduler's requeue (and finally its single-node host run) is the
 whole-job retry.
@@ -70,7 +67,6 @@ from repro.errors import (
     RETRIES,
     RETRY_BACKOFF,
     DistributedJobError,
-    InterruptError,
     NetworkError,
     NodeDownError,
     OffloadError,
@@ -93,7 +89,6 @@ __all__ = [
     "DistPlan",
     "ShardAssignment",
     "ShardFragment",
-    "SpeculationPolicy",
     "plan_distribution",
     "DistributedEngine",
 ]
@@ -144,32 +139,6 @@ class DistPlan:
     n_fragments: int
 
 
-@dataclasses.dataclass(frozen=True)
-class SpeculationPolicy:
-    """When to launch a duplicate of a straggling map shard.
-
-    A shard becomes a straggler once it has run longer than
-    ``multiplier`` times the median of this phase's completed shard
-    durations.  Speculation waits for ``min_done`` completions
-    first (default: a majority of the phase's shards) so the threshold
-    has signal, launches at most one duplicate per shard, and only uses
-    replicas with no in-flight map work.
-    """
-
-    enabled: bool = True
-    multiplier: float = 1.5
-    min_done: int | None = None
-    #: floor for the straggler threshold (absorbs near-zero medians)
-    min_wait: float = 0.05
-
-    def threshold(self, durations: list) -> float | None:
-        """The straggler cutoff given completed durations (None: no signal)."""
-        if not durations:
-            return None
-        med = sorted(durations)[len(durations) // 2]
-        return max(self.multiplier * max(med, 1e-9), self.min_wait)
-
-
 @dataclasses.dataclass
 class DistributedJob:
     """One logical job to be sharded across the SD replica set.
@@ -214,7 +183,7 @@ class DistributedResult:
     plan: DistPlan | None = dataclasses.field(default=None, repr=False)
     #: the job's shuffle-dir id (``<app>-<seq>``)
     job_id: str = ""
-    #: recovery accounting: partial restarts, dedup, speculation, failures
+    #: recovery accounting: partial restarts, dedup, failures
     recovery: dict = dataclasses.field(default_factory=dict)
 
     @property
@@ -351,9 +320,6 @@ class DistributedEngine:
         predicted ops of the ``dist_map`` shards among them (the scheduler
         passes the offload engine's, so shard load shows up in placement
         decisions).
-    speculation:
-        :class:`SpeculationPolicy` for straggling map shards (None uses
-        the defaults; ``SpeculationPolicy(enabled=False)`` turns it off).
     """
 
     def __init__(
@@ -361,7 +327,6 @@ class DistributedEngine:
         cluster: "BuiltCluster",
         inflight: dict | None = None,
         inflight_ops: dict | None = None,
-        speculation: SpeculationPolicy | None = None,
     ):
         self.cluster = cluster
         self.sim = cluster.sim
@@ -369,17 +334,8 @@ class DistributedEngine:
         self.inflight_ops: dict[str, int] = (
             inflight_ops if inflight_ops is not None else {}
         )
-        self.speculation = speculation if speculation is not None else SpeculationPolicy()
-        #: distributed jobs started (stats)
-        self.jobs = 0
-        #: partial restarts (manifest-driven recovery passes)
-        self.partial_restarts = 0
-        #: exchange transfers skipped because their copy already landed
-        self.dedup_transfers = 0
-        #: speculative duplicates launched / won / cancelled
-        self.spec_launched = 0
-        self.spec_won = 0
-        self.spec_cancelled = 0
+        #: always 0; ``perfbench/cluster.py`` still reads both under ``--trace 1``
+        self.spec_launched = self.spec_won = 0
         self._seq = itertools.count(1)
 
     # -- public entry point -------------------------------------------------
@@ -441,7 +397,6 @@ class DistributedEngine:
     ) -> _t.Generator:
         obs = self.sim.obs
         seq = next(self._seq)
-        self.jobs += 1
         obs.count("dist.jobs")
         track = f"dist:{job.app}#{seq}"
         job_id = f"{job.app}-{seq}"
@@ -451,9 +406,6 @@ class DistributedEngine:
             "failures": [],
             "partial_restarts": 0,
             "dedup_transfers": 0,
-            "spec_launched": 0,
-            "spec_won": 0,
-            "spec_cancelled": 0,
         }
         with obs.span(
             "dist.job", cat="dist", track=track, force=True,
@@ -481,11 +433,6 @@ class DistributedEngine:
             result.recovery = {
                 "partial_restarts": recovery["partial_restarts"],
                 "dedup_transfers": recovery["dedup_transfers"],
-                "speculation": {
-                    "launched": recovery["spec_launched"],
-                    "won": recovery["spec_won"],
-                    "cancelled": recovery["spec_cancelled"],
-                },
                 "failures": list(recovery["failures"]),
             }
             root.set(
@@ -602,7 +549,6 @@ class DistributedEngine:
                 elif isinstance(cause, ShuffleArtifactError):
                     manifest.invalidate_artifact(cause)
                 recovery["partial_restarts"] += 1
-                self.partial_restarts += 1
                 obs.count("dist.restart.partial")
         raise mark_retryable(
             OffloadError(
@@ -651,8 +597,7 @@ class DistributedEngine:
         if todo:
             with obs.span("dist.map", cat="dist", track=track, force=True) as sp:
                 yield from self._map_phase(
-                    todo, params_by_shard, alive, assignment, manifest, rank,
-                    timeout, recovery,
+                    todo, params_by_shard, assignment, manifest, timeout
                 )
                 sp.set(shards=len(todo))
             timeline["map_done"] = sim.now
@@ -719,7 +664,6 @@ class DistributedEngine:
                     transfers, manifest.received, acc, "exchange"
                 )
                 if deduped:
-                    self.dedup_transfers += deduped
                     recovery["dedup_transfers"] += deduped
                     obs.count("dist.transfer.dedup", deduped)
                 obs.count("shuffle.partitions", len(reduce_nodes))
@@ -869,7 +813,6 @@ class DistributedEngine:
                     transfers, manifest.gathered, acc, "exchange"
                 )
                 if deduped:
-                    self.dedup_transfers += deduped
                     recovery["dedup_transfers"] += deduped
                     obs.count("dist.transfer.dedup", deduped)
                 sp.set(bytes=moved, transfers=len(transfers), partitions=0)
@@ -911,167 +854,46 @@ class DistributedEngine:
             plan=plan,
         )
 
-    # -- map phase with speculation -----------------------------------------
+    # -- map phase -----------------------------------------------------------
 
     def _map_phase(
         self,
         todo: list,
         params_by_shard: dict,
-        alive: set,
         assignment: dict,
         manifest: AttemptManifest,
-        rank: dict,
         timeout: float | None,
-        recovery: dict,
     ) -> _t.Generator:
-        """Run ``todo`` map shards, speculating duplicates of stragglers.
+        """Run the ``todo`` map shards, registering each success.
 
-        First result per shard wins and is committed to the manifest; the
-        losing duplicate is interrupted — safe, because an interrupted
-        invocation simply reports an :class:`InterruptError` result that
-        is dropped here, and because reduce inputs are keyed by partition
-        id a late duplicate artifact can never double-count.
+        The first failure interrupts the shards still in flight and fails
+        the pass; what they had not committed re-runs on the next one.
         """
         sim = self.sim
-        obs = sim.obs
-        pol = self.speculation
-        pending: dict = {}  # proc -> (shard_index, node, is_spec)
-        start: dict[int, float] = {}
+        pending = {}  # proc -> shard index
         for i in todo:
             node = assignment[i]
             proc = sim.spawn(
                 self._invoke_on(node, "dist_map", params_by_shard[i], timeout, "map"),
                 name=f"dist-map:{node}",
             )
-            pending[proc] = (i, node, False)
-            start[i] = sim.now
-        durations: list[float] = []
-        resolved: set[int] = set()
-        speculated: set[int] = set()
-        min_done = (
-            pol.min_done if pol.min_done is not None else max(1, (len(todo) + 1) // 2)
-        )
-
+            pending[proc] = i
         while pending:
-            threshold = None
-            if pol.enabled and len(durations) >= min_done:
-                threshold = pol.threshold(durations)
-            if threshold is not None:
-                self._launch_speculation(
-                    pending, start, speculated, threshold, alive, rank,
-                    params_by_shard, timeout, recovery,
-                )
             waits = list(pending)
-            delay = self._next_straggler_check(pending, start, speculated, threshold)
-            if delay is not None:
-                yield sim.any_of(waits + [sim.timeout(delay)])
-            else:
-                yield sim.any_of(waits)
-
+            yield sim.any_of(waits)
             abort: _ShardFailure | None = None
             for proc in [p for p in waits if p.triggered]:
-                i, node, is_spec = pending.pop(proc)
-                if not proc.ok:
-                    continue  # a cancelled duplicate unwinding
+                i = pending.pop(proc)
                 node_name, ok, value = proc.value
-                if i in resolved:
-                    continue  # late duplicate: winner already committed
                 if ok:
-                    resolved.add(i)
-                    dur = sim.now - start[i]
-                    durations.append(dur)
-                    if is_spec:
-                        self.spec_won += 1
-                        recovery["spec_won"] += 1
-                        obs.count("spec.won")
                     assignment[i] = node_name
                     manifest.register_map(i, node_name, value)
-                    # cancel the losing copy still in flight
-                    for other, (oi, _onode, _ospec) in list(pending.items()):
-                        if oi != i:
-                            continue
-                        del pending[other]
-                        if not other.triggered:
-                            other.interrupt("speculation resolved")
-                        self.spec_cancelled += 1
-                        recovery["spec_cancelled"] += 1
-                        obs.count("spec.cancelled")
-                else:
-                    if isinstance(value, InterruptError):
-                        continue  # our own cancellation, not a verdict
-                    sibling = any(oi == i for (oi, _, _) in pending.values())
-                    if not sibling and abort is None:
-                        abort = _ShardFailure(node_name, value, phase="map")
+                elif abort is None:
+                    abort = _ShardFailure(node_name, value, phase="map")
             if abort is not None:
-                # stop the phase; unfinished shards stay unregistered and
-                # re-run on the next recovery pass
-                for other in list(pending):
-                    if not other.triggered:
-                        other.interrupt("map phase aborted")
-                pending.clear()
+                for other in pending:
+                    other.interrupt("map phase aborted")
                 raise abort
-
-    def _launch_speculation(
-        self,
-        pending: dict,
-        start: dict,
-        speculated: set,
-        threshold: float,
-        alive: set,
-        rank: dict,
-        params_by_shard: dict,
-        timeout: float | None,
-        recovery: dict,
-    ) -> None:
-        sim = self.sim
-        obs = sim.obs
-        busy = {node for (_, node, _) in pending.values()}
-        overdue = sorted(
-            (
-                (i, node)
-                for (i, node, is_spec) in pending.values()
-                if not is_spec
-                and i not in speculated
-                # inclusive: the straggler-check timer fires at exactly
-                # start + threshold, and that firing must launch
-                and sim.now - start[i] >= threshold
-            ),
-            key=lambda t: start[t[0]],
-        )
-        for i, node in overdue:
-            spares = sorted(
-                (nm for nm in alive if nm not in busy and nm != node),
-                key=lambda nm: rank[nm],
-            )
-            if not spares:
-                return
-            spare = spares[0]
-            proc = sim.spawn(
-                self._invoke_on(spare, "dist_map", params_by_shard[i], timeout, "map"),
-                name=f"dist-map-spec:{spare}",
-            )
-            pending[proc] = (i, spare, True)
-            speculated.add(i)
-            busy.add(spare)
-            self.spec_launched += 1
-            recovery["spec_launched"] += 1
-            obs.count("spec.launched")
-
-    def _next_straggler_check(
-        self, pending: dict, start: dict, speculated: set, threshold: float | None
-    ) -> float | None:
-        """Sim-time until the next unspeculated primary crosses the cutoff."""
-        if threshold is None:
-            return None
-        now = self.sim.now
-        waits = [
-            start[i] + threshold - now
-            for (i, _node, is_spec) in pending.values()
-            if not is_spec and i not in speculated
-        ]
-        # overdue-but-unspeculated shards (no spare) wait for a completion
-        waits = [w for w in waits if w > 0]
-        return min(waits) if waits else None
 
     # -- building blocks ----------------------------------------------------
 

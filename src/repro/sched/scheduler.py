@@ -257,39 +257,16 @@ class ClusterScheduler:
         """
         obs = self.sim.obs
         done = Event(self.sim, name=f"sched.done:{job.app}")
-        key = (
-            self.cache.key_for(job, self.cluster)
-            if self.cache is not None else None
-        )
+        key = None
         if self.cache is not None:
+            key = self.cache.key_for(job, self.cluster)
             hit = self.cache.get(key)
             if hit is not None:
                 obs.count("sched.cache.hit")
                 self._finish_cached(job, hit, done)
                 return done
             obs.count("sched.cache.miss")
-        seq = next(self._seq)
-        entry = QueuedJob(
-            job,
-            seq,
-            self.sim.now,
-            done,
-            candidates=self._candidates(job),
-            cache_key=key,
-        )
-        try:
-            self.queue.admit(entry)
-        except AdmissionError:
-            obs.count("sched.rejected")
-            self.rejected += 1
-            raise
-        obs.count("sched.admitted")
-        entry.queue_span = obs.span(
-            "sched.queue", cat="sched", track=f"sched:j{seq}",
-            app=job.app, tenant=job.tenant,
-        )
-        self._sample_depth()
-        self._wake.fire()
+        self._admit(job, done, key)
         return done
 
     def submit_distributed(self, job: DistributedJob) -> Event:
@@ -306,8 +283,15 @@ class ClusterScheduler:
         single-node partitioned run on the host, under the same deadline
         and budget as any host attempt.
         """
-        obs = self.sim.obs
         done = Event(self.sim, name=f"sched.done:{job.app}")
+        self._admit(job, done, None)
+        return done
+
+    def _admit(
+        self, job: DataJob | DistributedJob, done: Event, cache_key: tuple | None
+    ) -> None:
+        """Queue ``job``, or raise :class:`AdmissionError` if it is full."""
+        obs = self.sim.obs
         seq = next(self._seq)
         entry = QueuedJob(
             job,
@@ -315,7 +299,7 @@ class ClusterScheduler:
             self.sim.now,
             done,
             candidates=self._candidates(job),
-            cache_key=None,
+            cache_key=cache_key,
         )
         try:
             self.queue.admit(entry)
@@ -324,14 +308,15 @@ class ClusterScheduler:
             self.rejected += 1
             raise
         obs.count("sched.admitted")
-        obs.count("sched.dist.submitted")
+        attrs = {"app": job.app, "tenant": job.tenant}
+        if isinstance(job, DistributedJob):
+            obs.count("sched.dist.submitted")
+            attrs["distributed"] = True
         entry.queue_span = obs.span(
-            "sched.queue", cat="sched", track=f"sched:j{seq}",
-            app=job.app, tenant=job.tenant, distributed=True,
+            "sched.queue", cat="sched", track=f"sched:j{seq}", **attrs
         )
         self._sample_depth()
         self._wake.fire()
-        return done
 
     def _candidates(self, job: DataJob) -> tuple[str, ...]:
         """SD nodes that can serve the job (primary preference first).
@@ -414,11 +399,10 @@ class ClusterScheduler:
 
     def _placement_for(
         self, entry: QueuedJob
-    ) -> tuple[DataJob, Placement] | None:
+    ) -> tuple[DataJob | DistributedJob, Placement] | None:
         """Where ``entry`` should run now, or ``None`` if it must wait."""
-        if isinstance(entry.job, DistributedJob):
-            return self._distributed_placement(entry)
         host = self.cluster.host.name
+        distributed = isinstance(entry.job, DistributedJob)
         if not entry.force_host:
             names = self._trusted(entry)
             if not names:
@@ -427,7 +411,8 @@ class ClusterScheduler:
         if entry.force_host:
             if self._occupancy(host) >= self.per_node_limit:
                 return None
-            reason = "sched: forced host"
+            kind = "distributed job " if distributed else ""
+            reason = f"sched: {kind}forced host"
             why = _failure_summary(entry.last_failures)
             if why:
                 reason += f" after {why}"
@@ -437,6 +422,8 @@ class ClusterScheduler:
         ]
         if not eligible:
             return None
+        if distributed:
+            return self._distributed_placement(entry, eligible)
         depths = self.queue.depths()
         for node, n in self._pending.items():
             if n:
@@ -454,33 +441,14 @@ class ClusterScheduler:
         return job, placement
 
     def _distributed_placement(
-        self, entry: QueuedJob
-    ) -> tuple[DistributedJob, Placement] | None:
-        """Placement for a distributed entry: the whole healthy replica set.
+        self, entry: QueuedJob, eligible: list[str]
+    ) -> tuple[DistributedJob, Placement]:
+        """Placement for a distributed entry: the whole eligible replica set.
 
         The lead node of the set is the Placement's nominal node (capacity
         and pending bookkeeping hang off it); the full set rides on
         ``entry.shard_nodes`` for the engine to shard over.
         """
-        host = self.cluster.host.name
-        names: list[str] = []
-        if not entry.force_host:
-            names = self._trusted(entry)
-            if not names:
-                entry.force_host = True
-        if entry.force_host:
-            if self._occupancy(host) >= self.per_node_limit:
-                return None
-            reason = "sched: distributed job forced host"
-            why = _failure_summary(entry.last_failures)
-            if why:
-                reason += f" after {why}"
-            return entry.job, Placement(node=host, offload=False, reason=reason)
-        eligible = [
-            c for c in names if self._occupancy(c) < self._node_limit(c)
-        ]
-        if not eligible:
-            return None
         # a rejoining node earns trust through single canary jobs, not by
         # carrying shards of a fan-out job
         settled = [c for c in eligible if c not in self.health.probation]
@@ -579,10 +547,12 @@ class ClusterScheduler:
         obs = self.sim.obs
         obs.count("sched.attempt_failures")
         if isinstance(exc, DistributedJobError):
-            # the engine burned through these replicas, each quarantined or
-            # past a deadline: keep them out of the next placement
+            # the engine evicted these replicas, each quarantined or past a
+            # deadline; the next placement also skips every node a failure
+            # happened on, and not the lead node unless one did
             entry.last_failures = list(exc.failures)
             entry.excluded |= exc.excluded
+            entry.excluded.update(f["node"] for f in exc.failures)
             for node in exc.excluded:
                 self._quarantine(node)
         if isinstance(exc, OffloadTimeoutError) and placement.offload:
@@ -601,10 +571,11 @@ class ClusterScheduler:
         if retry and placement.offload:
             # exclude the node the failure happened on, if it is the SD: a
             # failure of the host's own NFS client leaves the SD eligible
-            if (getattr(exc, "node", None) or placement.node) == placement.node:
+            if not isinstance(exc, DistributedJobError) and (
+                (getattr(exc, "node", None) or placement.node) == placement.node
+            ):
                 entry.excluded.add(placement.node)
-                if not isinstance(exc, DistributedJobError):
-                    self.health.job_failed(placement.node)
+                self.health.job_failed(placement.node)
             if entry.attempts > self.max_retries:
                 entry.force_host = True
         elif retry:

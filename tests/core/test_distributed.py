@@ -15,7 +15,7 @@ from repro.core import (
     OffloadEngine,
     plan_distribution,
 )
-from repro.core.distributed import ShardFragment, SpeculationPolicy
+from repro.core.distributed import ShardFragment
 from repro.core.loadbalance import Placement
 from repro.errors import DistributedJobError, OffloadError
 from repro.faults import distributed_chaos_plan
@@ -142,6 +142,20 @@ def test_distributed_run_reports_shuffle_accounting():
     )
 
 
+def test_uneven_shards_map_once_each():
+    # 6 fragments over 4 shards split 1/2/1/2: the 2-fragment shards take
+    # longer, and a clean run still maps every shard exactly once
+    bed, sd_path, _ = _bed(size=MB(60))
+    eng = DistributedEngine(bed.cluster)
+    res = bed.run(eng.run(
+        _job(sd_path, size=MB(60), fragment_bytes=MB(10)), timeout=_TIMEOUT,
+    ))
+    assert [len(s.fragments) for s in res.plan.shards] == [1, 2, 1, 2]
+    counters = bed.sim.obs.metrics.snapshot()["counters"]
+    assert counters.get("dist.invoke.map") == res.n_shards == 4
+    assert res.recovery["partial_restarts"] == 0
+
+
 def test_width_one_runs_without_exchange():
     bed, sd_path, inp = _bed()
     eng = DistributedEngine(bed.cluster)
@@ -199,7 +213,7 @@ def test_shuffle_chaos_plan_absorbed_in_place():
     assert pickle.dumps(res.output) == pickle.dumps(clean.output)
     # every rule fired, yet the bounded in-place retry absorbed them all
     assert injector.fired_by_site().get("shuffle.exchange", 0) == 3
-    assert eng2.partial_restarts == 0
+    assert res.recovery["partial_restarts"] == 0
     counters = bed2.sim.obs.metrics.snapshot()["counters"]
     assert counters.get("retry.shuffle", 0) >= 1
 
@@ -214,11 +228,7 @@ def test_killed_shard_restarts_on_survivors():
     kill_at = clean.timeline["map_done"] * 0.5
 
     bed2, path2, _ = _bed()
-    # speculation off: otherwise a duplicate map absorbs the kill before
-    # the partial-restart machinery (under test here) ever fires
-    eng2 = DistributedEngine(
-        bed2.cluster, speculation=SpeculationPolicy(enabled=False)
-    )
+    eng2 = DistributedEngine(bed2.cluster)
 
     def killer():
         yield bed2.sim.timeout(kill_at)
@@ -228,9 +238,8 @@ def test_killed_shard_restarts_on_survivors():
     res = bed2.run(eng2.run(_job(path2), timeout=5.0))
     assert pickle.dumps(res.output) == pickle.dumps(clean.output)
     # surviving map artifacts are reused: a partial restart only
-    assert eng2.partial_restarts >= 1
-    assert victim not in res.shard_nodes
     assert res.recovery["partial_restarts"] >= 1
+    assert victim not in res.shard_nodes
     assert res.recovery["failures"]
 
 

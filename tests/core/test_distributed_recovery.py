@@ -1,4 +1,4 @@
-"""Fine-grained recovery: partial restart, artifact repair, speculation."""
+"""Fine-grained recovery: partial restart and artifact repair."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pickle
 from repro.cluster.testbed import Testbed
 from repro.config import table1_cluster
 from repro.core import DistributedEngine, DistributedJob
-from repro.core.distributed import SpeculationPolicy
 from repro.faults import FaultPlan, FaultRule, recovery_chaos_plan
 from repro.units import MB
 from repro.workloads import text_input
@@ -56,7 +55,7 @@ def test_kill_at_exchange_partial_restart():
     bed.sim.spawn(killer(), name="killer")
     res = bed.run(eng.run(_job(sd_path), timeout=5.0))
     assert pickle.dumps(res.output) == pickle.dumps(clean.output)
-    assert eng.partial_restarts >= 1
+    assert res.recovery["partial_restarts"] >= 1
     # the dead mapper's committed artifact was reused in place
     assert victim in res.shard_nodes
     # but no daemon work was re-dispatched to it
@@ -77,50 +76,15 @@ def test_corrupted_artifact_rebuilt_in_place():
     assert injector.fired_by_site().get("shuffle.artifact", 0) == 1
     assert pickle.dumps(res.output) == pickle.dumps(clean.output)
     # crc caught the on-disk damage; only that artifact was re-derived
-    assert eng.partial_restarts >= 1
+    assert res.recovery["partial_restarts"] >= 1
     # the replay re-copied only the rebuilt shard's buckets; every other
     # surviving transfer was recognized and skipped
     assert res.recovery["dedup_transfers"] >= 1
 
 
-def test_straggler_speculation_wins():
-    clean = _clean()
-    victim = clean.shard_nodes[0]
-    map_span = max(clean.timeline["map_done"], 0.2)
-    stall = 6.0 * map_span
-
-    bed, sd_path = _bed()
-    bed.sim.install_faults(FaultPlan(rules=(
-        FaultRule("fam.dispatch", action="delay", count=1, delay=stall,
-                  where={"module": "dist_map", "node": victim}),
-    )))
-    eng = DistributedEngine(
-        bed.cluster,
-        speculation=SpeculationPolicy(multiplier=1.3, min_wait=0.02),
-    )
-    res = bed.run(eng.run(_job(sd_path), timeout=_TIMEOUT))
-    assert pickle.dumps(res.output) == pickle.dumps(clean.output)
-    assert eng.partial_restarts == 0
-    spec = res.recovery["speculation"]
-    assert spec["launched"] >= 1 and spec["won"] >= 1
-    # the duplicate shard ran on a spare, so the stall never gated the job
-    assert res.elapsed < clean.elapsed + stall
-
-
-def test_speculation_disabled_by_policy():
-    bed, sd_path = _bed()
-    eng = DistributedEngine(
-        bed.cluster, speculation=SpeculationPolicy(enabled=False)
-    )
-    res = bed.run(eng.run(_job(sd_path), timeout=_TIMEOUT))
-    assert res.recovery["speculation"] == {
-        "launched": 0, "won": 0, "cancelled": 0,
-    }
-
-
 def _straggler_stream_finish_times(trace: bool) -> list[str]:
     """Four 100 MB jobs back to back on 4 SDs; one dist_map dispatch of
-    the third job stalls 1 s, so speculation has to pick a threshold."""
+    the third job stalls 1 s."""
     bed = Testbed(config=table1_cluster(n_sd=4, seed=3), seed=3, trace=trace)
     inp = text_input("/data/d", MB(100), payload_bytes=6_000, seed=3)
     _, sd_path = bed.stage_replicated("d", inp)
@@ -143,6 +107,6 @@ def _straggler_stream_finish_times(trace: bool) -> list[str]:
     return bed.run(stream())
 
 
-def test_tracing_does_not_change_speculation():
-    # the straggler cutoff once read a histogram only tracing fills
+def test_tracing_does_not_change_a_distributed_stream():
+    # the engine's decisions must not read anything only tracing fills
     assert _straggler_stream_finish_times(False) == _straggler_stream_finish_times(True)

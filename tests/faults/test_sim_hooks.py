@@ -18,6 +18,7 @@ from repro.sched import ClusterScheduler
 from repro.sim import Simulator
 from repro.units import MB
 from repro.workloads import text_input
+from repro.workloads.keys import encrypted_input, keys_for
 
 
 # -- per-hook unit tests -----------------------------------------------------
@@ -117,13 +118,24 @@ def _standard_plan_run(app, seed, chaos=True, n_jobs=1):
     """``n_jobs`` ``app`` jobs, one after another, through the scheduler
     on two replicated SD nodes; returns (outputs, injector, scheduler)."""
     bed = Testbed(config=table1_cluster(n_sd=2, seed=seed), seed=seed)
-    inp = text_input("/data/f", MB(50), payload_bytes=4_000, seed=seed)
+    params = {}
+    if app == "stringmatch":
+        keys = tuple(keys_for(4, seed=seed))
+        inp, _, _ = encrypted_input(
+            "/data/f", MB(50), payload_bytes=4_000, keys=list(keys), seed=seed
+        )
+        params = {"keys": keys}
+    else:
+        inp = text_input("/data/f", MB(50), payload_bytes=4_000, seed=seed)
     _view, sd_path = bed.stage_replicated("f", inp)
     injector = bed.sim.install_faults(standard_plan(seed)) if chaos else None
     sched = ClusterScheduler(
         bed.cluster, attempt_timeout=60.0, max_retries=RETRIES, cache=None
     )
-    job = DataJob(app=app, input_path=sd_path, input_size=MB(50), mode="parallel")
+    job = DataJob(
+        app=app, input_path=sd_path, input_size=MB(50), mode="parallel",
+        params=params,
+    )
 
     def go():
         outputs = []
@@ -140,6 +152,7 @@ def test_standard_plan_preserves_job_output(app):
     baseline, _, _ = _standard_plan_run(app, 6, chaos=False)
     output, injector, sched = _standard_plan_run(app, 6)
     assert output == baseline  # faults cost time, never answers
+    assert baseline[0]  # two empty answers would prove nothing
     assert injector.injections >= 1
     assert sched.completed[0].attempts <= BOUND
 

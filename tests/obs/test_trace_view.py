@@ -118,8 +118,6 @@ def test_recovery_view_golden(trace_view, tmp_path, capsys):
 
     obs = _build()
     obs.count("dist.restart.partial", 1)
-    obs.count("spec.launched", 2)
-    obs.count("spec.won", 1)
     obs.count("node.quarantined", 1)
     obs.count("node.rejoined", 1)
     for k in range(8):
@@ -131,7 +129,6 @@ def test_recovery_view_golden(trace_view, tmp_path, capsys):
     assert "recovery" in lines
     assert any(l.startswith("dist.restart.partial") and l.rstrip().endswith("1")
                for l in lines)
-    assert "speculation win rate: 50% (1/2)" in out
     assert any(l.startswith("phi sd0") and "peak 3.5" in l for l in lines)
     # a calm trace renders no recovery section
     calm = write_jsonl(_build(), str(tmp_path / "calm.jsonl"))

@@ -120,3 +120,32 @@ def test_host_fallback_runs_under_the_attempt_deadline():
     rec = sched.completed[0]
     assert res.where == "host" and rec.attempts == 3
     assert rec.dispatched_at == pytest.approx(5.0)
+
+
+def test_failed_job_excludes_the_node_its_failures_name():
+    """Every dist_map on sd2 crashes, so each recovery pass fails there
+    and the engine gives the job up naming sd2 alone.  The re-queued job
+    shards over the other two nodes: the lead node sd0, on which nothing
+    failed, stays eligible."""
+    bed = Testbed(config=table1_cluster(n_sd=3, seed=0), seed=0)
+    inp = text_input("/data/s", MB(60), payload_bytes=6_000, seed=9)
+    _, sd_path = bed.stage_replicated("s", inp)
+    bed.sim.install_faults(FaultPlan(rules=(
+        FaultRule("fam.module", "fail", where={"module": "dist_map", "node": "sd2"}),
+    )))
+    sched = ClusterScheduler(bed.cluster, attempt_timeout=600.0, cache=None)
+    placed = []
+    launch = sched._launch
+
+    def record(entry, job, placement):
+        placed.append(entry.shard_nodes if placement.offload else placement.node)
+        return launch(entry, job, placement)
+
+    sched._launch = record
+    res = bed.run(sched.submit_distributed(DistributedJob(
+        app="wordcount", input_path=sd_path, input_size=MB(60),
+        fragment_bytes=MB(10),
+    )))
+    assert placed == [("sd0", "sd1", "sd2"), ("sd0", "sd1")]
+    assert res.offloaded and set(res.shard_nodes) == {"sd0", "sd1"}
+    assert sched.completed[0].attempts == 2

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cluster import Testbed
 from repro.config import table1_cluster
-from repro.core import DataJob, DistributedEngine, DistributedJob, SpeculationPolicy
+from repro.core import DataJob, DistributedEngine, DistributedJob
 from repro.core.loadbalance import AlwaysOffloadPolicy
 from repro.errors import NodeDownError, OffloadTimeoutError
 from repro.faults import FaultPlan, FaultRule
@@ -215,8 +215,7 @@ def test_standalone_distributed_run_detects_a_killed_shard_node():
     kill_at = ref.timeline["map_done"] / 2
 
     bed, job = bed4()
-    # speculation off: a duplicate map would absorb the kill undetected
-    eng = DistributedEngine(bed.cluster, speculation=SpeculationPolicy(enabled=False))
+    eng = DistributedEngine(bed.cluster)
 
     def killer():
         yield bed.sim.timeout(kill_at)

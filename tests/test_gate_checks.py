@@ -16,7 +16,15 @@ import re
 
 import pytest
 
-from benchmarks.checks import GATE, OUTPUT, failed, leak_scan, verdict
+from benchmarks.checks import (
+    GATE,
+    OUTPUT,
+    canonical_output,
+    failed,
+    leak_scan,
+    nonempty,
+    verdict,
+)
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -191,3 +199,19 @@ def test_leak_scan_reports_spill_dirs_under_its_root_only(tmp_path):
         "spill": [str(root / "localmr-spill-mine")],
         "tier": [str(tmp_path / "ssd")],
     }
+
+
+def test_stringmatch_answers_compare_by_per_key_totals():
+    """A 4-core host and a 2-core SD list the same matches in different
+    groups; the answer is the per-key totals, and an empty answer, which
+    every app canonicalizes alike, proves nothing."""
+    host = [(b"K", 1), (b"J", 1), (b"K", 1)]
+    sd = [(b"J", 1), (b"K", 2)]
+    assert canonical_output("stringmatch", host) == canonical_output("stringmatch", sd)
+    assert canonical_output("stringmatch", sd) != canonical_output(
+        "stringmatch", [(b"J", 1), (b"K", 1)]
+    )
+    assert nonempty(canonical_output("stringmatch", sd))
+    for app in ("wordcount", "stringmatch", "matmul"):
+        assert not nonempty(canonical_output(app, []))
+    assert not nonempty([canonical_output("stringmatch", sd), canonical_output("wordcount", [])])

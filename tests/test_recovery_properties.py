@@ -133,7 +133,7 @@ def test_property_partial_restart_is_transparent(app, faults):
 
     res = bed2.run(eng2.run(_job(app, path2, inp, params), timeout=5.0))
     # surviving artifacts were reused.  A kill may prove harmless (the
-    # victim's work was already durable and it owned nothing downstream)
-    # or be absorbed by speculation; every other schedule recovers through
-    # a partial restart, and the job never raises.
+    # victim's work was already durable and it owned nothing downstream);
+    # every other schedule recovers through a partial restart, and the job
+    # never raises.
     assert _canonical(app, res.output) == want

@@ -56,17 +56,13 @@ from benchmarks.checks import (  # noqa: E402
     canonical_output,
     failed,
     leak_scan,
+    nonempty,
     print_rows,
 )
 from repro.apps.matmul import matmul_input  # noqa: E402
 from repro.cluster import Testbed  # noqa: E402
 from repro.config import table1_cluster  # noqa: E402
-from repro.core import (  # noqa: E402
-    DataJob,
-    DistributedEngine,
-    DistributedJob,
-    SpeculationPolicy,
-)
+from repro.core import DataJob, DistributedEngine, DistributedJob  # noqa: E402
 from repro.errors import RETRIES  # noqa: E402
 from repro.exec import LocalMapReduce  # noqa: E402
 from repro.exec.outofcore import install_signal_cleanup  # noqa: E402
@@ -88,6 +84,7 @@ from repro.sched.health import DETECTION_BOUND  # noqa: E402
 from repro.tier import TieredStore  # noqa: E402
 from repro.units import MB  # noqa: E402
 from repro.workloads import ArrivalProcess, text_input  # noqa: E402
+from repro.workloads.keys import encrypted_input, keys_for  # noqa: E402
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -101,6 +98,13 @@ def _testbed(args: argparse.Namespace, n_sd: int, name: str,
         n = 256 if args.quick else 512
         inp = matmul_input(f"/data/{name}", n, payload_n=32, seed=args.seed)
         params = {"n": n}
+    elif app == "stringmatch":
+        keys = tuple(keys_for(4, seed=args.seed))
+        inp, _, _ = encrypted_input(
+            f"/data/{name}", text_size, payload_bytes=6_000, keys=list(keys),
+            seed=args.seed,
+        )
+        params = {"keys": keys}
     else:
         inp = text_input(
             f"/data/{name}", text_size, payload_bytes=6_000, seed=args.seed,
@@ -135,7 +139,7 @@ def _replay_rows(plan: FaultPlan, baseline, chaos, again, note: str):
         f"{r.site}:{r.action}" for i, r in enumerate(plan.rules) if i not in hit
     ]
     return (
-        ("output identical", output == baseline, note),
+        ("output identical", output == baseline and nonempty(baseline), note),
         ("all rules fired", not missing,
          f"fired {fired}" + (f", missing {missing}" if missing else "")),
         ("injection reproducible",
@@ -255,7 +259,8 @@ def _served_rows(report, baseline: bytes, against: str) -> list:
          not report.failed and report.admitted == len(report.completed),
          f"{len(report.completed)} completed, {len(report.failed)} failed, "
          f"{len(report.rejected)} rejected at admission"),
-        ("outputs identical", not mismatched and len(report.completed) > 0,
+        ("outputs identical",
+         not mismatched and len(report.completed) > 0 and nonempty(baseline),
          f"{len(report.completed)} outputs vs {against}"),
     ]
 
@@ -365,11 +370,11 @@ DIST_TIMEOUT = 5.0
 
 
 def _dist_run(args: argparse.Namespace, app: str, timeout: float,
-              kill=None, plan=None, **engine_kw):
+              kill=None, plan=None):
     """One job through ``DistributedEngine`` on a fresh 4-SD testbed.
 
     ``kill`` is a ``(node, at)`` daemon kill, ``plan`` a fault plan.
-    Returns ``(result, engine, bed, injector)``.
+    Returns ``(result, bed, injector)``.
     """
     bed, inp, sd_path, params = _testbed(
         args, 4, f"d-{app}", app, MB(40) if args.quick else MB(100),
@@ -379,10 +384,10 @@ def _dist_run(args: argparse.Namespace, app: str, timeout: float,
         fragment_bytes=None if app == "matmul" else (inp.size + 3) // 4,
     )
     injector = bed.sim.install_faults(plan) if plan is not None else None
-    eng = DistributedEngine(bed.cluster, **engine_kw)
+    eng = DistributedEngine(bed.cluster)
     if kill is not None:
         _kill(bed, *kill)
-    return bed.run(eng.run(job, timeout=timeout)), eng, bed, injector
+    return bed.run(eng.run(job, timeout=timeout)), bed, injector
 
 
 def _stale_shuffle_dirs(bed, final_id: str) -> list:
@@ -411,24 +416,27 @@ def dist_case(args: argparse.Namespace, app: str):
     :func:`distributed_chaos_plan` (every transfer fault must be
     absorbed by the bounded in-place retry — no restart at all).
     """
-    clean, _, _, _ = _dist_run(args, app, SIM_TIMEOUT)
+    clean, _, _ = _dist_run(args, app, SIM_TIMEOUT)
     baseline = canonical_output(app, clean.output)
     victim = clean.merge_node
     kill_at = clean.timeline["map_done"] + 1e-3
-    chaos, eng, bed, _ = _dist_run(args, app, DIST_TIMEOUT, kill=(victim, kill_at))
+    chaos, bed, _ = _dist_run(args, app, DIST_TIMEOUT, kill=(victim, kill_at))
+    restarts = chaos.recovery["partial_restarts"]
     stale = _stale_shuffle_dirs(bed, chaos.job_id)
     first = min(chaos.recovery["failures"], key=lambda f: f["at"])
     detected = first["at"] - kill_at
     plan = distributed_chaos_plan(args.seed)
-    absorbed, eng2, _, injector = _dist_run(args, app, SIM_TIMEOUT, plan=plan)
+    absorbed, _, injector = _dist_run(args, app, SIM_TIMEOUT, plan=plan)
+    absorbed_restarts = absorbed.recovery["partial_restarts"]
 
     rows = [
-        ("output identical", canonical_output(app, chaos.output) == baseline,
+        ("output identical",
+         canonical_output(app, chaos.output) == baseline and nonempty(baseline),
          f"{len(baseline)} bytes after killing {victim} at "
          f"t={kill_at:.3f}s"),
         ("partial restart, same attempt",
-         eng.partial_restarts >= 1 and chaos.merge_node != victim,
-         f"{eng.partial_restarts} partial restart(s), merge moved to "
+         restarts >= 1 and chaos.merge_node != victim,
+         f"{restarts} partial restart(s), merge moved to "
          f"{chaos.merge_node}"),
         ("dead node's artifacts reused, no re-map",
          victim in chaos.shard_nodes
@@ -441,10 +449,10 @@ def dist_case(args: argparse.Namespace, app: str):
          f"(NodeDownError <= {DETECTION_BOUND:.2f}s)"),
         ("no shuffle dirs leaked", not stale, f"{stale or 'clean'}"),
         ("shuffle faults absorbed in place",
-         eng2.partial_restarts == 0
+         absorbed_restarts == 0
          and canonical_output(app, absorbed.output) == baseline
          and injector.injections >= len(plan.rules),
-         f"fired {injector.fired_by_site()}, {eng2.partial_restarts} restarts"),
+         f"fired {injector.fired_by_site()}, {absorbed_restarts} restarts"),
     ]
     return rows, bed.sim.obs, {"killed": victim, "kill_at": kill_at}
 
@@ -459,76 +467,45 @@ def dist_kill_exchange_case(args: argparse.Namespace):
     transfer on replay).
     """
     app = "wordcount"
-    clean, _, _, _ = _dist_run(args, app, SIM_TIMEOUT)
+    clean, _, _ = _dist_run(args, app, SIM_TIMEOUT)
     baseline = canonical_output(app, clean.output)
     owners = [n for n in clean.reduce_nodes.values() if n != clean.merge_node]
     victim = owners[0] if owners else clean.merge_node
     kill_at = (clean.timeline["map_done"] + clean.timeline["exchange_done"]) / 2
-    chaos, eng, bed, _ = _dist_run(args, app, DIST_TIMEOUT, kill=(victim, kill_at))
+    chaos, bed, _ = _dist_run(args, app, DIST_TIMEOUT, kill=(victim, kill_at))
+    restarts = chaos.recovery["partial_restarts"]
     stale = _stale_shuffle_dirs(bed, chaos.job_id)
     # corrupted artifact: persistent on-disk damage, repaired in place
-    repaired, eng2, _, injector = _dist_run(
+    repaired, _, injector = _dist_run(
         args, app, SIM_TIMEOUT, plan=recovery_chaos_plan(args.seed),
     )
+    repaired_restarts = repaired.recovery["partial_restarts"]
 
     def identical(res) -> bool:
-        return canonical_output(app, res.output) == baseline
+        return canonical_output(app, res.output) == baseline and nonempty(baseline)
 
     rows = [
         ("output identical", identical(chaos),
          f"{len(baseline)} bytes after killing {victim} at "
          f"t={kill_at:.3f}s"),
         ("partial restart, same attempt",
-         eng.partial_restarts >= 1
+         restarts >= 1
          and victim not in chaos.reduce_nodes.values()
          and chaos.merge_node != victim
          and victim in chaos.shard_nodes,
-         f"{eng.partial_restarts} partial restarts, dead mapper's artifact "
+         f"{restarts} partial restarts, dead mapper's artifact "
          f"reused, reduce moved to "
          f"{sorted(set(chaos.reduce_nodes.values()))}"),
         ("corrupt artifact repaired in place",
          identical(repaired)
-         and eng2.partial_restarts >= 1
+         and repaired_restarts >= 1
          and repaired.recovery["dedup_transfers"] >= 1
          and injector.fired_by_site().get("shuffle.artifact", 0) >= 1,
-         f"{eng2.partial_restarts} partial restarts, "
+         f"{repaired_restarts} partial restarts, "
          f"{repaired.recovery['dedup_transfers']} transfers deduped"),
         ("no shuffle dirs leaked", not stale, f"{stale or 'clean'}"),
     ]
     return rows, bed.sim.obs, {"killed": victim, "kill_at": kill_at}
-
-
-def dist_straggler_case(args: argparse.Namespace):
-    """Stall one map dispatch; speculation outruns the straggler."""
-    app = "wordcount"
-    clean, _, _, _ = _dist_run(args, app, SIM_TIMEOUT)
-    baseline = canonical_output(app, clean.output)
-    victim = clean.shard_nodes[0]
-    stall = max(4.0 * clean.timeline["map_done"], 1.0)
-    chaos, eng, bed, _ = _dist_run(
-        args, app, SIM_TIMEOUT,
-        plan=FaultPlan(rules=(
-            FaultRule("fam.dispatch", action="delay", count=1, delay=stall,
-                      where={"module": "dist_map", "node": victim}),
-        ), seed=args.seed),
-        speculation=SpeculationPolicy(multiplier=1.3, min_wait=0.02),
-    )
-    spec = chaos.recovery["speculation"]
-    rows = [
-        ("output identical", canonical_output(app, chaos.output) == baseline,
-         f"{len(baseline)} bytes with {victim} stalled {stall:.2f}s"),
-        ("speculation launched and won",
-         spec["launched"] >= 1 and spec["won"] >= 1,
-         f"launched {spec['launched']}, won {spec['won']}, "
-         f"cancelled {spec['cancelled']}"),
-        ("no restarts", eng.partial_restarts == 0,
-         f"{eng.partial_restarts} restarts"),
-        ("straggler off the critical path",
-         chaos.elapsed < clean.elapsed + stall,
-         f"{chaos.elapsed:.3f}s vs clean {clean.elapsed:.3f}s + "
-         f"stall {stall:.2f}s"),
-    ]
-    return rows, bed.sim.obs, {"victim": victim, "stall": stall}
 
 
 # -- real-engine cases -------------------------------------------------------
@@ -704,7 +681,6 @@ def cases(apps: list[str]) -> list[tuple]:
         *((f"dist:kill-shard:{app}", f"dist-{app}",
            functools.partial(dist_case, app=app)) for app in apps),
         ("dist:kill-exchange", "dist-kill-exchange", dist_kill_exchange_case),
-        ("dist:straggler", "dist-straggler", dist_straggler_case),
         ("sched:flaky-heartbeat", "sched-flaky-heartbeat",
          sched_flaky_heartbeat_case),
         ("engine:wordcount", "engine", engine_case),

@@ -32,9 +32,9 @@ Reads either export format (Chrome-trace/Perfetto JSON or JSONL, see
   ``shuffle.exchange`` leg itself lands on the job's ``dist:*`` track, so
   ``critpath --containment --root dist.job`` shows the exchange on the
   critical path when it dominates) and recovery (partial restarts,
-  deduped transfers, speculation launches with the win rate,
-  node quarantine/probation/rejoin transitions, and per-node suspicion
-  sparklines from the ``node.suspicion.<name>`` series);
+  deduped transfers, node quarantine/probation/rejoin transitions, and
+  per-node suspicion sparklines from the ``node.suspicion.<name>``
+  series);
 * a scheduler section (queue depth over time from the
   ``sched.queue_depth`` series, admissions/rejections, host placements
   and the input bytes they pull over NFS, per-tenant completions, cache
@@ -82,7 +82,7 @@ from repro.obs.export import (  # noqa: E402
 COUNTER_SECTIONS = (
     ("reliability counters", ("fault.", "retry.", "pool.")),
     ("distributed shuffle", ("shuffle.", "dist.")),
-    ("recovery", ("dist.restart", "dist.transfer.", "spec.", "node.")),
+    ("recovery", ("dist.restart", "dist.transfer.", "node.")),
 )
 
 
@@ -316,12 +316,9 @@ def scheduler_view(metrics: dict, series: dict) -> str:
     return "\n".join(lines)
 
 
-def recovery_lines(counters: dict, series: dict) -> list[str]:
-    """The speculation win rate and per-node phi suspicion sparklines."""
+def recovery_lines(series: dict) -> list[str]:
+    """Per-node phi suspicion sparklines."""
     lines = []
-    launched, won = counters.get("spec.launched", 0), counters.get("spec.won", 0)
-    if launched:
-        lines.append(f"speculation win rate: {won / launched:.0%} ({int(won)}/{int(launched)})")
     for name, s in sorted((series or {}).items()):
         if not name.startswith("node.suspicion."):
             continue
@@ -369,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     metrics = load_metrics(args.trace)
     series = load_series(args.trace)
     counters = metrics.get("counters") or {}
-    extra = {"recovery": recovery_lines(counters, series)}
+    extra = {"recovery": recovery_lines(series)}
     sections = [
         counter_view(title, rows, extra.get(title, ()))
         for title, rows in counter_sections(counters).items()
