@@ -1,6 +1,6 @@
 """Distributed single-job benchmark: one job sharded across N SD replicas.
 
-Two cases, both in simulated time (deterministic, seconds of wall clock):
+Three cases, all in simulated time (deterministic, seconds of wall clock):
 
 * **scaling** — the same single wordcount job run distributed over 1, 2
   and 4 SD replicas of the input (``Testbed.stage_replicated``), with the
@@ -16,10 +16,11 @@ Two cases, both in simulated time (deterministic, seconds of wall clock):
   compared on the assembled product matrix, whose blocking is the same
   global task grid by construction, and stringmatch, searching for four
   planted keys, on its per-key match totals).
-* **recovery** — a reduce-owning node is killed mid-exchange at 4
-  shards.  The output must be byte-identical, the job must recover by
-  partial restart, the first failure must be the failure detector's
-  ``NodeDownError`` within its bound of the kill
+* **recovery** — the merge node is killed midway between the end of the
+  map and the end of the gather at 4 shards (the one node whose death
+  after the map costs a pass).  The output must be byte-identical, the
+  job must recover by partial restart, the first failure must be the
+  failure detector's ``NodeDownError`` within its bound of the kill
   (:data:`~repro.sched.health.DETECTION_BOUND`), and the time from the
   kill to the job's end, less that bound, must be <= 0.5x the clean run.
   A second scenario kills an SD daemon mid-attempt under a
@@ -60,8 +61,8 @@ SCALE_GATES = {2: 1.6, 4: 2.5}
 #: the 1-shard distributed run may cost at most this fraction over the
 #: plain single-node partitioned engine (the plane's fixed overhead)
 WIDTH1_OVERHEAD_GATE = 0.05
-#: after one mid-exchange node kill at 4 shards, kill -> done minus the
-#: detector's bound may be at most this fraction of the clean run
+#: after one mid-gather kill of the merge node at 4 shards, kill -> done
+#: minus the detector's bound may be at most this fraction of the clean run
 RECOVERY_GATE = 0.5
 
 #: generous per-job deadline for runs where nothing dies
@@ -162,7 +163,6 @@ def scaling_case(quick: bool = False) -> dict:
             "speedup_vs_x1": round(speedup, 3),
             "shuffle_bytes": res.shuffle_bytes,
             "shuffle_transfers": res.shuffle_transfers,
-            "n_partitions": res.n_partitions,
             "merge_node": res.merge_node,
             "identical": canonical_output("wordcount", res.output) == canon,
         })
@@ -279,18 +279,17 @@ def _rejoin_demo() -> dict:
 
 
 def recovery_case(quick: bool = False) -> dict:
-    """One node dies mid-exchange at 4 shards: byte-identical output by
-    partial restart, detected by the failure detector, with kill -> done
+    """The merge node dies mid-gather at 4 shards: byte-identical output
+    by partial restart, detected by the failure detector, with kill -> done
     less the detector's bound <= ``RECOVERY_GATE`` of the clean run; plus
     the rejoin demonstration: kill mid-attempt -> re-queue at detection ->
     probation -> rejoin."""
     clean = _run_dist("wordcount", quick, 4)
     canon = canonical_output("wordcount", clean.output)
-    # a reduce owner that is not the merge node: its partition must be
-    # re-reduced on a survivor, so the engine does real recovery work
-    owners = [n for n in clean.reduce_nodes.values() if n != clean.merge_node]
-    victim = owners[0] if owners else clean.merge_node
-    kill_at = (clean.timeline["map_done"] + clean.timeline["exchange_done"]) / 2
+    # the merge node: the gather and merge must move to a survivor, so the
+    # engine does real recovery work (a dead mapper's parts stay readable)
+    victim = clean.merge_node
+    kill_at = (clean.timeline["map_done"] + clean.timeline["gather_done"]) / 2
     res = _run_dist("wordcount", quick, 4, (victim, kill_at))
     first = min(res.recovery["failures"], key=lambda f: f["at"])
     detect = first["at"]

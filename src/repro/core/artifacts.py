@@ -1,8 +1,8 @@
 """Durable shuffle artifacts and the per-attempt recovery manifest.
 
-Partial shard restart (ISSUE 9) turns every intermediate the distributed
-engine materializes — map partition buckets, reduced partitions, gathered
-merge inputs — into a *shuffle artifact*: a crc32-framed blob in the
+Partial shard restart turns every intermediate the distributed engine
+materializes — per-fragment map outputs and their copies gathered at the
+merge node — into a *shuffle artifact*: a crc32-framed blob in the
 attempt's shuffle directory, registered in an :class:`AttemptManifest`.
 When a shard dies mid-job the engine consults the manifest and re-runs
 only the work whose artifacts were lost, instead of re-planning the whole
@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import struct
-import typing as _t
 import zlib
 
 from repro.errors import ShuffleArtifactError
@@ -44,12 +43,7 @@ def pack_artifact(obj: object) -> bytes:
     return FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def unpack_artifact(
-    blob: bytes,
-    path: str = "",
-    shard: int | None = None,
-    partition: int | None = None,
-) -> object:
+def unpack_artifact(blob: bytes, path: str = "", shard: int | None = None) -> object:
     """Verify and unpickle a framed artifact.
 
     Raises :class:`ShuffleArtifactError` on a short frame, a length
@@ -58,20 +52,18 @@ def unpack_artifact(
     """
     if len(blob) < FRAME.size:
         raise ShuffleArtifactError(
-            path, shard=shard, partition=partition,
+            path, shard=shard,
             detail=f"short frame ({len(blob)} B < {FRAME.size} B header)",
         )
     length, crc = FRAME.unpack_from(blob)
     payload = blob[FRAME.size:]
     if len(payload) != length:
         raise ShuffleArtifactError(
-            path, shard=shard, partition=partition,
+            path, shard=shard,
             detail=f"length mismatch (header {length}, payload {len(payload)})",
         )
     if zlib.crc32(payload) != crc:
-        raise ShuffleArtifactError(
-            path, shard=shard, partition=partition, detail="crc32 mismatch",
-        )
+        raise ShuffleArtifactError(path, shard=shard, detail="crc32 mismatch")
     return pickle.loads(payload)
 
 
@@ -89,28 +81,20 @@ class MapArtifact:
 
     shard_index: int
     node: str
-    #: exchange kind: partition id -> {"path", "bytes", "entries"}
-    partitions: dict[int, dict]
-    #: map-only kind: [{"index", "path", "bytes"}, ...] global output parts
+    #: [{"index", "path", "bytes"}, ...], one per global fragment output
     parts: list[dict]
-    entries: int
 
 
 class AttemptManifest:
     """Every durable intermediate of one attempt, keyed for invalidation.
 
-    ``received`` keys are ``(owner, shard_index, partition)`` — the dedup
-    id for exchange transfers: a re-run of the (deterministic) producing
-    shard regenerates byte-identical buckets, so a copy that already
-    landed at its reduce owner never needs re-shipping.  ``gathered``
-    keys are ``(merge_node, "p"|"part", index)`` for merge-input legs.
+    ``maps`` holds each shard's committed fragment outputs; ``gathered``
+    keys are ``(merge_node, fragment_index)`` for the legs that copied a
+    fragment output to the merge node.
     """
 
     def __init__(self) -> None:
         self.maps: dict[int, MapArtifact] = {}
-        self.received: dict[tuple, str] = {}
-        #: partition -> {"path", "bytes", "entries", "node"}
-        self.reduced: dict[int, dict] = {}
         self.gathered: dict[tuple, str] = {}
 
     # -- registration -----------------------------------------------------------
@@ -120,12 +104,7 @@ class AttemptManifest:
         self.maps[shard_index] = MapArtifact(
             shard_index=shard_index,
             node=node,
-            partitions={
-                int(p): dict(info)
-                for p, info in (result.get("partitions") or {}).items()
-            },
             parts=[dict(part) for part in (result.get("parts") or [])],
-            entries=int(result.get("entries") or 0),
         )
 
     # -- invalidation -----------------------------------------------------------
@@ -136,76 +115,38 @@ class AttemptManifest:
         A kill crashes the smartFAM daemon, not the SD disk: the export
         stays host-readable (``revive`` brings the daemon back over the
         same filesystem), so committed map artifacts on the dead node are
-        KEPT — the exchange replays them through host-driven transfers,
-        and every read re-verifies the crc32 frame.  What is dropped is
-        the daemon's derived working state held there — received exchange
-        copies, reduced partitions and gathered merge legs — which is
-        conservatively re-derived on survivors, since reduce/merge must
-        re-run on a node with a live daemon anyway.
-
-        Copies of buckets that already reached live reduce owners are
-        also kept — they were received intact, and a deterministic re-map
-        regenerates identical bytes, so they stay valid (and dedupable)
-        sources.
+        KEPT — the gather replays them through host-driven transfers, and
+        every read re-verifies the crc32 frame.  What is dropped is the
+        legs gathered *to* the node, since the merge must re-run on a node
+        with a live daemon anyway.
         """
-        for key in [k for k in self.received if k[0] == node]:
-            del self.received[key]
-        for p in [p for p, info in self.reduced.items() if info["node"] == node]:
-            self.invalidate_reduced(p)
         for key in [k for k in self.gathered if k[0] == node]:
             del self.gathered[key]
 
     def invalidate_shard(self, shard_index: int) -> None:
-        """Drop a shard's map artifact and every copy derived from it."""
+        """Drop a shard's map artifact and every copy gathered from it."""
         art = self.maps.pop(shard_index, None)
-        for key in [k for k in self.received if k[1] == shard_index]:
-            del self.received[key]
         if art is not None:
-            # map-only outputs gathered toward a merge node
             part_ids = {int(part["index"]) for part in art.parts}
-            for key in [
-                k for k in self.gathered
-                if k[1] == "part" and k[2] in part_ids
-            ]:
+            for key in [k for k in self.gathered if k[1] in part_ids]:
                 del self.gathered[key]
-
-    def invalidate_reduced(self, partition: int) -> None:
-        """Drop one reduced partition and its gathered merge-input legs."""
-        self.reduced.pop(partition, None)
-        for key in [
-            k for k in self.gathered if k[1] == "p" and k[2] == partition
-        ]:
-            del self.gathered[key]
 
     def invalidate_artifact(self, exc: ShuffleArtifactError) -> None:
         """Targeted invalidation for one corrupt frame.
 
-        A corrupt reduced partition needs only that partition re-reduced;
-        anything else (a map bucket, an rx copy, a map-only part) traces
-        back to its producing shard, whose deterministic re-map replaces
-        the whole derived family.
+        A fragment output (or its gathered copy) traces back to its
+        producing shard, whose deterministic re-map replaces the whole
+        derived family.
         """
-        name = exc.path.rsplit("/", 1)[-1]
-        if name.startswith("red.p") and exc.partition is not None:
-            self.invalidate_reduced(int(exc.partition))
-        elif exc.shard is not None:
+        if exc.shard is not None:
             self.invalidate_shard(int(exc.shard))
-        elif exc.partition is not None:
-            self.invalidate_reduced(int(exc.partition))
         else:
             # no attribution: rebuild the attempt's durable state wholesale
             self.maps.clear()
-            self.received.clear()
-            self.reduced.clear()
             self.gathered.clear()
 
     # -- introspection ----------------------------------------------------------
 
     def summary(self) -> dict:
         """Counts per category (for spans and failure breakdowns)."""
-        return {
-            "maps": len(self.maps),
-            "received": len(self.received),
-            "reduced": len(self.reduced),
-            "gathered": len(self.gathered),
-        }
+        return {"maps": len(self.maps), "gathered": len(self.gathered)}

@@ -7,32 +7,31 @@ blocks-per-node model: the input is staged *replicated* on every SD node
 of nodes can run any subset of the work — which is also what makes
 fine-grained recovery on the survivors possible after a shard node dies.
 
-One distributed run has four phases:
+One distributed run is the extended runtime's Fig 6 flow (partition ->
+MapReduce per fragment -> user merge) spread over the SDs, in four
+phases:
 
 1. **plan** — the host peeks the replica payload (content never leaves
    the SD; the planner needs only boundaries) and cuts the declared input
    into integrity-checked fragments
    (:func:`~repro.partition.partitioner.plan_fragments`, the Fig 7
    check), assigning contiguous fragment runs to shard nodes;
-2. **map** — every shard node runs map + combine over its local
-   fragments via its own smartFAM channel (``dist_map``), persists its
-   intermediate data *partitioned by the crc32 shuffle hash*
-   (:func:`~repro.phoenix.sort.partition_decorated`) as crc32-framed
-   shuffle artifacts under ``/export/shuffle/<job>/``, and returns only
-   per-partition metadata;
-3. **exchange** — each partition is routed to the shard node already
-   holding the most bytes of it (minimum transfer); the other shards'
-   buckets cross the simulated fabric (``kind="shuffle"``), with byte
-   accounting and fault hooks at the ``shuffle.exchange`` site;
-4. **reduce/merge** — partition owners reduce their merged runs
-   (``dist_reduce``); the reduced partitions gather at the owner holding
-   the most reduced bytes (again minimum transfer), where ``dist_merge``
-   applies the user merge function and returns the final output.
+2. **map** — every shard node runs each of its fragments through the
+   plain Phoenix runtime via its own smartFAM channel (``dist_map``) and
+   persists each fragment's output as a crc32-framed shuffle artifact
+   under ``/export/shuffle/<job>/``, returning only metadata;
+3. **gather** — the fragment outputs gather at the node already holding
+   the most of their bytes (minimum transfer); the others cross the
+   simulated fabric (``kind="shuffle"``), with byte accounting and fault
+   hooks at the ``shuffle.exchange`` site;
+4. **merge** — ``dist_merge`` applies the app's merge function over the
+   outputs in global fragment order and returns the final output.
 
-Map-only applications (String Match) skip the partition exchange: the
-per-fragment outputs gather directly at the minimum-transfer node and
-concatenate in global fragment order — byte-identical to the single-node
-extended runtime by construction, because the fragment plan is the same.
+Because the fragment plan is the single-node partitioned run's, every
+output equals that run's by construction, at every width.  An app whose
+own split function shards a non-byte payload (matmul) maps each shard's
+slice of the single-node task grid and reduces it locally, so its
+assembled answer is bitwise the single-node one.
 
 Recovery from faults is one loop of passes over an artifact
 manifest: every durable intermediate is registered in a
@@ -42,10 +41,11 @@ cluster's failure detector, or would start on a quarantined node
 (:class:`~repro.errors.NodeDownError`), or misses its invoke deadline
 evicts the shard node — the engine invalidates only what that node held,
 reassigns its shards to survivors, and re-runs exactly the missing work;
-exchange transfers already received at their owners are deduplicated by
-``(owner, shard, partition)`` id.  Any other transient failure (a
-corrupt artifact, a module crash, a transfer that used up its in-place
-retries) re-runs the missing work where it was.  When the pass budget
+gather legs that already landed are deduplicated by
+``(merge node, fragment)`` id.  Any other transient failure (a corrupt
+artifact, a module crash, a transfer that used up its in-place retries)
+re-runs the missing work where it was, except that a map shard whose
+module failed moves to another survivor.  When the pass budget
 runs out or no replicas remain, the engine removes the job's shuffle dir
 and raises
 :class:`~repro.errors.DistributedJobError` — retryable, so the cluster
@@ -104,8 +104,7 @@ class ShardFragment:
 
     ``p0``/``p1`` locate the fragment's slice inside the replica payload
     (-1 when the input carries no payload); ``index`` is the fragment's
-    position in the *global* plan, which fixes the gather order for
-    order-sensitive (map-only) outputs.
+    position in the *global* plan, which fixes the merge order.
     """
 
     size: int
@@ -132,9 +131,6 @@ class DistPlan:
     #: "bytes" (fragment plan over a byte payload) or "split" (the app's
     #: own split function shards a non-byte payload, e.g. matrix rows)
     kind: str
-    #: whether a cross-node partition exchange happens (reduce apps)
-    exchange: bool
-    n_partitions: int
     shards: list
     n_fragments: int
 
@@ -146,8 +142,7 @@ class DistributedJob:
     ``n_shards=None`` uses every available replica; ``fragment_bytes``
     fixes the global fragment plan (pass the same value to a single-node
     partitioned run to compare outputs byte for byte) and ``None`` picks
-    the runtime's memory-safe size, cut smaller so every shard gets work;
-    ``n_partitions=None`` defaults to one shuffle partition per shard.
+    the runtime's memory-safe size, cut smaller so every shard gets work.
     """
 
     app: str
@@ -155,7 +150,6 @@ class DistributedJob:
     input_size: int
     n_shards: int | None = None
     fragment_bytes: int | None = None
-    n_partitions: int | None = None
     params: dict = dataclasses.field(default_factory=dict)
     tenant: str = "default"
     #: control-plane compatibility (a distributed job is never pinned)
@@ -172,10 +166,7 @@ class DistributedResult:
     elapsed: float
     n_shards: int
     shard_nodes: list
-    #: partition index -> reduce owner ({} for map-only apps)
-    reduce_nodes: dict
     merge_node: str
-    n_partitions: int
     shuffle_bytes: int
     shuffle_transfers: int
     #: absolute sim times of phase completions (chaos windows key off this)
@@ -220,7 +211,6 @@ def plan_distribution(
     spec = spec_for_app(job.app, job.params)
     want = job.n_shards if job.n_shards is not None else len(nodes)
     n = max(1, min(int(want), len(nodes)))
-    exchange = spec.reduce_fn is not None
 
     if payload is not None and not isinstance(payload, (bytes, bytearray)):
         # Non-byte payloads (matmul's matrices) shard through the app's
@@ -236,14 +226,8 @@ def plan_distribution(
             )
             for i in range(n)
         ]
-        n_partitions = job.n_partitions if job.n_partitions is not None else len(shards)
         return DistPlan(
-            app=job.app,
-            kind="split",
-            exchange=exchange,
-            n_partitions=max(1, int(n_partitions)),
-            shards=shards,
-            n_fragments=len(shards),
+            app=job.app, kind="split", shards=shards, n_fragments=len(shards)
         )
 
     frag = job.fragment_bytes
@@ -287,15 +271,7 @@ def plan_distribution(
                 size=sum(f.size for f in chunk),
             )
         )
-    n_partitions = job.n_partitions if job.n_partitions is not None else len(shards)
-    return DistPlan(
-        app=job.app,
-        kind="bytes",
-        exchange=exchange,
-        n_partitions=max(1, int(n_partitions)),
-        shards=shards,
-        n_fragments=total,
-    )
+    return DistPlan(app=job.app, kind="bytes", shards=shards, n_fragments=total)
 
 
 class _ShardFailure(Exception):
@@ -309,7 +285,7 @@ class _ShardFailure(Exception):
 
 
 class DistributedEngine:
-    """Shard one job across the SD replica set and shuffle between nodes.
+    """Shard one job across the SD replica set and merge at one of them.
 
     Parameters
     ----------
@@ -475,7 +451,9 @@ class DistributedEngine:
         the manifest, and each failure is decided once.  A quarantine or a
         missed deadline evicts the node: what it held is invalidated and
         its shards move to survivors.  A corrupt artifact is invalidated
-        and rebuilt; any other transient failure reruns the missing work
+        and rebuilt.  A map shard that failed any other way moves to
+        another survivor (its node stays alive, so it can still hold parts
+        and merge); any other transient failure reruns the missing work
         where it was.
         Every pass draws on one budget; when it runs out, or no survivors
         remain, the failure propagates to :meth:`_run`.
@@ -489,7 +467,7 @@ class DistributedEngine:
             plan = plan_distribution(
                 job, payload, cand, first.memory.capacity, cluster.config.phoenix
             )
-            sp.set(shards=len(plan.shards), partitions=plan.n_partitions, kind=plan.kind)
+            sp.set(shards=len(plan.shards), kind=plan.kind)
         obs.count("dist.shards", len(plan.shards))
         shuffle_dir = f"/export/shuffle/{job_id}"
         rank = {name: i for i, name in enumerate(cand)}
@@ -506,9 +484,7 @@ class DistributedEngine:
             "input_path": job.input_path,
             "input_size": job.input_size,
             "kind": plan.kind,
-            "exchange": plan.exchange,
             "n_shards": len(plan.shards),
-            "n_partitions": plan.n_partitions,
             "total_fragments": plan.n_fragments,
             "shuffle_dir": shuffle_dir,
         }
@@ -548,6 +524,8 @@ class DistributedEngine:
                     self._reassign(assignment, alive, rank)
                 elif isinstance(cause, ShuffleArtifactError):
                     manifest.invalidate_artifact(cause)
+                elif fail.phase == "map" and len(alive) > 1:
+                    self._reassign(assignment, alive - {fail.node}, rank)
                 recovery["partial_restarts"] += 1
                 obs.count("dist.restart.partial")
         raise mark_retryable(
@@ -558,7 +536,8 @@ class DistributedEngine:
         )
 
     def _reassign(self, assignment: dict, alive: set, rank: dict) -> None:
-        """Move dead nodes' shards to the least-loaded survivors."""
+        """Move the shards of nodes outside ``alive`` to the least loaded
+        nodes in it."""
         load = {name: 0 for name in alive}
         for node in assignment.values():
             if node in load:
@@ -603,221 +582,52 @@ class DistributedEngine:
             timeline["map_done"] = sim.now
         timeline.setdefault("map_done", sim.now)
 
-        reduce_nodes: dict[int, str] = {}
+        # ---- gather fragment outputs in global order at the node already
+        # holding the most output bytes (minimum transfer)
+        all_parts = []
+        for i, art in manifest.maps.items():
+            for part in art.parts:
+                all_parts.append(
+                    (int(part["index"]), art.node, part["path"],
+                     int(part["bytes"]), i)
+                )
+        all_parts.sort()
+        local: dict[str, int] = {}
+        for _, nm, _, nbytes, _ in all_parts:
+            if nm in alive:  # dist_merge needs a live daemon
+                local[nm] = local.get(nm, 0) + nbytes
+        merge_node = (
+            max(local, key=lambda nm: (local[nm], -rank[nm]))
+            if local
+            else min(alive, key=lambda nm: rank[nm])
+        )
         parts_for_merge: list[dict] = []
-        if plan.exchange:
-            # ---- exchange: route each partition to its max-bytes owner,
-            # skipping partitions already reduced and copies already received
-            by_part: dict[int, dict[int, dict]] = {
-                p: {} for p in range(plan.n_partitions)
-            }
-            for i, art in manifest.maps.items():
-                for p, info in art.partitions.items():
-                    by_part[int(p)][i] = info
-            with obs.span(
-                "shuffle.exchange", cat="dist", track=track, force=True
-            ) as sp:
-                transfers = []
-                deduped = 0
-                for p in range(plan.n_partitions):
-                    srcs = by_part[p]
-                    if not srcs:
-                        continue
-                    already = manifest.reduced.get(p)
-                    if already is not None:
-                        reduce_nodes[p] = already["node"]
-                        continue
-                    per_node: dict[str, int] = {}
-                    for i, info in srcs.items():
-                        nm = manifest.maps[i].node
-                        per_node[nm] = per_node.get(nm, 0) + int(info["bytes"])
-                    # the owner runs dist_reduce, so it needs a live daemon;
-                    # dead nodes still count as transfer *sources* (their
-                    # disks stay host-readable)
-                    live = {nm: b for nm, b in per_node.items() if nm in alive}
-                    if live:
-                        owner = max(live, key=lambda nm: (live[nm], -rank[nm]))
-                    else:
-                        owner = min(alive, key=lambda nm: rank[nm])
-                    reduce_nodes[p] = owner
-                    for i in sorted(srcs):
-                        info = srcs[i]
-                        if manifest.maps[i].node == owner:
-                            continue
-                        key = (owner, i, p)
-                        dst = f"{shuffle_dir}/rx/p{p}.s{i}"
-                        if key in manifest.received:
-                            deduped += 1
-                            continue
-                        transfers.append(
-                            (
-                                manifest.maps[i].node,
-                                owner,
-                                info["path"],
-                                dst,
-                                max(1, int(info["bytes"])),
-                                p,
-                                key,
-                            )
-                        )
-                moved = yield from self._run_transfers(
-                    transfers, manifest.received, acc, "exchange"
-                )
-                if deduped:
-                    recovery["dedup_transfers"] += deduped
-                    obs.count("dist.transfer.dedup", deduped)
-                obs.count("shuffle.partitions", len(reduce_nodes))
-                sp.set(
-                    bytes=moved, transfers=len(transfers),
-                    partitions=len(reduce_nodes), deduped=deduped,
-                )
-            timeline["exchange_done"] = sim.now
-
-            # ---- reduce: each owner reduces its still-missing partitions
-            by_owner: dict[str, list[int]] = {}
-            for p, owner in sorted(reduce_nodes.items()):
-                if p not in manifest.reduced:
-                    by_owner.setdefault(owner, []).append(p)
-            total_entries = sum(a.entries for a in manifest.maps.values())
-            with obs.span("dist.reduce", cat="dist", track=track, force=True) as sp:
-                procs = []
-                for owner, parts in by_owner.items():
-                    pspecs = []
-                    for p in parts:
-                        sources = []
-                        for i in sorted(by_part[p]):
-                            info = by_part[p][i]
-                            path = (
-                                info["path"]
-                                if manifest.maps[i].node == owner
-                                else f"{shuffle_dir}/rx/p{p}.s{i}"
-                            )
-                            sources.append(
-                                {
-                                    "path": path,
-                                    "bytes": int(info["bytes"]),
-                                    "entries": int(info["entries"]),
-                                    "shard": i,
-                                    "partition": p,
-                                }
-                            )
-                        pspecs.append({"index": p, "sources": sources})
-                    params = dict(base, partitions=pspecs, total_entries=total_entries)
-                    procs.append(
-                        sim.spawn(
-                            self._invoke_on(
-                                owner, "dist_reduce", params, timeout, "reduce"
-                            ),
-                            name=f"dist-reduce:{owner}",
-                        )
-                    )
-                if procs:
-                    gathered = yield sim.all_of(procs)
-                    failure: _ShardFailure | None = None
-                    # register every success before raising, so the failed
-                    # owner's partitions are the only ones re-reduced
-                    for proc in procs:
-                        node_name, ok, value = gathered[proc]
-                        if ok:
-                            for p, info in (value.get("partitions") or {}).items():
-                                manifest.reduced[int(p)] = dict(info, node=node_name)
-                        elif failure is None:
-                            failure = _ShardFailure(node_name, value, phase="reduce")
-                    if failure is not None:
-                        raise failure
-                sp.set(partitions=len(manifest.reduced), owners=len(by_owner))
-            timeline["reduce_done"] = sim.now
-
-            # ---- merge placement: the owner holding the most reduced bytes
-            reduced = manifest.reduced
-            if reduced:
-                local: dict[str, int] = {}
-                for info in reduced.values():
-                    local[info["node"]] = local.get(info["node"], 0) + int(info["bytes"])
-                merge_node = max(local, key=lambda nm: (local[nm], -rank[nm]))
+        transfers = []
+        deduped = 0
+        for gi, nm, path, nbytes, i in all_parts:
+            if nm == merge_node:
+                parts_for_merge.append({"path": path, "bytes": nbytes, "shard": i})
             else:
-                merge_node = min(alive, key=lambda nm: rank[nm])
-            gather = []
-            for p in sorted(reduced):
-                info = reduced[p]
-                if info["node"] == merge_node:
-                    parts_for_merge.append(
-                        {"path": info["path"], "bytes": int(info["bytes"]),
-                         "partition": p}
-                    )
+                dst = f"{shuffle_dir}/final/part{gi}"
+                key = (merge_node, gi)
+                if key in manifest.gathered:
+                    deduped += 1
                 else:
-                    dst = f"{shuffle_dir}/final/p{p}"
-                    key = (merge_node, "p", p)
-                    if key not in manifest.gathered:
-                        gather.append(
-                            (
-                                info["node"],
-                                merge_node,
-                                info["path"],
-                                dst,
-                                max(1, int(info["bytes"])),
-                                p,
-                                key,
-                            )
-                        )
-                    parts_for_merge.append(
-                        {"path": dst, "bytes": int(info["bytes"]), "partition": p}
+                    transfers.append(
+                        (nm, merge_node, path, dst, max(1, nbytes), gi, key)
                     )
-            if gather:
-                with obs.span(
-                    "shuffle.gather", cat="dist", track=track, force=True
-                ) as sp:
-                    moved = yield from self._run_transfers(
-                        gather, manifest.gathered, acc, "gather"
-                    )
-                    sp.set(bytes=moved, transfers=len(gather))
-        else:
-            # ---- map-only: gather fragment outputs in global order at the
-            # node already holding the most output bytes (minimum transfer)
-            all_parts = []
-            for i, art in manifest.maps.items():
-                for part in art.parts:
-                    all_parts.append(
-                        (int(part["index"]), art.node, part["path"],
-                         int(part["bytes"]), i)
-                    )
-            all_parts.sort()
-            local = {}
-            for _, nm, _, nbytes, _ in all_parts:
-                if nm in alive:  # dist_merge needs a live daemon
-                    local[nm] = local.get(nm, 0) + nbytes
-            merge_node = (
-                max(local, key=lambda nm: (local[nm], -rank[nm]))
-                if local
-                else min(alive, key=lambda nm: rank[nm])
+                parts_for_merge.append({"path": dst, "bytes": nbytes, "shard": i})
+        with obs.span(
+            "shuffle.exchange", cat="dist", track=track, force=True
+        ) as sp:
+            moved = yield from self._run_transfers(
+                transfers, manifest.gathered, acc
             )
-            transfers = []
-            deduped = 0
-            for gi, nm, path, nbytes, i in all_parts:
-                if nm == merge_node:
-                    parts_for_merge.append({"path": path, "bytes": nbytes, "shard": i})
-                else:
-                    dst = f"{shuffle_dir}/final/part{gi}"
-                    key = (merge_node, "part", gi)
-                    if key in manifest.gathered:
-                        deduped += 1
-                    else:
-                        transfers.append(
-                            (nm, merge_node, path, dst, max(1, nbytes), gi, key)
-                        )
-                    parts_for_merge.append({"path": dst, "bytes": nbytes, "shard": i})
-            with obs.span(
-                "shuffle.exchange", cat="dist", track=track, force=True
-            ) as sp:
-                moved = yield from self._run_transfers(
-                    transfers, manifest.gathered, acc, "exchange"
-                )
-                if deduped:
-                    recovery["dedup_transfers"] += deduped
-                    obs.count("dist.transfer.dedup", deduped)
-                sp.set(bytes=moved, transfers=len(transfers), partitions=0)
-            timeline["exchange_done"] = sim.now
-            timeline["reduce_done"] = sim.now
+            if deduped:
+                recovery["dedup_transfers"] += deduped
+                obs.count("dist.transfer.dedup", deduped)
+            sp.set(bytes=moved, transfers=len(transfers))
+        timeline["gather_done"] = sim.now
 
         # ---- final merge at the minimum-transfer node
         with obs.span(
@@ -845,9 +655,7 @@ class DistributedEngine:
                 else assignment[s.index]
                 for s in plan.shards
             ],
-            reduce_nodes=reduce_nodes,
             merge_node=merge_node,
-            n_partitions=plan.n_partitions,
             shuffle_bytes=acc["bytes"],
             shuffle_transfers=acc["transfers"],
             timeline=timeline,
@@ -937,12 +745,12 @@ class DistributedEngine:
             self.inflight_ops[node_name] -= ops
 
     def _run_transfers(
-        self, transfers: list[tuple], landed: dict, acc: dict, phase: str
+        self, transfers: list[tuple], landed: dict, acc: dict
     ) -> _t.Generator:
-        """Run exchange transfers concurrently; returns delivered bytes.
+        """Run gather transfers concurrently; returns delivered bytes.
 
         ``transfers`` are ``(src, dst, src_path, dst_path, nbytes,
-        partition, key)``.  Every transfer that lands is registered as
+        part, key)``.  Every transfer that lands is registered as
         ``landed[key] = dst_path`` and counted in ``acc`` — also when
         another one fails, so the rerun ships only the lost ones.  A
         transfer that used up its in-place retries fails the pass.
@@ -964,7 +772,7 @@ class DistributedEngine:
                 landed[t[6]] = t[3]
                 acc["transfers"] += 1
             elif failure is None:
-                failure = _ShardFailure(t[1], value, phase=phase)
+                failure = _ShardFailure(t[1], value, phase="gather")
         acc["bytes"] += moved
         if failure is not None:
             raise failure
@@ -977,11 +785,12 @@ class DistributedEngine:
         src_path: str,
         dst_path: str,
         nbytes: int,
-        partition: int,
+        part: int,
     ) -> _t.Generator:
-        """One partition-exchange leg: SD disk read -> fabric -> SD disk write.
+        """One gather leg of fragment output ``part``: SD disk read ->
+        fabric -> SD disk write.
 
-        Fault site ``shuffle.exchange`` (ctx: src, dst, partition, nbytes):
+        Fault site ``shuffle.exchange`` (ctx: src, dst, part, nbytes):
         *fail*/*drop*/*corrupt* cost a bounded in-place retry (then the pass),
         *delay* adds latency before the payload lands.  Returns
         ``(True, bytes)`` or ``(False, exc)`` — never raises, so a batch
@@ -997,18 +806,17 @@ class DistributedEngine:
             decision = None
             if inj is not None:
                 decision = inj.check(
-                    "shuffle.exchange", src=src, dst=dst,
-                    partition=partition, nbytes=nbytes,
+                    "shuffle.exchange", src=src, dst=dst, part=part, nbytes=nbytes,
                 )
             try:
                 with obs.span(
                     "shuffle.transfer", cat="dist", track=src,
-                    partition=partition, bytes=nbytes, dst=dst,
+                    part=part, bytes=nbytes, dst=dst,
                 ):
                     if decision is not None and decision.action in ("fail", "kill"):
                         raise mark_retryable(
                             NetworkError(
-                                f"injected shuffle fault {src}->{dst} p{partition}"
+                                f"injected shuffle fault {src}->{dst} part{part}"
                             )
                         )
                     if decision is not None and decision.action == "delay":
@@ -1021,7 +829,7 @@ class DistributedEngine:
                         # landed intact — retry ships it again
                         raise mark_retryable(
                             NetworkError(
-                                f"shuffle payload lost {src}->{dst} p{partition}"
+                                f"shuffle payload lost {src}->{dst} part{part}"
                             )
                         )
                     dst_node.fs.vfs.mkdir(

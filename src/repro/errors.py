@@ -340,33 +340,21 @@ class ShuffleArtifactError(OffloadError):
     Transient: map shards are deterministic, so the distributed engine
     invalidates the corrupt artifact in the job's manifest and rebuilds
     exactly the lost pieces (a partial restart), giving the job up only
-    when its recovery-pass budget is exhausted.  ``shard`` and
-    ``partition`` attribute the frame back to its producer when known.
+    when its recovery-pass budget is exhausted.  ``shard`` attributes the
+    frame back to its producer when known.
     """
 
     retryable = True
 
-    def __init__(
-        self,
-        path: str,
-        shard: int | None = None,
-        partition: int | None = None,
-        detail: str = "",
-    ):
-        where = ", ".join(
-            f"{label} {value}"
-            for label, value in (("shard", shard), ("partition", partition))
-            if value is not None
-        )
+    def __init__(self, path: str, shard: int | None = None, detail: str = ""):
         super().__init__(
             f"shuffle artifact {path!r}"
-            + (f" ({where})" if where else "")
+            + (f" (shard {shard})" if shard is not None else "")
             + " failed its crc32 frame check"
             + (f": {detail}" if detail else "")
         )
         self.path = path
         self.shard = shard
-        self.partition = partition
 
 
 class DistributedJobError(OffloadError):

@@ -53,11 +53,11 @@ site                      hook
                           (run), which the engine reaches through
                           ``run_out_of_core``'s block reader
 ``shuffle.exchange``      :class:`repro.core.distributed.DistributedEngine`
-                          partition transfer (src, dst, partition,
-                          nbytes); fail/drop cost one bounded in-place
-                          retry, delay adds wire latency
+                          gather transfer (src, dst, part, nbytes);
+                          fail/drop cost one bounded in-place retry,
+                          delay adds wire latency
 ``shuffle.artifact``      :mod:`repro.smartfam.distmod` durable shuffle
-                          frames (node, op, shard, partition, path);
+                          frames (node, op, shard, part, path);
                           *corrupt* on ``op="write"`` flips framed bytes
                           on disk (caught later by the reader's crc),
                           fail/drop/corrupt on ``op="read"`` raise
@@ -226,7 +226,7 @@ def standard_engine_plan(seed: int = 0) -> FaultPlan:
 def distributed_chaos_plan(seed: int = 0) -> FaultPlan:
     """The chaos plan for the cross-node shuffle (``shuffle.exchange``).
 
-    A failed exchange transfer (absorbed by the engine's bounded in-place
+    A failed gather transfer (absorbed by the engine's bounded in-place
     retry), a dropped payload that paid the wire cost before vanishing
     (ditto, one attempt later), and a delayed leg (pure latency, no
     failure).  A hardened distributed engine absorbs the whole plan

@@ -37,7 +37,7 @@ from repro.sim.events import Event
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.node.node import Node
 
-__all__ = ["JobStats", "PhoenixResult", "PhoenixRuntime"]
+__all__ = ["JobStats", "PhoenixResult", "PhoenixRuntime", "reduce_combined"]
 
 
 @dataclasses.dataclass
@@ -436,15 +436,24 @@ def _sequential_compute(spec: MapReduceSpec, payload: object, params: dict) -> o
     comb = Combiner(spec.combine_fn)
     if payload is not None and _nonempty(payload):
         spec.map_fn(payload, comb.emit, params)
+    return reduce_combined(spec, [comb.data], params)
+
+
+def reduce_combined(spec: MapReduceSpec, maps: list[dict], params: dict) -> object:
+    """Sort, reduce and order combiner maps into the output pairs.
+
+    The data work of everything after map, on one core; a map-only app
+    keeps each map's sorted run, in map order.
+    """
     if spec.reduce_fn is not None or spec.needs_sort:
-        entries = decorate_sorted(merge_combiner_maps([comb.data], spec.combine_fn))
+        entries = decorate_sorted(merge_combiner_maps(maps, spec.combine_fn))
         if spec.reduce_fn is not None:
             entries = [
                 (skey, key, spec.reduce_fn(key, values, params))
                 for skey, key, values in entries
             ]
     else:
-        entries = decorate_sorted(comb.data)
+        entries = [e for m in maps for e in decorate_sorted(m)]
     if spec.sort_output:
         entries = sort_decorated_by_value_desc(entries)
     return undecorate(entries)

@@ -527,8 +527,8 @@ class ClusterScheduler:
                     job, nodes=entry.shard_nodes, timeout=self.attempt_timeout
                 )
             # completion guarantee: the replica fleet is burned, so run the
-            # same work single-node on the host through the extended
-            # (partitioned) runtime
+            # same dataflow on one node, the host's extended (partitioned)
+            # runtime
             fallback = DataJob(
                 app=job.app,
                 input_path=job.input_path,

@@ -17,7 +17,7 @@ latencies, daemon dispatch overhead.
 """
 
 from repro.smartfam.daemon import HostSmartFAM, SDSmartFAM
-from repro.smartfam.distmod import dist_map, dist_merge, dist_reduce
+from repro.smartfam.distmod import dist_map, dist_merge
 from repro.smartfam.logfile import LogFileCodec, LogRecord
 from repro.smartfam.registry import ModuleRegistry, standard_registry
 
@@ -29,6 +29,5 @@ __all__ = [
     "SDSmartFAM",
     "HostSmartFAM",
     "dist_map",
-    "dist_reduce",
     "dist_merge",
 ]

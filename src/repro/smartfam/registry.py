@@ -111,7 +111,7 @@ def standard_registry() -> ModuleRegistry:
     from repro.apps.matmul import make_matmul_spec
     from repro.apps.stringmatch import make_stringmatch_spec
     from repro.apps.wordcount import make_wordcount_spec
-    from repro.smartfam.distmod import dist_map, dist_merge, dist_reduce
+    from repro.smartfam.distmod import dist_map, dist_merge
 
     reg = ModuleRegistry()
     reg.register("wordcount", mapreduce_module(lambda p: make_wordcount_spec()))
@@ -123,6 +123,5 @@ def standard_registry() -> ModuleRegistry:
         ),
     )
     reg.register("dist_map", dist_map)
-    reg.register("dist_reduce", dist_reduce)
     reg.register("dist_merge", dist_merge)
     return reg

@@ -35,7 +35,6 @@ def test_sd_export_prepared():
     assert sorted(sd.fs.vfs.listdir("/export/sdlog")) == [
         "dist_map.log",
         "dist_merge.log",
-        "dist_reduce.log",
         "matmul.log",
         "stringmatch.log",
         "wordcount.log",

@@ -33,9 +33,9 @@ def test_corrupt_payload_detected():
     bad = corrupt_artifact(blob)
     assert bad != blob and len(bad) == len(blob)
     with pytest.raises(ShuffleArtifactError) as ei:
-        unpack_artifact(bad, path="/shuffle/map0.p1", shard=0, partition=1)
+        unpack_artifact(bad, path="/shuffle/part1", shard=0)
     assert ei.value.retryable
-    assert ei.value.shard == 0 and ei.value.partition == 1
+    assert ei.value.shard == 0
 
 
 def test_truncated_frame_detected():
@@ -47,17 +47,13 @@ def test_truncated_frame_detected():
 
 def _manifest():
     m = AttemptManifest()
-    m.register_map(0, "sd0", {"partitions": {0: {"path": "/s/map0.p0", "bytes": 10},
-                                            1: {"path": "/s/map0.p1", "bytes": 20}},
-                              "entries": 5})
-    m.register_map(1, "sd1", {"partitions": {0: {"path": "/s/map1.p0", "bytes": 30},
-                                            1: {"path": "/s/map1.p1", "bytes": 40}},
-                              "entries": 7})
-    m.received[("sd0", 1, 0)] = "/s/rx/p0.s1"   # shard 1's p0 copied to sd0
-    m.received[("sd1", 0, 1)] = "/s/rx/p1.s0"   # shard 0's p1 copied to sd1
-    m.reduced[0] = {"path": "/s/red.p0", "bytes": 50, "entries": 3, "node": "sd0"}
-    m.reduced[1] = {"path": "/s/red.p1", "bytes": 60, "entries": 4, "node": "sd1"}
-    m.gathered[("sd0", "p", 1)] = "/s/rx/red.p1"
+    m.register_map(0, "sd0", {"parts": [{"index": 0, "path": "/s/part0", "bytes": 10},
+                                        {"index": 1, "path": "/s/part1", "bytes": 20}]})
+    m.register_map(1, "sd1", {"parts": [{"index": 2, "path": "/s/part2", "bytes": 30},
+                                        {"index": 3, "path": "/s/part3", "bytes": 40}]})
+    m.gathered[("sd0", 2)] = "/s/final/part2"   # shard 1's parts copied to sd0
+    m.gathered[("sd0", 3)] = "/s/final/part3"
+    m.gathered[("sd1", 0)] = "/s/final/part0"   # shard 0's part 0 copied to sd1
     return m
 
 
@@ -65,49 +61,36 @@ def test_invalidate_node_keeps_committed_maps_and_live_copies():
     m = _manifest()
     m.invalidate_node("sd1")
     # a kill crashes the daemon, not the disk: sd1's COMMITTED map artifact
-    # survives (host-readable, crc-verified on read); its derived working
-    # state — the reduce output it held — is re-derived on survivors
+    # survives (host-readable, crc-verified on read)
     assert 1 in m.maps and 0 in m.maps
-    assert 1 not in m.reduced and 0 in m.reduced
-    # the copy sd1 *owned* is gone; the copy of sd1's bucket held on live
-    # sd0 is KEPT — a deterministic re-map regenerates identical bytes, so
-    # the transfer need not repeat
-    assert ("sd1", 0, 1) not in m.received
-    assert ("sd0", 1, 0) in m.received
-    # gathered leg for the dead reduce output is dropped with it
-    assert ("sd0", "p", 1) not in m.gathered
+    # the copy gathered TO sd1 is gone (the merge moves to a live node);
+    # the copies of sd1's parts held on live sd0 are KEPT — a
+    # deterministic re-map regenerates identical bytes, so the transfers
+    # need not repeat
+    assert ("sd1", 0) not in m.gathered
+    assert ("sd0", 2) in m.gathered and ("sd0", 3) in m.gathered
 
 
 def test_invalidate_shard_drops_its_buckets_everywhere():
     m = _manifest()
     m.invalidate_shard(1)
     assert 1 not in m.maps and 0 in m.maps
-    assert ("sd0", 1, 0) not in m.received       # shard 1's bucket copy
-    assert ("sd1", 0, 1) in m.received           # shard 0's copy untouched
-    assert m.reduced  # reduce outputs survive a map re-run decision
+    # every gathered copy of shard 1's parts goes with it
+    assert ("sd0", 2) not in m.gathered and ("sd0", 3) not in m.gathered
+    assert ("sd1", 0) in m.gathered              # shard 0's copy untouched
 
 
 def test_invalidate_artifact_routes_by_exception():
     m = _manifest()
-    m.invalidate_artifact(
-        ShuffleArtifactError("/s/red.p1", partition=1, detail="crc")
-    )
-    assert 1 not in m.reduced and 0 in m.reduced
-    assert ("sd0", "p", 1) not in m.gathered
+    m.invalidate_artifact(ShuffleArtifactError("/s/final/part2", shard=1))
+    assert 1 not in m.maps and 0 in m.maps
+    assert ("sd0", 2) not in m.gathered and ("sd1", 0) in m.gathered
 
     m2 = _manifest()
-    m2.invalidate_artifact(ShuffleArtifactError("/s/map1.p0", shard=1))
-    assert 1 not in m2.maps and 0 in m2.maps
-
-    m3 = _manifest()
     # no attribution at all: conservative full invalidation
-    m3.invalidate_artifact(ShuffleArtifactError("/s/unknown"))
-    assert not m3.maps and not m3.received and not m3.reduced
-    assert not m3.gathered
+    m2.invalidate_artifact(ShuffleArtifactError("/s/unknown"))
+    assert not m2.maps and not m2.gathered
 
 
 def test_summary_counts():
-    m = _manifest()
-    s = m.summary()
-    assert s["maps"] == 2 and s["received"] == 2
-    assert s["reduced"] == 2 and s["gathered"] == 1
+    assert _manifest().summary() == {"maps": 2, "gathered": 3}

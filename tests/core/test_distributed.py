@@ -1,4 +1,4 @@
-"""Distributed single-job engine: planning, exchange, faults, recovery."""
+"""Distributed single-job engine: planning, gather, faults, recovery."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from repro.apps import spec_for_app
 from repro.cluster.testbed import Testbed
 from repro.config import table1_cluster
 from repro.core import (
@@ -56,7 +57,7 @@ def test_plan_slices_contiguous_fragments_over_shards():
     size = MB(8)
     job = _job("/x", size=size, fragment_bytes=MB(2), n_shards=4)
     plan = _plan(job, payload, ["sd0", "sd1", "sd2", "sd3"])
-    assert plan.kind == "bytes" and plan.exchange
+    assert plan.kind == "bytes"
     assert len(plan.shards) == 4
     assert sum(s.size for s in plan.shards) == size
     # contiguous global fragment indices, in order, no gaps
@@ -67,16 +68,6 @@ def test_plan_slices_contiguous_fragments_over_shards():
     assert spans[0][0] == 0 and spans[-1][1] == len(payload)
     for (_, p1), (q0, _) in zip(spans, spans[1:]):
         assert p1 == q0
-
-
-def test_plan_defaults_partitions_to_shard_count():
-    payload = b"a b c " * 100
-    job = _job("/x", size=MB(4), fragment_bytes=MB(1), n_shards=2)
-    plan = _plan(job, payload, ["sd0", "sd1", "sd2", "sd3"])
-    assert len(plan.shards) == 2
-    assert plan.n_partitions == 2
-    job2 = _job("/x", size=MB(4), fragment_bytes=MB(1), n_shards=2, n_partitions=7)
-    assert _plan(job2, payload, ["sd0", "sd1"]).n_partitions == 7
 
 
 def test_plan_drops_empty_shards_when_fragments_are_scarce():
@@ -126,20 +117,27 @@ def test_distributed_run_reports_shuffle_accounting():
     res = bed.run(eng.run(_job(sd_path), timeout=_TIMEOUT))
     assert res.n_shards == 4 and res.offloaded
     assert res.where == res.merge_node
-    assert res.shuffle_bytes > 0 and res.shuffle_transfers > 0
-    assert res.n_partitions == 4
+    # exactly the fragment outputs not already on the merge node cross
+    # the wire, each at its declared output size
+    profile = spec_for_app("wordcount").profile
+    remote = [
+        f for s, node in zip(res.plan.shards, res.shard_nodes)
+        if node != res.merge_node for f in s.fragments
+    ]
+    assert remote
+    assert res.shuffle_bytes == sum(max(1, profile.output_bytes(f.size)) for f in remote)
+    assert res.shuffle_transfers == len(remote)
     # the observable counters mirror the result's accounting
     counters = bed.sim.obs.metrics.snapshot()["counters"]
     assert counters.get("shuffle.bytes") == res.shuffle_bytes
     assert counters.get("shuffle.transfers") == res.shuffle_transfers
-    assert counters.get("shuffle.partitions", 0) >= 1
     assert counters.get("dist.jobs") == 1
+    # one map call per shard and one merge: no other module runs
+    invokes = {k: v for k, v in counters.items() if k.startswith("dist.invoke.")}
+    assert invokes == {"dist.invoke.map": res.n_shards, "dist.invoke.merge": 1}
     # the timeline is monotone through the phases
     tl = res.timeline
-    assert (
-        tl["started"] <= tl["map_done"] <= tl["exchange_done"]
-        <= tl["reduce_done"] <= tl["merge_done"]
-    )
+    assert tl["started"] <= tl["map_done"] <= tl["gather_done"] <= tl["merge_done"]
 
 
 def test_uneven_shards_map_once_each():

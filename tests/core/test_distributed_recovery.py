@@ -35,15 +35,13 @@ def _clean():
     return res
 
 
-def test_kill_at_exchange_partial_restart():
+def test_killing_a_mapper_after_the_map_costs_nothing():
     clean = _clean()
-    # a reduce owner that is NOT the merge node: its death loses its
-    # derived working state, but its committed map artifact stays on the
-    # (host-readable) disk, so NO map is re-run — the partition it owned
-    # is re-reduced on a survivor from the surviving artifacts
-    victims = [n for n in clean.reduce_nodes.values() if n != clean.merge_node]
-    victim = victims[0] if victims else clean.merge_node
-    kill_at = (clean.timeline["map_done"] + clean.timeline["exchange_done"]) / 2
+    # a mapper that is NOT the merge node: its committed parts stay on the
+    # (host-readable) disk, the gather copies them from there and the
+    # merge runs elsewhere, so the job needs nothing from its daemon
+    victim = next(n for n in clean.shard_nodes if n != clean.merge_node)
+    kill_at = clean.timeline["map_done"] + 1e-3
 
     bed, sd_path = _bed()
     eng = DistributedEngine(bed.cluster)
@@ -55,16 +53,35 @@ def test_kill_at_exchange_partial_restart():
     bed.sim.spawn(killer(), name="killer")
     res = bed.run(eng.run(_job(sd_path), timeout=5.0))
     assert pickle.dumps(res.output) == pickle.dumps(clean.output)
-    assert res.recovery["partial_restarts"] >= 1
-    # the dead mapper's committed artifact was reused in place
-    assert victim in res.shard_nodes
-    # but no daemon work was re-dispatched to it
-    assert victim not in res.reduce_nodes.values()
-    assert res.merge_node != victim
+    assert res.recovery["partial_restarts"] == 0 and not res.recovery["failures"]
+    assert victim in res.shard_nodes and res.merge_node == clean.merge_node
     counters = bed.sim.obs.metrics.snapshot()["counters"]
-    # recovery never re-ran a map: one dist_map invoke per shard, total
     assert counters.get("dist.invoke.map", 0) == res.n_shards
-    assert counters.get("dist.restart.partial", 0) >= 1
+    assert res.elapsed == clean.elapsed
+
+
+def test_map_failing_on_one_node_moves_its_shard():
+    # dist_map always fails on sd2 (a module fault, not a death): its shard
+    # moves to a survivor for the next pass instead of failing there again
+    def run(plan):
+        bed, sd_path = _bed(n_sd=3, size=MB(60))
+        if plan is not None:
+            bed.sim.install_faults(plan)
+        job = DistributedJob(
+            app="wordcount", input_path=sd_path, input_size=MB(60),
+            fragment_bytes=MB(10),
+        )
+        res = bed.run(DistributedEngine(bed.cluster).run(job, timeout=600.0))
+        return bed, res
+
+    _, clean = run(None)
+    bed, res = run(FaultPlan(rules=(
+        FaultRule("fam.module", "fail", where={"module": "dist_map", "node": "sd2"}),
+    )))
+    assert pickle.dumps(res.output) == pickle.dumps(clean.output)
+    assert res.recovery["partial_restarts"] == 1
+    assert res.shard_nodes == ["sd0", "sd1", "sd0"]
+    assert bed.sim.obs.metrics.counters["dist.invoke.map"] == 3 + 3
 
 
 def test_corrupted_artifact_rebuilt_in_place():

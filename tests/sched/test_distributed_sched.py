@@ -79,9 +79,8 @@ def test_killed_shard_node_recovers_and_job_completes():
     res = bed.run(sched.submit_distributed(_job(sd_path)))
     assert pickle.dumps(res.output) == pickle.dumps(ref.output)
     # post-map kill: the victim's committed artifact is reused in place,
-    # but no daemon work lands on it — reduce and merge move to survivors
+    # but no daemon work lands on it — the merge moves to a survivor
     assert victim in res.shard_nodes
-    assert victim not in res.reduce_nodes.values()
     assert res.merge_node != victim
     assert res.recovery["failures"]
 
@@ -123,15 +122,16 @@ def test_host_fallback_runs_under_the_attempt_deadline():
 
 
 def test_failed_job_excludes_the_node_its_failures_name():
-    """Every dist_map on sd2 crashes, so each recovery pass fails there
-    and the engine gives the job up naming sd2 alone.  The re-queued job
+    """Seven fragments over three shards put three on sd2, so sd2 merges;
+    every dist_merge there crashes, so each recovery pass fails there and
+    the engine gives the job up naming sd2 alone.  The re-queued job
     shards over the other two nodes: the lead node sd0, on which nothing
     failed, stays eligible."""
     bed = Testbed(config=table1_cluster(n_sd=3, seed=0), seed=0)
     inp = text_input("/data/s", MB(60), payload_bytes=6_000, seed=9)
     _, sd_path = bed.stage_replicated("s", inp)
     bed.sim.install_faults(FaultPlan(rules=(
-        FaultRule("fam.module", "fail", where={"module": "dist_map", "node": "sd2"}),
+        FaultRule("fam.module", "fail", where={"module": "dist_merge", "node": "sd2"}),
     )))
     sched = ClusterScheduler(bed.cluster, attempt_timeout=600.0, cache=None)
     placed = []
@@ -144,7 +144,7 @@ def test_failed_job_excludes_the_node_its_failures_name():
     sched._launch = record
     res = bed.run(sched.submit_distributed(DistributedJob(
         app="wordcount", input_path=sd_path, input_size=MB(60),
-        fragment_bytes=MB(10),
+        fragment_bytes=MB(60) // 7 + 1,
     )))
     assert placed == [("sd0", "sd1", "sd2"), ("sd0", "sd1")]
     assert res.offloaded and set(res.shard_nodes) == {"sd0", "sd1"}

@@ -176,7 +176,7 @@ def test_standard_registry_contents():
     reg = standard_registry()
     assert set(reg.names()) == {
         "wordcount", "stringmatch", "matmul",
-        "dist_map", "dist_reduce", "dist_merge",
+        "dist_map", "dist_merge",
     }
     assert "wordcount" in reg
 

@@ -13,7 +13,7 @@ def test_list_modules_matches_registry():
         return (yield bed.cluster.channel().list_modules())
 
     assert bed.run(go()) == [
-        "dist_map", "dist_merge", "dist_reduce",
+        "dist_map", "dist_merge",
         "matmul", "stringmatch", "wordcount",
     ]
 

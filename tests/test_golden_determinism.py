@@ -54,7 +54,7 @@ REVIVE_AT = 16.0
 #:    misses the 60 s deadline at 69.25 s, quarantines sd1 and pins the
 #:    job to the host, where it ends at 106.3 s.
 #: 3. Distributed 256 MB wordcount: its map shard on sd0 restarts on sd1
-#:    at the quarantine; the job ends on sd1 at 20.4 s.
+#:    at the quarantine; the job ends on sd1 at 19.1 s.
 #: 4. 64 MB stringmatch: the host finishes it, wire included, in 0.8 s,
 #:    before sd0 clears its 3.8 s backlog, so it runs on the host.
 #: 5. 128 MB wordcount: runs on sd1, since sd0 still holds job 2.
@@ -65,9 +65,9 @@ GOLDEN = [
     ("2.533251263999997", "2eb533b239b508f0342793f0237b43831f9e4bc2cc53778bc4cc8e6e6b559ada"),
     ("2.884957531247312", "d9daafde5ea2662e58152ce811ebb3fa75fe71ed4fa9c7346e0a3970aca99afe"),
     ("106.30736049977827", "169b838522e29281d981138e042e4e6d6c35639204db6a91be1d4912e2d7ee74"),
-    ("20.369009873333844", "2cc84311a404b8907bb495d5a73201a829c06fd9fb1daa344a29f1f33033b3ec"),
-    ("7.234150452724215", "696e620d1a21341181c30428636397c2f4d189c0eb79d0ede23f089a80b3bcf4"),
-    ("15.652404928000403", "9480045a2ceca830a68aeabf7e3cea18c9ce0365543c2e272dfb479187e41d10"),
+    ("19.087213674667215", "2cc84311a404b8907bb495d5a73201a829c06fd9fb1daa344a29f1f33033b3ec"),
+    ("7.203882268150374", "696e620d1a21341181c30428636397c2f4d189c0eb79d0ede23f089a80b3bcf4"),
+    ("15.6021967360004", "9480045a2ceca830a68aeabf7e3cea18c9ce0365543c2e272dfb479187e41d10"),
     ("41.88110150400087", "c22050f63aa49b8e192c09cea9f5b2dbe27d0afce97d421de8f2da5519f14746"),
     ("20.0", "2eb533b239b508f0342793f0237b43831f9e4bc2cc53778bc4cc8e6e6b559ada"),
 ]
@@ -79,8 +79,8 @@ GOLDEN_JOB6_KEY_TOTALS = {
 #: the stream's ``sim.processed_events`` and ``net.bytes`` counter at its end
 #: (the events include the deadline timers that fire inside the stream;
 #: a distributed map phase arms none of its own)
-GOLDEN_EVENTS = 20445
-GOLDEN_NET_BYTES = 3735371760
+GOLDEN_EVENTS = 20371
+GOLDEN_NET_BYTES = 3735338992
 
 
 def digest(output: object) -> str:

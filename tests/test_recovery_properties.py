@@ -1,8 +1,8 @@
 """Property: fine-grained recovery never changes a distributed answer.
 
-The PR-9 correctness claim as a hypothesis property: for any random
-schedule of one or two faults — node kills and stalls landing in the
-map, exchange, or reduce phase — the engine's output is byte-identical
+The partial-restart correctness claim as a hypothesis property: for any
+random schedule of one or two faults — node kills and stalls landing in
+the map, gather, or merge phase — the engine's output is byte-identical
 to the clean run's, because surviving shuffle artifacts are reused and
 only the dead node's work is re-derived.
 """
@@ -65,19 +65,18 @@ def _job(app: str, sd_path: str, inp: InputSpec, params: dict) -> DistributedJob
 def _kill_time(phase: str, timeline: dict) -> float:
     if phase == "map":
         return timeline["map_done"] * 0.5
-    if phase == "exchange":
-        return (timeline["map_done"] + timeline["exchange_done"]) / 2
-    lo = timeline.get("exchange_done", timeline["map_done"])
-    return (lo + timeline.get("reduce_done", timeline["merge_done"])) / 2
+    if phase == "gather":
+        return (timeline["map_done"] + timeline["gather_done"]) / 2
+    return (timeline["gather_done"] + timeline["merge_done"]) / 2
 
 
 def _delay_rule(phase: str, victim: str) -> FaultRule:
-    if phase == "exchange":
+    if phase == "gather":
         return FaultRule(
             "shuffle.exchange", action="delay", count=1, delay=0.2,
             where={"src": victim},
         )
-    module = "dist_map" if phase == "map" else "dist_reduce"
+    module = "dist_map" if phase == "map" else "dist_merge"
     return FaultRule(
         "fam.dispatch", action="delay", count=1, delay=0.4,
         where={"module": module, "node": victim},
@@ -85,7 +84,7 @@ def _delay_rule(phase: str, victim: str) -> FaultRule:
 
 
 fault_st = st.tuples(
-    st.sampled_from(["map", "exchange", "reduce"]),
+    st.sampled_from(["map", "gather", "merge"]),
     st.sampled_from(["kill", "delay"]),
     st.integers(min_value=0, max_value=3),
 )
@@ -133,7 +132,7 @@ def test_property_partial_restart_is_transparent(app, faults):
 
     res = bed2.run(eng2.run(_job(app, path2, inp, params), timeout=5.0))
     # surviving artifacts were reused.  A kill may prove harmless (the
-    # victim's work was already durable and it owned nothing downstream);
+    # victim's work was already durable and it does not merge);
     # every other schedule recovers through a partial restart, and the job
     # never raises.
     assert _canonical(app, res.output) == want

@@ -96,7 +96,7 @@ _ERROR_ARGS = {
     "PhoenixMemoryError": (300, 200, "wordcount"),
     "OffloadTimeoutError": ("wordcount", 5.0, "sd0"),
     "NodeDownError": ("sd0", "wordcount"),
-    "ShuffleArtifactError": ("/shuffle/m0", 1, 2, "short read"),
+    "ShuffleArtifactError": ("/shuffle/part0", 1, "short read"),
     "DistributedJobError": (
         "wordcount", {"sd1"},
         [{"node": "sd1", "phase": "map", "cause": "OffloadTimeoutError", "at": 1.0}],

@@ -30,8 +30,8 @@ with ``--dump-dir DIR`` (default: the ``REPRO_BLACKBOX_DIR`` environment
 variable) dumps each live flight recorder's ring to DIR as a JSONL black
 box.
 
-``--quick`` runs one simulated app and a smaller engine input (the CI
-smoke configuration); the default soaks wordcount, stringmatch and
+``--quick`` runs one simulated app and a smaller engine input (a smoke
+run); the default, which CI runs, soaks wordcount, stringmatch and
 matmul.  ``--only SUBSTR`` runs the cases whose name contains SUBSTR.
 
 Exit status 0 iff every check passes (2 when ``--only`` matches nothing).
@@ -408,7 +408,7 @@ def dist_case(args: argparse.Namespace, app: str):
 
     Three runs: a clean one (the byte-identity baseline, which also
     records when the map phase ends and which node hosts the merge), a
-    kill run where the merge node's daemon dies just as the exchange
+    kill run where the merge node's daemon dies just as the gather
     begins (the failure detector must report it within its bound, and
     the engine re-derive ONLY the dead daemon's work — its committed map
     artifact stays host-readable on the SD disk, so nothing is re-mapped:
@@ -457,55 +457,34 @@ def dist_case(args: argparse.Namespace, app: str):
     return rows, bed.sim.obs, {"killed": victim, "kill_at": kill_at}
 
 
-def dist_kill_exchange_case(args: argparse.Namespace):
-    """Kill a reduce owner mid-exchange; replay reuses surviving artifacts.
+def dist_corrupt_artifact_case(args: argparse.Namespace):
+    """A corrupted artifact is repaired in place; nothing leaks.
 
-    The engine must recover the kill by partial restart, reusing the
-    dead mapper's artifact, and a corrupted write under
-    :func:`recovery_chaos_plan` must be caught by the frame crc and
-    repaired by rebuilding exactly one artifact (deduping every surviving
-    transfer on replay).
+    A fragment output corrupted as it is written under
+    :func:`recovery_chaos_plan` must be caught by the frame crc at the
+    merge's read and repaired by re-mapping exactly its shard (deduping
+    every gather leg that already landed on the replay).
     """
     app = "wordcount"
     clean, _, _ = _dist_run(args, app, SIM_TIMEOUT)
     baseline = canonical_output(app, clean.output)
-    owners = [n for n in clean.reduce_nodes.values() if n != clean.merge_node]
-    victim = owners[0] if owners else clean.merge_node
-    kill_at = (clean.timeline["map_done"] + clean.timeline["exchange_done"]) / 2
-    chaos, bed, _ = _dist_run(args, app, DIST_TIMEOUT, kill=(victim, kill_at))
-    restarts = chaos.recovery["partial_restarts"]
-    stale = _stale_shuffle_dirs(bed, chaos.job_id)
-    # corrupted artifact: persistent on-disk damage, repaired in place
-    repaired, _, injector = _dist_run(
+    repaired, bed, injector = _dist_run(
         args, app, SIM_TIMEOUT, plan=recovery_chaos_plan(args.seed),
     )
-    repaired_restarts = repaired.recovery["partial_restarts"]
-
-    def identical(res) -> bool:
-        return canonical_output(app, res.output) == baseline and nonempty(baseline)
-
+    restarts = repaired.recovery["partial_restarts"]
+    stale = _stale_shuffle_dirs(bed, repaired.job_id)
     rows = [
-        ("output identical", identical(chaos),
-         f"{len(baseline)} bytes after killing {victim} at "
-         f"t={kill_at:.3f}s"),
-        ("partial restart, same attempt",
-         restarts >= 1
-         and victim not in chaos.reduce_nodes.values()
-         and chaos.merge_node != victim
-         and victim in chaos.shard_nodes,
-         f"{restarts} partial restarts, dead mapper's artifact "
-         f"reused, reduce moved to "
-         f"{sorted(set(chaos.reduce_nodes.values()))}"),
         ("corrupt artifact repaired in place",
-         identical(repaired)
-         and repaired_restarts >= 1
+         canonical_output(app, repaired.output) == baseline
+         and nonempty(baseline)
+         and restarts >= 1
          and repaired.recovery["dedup_transfers"] >= 1
          and injector.fired_by_site().get("shuffle.artifact", 0) >= 1,
-         f"{repaired_restarts} partial restarts, "
+         f"{restarts} partial restarts, "
          f"{repaired.recovery['dedup_transfers']} transfers deduped"),
         ("no shuffle dirs leaked", not stale, f"{stale or 'clean'}"),
     ]
-    return rows, bed.sim.obs, {"killed": victim, "kill_at": kill_at}
+    return rows, bed.sim.obs, {}
 
 
 # -- real-engine cases -------------------------------------------------------
@@ -680,7 +659,7 @@ def cases(apps: list[str]) -> list[tuple]:
         ("sched:kill-sd0", "sched", sched_case),
         *((f"dist:kill-shard:{app}", f"dist-{app}",
            functools.partial(dist_case, app=app)) for app in apps),
-        ("dist:kill-exchange", "dist-kill-exchange", dist_kill_exchange_case),
+        ("dist:corrupt-artifact", "dist-corrupt-artifact", dist_corrupt_artifact_case),
         ("sched:flaky-heartbeat", "sched-flaky-heartbeat",
          sched_flaky_heartbeat_case),
         ("engine:wordcount", "engine", engine_case),
@@ -691,7 +670,7 @@ def cases(apps: list[str]) -> list[tuple]:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
-                    help="CI smoke: one sim app, smaller engine input")
+                    help="smoke run: one sim app, smaller engine input")
     ap.add_argument("--seed", type=int, default=7, help="fault plan seed")
     ap.add_argument("--trace", default=None, metavar="DIR",
                     help="export one Chrome trace per case into DIR")

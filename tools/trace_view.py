@@ -28,9 +28,9 @@ Reads either export format (Chrome-trace/Perfetto JSON or JSONL, see
   trace recorded any of its counters: reliability (``fault.*`` /
   ``retry.*`` / ``pool.*`` — chaos-soak traces always
   have them), distributed shuffle (``shuffle.*`` and the ``dist.*``
-  invoke/job counters of a ``DistributedEngine`` run — the
-  ``shuffle.exchange`` leg itself lands on the job's ``dist:*`` track, so
-  ``critpath --containment --root dist.job`` shows the exchange on the
+  invoke/job counters of a ``DistributedEngine`` run — the gather's
+  ``shuffle.exchange`` span lands on the job's ``dist:*`` track, so
+  ``critpath --containment --root dist.job`` shows the gather on the
   critical path when it dominates) and recovery (partial restarts,
   deduped transfers, node quarantine/probation/rejoin transitions, and
   per-node suspicion sparklines from the ``node.suspicion.<name>``
